@@ -6,7 +6,9 @@ use leo_constellation::presets;
 use leo_constellation::SatId;
 use leo_geo::Geodetic;
 use leo_net::engine::{DijkstraArena, RoutingEngine};
-use leo_net::routing::{build_graph, delays_to_all_sats, ground_to_ground, GroundEndpoint};
+use leo_net::routing::{
+    build_graph, delays_to_all_sats, ground_to_ground, sat_to_sat, GroundEndpoint,
+};
 use leo_net::IslTopology;
 
 fn bench_topology_build(c: &mut Criterion) {
@@ -120,6 +122,18 @@ fn bench_engine_1584(c: &mut Criterion) {
                 &mut arena,
             ))
         })
+    });
+    // The state-migration route: a hop list between two satellites, as
+    // the hand-off loop asks for it once per route segment. The baseline
+    // rebuilds the graph per segment like the pre-engine code did.
+    group.bench_function("baseline_sat_to_sat_path", |bch| {
+        bch.iter(|| {
+            let graph = build_graph(&constellation, &topo, &snap, &[]);
+            black_box(sat_to_sat(&graph, SatId(0), SatId(700)))
+        })
+    });
+    group.bench_function("engine_sat_to_sat_path", |bch| {
+        bch.iter(|| black_box(engine.sat_to_sat_path(&weights, SatId(0), SatId(700), &mut arena)))
     });
     group.finish();
 }

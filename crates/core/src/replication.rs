@@ -23,8 +23,7 @@ use leo_net::congestion::{
     WindowedFlow,
 };
 use leo_net::des::{uncontended_transfer_s, Link};
-use leo_net::graph::NodeId;
-use leo_net::routing::{self, GroundEndpoint};
+use leo_net::routing::GroundEndpoint;
 use serde::{Deserialize, Serialize};
 
 /// One predicted serving interval.
@@ -207,7 +206,7 @@ pub struct MigrationNetConfig {
     /// fraction of `isl_rate_bps`. Open-loop: it does not back off.
     pub cross_load_frac: f64,
     /// Route-refresh cadence, seconds: every `segment_s` the ISL route is
-    /// rebuilt from the constellation snapshot at that instant. Packets in
+    /// recomputed from the snapshot view at that instant. Packets in
     /// flight across a route change are lost (handover loss) and the
     /// window restarts halved.
     pub segment_s: f64,
@@ -270,12 +269,15 @@ pub struct MigrationOutcome {
 /// [`uncontended_transfer_s`] bound.
 ///
 /// The transfer is simulated in segments of [`MigrationNetConfig::segment_s`]
-/// seconds. For each segment the shortest ISL route is rebuilt from the
-/// constellation snapshot at the segment's start (link propagation delays
-/// from actual inter-satellite distances, capacity and queueing from the
-/// config), an independent open-loop cross-traffic flow is placed on every
-/// hop, and the windowed sender moves as much of the remaining state as
-/// the segment allows. Packets in flight when the segment ends are lost —
+/// seconds. For each segment the shortest ISL route comes from the
+/// service's [`SnapshotView`](crate::SnapshotView) at the segment's start
+/// (link propagation delays from actual inter-satellite distances,
+/// capacity and queueing from the config). The view's weights carry the
+/// service's fault plan at that instant, so the route never crosses a dead
+/// satellite or a cut link, and a dead endpoint stalls the transfer until
+/// `max_segments` runs out. An independent open-loop cross-traffic flow is
+/// placed on every hop, and the windowed sender moves as much of the
+/// remaining state as the segment allows. Packets in flight when the segment ends are lost —
 /// the handover-loss case — and the window restarts halved on the next
 /// segment's route.
 ///
@@ -325,36 +327,33 @@ pub fn migrate_via_packets(
 
     let mut remaining = total_packets;
     let mut elapsed_s = 0.0;
-    let mut prev_route: Option<Vec<NodeId>> = None;
+    let mut prev_route: Option<Vec<SatId>> = None;
     let mut carried_cwnd: Option<f64> = None;
 
     for seg in 0..cfg.max_segments {
         let seg_start = start_s + elapsed_s;
         let view = service.view(seg_start);
-        let graph = service.graph(view.snapshot(), &[]);
-        let Some(path) = routing::sat_to_sat(&graph, from, to) else {
+        let Some(path) = view.sat_to_sat_path(from, to) else {
             // No route this segment; wait for the topology to change.
             outcome.segments = seg + 1;
             elapsed_s += cfg.segment_s;
             prev_route = None;
             continue;
         };
-        let route_changed = prev_route.as_deref().is_some_and(|r| r != path.nodes);
+        let route_changed = prev_route.as_deref().is_some_and(|r| r != path.sats);
         if route_changed {
             outcome.route_changes += 1;
         }
 
         // Materialize the route as congestion links: configured capacity
         // and queueing, propagation from the actual hop geometry.
+        let snap = view.snapshot();
         let links: Vec<CongestionLink> = path
-            .nodes
+            .sats
             .windows(2)
             .map(|pair| {
-                let (NodeId::Sat(a), NodeId::Sat(b)) = (pair[0], pair[1]) else {
-                    unreachable!("sat-to-sat routes stay on the ISL mesh")
-                };
-                let snap = view.snapshot();
-                let prop_s = snap.position(a).distance_m(snap.position(b)) / SPEED_OF_LIGHT_M_S;
+                let (a, b) = (snap.position(pair[0]), snap.position(pair[1]));
+                let prop_s = a.distance_m(b) / SPEED_OF_LIGHT_M_S;
                 let link = CongestionLink::new(cfg.isl_rate_bps, prop_s, cfg.queue_packets);
                 match cfg.ecn_threshold {
                     Some(t) => link.with_ecn(t.min(cfg.queue_packets)),
@@ -435,7 +434,7 @@ pub fn migrate_via_packets(
         remaining -= stats.delivered;
         elapsed_s += cfg.segment_s;
         carried_cwnd = Some(stats.final_cwnd);
-        prev_route = Some(path.nodes);
+        prev_route = Some(path.sats);
     }
     outcome
 }

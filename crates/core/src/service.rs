@@ -3,7 +3,7 @@
 
 use leo_constellation::{Constellation, SatId, Snapshot};
 use leo_geo::{look, Geodetic};
-use leo_net::engine::{with_thread_arena, GroundLinks, IslWeights, RoutingEngine};
+use leo_net::engine::{with_thread_arena, GroundLinks, IslWeights, RoutingEngine, SatPath};
 use leo_net::fault::{FaultConfig, FaultPlan};
 use leo_net::frontier::{self, BandSet, GroundSet, NearestState};
 use leo_net::routing::{self, GroundEndpoint};
@@ -121,6 +121,14 @@ impl SnapshotView {
     /// disconnected.
     pub fn sat_to_sat_delay(&self, links: Option<&GroundLinks>, a: SatId, b: SatId) -> Option<f64> {
         with_thread_arena(|arena| self.engine.sat_to_sat_delay(&self.isl, links, a, b, arena))
+    }
+
+    /// The minimum-delay ISL route between two satellites at this instant,
+    /// with its hop list, or `None` when disconnected. It runs over this
+    /// view's own weights, so under a fault scenario it never crosses a
+    /// dead satellite or a cut link.
+    pub fn sat_to_sat_path(&self, a: SatId, b: SatId) -> Option<SatPath> {
+        with_thread_arena(|arena| self.engine.sat_to_sat_path(&self.isl, a, b, arena))
     }
 
     /// One-way delay between two attached ground endpoints (by slot in
@@ -401,6 +409,11 @@ impl InOrbitService {
 
     /// The full network graph at a snapshot with the given ground
     /// endpoints attached.
+    ///
+    /// The reference oracle, with no production caller: every library
+    /// query routes on the CSR engine through [`SnapshotView`]. The graph
+    /// ignores the service's fault scenario. It stays public for tests
+    /// and the benchmark's legacy-router probes.
     pub fn graph(&self, snapshot: &Snapshot, grounds: &[GroundEndpoint]) -> NetworkGraph {
         routing::build_graph(&self.constellation, &self.topology, snapshot, grounds)
     }

@@ -12,15 +12,18 @@
 //!    service with no fault layer at all.
 //! 3. **Fade-forced re-selection** — Sticky drops a held server whose
 //!    access link rains out, not just one that dies or sets.
+//! 4. **Fault-aware migration** — state hand-offs route around cut ISLs
+//!    and dead satellites, and stall on a dead endpoint.
 
 use leo_constellation::{presets, SatId};
+use leo_core::replication::{migrate_via_packets, MigrationNetConfig};
 use leo_core::session::run_session;
-use leo_core::{FailureModel, InOrbitService, Policy, SessionConfig};
+use leo_core::{FailureModel, InOrbitService, Policy, SessionConfig, SnapshotView};
 use leo_geo::Geodetic;
 use leo_net::routing::GroundEndpoint;
 use leo_net::visibility::visible_sats_masked;
 use leo_net::weather::LinkBudget;
-use leo_net::{FaultConfig, FaultPlan, NetworkGraph, NodeId, RainFade};
+use leo_net::{FailureSchedule, FaultConfig, FaultPlan, NetworkGraph, NodeId, RainFade};
 
 fn users() -> Vec<GroundEndpoint> {
     vec![
@@ -119,6 +122,7 @@ fn masked_routes_equal_shortest_paths_on_the_masked_graph() {
         }
 
         // Sat-to-sat over the masked ISL mesh, including dead endpoints.
+        let isl_only = reference_graph(&service, view.snapshot(), &[], plan);
         let probes = [
             (SatId(0), SatId(700)),
             (SatId(100), SatId(101)),
@@ -154,7 +158,112 @@ fn masked_routes_equal_shortest_paths_on_the_masked_graph() {
                     // query is allowed to fail where the mesh is severed.
                 }
             }
+            assert_masked_path_matches(&view, &isl_only, plan, a, b);
         }
+        // A spread of further pairs, so the hop-list check sees long
+        // routes around the dead band too.
+        for i in 0..24u32 {
+            let a = SatId((i * 131) % 1584);
+            let b = SatId((i * 131 + 700) % 1584);
+            assert_masked_path_matches(&view, &isl_only, plan, a, b);
+        }
+    }
+}
+
+/// The masked path query against the ISL-only reference graph: the same
+/// hop list and delay bits, and no dead satellite or cut link on it.
+fn assert_masked_path_matches(
+    view: &SnapshotView,
+    reference: &NetworkGraph,
+    plan: &FaultPlan,
+    a: SatId,
+    b: SatId,
+) {
+    let engine = view.sat_to_sat_path(a, b);
+    let expected = reference.shortest_path(NodeId::Sat(a), NodeId::Sat(b));
+    match (engine, expected) {
+        (Some(path), Some(r)) => {
+            let sats: Vec<NodeId> = path.sats.iter().map(|&s| NodeId::Sat(s)).collect();
+            assert_eq!(sats, r.nodes, "{a}->{b}: hop lists differ");
+            assert_eq!(path.delay_s.to_bits(), r.delay_s.to_bits(), "{a}->{b}");
+            assert!(path.sats.iter().all(|&s| !plan.sat_dead(s)), "{a}->{b}");
+            assert!(
+                path.sats.windows(2).all(|p| !plan.link_cut(p[0], p[1])),
+                "{a}->{b} crosses a cut link"
+            );
+        }
+        (None, None) => {}
+        (e, r) => panic!("{a}->{b}: engine {e:?} vs reference {r:?}"),
+    }
+}
+
+/// A migration config small enough for tests: 1 Gb/s ISLs, 10 segments.
+fn mig_cfg() -> MigrationNetConfig {
+    MigrationNetConfig {
+        isl_rate_bps: 1e9,
+        max_segments: 10,
+        ..MigrationNetConfig::default()
+    }
+}
+
+#[test]
+fn migration_routes_around_a_cut_first_hop() {
+    let (from, to, t) = (SatId(0), SatId(700), 60.0);
+    let plain = InOrbitService::new(presets::starlink_550_only());
+    let route = plain.view(t).sat_to_sat_path(from, to).expect("route");
+    let mut cfg = FaultConfig::none();
+    cfg.cut_links.push((route.sats[0], route.sats[1]));
+    let faulted = InOrbitService::with_faults(presets::starlink_550_only(), cfg);
+
+    let detour = faulted.view(t).sat_to_sat_path(from, to).expect("detour");
+    assert_ne!(detour.sats, route.sats);
+    assert_ne!(detour.sats[1], route.sats[1], "the cut first hop is unused");
+    assert!(detour.delay_s > route.delay_s);
+
+    let before = migrate_via_packets(&plain, from, to, t, 10e6, &mig_cfg());
+    let after = migrate_via_packets(&faulted, from, to, t, 10e6, &mig_cfg());
+    assert_eq!(before.hops, route.hops());
+    assert_eq!(after.hops, detour.hops());
+    assert_ne!(
+        (after.hops, after.analytic_packet_s.to_bits()),
+        (before.hops, before.analytic_packet_s.to_bits()),
+        "the faulted migration must time the detour, not the cut route"
+    );
+    assert!(
+        after.duration_s.is_some(),
+        "the detour completes: {after:?}"
+    );
+}
+
+#[test]
+fn migration_to_a_dead_server_stalls() {
+    let (from, to) = (SatId(0), SatId(700));
+    let mut deaths = vec![f64::INFINITY; 1584];
+    deaths[to.0 as usize] = 0.0;
+    let mut cfg = FaultConfig::none();
+    cfg.schedule = Some(FailureSchedule::from_death_times(deaths));
+    let faulted = InOrbitService::with_faults(presets::starlink_550_only(), cfg);
+    assert_eq!(faulted.view(0.0).sat_to_sat_path(from, to), None);
+    let out = migrate_via_packets(&faulted, from, to, 0.0, 10e6, &mig_cfg());
+    assert_eq!(out.duration_s, None);
+    assert_eq!(out.segments, mig_cfg().max_segments);
+    assert_eq!(out.hops, 0, "no route was ever found");
+    assert_eq!(out.transmissions, 0);
+}
+
+#[test]
+fn empty_fault_config_migrations_equal_plain_ones() {
+    let plain = InOrbitService::new(presets::starlink_550_only());
+    let faulted = InOrbitService::with_faults(presets::starlink_550_only(), FaultConfig::none());
+    for (from, to, t) in [(SatId(0), SatId(700), 60.0), (SatId(5), SatId(9), 900.0)] {
+        let cfg = MigrationNetConfig {
+            cross_load_frac: 0.5,
+            ..mig_cfg()
+        };
+        assert_eq!(
+            migrate_via_packets(&plain, from, to, t, 5e6, &cfg),
+            migrate_via_packets(&faulted, from, to, t, 5e6, &cfg),
+        );
     }
 }
 

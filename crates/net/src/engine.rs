@@ -1,12 +1,15 @@
 //! The incremental CSR routing engine.
 //!
-//! [`build_graph`](crate::routing::build_graph) reconstructs a
-//! `HashMap`-backed [`NetworkGraph`](crate::graph::NetworkGraph) from
-//! scratch at every snapshot — and the hand-off loops of the
-//! virtual-stationarity experiments rebuild it again *per query*. The
-//! +Grid ISL structure never changes, though: only edge lengths (and the
-//! occasional Earth-occluded link) vary with time. [`RoutingEngine`]
-//! exploits that split:
+//! The reference router, [`build_graph`](crate::routing::build_graph),
+//! reconstructs a `HashMap`-backed
+//! [`NetworkGraph`](crate::graph::NetworkGraph) from scratch at every
+//! snapshot. The +Grid ISL structure never changes, though: only edge
+//! lengths (and the occasional Earth-occluded link) vary with time.
+//! [`RoutingEngine`] exploits that split, and is the only router the
+//! library itself runs — delay queries, bulk and multi-source settles,
+//! and the hop lists that state migration hands to the packet engine
+//! ([`RoutingEngine::sat_to_sat_path`]), so hand-off loops no longer
+//! rebuild a graph per route segment:
 //!
 //! * **compile once** — the ISL adjacency is flattened into a compressed
 //!   sparse row (CSR) array over dense satellite indices at construction;
@@ -21,13 +24,16 @@
 //! * **query with a reusable arena** — Dijkstra runs against the CSR
 //!   arrays with caller-owned scratch buffers ([`DijkstraArena`]) whose
 //!   clears are O(touched) via generation stamps, plus an early-exit
-//!   variant for single-target queries.
+//!   variant for single-target queries and a path variant that keeps
+//!   predecessors.
 //!
 //! Delays are **bit-identical** to the brute-force
 //! `build_graph` + Dijkstra path: the same edge set, the same weights
 //! (`distance_m / c`, computed the same way), and the same left-to-right
-//! association of path sums from the same source vertex. A property test
-//! in `tests/engine_vs_graph.rs` pins this on randomized snapshots.
+//! association of path sums from the same source vertex. Hop lists match
+//! too: a predecessor is recorded only on a strict improvement, the rule
+//! the graph's Dijkstra uses. Property tests in `tests/engine_vs_graph.rs`
+//! pin both on randomized snapshots.
 
 use crate::fault::FaultPlan;
 use crate::index::VisibilityIndex;
@@ -306,12 +312,68 @@ impl DistStore for SliceStore<'_> {
     }
 }
 
+/// A path-search heap entry ordered by delay alone, exactly like the
+/// entries of the reference graph's Dijkstra: equal delays compare
+/// equal, so for the same push sequence the std heap pops exact ties in
+/// the same order, and the recovered route is the one the graph returns
+/// even where two routes have bit-identical delays.
+#[derive(Debug, Clone, Copy)]
+struct PathItem {
+    /// Bits of a non-negative delay, which order like the delay itself.
+    delay_bits: u64,
+    node: u32,
+}
+
+impl PartialEq for PathItem {
+    fn eq(&self, other: &Self) -> bool {
+        self.delay_bits == other.delay_bits
+    }
+}
+
+impl Eq for PathItem {}
+
+impl PartialOrd for PathItem {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for PathItem {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // Min-heap on delay.
+        other.delay_bits.cmp(&self.delay_bits)
+    }
+}
+
+/// A minimum-delay satellite-to-satellite route over the ISL mesh.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SatPath {
+    /// One-way propagation delay, seconds — bit-identical to
+    /// [`RoutingEngine::sat_to_sat_delay`] without ground links.
+    pub delay_s: f64,
+    /// Satellites from source to destination, inclusive.
+    pub sats: Vec<SatId>,
+}
+
+impl SatPath {
+    /// Number of ISL hops on the route.
+    pub fn hops(&self) -> usize {
+        self.sats.len().saturating_sub(1)
+    }
+}
+
 /// Reusable Dijkstra scratch: stamped distance entries plus the priority
 /// queues. One arena per worker thread; a single arena serves any number
 /// of queries of any size.
 #[derive(Debug, Default)]
 pub struct DijkstraArena {
     scratch: StampedScratch,
+    /// Per-node predecessors for [`RoutingEngine::sat_to_sat_path`]; grown
+    /// on demand and never cleared (every node on a recovered route was
+    /// improved, and so written, by the same query).
+    preds: Vec<u32>,
+    /// The path search's heap, in the reference graph's order.
+    path_heap: BinaryHeap<PathItem>,
     /// Monotone bucket queue: `(node, tentative delay)` by
     /// `delay / width` bucket. With the width at most the smallest edge
     /// weight, every pop from the lowest non-empty bucket is final, so
@@ -930,6 +992,82 @@ impl RoutingEngine {
         self.run(weights, links, a.0, Some(b.0), arena)
     }
 
+    /// The minimum-delay route between two satellites over the refreshed
+    /// ISL mesh, or `None` when disconnected. Under masked weights the
+    /// route never touches a dead satellite or a cut link.
+    ///
+    /// Its own early-exit loop, so the shared searches behind delay, bulk
+    /// and multi-source queries carry no predecessor writes. It settles in
+    /// the reference graph's order — the same neighbour order, the same
+    /// delay-only heap — and records a predecessor only on a strict
+    /// improvement, as the graph does, so the hop list equals the graph's
+    /// route even on exact delay ties. The delay is bit-identical to
+    /// [`RoutingEngine::sat_to_sat_delay`] without ground links.
+    pub fn sat_to_sat_path(
+        &self,
+        weights: &IslWeights,
+        a: SatId,
+        b: SatId,
+        arena: &mut DijkstraArena,
+    ) -> Option<SatPath> {
+        leo_obs::counter!("engine.dijkstra.heap_queries").incr();
+        arena.scratch.begin(self.num_sats);
+        if arena.preds.len() < self.num_sats {
+            arena.preds.resize(self.num_sats, u32::MAX);
+        }
+        let DijkstraArena {
+            scratch,
+            preds,
+            path_heap: heap,
+            ..
+        } = arena;
+        heap.clear();
+        scratch.set(a.0, 0.0);
+        heap.push(PathItem {
+            delay_bits: 0.0f64.to_bits(),
+            node: a.0,
+        });
+        let mut tally = SearchTally::default();
+        let delay_s = loop {
+            let PathItem {
+                delay_bits,
+                node: u,
+            } = heap.pop()?;
+            let d = f64::from_bits(delay_bits);
+            if d > scratch.dist_of(u) {
+                continue; // stale heap entry
+            }
+            tally.pops += 1;
+            if u == b.0 {
+                break d;
+            }
+            let (lo, hi) = (
+                self.offsets[u as usize] as usize,
+                self.offsets[u as usize + 1] as usize,
+            );
+            for (&v, &w) in self.targets[lo..hi].iter().zip(&weights.slots[lo..hi]) {
+                let nd = d + w;
+                if nd < scratch.dist_of(v) {
+                    scratch.set(v, nd);
+                    preds[v as usize] = u;
+                    tally.relaxations += 1;
+                    heap.push(PathItem {
+                        delay_bits: nd.to_bits(),
+                        node: v,
+                    });
+                }
+            }
+        };
+        let mut sats = vec![b];
+        let mut cur = b.0;
+        while cur != a.0 {
+            cur = preds[cur as usize];
+            sats.push(SatId(cur));
+        }
+        sats.reverse();
+        Some(SatPath { delay_s, sats })
+    }
+
     /// One-way delay between two attached ground endpoints (by slot in
     /// the attached group), or `None` when disconnected. The source is
     /// `a` — matching the brute-force path's summation order exactly.
@@ -1274,6 +1412,29 @@ mod tests {
             let slow = routing::sat_to_sat(&graph, SatId(a), SatId(b)).map(|p| p.delay_s);
             assert_eq!(fast, slow, "{a}->{b}");
         }
+    }
+
+    #[test]
+    fn path_and_delay_queries_share_an_arena() {
+        // Interleaving path and delay queries must not leak predecessor
+        // or distance state between them.
+        let (c, _, engine) = setup();
+        let weights = engine.refresh(&c.snapshot(60.0));
+        let mut arena = DijkstraArena::new();
+        let first = engine.sat_to_sat_path(&weights, SatId(10), SatId(900), &mut arena);
+        let d = engine.sat_to_sat_delay(&weights, None, SatId(900), SatId(11), &mut arena);
+        let again = engine.sat_to_sat_path(&weights, SatId(10), SatId(900), &mut arena);
+        assert_eq!(first, again);
+        let first = first.unwrap();
+        assert_eq!(first.sats.first(), Some(&SatId(10)));
+        assert_eq!(first.sats.last(), Some(&SatId(900)));
+        assert!(d.is_some());
+        let self_path = engine
+            .sat_to_sat_path(&weights, SatId(4), SatId(4), &mut arena)
+            .unwrap();
+        assert_eq!(self_path.sats, vec![SatId(4)]);
+        assert_eq!(self_path.delay_s, 0.0);
+        assert_eq!(self_path.hops(), 0);
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! ground stations, data centers). Edge weights are one-way propagation
 //! delays in seconds; shortest paths therefore minimize latency, matching
 //! how the paper computes its RTT numbers (propagation only, §3.1).
+//!
+//! The reference oracle: no library code routes through this graph. The
+//! CSR [`RoutingEngine`](crate::engine::RoutingEngine) answers every
+//! query and is tested against it; it stays public for those tests and
+//! for the benchmark's legacy-router probes.
 
 use leo_constellation::SatId;
 use serde::{Deserialize, Serialize};

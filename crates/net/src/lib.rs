@@ -14,16 +14,21 @@
 //!   nearest neighbor in each adjacent plane) with an Earth-occlusion
 //!   check, plus link lengths at any time.
 //! * [`graph`] — a propagation-delay-weighted network graph over
-//!   satellites and ground endpoints with Dijkstra shortest paths.
-//! * [`engine`] — the incremental CSR routing engine: the ISL adjacency
-//!   compiled once ([`engine::RoutingEngine`]), per-snapshot weight
-//!   refreshes in place ([`engine::IslWeights`]), per-group ground
-//!   attachment ([`engine::GroundLinks`]), and arena-backed Dijkstra
-//!   ([`engine::DijkstraArena`]) with early exit and bulk variants —
-//!   bit-identical delays to the [`graph`] path, several times faster.
-//! * [`routing`] — end-to-end helpers: ground–ground RTT through the
-//!   constellation, ground–satellite–ground meetup paths, and
-//!   satellite–satellite transfer paths.
+//!   satellites and ground endpoints with Dijkstra shortest paths: the
+//!   reference oracle the engine is tested against. No library code
+//!   routes through it.
+//! * [`engine`] — the incremental CSR routing engine and the library's
+//!   one router: the ISL adjacency compiled once
+//!   ([`engine::RoutingEngine`]), per-snapshot weight refreshes in place
+//!   ([`engine::IslWeights`]), per-group ground attachment
+//!   ([`engine::GroundLinks`]), and arena-backed Dijkstra
+//!   ([`engine::DijkstraArena`]) with early-exit, path, and bulk
+//!   variants — bit-identical delays and hop lists to the [`graph`]
+//!   path, several times faster.
+//! * [`routing`] — graph construction at a snapshot plus ground–ground,
+//!   ground–satellite and satellite–satellite path helpers over it: the
+//!   reference side of the engine's oracle tests, with no production
+//!   caller. [`routing::GroundEndpoint`] lives here too.
 //! * [`des`] — a discrete-event simulator (event queue, links with rate +
 //!   propagation delay, store-and-forward message transfer) used to time
 //!   state migration in `leo-core` and the Earth-observation pipeline in
@@ -61,7 +66,7 @@ pub mod routing;
 pub mod visibility;
 pub mod weather;
 
-pub use engine::{DeltaStats, DijkstraArena, GroundLinks, IslWeights, RoutingEngine};
+pub use engine::{DeltaStats, DijkstraArena, GroundLinks, IslWeights, RoutingEngine, SatPath};
 pub use fault::{FailureSchedule, FaultConfig, FaultPlan, GroundFade, RainFade};
 pub use frontier::{BandedGroundSets, GroundSet, NearestState};
 pub use graph::{NetworkGraph, NodeId, Path};

@@ -1,6 +1,12 @@
 //! End-to-end routing over the constellation: graph construction at a
-//! snapshot and the ground–ground / ground–satellite path helpers used by
-//! the meetup-server experiments (Fig. 3).
+//! snapshot and the ground–ground / ground–satellite / satellite–satellite
+//! path helpers over it.
+//!
+//! This is the reference oracle, not a production router: every library
+//! query runs on the CSR [`RoutingEngine`](crate::engine::RoutingEngine),
+//! whose delays and hop lists the oracle tests compare against these
+//! helpers bit for bit. They stay public for those tests and for the
+//! benchmark's legacy-router probes.
 
 use crate::graph::{NetworkGraph, NodeId, Path};
 use crate::isl::IslTopology;

@@ -5,7 +5,8 @@
 //! the chosen path's left-to-right summation — so any divergence at all
 //! means the engine wired an edge differently.
 
-use in_orbit::net::engine::{DijkstraArena, RoutingEngine};
+use in_orbit::net::engine::{DijkstraArena, IslWeights, RoutingEngine};
+use in_orbit::net::graph::{NetworkGraph, NodeId, Path};
 use in_orbit::net::routing::{self, build_graph, delays_to_all_sats};
 use in_orbit::prelude::*;
 use proptest::prelude::*;
@@ -25,6 +26,46 @@ fn small_constellation() -> Constellation {
             min_elevation: Angle::from_degrees(25.0),
         }],
     )
+}
+
+/// The satellites of a reference-graph route, in order.
+fn graph_sats(path: &Path) -> Vec<SatId> {
+    path.nodes
+        .iter()
+        .map(|n| match n {
+            NodeId::Sat(s) => *s,
+            other => panic!("ground node {other} on an ISL route"),
+        })
+        .collect()
+}
+
+/// The engine's path query against the graph route for one pair: the
+/// same hop list, and a delay bit-identical to both the graph and the
+/// engine's delay-only query.
+fn assert_path_matches(
+    engine: &RoutingEngine,
+    weights: &IslWeights,
+    graph: &NetworkGraph,
+    a: SatId,
+    b: SatId,
+    arena: &mut DijkstraArena,
+) {
+    let fast = engine.sat_to_sat_path(weights, a, b, arena);
+    let slow = routing::sat_to_sat(graph, a, b);
+    let delay = engine.sat_to_sat_delay(weights, None, a, b, arena);
+    match (fast, slow) {
+        (Some(f), Some(s)) => {
+            assert_eq!(f.sats, graph_sats(&s), "{a}->{b}: hop lists differ");
+            assert_eq!(f.delay_s.to_bits(), s.delay_s.to_bits(), "{a}->{b}");
+            assert_eq!(
+                Some(f.delay_s.to_bits()),
+                delay.map(f64::to_bits),
+                "{a}->{b}"
+            );
+        }
+        (None, None) => assert_eq!(delay, None, "{a}->{b}"),
+        (f, s) => panic!("{a}->{b}: engine {f:?} vs graph {s:?}"),
+    }
 }
 
 /// Bulk delays from every ground endpoint, both ways, compared bitwise.
@@ -101,6 +142,25 @@ proptest! {
         prop_assert_eq!(slow.map(f64::to_bits), fast.map(f64::to_bits));
     }
 
+    /// Satellite-to-satellite paths (the state-migration route) match the
+    /// graph's hop lists exactly, with bit-identical delays.
+    #[test]
+    fn sat_to_sat_paths_match_graph_routes(
+        pairs in proptest::collection::vec((0u32..100, 0u32..100), 1..8),
+        t in 0.0..7200.0f64,
+    ) {
+        let c = small_constellation();
+        let topo = IslTopology::plus_grid(&c);
+        let engine = RoutingEngine::compile(&c, &topo);
+        let snap = c.snapshot(t);
+        let weights = engine.refresh(&snap);
+        let graph = build_graph(&c, &topo, &snap, &[]);
+        let mut arena = DijkstraArena::new();
+        for (a, b) in pairs {
+            assert_path_matches(&engine, &weights, &graph, SatId(a), SatId(b), &mut arena);
+        }
+    }
+
     /// Ground-to-ground delays (the meetup hybrid query) match the graph
     /// path bit-for-bit.
     #[test]
@@ -140,4 +200,32 @@ fn starlink_scale_bulk_delays_are_bit_identical() {
         GroundEndpoint::new(2, Geodetic::ground(9.06, 7.49)), // Abuja
     ];
     assert_bulk_bitwise(&c, 300.0, &users);
+}
+
+/// Hop lists at full scale: the 1,584-satellite shell at several instants,
+/// over pairs spread across the whole constellation (near neighbours,
+/// cross-plane and antipodal routes).
+#[test]
+fn starlink_scale_paths_match_graph_routes() {
+    let c = starlink_550_only();
+    let topo = IslTopology::plus_grid(&c);
+    let engine = RoutingEngine::compile(&c, &topo);
+    let n = c.num_satellites() as u32;
+    let mut arena = DijkstraArena::new();
+    for t in [0.0, 450.0, 1800.0, 3600.0, 5400.0] {
+        let snap = c.snapshot(t);
+        let weights = engine.refresh(&snap);
+        let graph = build_graph(&c, &topo, &snap, &[]);
+        for i in 0..40u32 {
+            let a = (i * 389) % n;
+            for b in [
+                (a + 1) % n,
+                (a + 22) % n,
+                (a * 7 + 501) % n,
+                (a + n / 2) % n,
+            ] {
+                assert_path_matches(&engine, &weights, &graph, SatId(a), SatId(b), &mut arena);
+            }
+        }
+    }
 }
