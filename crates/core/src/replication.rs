@@ -19,10 +19,9 @@ use crate::service::InOrbitService;
 use leo_constellation::SatId;
 use leo_geo::consts::SPEED_OF_LIGHT_M_S;
 use leo_net::congestion::{
-    uncontended_packet_transfer_s, CbrFlow, CcAlgorithm, CongestionLink, CongestionNetwork,
-    WindowedFlow,
+    uncontended_packet_transfer_s, uncontended_transfer_s, CbrFlow, CcAlgorithm, CongestionLink,
+    CongestionNetwork, Link, WindowedFlow,
 };
-use leo_net::des::{uncontended_transfer_s, Link};
 use leo_net::routing::GroundEndpoint;
 use serde::{Deserialize, Serialize};
 
@@ -552,6 +551,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "state size must be positive and finite")]
+    fn infinite_size_migrations_are_rejected() {
+        let s = service();
+        migrate_via_packets(&s, SatId(0), SatId(3), 0.0, f64::INFINITY, &mig_cfg());
+    }
+
+    #[test]
+    #[should_panic(expected = "migration start must be finite")]
+    fn nan_start_migrations_are_rejected() {
+        // A NaN start would corrupt the deterministic tie-break order of
+        // the event heap.
+        let s = service();
+        migrate_via_packets(&s, SatId(0), SatId(3), f64::NAN, 1e6, &mig_cfg());
+    }
+
+    #[test]
     fn migrating_to_the_same_server_is_free() {
         let s = service();
         let out = migrate_via_packets(&s, SatId(5), SatId(5), 0.0, 1e6, &mig_cfg());
@@ -660,6 +675,32 @@ mod tests {
                 cfg.segment_s
             );
         }
+    }
+
+    #[test]
+    fn slow_transfers_between_far_satellites_change_route_mid_transfer() {
+        // At 5 Mb/s, 25 MB between satellites on opposite sides of the
+        // shell outlasts the shortest route several times over.
+        let s = InOrbitService::new(presets::starlink_550_only());
+        let cfg = MigrationNetConfig {
+            isl_rate_bps: 5e6,
+            ..MigrationNetConfig::default()
+        };
+        let out = migrate_via_packets(&s, SatId(5), SatId(795), 0.0, 25e6, &cfg);
+        let t = out.duration_s.expect("transfer completes");
+        assert!(out.route_changes >= 1, "no route change: {out:?}");
+        assert!(out.boundary_loss > 0, "no handover loss: {out:?}");
+        assert!(
+            t >= out.analytic_packet_s,
+            "{t} beats {}",
+            out.analytic_packet_s
+        );
+        // Every packet reached the receiver at least once, and each lost
+        // transmission was sent again.
+        assert!(
+            out.transmissions >= out.packets + out.dropped + out.boundary_loss,
+            "{out:?}"
+        );
     }
 
     #[test]

@@ -1,10 +1,7 @@
-//! Congestion-aware packet engine: window-based senders over drop-tail
-//! FIFO links with retransmission and ECN-style marking.
+//! The packet simulator: window-based senders and open-loop CBR flows over
+//! drop-tail FIFO links with retransmission and ECN-style marking.
 //!
-//! [`packet`](crate::packet) models open-loop CBR flows: sources emit at a
-//! fixed rate no matter what the network does, so a transfer routed through
-//! it can only lose packets, never react to loss. This module closes the
-//! loop. A [`WindowedFlow`] keeps a congestion window, paces packets at
+//! A [`WindowedFlow`] keeps a congestion window, paces packets at
 //! `cwnd / srtt`, retransmits on triple-duplicate-ACK or timeout, and
 //! shrinks its window under either TCP-Reno-style AIMD or DCTCP-style
 //! proportional ECN response ([`CcAlgorithm`]). Links are drop-tail FIFO
@@ -12,10 +9,16 @@
 //! the queue occupancy is at or above a configurable threshold
 //! ([`CongestionLink::with_ecn`]).
 //!
-//! Background traffic that does *not* react to congestion — Earth-observation
-//! bulk downlinks, aggregated user load — is modelled by [`CbrFlow`], the
-//! same open-loop shape as `packet::Flow`, sharing the queues with windowed
-//! senders.
+//! Traffic that does *not* react to congestion — Earth-observation bulk
+//! downlinks, interactive user load — is modelled by [`CbrFlow`], sharing
+//! the queues with windowed senders. [`CbrStats`] reports each CBR flow's
+//! deliveries, drops and end-to-end latency; the `downlink_contention`
+//! example uses them for the paper's §3.3 footnote 1 (EO downloads
+//! crowding user traffic on a shared ~10 Gbps downlink).
+//!
+//! [`uncontended_transfer_s`] and [`uncontended_packet_transfer_s`] are the
+//! analytic bounds an idle route gives a message and a packetized
+//! transfer.
 //!
 //! # Model and simplifications
 //!
@@ -52,7 +55,7 @@ pub struct CLinkId(pub usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SenderId(pub usize);
 
-/// Identifier of an open-loop CBR cross-traffic flow.
+/// Identifier of an open-loop CBR flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CbrId(pub usize);
 
@@ -73,15 +76,14 @@ pub struct CongestionLink {
 
 impl CongestionLink {
     /// Creates a link with marking disabled.
+    ///
+    /// # Panics
+    /// Panics where [`Link::new`] does.
     pub fn new(rate_bps: f64, prop_delay_s: f64, queue_packets: usize) -> Self {
-        assert!(
-            rate_bps.is_finite() && rate_bps > 0.0,
-            "link rate must be positive and finite, got {rate_bps}"
-        );
-        assert!(
-            prop_delay_s.is_finite() && prop_delay_s >= 0.0,
-            "propagation delay must be non-negative and finite, got {prop_delay_s}"
-        );
+        let Link {
+            rate_bps,
+            prop_delay_s,
+        } = Link::new(rate_bps, prop_delay_s);
         Self {
             rate_bps,
             prop_delay_s,
@@ -175,9 +177,9 @@ impl WindowedFlow {
     }
 }
 
-/// An open-loop constant-bit-rate cross-traffic flow (EO bulk downlink,
-/// aggregated user traffic). Emits regardless of congestion; lost packets
-/// are not retransmitted.
+/// An open-loop constant-bit-rate flow (EO bulk downlink, user traffic,
+/// background load). Emits regardless of congestion; lost packets are not
+/// retransmitted.
 #[derive(Debug, Clone)]
 pub struct CbrFlow {
     /// Links traversed in order.
@@ -247,8 +249,11 @@ pub struct WindowedStats {
     pub srtt_s: f64,
 }
 
-/// Outcome of a CBR cross-traffic flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Outcome of a CBR flow.
+///
+/// A packet's latency runs from its nominal emission instant
+/// `start_s + k · interval_s` (packet `k`) to its arrival at the receiver.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CbrStats {
     /// Packets emitted so far.
     pub emitted: u64,
@@ -258,13 +263,83 @@ pub struct CbrStats {
     pub dropped: u64,
     /// Delivered packets carrying a congestion-experienced mark.
     pub ecn_marked: u64,
+    /// Sum of the delivered packets' latencies, seconds.
+    pub latency_sum_s: f64,
+    /// Smallest delivered latency, seconds; `None` before any delivery.
+    pub min_latency_s: Option<f64>,
+    /// Largest delivered latency, seconds; `None` before any delivery.
+    pub max_latency_s: Option<f64>,
+}
+
+impl CbrStats {
+    /// Mean latency of the delivered packets, seconds; `None` before any
+    /// delivery.
+    pub fn mean_latency_s(&self) -> Option<f64> {
+        (self.delivered > 0).then(|| self.latency_sum_s / self.delivered as f64)
+    }
+}
+
+/// A directed link as the analytic bounds see it: rate and propagation
+/// delay, no queue.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Link {
+    /// Transmission rate, bits per second.
+    pub rate_bps: f64,
+    /// Propagation delay, seconds.
+    pub prop_delay_s: f64,
+}
+
+impl Link {
+    /// Creates a link.
+    ///
+    /// # Panics
+    /// Panics on a non-positive or non-finite rate, or a negative or
+    /// non-finite delay: either would turn every bound over the link
+    /// into 0 or ∞.
+    pub fn new(rate_bps: f64, prop_delay_s: f64) -> Self {
+        assert!(
+            rate_bps.is_finite() && rate_bps > 0.0,
+            "link rate must be positive and finite, got {rate_bps}"
+        );
+        assert!(
+            prop_delay_s.is_finite() && prop_delay_s >= 0.0,
+            "propagation delay must be non-negative and finite, got {prop_delay_s}"
+        );
+        Link {
+            rate_bps,
+            prop_delay_s,
+        }
+    }
+
+    /// Serialization time of `bits` on this link, seconds.
+    pub fn serialization_s(&self, bits: f64) -> f64 {
+        bits / self.rate_bps
+    }
+}
+
+/// Analytic store-and-forward time of one indivisible message over an
+/// uncontended path: per-hop serialization plus propagation. A lower
+/// bound, and a quick estimate without running the event loop.
+///
+/// ```
+/// use leo_net::congestion::{uncontended_transfer_s, Link};
+///
+/// // 1 GB of session state over a 100 Gbps ISL with 3 ms propagation.
+/// let t = uncontended_transfer_s(8e9, &[Link::new(100e9, 0.003)]);
+/// assert!((t - (8e9 / 100e9 + 0.003)).abs() < 1e-12);
+/// ```
+pub fn uncontended_transfer_s(size_bits: f64, links: &[Link]) -> f64 {
+    links
+        .iter()
+        .map(|l| l.serialization_s(size_bits) + l.prop_delay_s)
+        .sum()
 }
 
 /// Analytic completion time of an uncontended *packetized* transfer: the
 /// first packet store-and-forwards across every hop, and the remaining
 /// `n − 1` packets pipeline behind the slowest hop.
 ///
-/// This is the packet-level analogue of [`crate::des::uncontended_transfer_s`],
+/// This is the packet-level analogue of [`uncontended_transfer_s`],
 /// which times the transfer as one indivisible message. The two agree
 /// exactly on single-hop routes; on multi-hop routes the packetized bound
 /// is smaller because hops overlap (cut-through pipelining), which is what
@@ -323,9 +398,9 @@ enum Ev {
 
 impl Ev {
     /// Tie-break rank for events at the same timestamp. Transmit
-    /// completions free links before anything else looks at them (the same
-    /// boundary pinned by `packet::tests::coincident_txdone_and_enqueue_frees_the_link_first`);
-    /// ACKs update windows before pacers fire; enqueues observe final link
+    /// completions free links before anything else looks at them (pinned by
+    /// `tests::coincident_tx_done_and_arrival_frees_the_link_first`); ACKs
+    /// update windows before pacers fire; enqueues observe final link
     /// state.
     fn rank(&self) -> u8 {
         match self {
@@ -434,6 +509,9 @@ struct CbrState {
     delivered: u64,
     dropped: u64,
     ecn_marked: u64,
+    latency_sum_s: f64,
+    latency_min_s: f64,
+    latency_max_s: f64,
 }
 
 /// The congestion-aware packet network: drop-tail ECN-marking links shared
@@ -603,6 +681,9 @@ impl CongestionNetwork {
             delivered: 0,
             dropped: 0,
             ecn_marked: 0,
+            latency_sum_s: 0.0,
+            latency_min_s: f64::INFINITY,
+            latency_max_s: f64::NEG_INFINITY,
         });
         self.schedule(start_s, Ev::Emit { cbr: id, k: 0 });
         CbrId(id)
@@ -690,11 +771,15 @@ impl CongestionNetwork {
     /// Stats for a CBR flow at the current simulated time.
     pub fn cbr_stats(&self, id: CbrId) -> CbrStats {
         let c = &self.cbrs[id.0];
+        let any = c.delivered > 0;
         CbrStats {
             emitted: c.emitted,
             delivered: c.delivered,
             dropped: c.dropped,
             ecn_marked: c.ecn_marked,
+            latency_sum_s: c.latency_sum_s,
+            min_latency_s: any.then_some(c.latency_min_s),
+            max_latency_s: any.then_some(c.latency_max_s),
         }
     }
 
@@ -787,6 +872,12 @@ impl CongestionNetwork {
                 if pkt.marked {
                     c.ecn_marked += 1;
                 }
+                // The emission instant follows from the sequence number,
+                // so packets carry no timestamp.
+                let latency = arrival_s - (c.cfg.start_s + pkt.seq as f64 * c.cfg.interval_s);
+                c.latency_sum_s += latency;
+                c.latency_min_s = c.latency_min_s.min(latency);
+                c.latency_max_s = c.latency_max_s.max(latency);
             }
             Src::Win(i) => {
                 let w = &mut self.wins[i];
@@ -1045,6 +1136,36 @@ mod tests {
         (net, l)
     }
 
+    /// `packets` packets of `bits` on `route`, one every `interval_s` from
+    /// t = 0.
+    fn cbr(route: Vec<CLinkId>, bits: f64, interval_s: f64, packets: u64) -> CbrFlow {
+        CbrFlow {
+            route,
+            packet_bits: bits,
+            interval_s,
+            start_s: 0.0,
+            packets,
+        }
+    }
+
+    /// Adds `flows`, drains the event queue, and returns their stats.
+    fn run_cbrs(net: &mut CongestionNetwork, flows: Vec<CbrFlow>) -> Vec<CbrStats> {
+        let ids: Vec<_> = flows.into_iter().map(|f| net.add_cbr(f)).collect();
+        net.run();
+        ids.into_iter().map(|id| net.cbr_stats(id)).collect()
+    }
+
+    /// Every delivered packet of `s` took `expect_s`.
+    fn assert_latency(s: &CbrStats, expect_s: f64) {
+        for lat in [s.min_latency_s, s.max_latency_s] {
+            let lat = lat.expect("delivered packets have latencies");
+            assert!(
+                (lat - expect_s).abs() < 1e-12,
+                "latency {lat} vs {expect_s}"
+            );
+        }
+    }
+
     #[test]
     fn uncontended_transfer_matches_packet_analytic_bound() {
         // 100 Mbit/s, 5 ms prop, plenty of queue; 500 × 10 kbit packets.
@@ -1075,10 +1196,7 @@ mod tests {
         let packets = 400_u64;
         let pkt_bits = 8e3;
         let packetized = uncontended_packet_transfer_s(pkt_bits, packets, &links);
-        let message = crate::des::uncontended_transfer_s(
-            pkt_bits * packets as f64,
-            &[crate::des::Link::new(50e6, 2e-3)],
-        );
+        let message = uncontended_transfer_s(pkt_bits * packets as f64, &[Link::new(50e6, 2e-3)]);
         assert!((packetized - message).abs() < 1e-9);
     }
 
@@ -1089,12 +1207,12 @@ mod tests {
             CongestionLink::new(50e6, 3e-3, 64),
             CongestionLink::new(50e6, 1e-3, 64),
         ];
-        let des_links: Vec<_> = links
+        let message_links: Vec<_> = links
             .iter()
-            .map(|l| crate::des::Link::new(l.rate_bps, l.prop_delay_s))
+            .map(|l| Link::new(l.rate_bps, l.prop_delay_s))
             .collect();
         let packetized = uncontended_packet_transfer_s(8e3, 400, &links);
-        let message = crate::des::uncontended_transfer_s(8e3 * 400.0, &des_links);
+        let message = uncontended_transfer_s(8e3 * 400.0, &message_links);
         assert!(
             packetized < message,
             "pipelining should beat store-and-forward: {packetized} vs {message}"
@@ -1269,6 +1387,282 @@ mod tests {
         CongestionLink::new(1e6, 1e-3, 8).with_ecn(9);
     }
 
+    #[test]
+    #[should_panic(expected = "link rate must be positive and finite")]
+    fn non_finite_link_rates_are_rejected() {
+        CongestionLink::new(f64::NAN, 0.0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "rate must be positive")]
+    fn zero_rate_links_are_rejected() {
+        Link::new(0.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "link rate must be positive and finite")]
+    fn infinite_rate_links_are_rejected() {
+        Link::new(f64::INFINITY, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "propagation delay must be non-negative and finite")]
+    fn infinite_delay_links_are_rejected() {
+        Link::new(1e9, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow route must have at least one link")]
+    fn empty_cbr_routes_are_rejected() {
+        CongestionNetwork::new().add_cbr(cbr(vec![], 1.0, 1.0, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "flow route must have at least one link")]
+    fn empty_windowed_routes_are_rejected() {
+        let f = WindowedFlow::new(vec![], 1e3, 1, 0.0, CcAlgorithm::Aimd);
+        CongestionNetwork::new().add_windowed(f);
+    }
+
+    #[test]
+    #[should_panic(expected = "packet size must be positive and finite")]
+    fn infinite_cbr_packet_sizes_are_rejected() {
+        let (mut net, l) = one_link_net(1e6, 0.0, 4);
+        net.add_cbr(cbr(vec![l], f64::INFINITY, 1.0, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "flow start must be finite")]
+    fn infinite_cbr_start_times_are_rejected() {
+        let (mut net, l) = one_link_net(1e6, 0.0, 4);
+        net.add_cbr(CbrFlow {
+            start_s: f64::INFINITY,
+            ..cbr(vec![l], 1e4, 1.0, 1)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "CBR emission interval must be positive and finite")]
+    fn nan_cbr_intervals_are_rejected() {
+        let (mut net, l) = one_link_net(1e6, 0.0, 4);
+        net.add_cbr(cbr(vec![l], 1e4, f64::NAN, 1));
+    }
+
+    #[test]
+    fn heap_events_stay_one_cache_line() {
+        // Every queued packet rides inside an event. CBR latency is derived
+        // from the sequence number so that packets carry no timestamp.
+        assert!(std::mem::size_of::<Event>() <= 64);
+    }
+
+    #[test]
+    fn lone_cbr_flow_below_capacity_sees_only_the_latency_floor() {
+        let (mut net, l) = one_link_net(1e9, 0.002, 16);
+        let s = run_cbrs(&mut net, vec![cbr(vec![l], 1e4, 1e4 / 0.5e9, 100)])[0];
+        assert_eq!((s.delivered, s.dropped), (100, 0));
+        assert_latency(&s, 1e4 / 1e9 + 0.002);
+    }
+
+    #[test]
+    fn multi_hop_cbr_latency_is_per_hop_serialization_plus_propagation() {
+        let mut net = CongestionNetwork::new();
+        let l1 = net.add_link(CongestionLink::new(1e9, 0.001, 8));
+        let l2 = net.add_link(CongestionLink::new(1e9, 0.003, 8));
+        let s = run_cbrs(&mut net, vec![cbr(vec![l1, l2], 1e4, 1e4 / 0.1e9, 10)])[0];
+        assert_eq!(s.delivered, 10);
+        assert_latency(&s, 2.0 * (1e4 / 1e9) + 0.001 + 0.003);
+    }
+
+    /// Duration of a one-packet windowed transfer of `bits` started at
+    /// `start_s` over links of the given (rate, delay). One packet is one
+    /// indivisible message that store-and-forwards, so the engine must
+    /// meet the message-level bound exactly.
+    fn one_packet_duration_s(bits: f64, hops: &[(f64, f64)], start_s: f64) -> f64 {
+        let mut net = CongestionNetwork::new();
+        let route = hops
+            .iter()
+            .map(|&(rate, delay)| net.add_link(CongestionLink::new(rate, delay, 0)))
+            .collect();
+        let flow = WindowedFlow::new(route, bits, 1, start_s, CcAlgorithm::Aimd);
+        let id = net.add_windowed(flow);
+        net.run();
+        let done = net.windowed_stats(id).completion_s;
+        done.expect("one packet completes") - start_s
+    }
+
+    #[test]
+    fn single_hop_matches_analytic_time() {
+        // 1 Gbit over 1 Gbps = 1 s serialization + 5 ms propagation.
+        let t = one_packet_duration_s(1e9, &[(1e9, 0.005)], 0.0);
+        assert!((t - 1.005).abs() < 1e-12, "{t}");
+    }
+
+    #[test]
+    fn multi_hop_store_and_forward_adds_per_hop_serialization() {
+        // 3 × 0.1 s serialization + 9 ms propagation.
+        let t = one_packet_duration_s(1e8, &[(1e9, 0.002), (1e9, 0.003), (1e9, 0.004)], 0.0);
+        assert!((t - 0.309).abs() < 1e-12, "{t}");
+    }
+
+    #[test]
+    fn analytic_helper_agrees_with_one_packet_transfers() {
+        let hops = [(1e10, 0.0037), (2.5e9, 0.0012)];
+        let links: Vec<_> = hops.iter().map(|&(r, d)| Link::new(r, d)).collect();
+        let t = one_packet_duration_s(8e9, &hops, 1.0);
+        let bound = uncontended_transfer_s(8e9, &links);
+        assert!((t - bound).abs() < 1e-9, "{t} vs {bound}");
+    }
+
+    #[test]
+    fn bottleneck_link_dominates() {
+        let t = one_packet_duration_s(1e7, &[(1e10, 0.0), (1e7, 0.0)], 0.0);
+        assert!((t - (0.001 + 1.0)).abs() < 1e-9, "{t}");
+    }
+
+    #[test]
+    fn contention_serializes_packets_fifo() {
+        // Two 1 Gbit packets at t = 0 on one 1 Gbps link: the second
+        // waits for the first.
+        let (mut net, l) = one_link_net(1e9, 0.0, 4);
+        let flow = cbr(vec![l], 1e9, 1.0, 1);
+        let s = run_cbrs(&mut net, vec![flow.clone(), flow]);
+        assert_latency(&s[0], 1.0);
+        assert_latency(&s[1], 2.0);
+    }
+
+    #[test]
+    fn later_arrival_does_not_preempt() {
+        // A small packet arriving mid-service waits behind the large one.
+        let (mut net, l) = one_link_net(1e9, 0.0, 4);
+        let small = CbrFlow {
+            start_s: 1.0,
+            ..cbr(vec![l], 1e6, 1.0, 1)
+        };
+        let s = run_cbrs(&mut net, vec![cbr(vec![l], 2e9, 1.0, 1), small]);
+        assert_latency(&s[0], 2.0);
+        assert_latency(&s[1], 2.001 - 1.0);
+    }
+
+    #[test]
+    fn packets_on_disjoint_links_do_not_interact() {
+        let mut net = CongestionNetwork::new();
+        let link = CongestionLink::new(1e9, 0.001, 4);
+        let (a, b) = (net.add_link(link), net.add_link(link));
+        let flows = vec![cbr(vec![a], 1e9, 1.0, 1), cbr(vec![b], 1e9, 1.0, 1)];
+        for s in run_cbrs(&mut net, flows) {
+            assert_latency(&s, 1.001);
+        }
+    }
+
+    #[test]
+    fn cbr_overload_drops_the_excess() {
+        // Offered 2 Mbps into a 1 Mbps link: about half must drop once the
+        // queue fills.
+        let (mut net, l) = one_link_net(1e6, 0.0, 4);
+        let s = run_cbrs(&mut net, vec![cbr(vec![l], 1e4, 1e4 / 2e6, 500)])[0];
+        assert!(s.dropped > 150, "dropped {}", s.dropped);
+        assert_eq!(s.delivered + s.dropped, 500);
+        let ratio = s.delivered as f64 / 500.0;
+        assert!((0.4..0.7).contains(&ratio), "delivery {ratio}");
+    }
+
+    #[test]
+    fn two_cbr_flows_share_a_link_below_capacity() {
+        let (mut net, l) = one_link_net(1e9, 0.0, 1024);
+        let flow = cbr(vec![l], 1e4, 1e4 / 0.4e9, 400);
+        for s in run_cbrs(&mut net, vec![flow.clone(), flow]) {
+            assert_eq!((s.delivered, s.dropped), (400, 0));
+        }
+    }
+
+    #[test]
+    fn queueing_latency_grows_with_load() {
+        // n flows of 10 µs packets share one 1 Gbps link, flow i starting
+        // 3i µs after flow 0. Each period flow i starts service at 10i µs,
+        // having waited 7i µs, so mean queueing is (n − 1)/2 × 7 µs.
+        let mean_queueing_s = |n: u32, load_bps: f64| {
+            let (mut net, l) = one_link_net(1e9, 0.001, 64);
+            let interval_s = f64::from(n) * 1e4 / load_bps;
+            let flows = (0..n)
+                .map(|i| CbrFlow {
+                    start_s: f64::from(i) * 3e-6,
+                    ..cbr(vec![l], 1e4, interval_s, 1000)
+                })
+                .collect();
+            let stats = run_cbrs(&mut net, flows);
+            let delivered: u64 = stats.iter().map(|s| s.delivered).sum();
+            let sum_s: f64 = stats.iter().map(|s| s.latency_sum_s).sum();
+            sum_s / delivered as f64 - (1e4 / 1e9 + 0.001)
+        };
+        let light = mean_queueing_s(3, 0.3e9);
+        let heavy = mean_queueing_s(9, 0.99e9);
+        assert!((light - 7e-6).abs() < 1e-9, "light {light}");
+        assert!((heavy - 28e-6).abs() < 1e-9, "heavy {heavy}");
+    }
+
+    #[test]
+    fn bulk_cbr_inflates_interactive_queueing_on_a_shared_downlink() {
+        // §3.3 footnote 1: EO bulk download and user traffic on one
+        // 10 Gbps downlink. Compare queueing delay, the latency above the
+        // serialization + propagation floor.
+        let floor = 1.2e4 / 10e9 + 0.002;
+        let queueing = |with_bulk: bool| {
+            let (mut net, l) = one_link_net(10e9, 0.002, 256);
+            let mut flows = vec![cbr(vec![l], 1.2e4, 1.2e4 / 0.1e9, 500)];
+            if with_bulk {
+                // Together the two flows slightly oversubscribe the link.
+                flows.push(cbr(vec![l], 1.2e5, 1.2e5 / 9.98e9, 20_000));
+            }
+            run_cbrs(&mut net, flows)[0]
+                .mean_latency_s()
+                .expect("user packets delivered")
+                - floor
+        };
+        let (alone, shared) = (queueing(false), queueing(true));
+        assert!(alone < 1e-9, "uncontended queueing {alone}");
+        assert!(
+            shared > 1e-6,
+            "bulk sharing should add microseconds of queueing, got {shared}"
+        );
+        assert!(shared > alone * 100.0 + 1e-9);
+    }
+
+    #[test]
+    fn zero_queue_link_is_pure_blocking() {
+        // The second packet finds the server busy and no queue: dropped.
+        let (mut net, l) = one_link_net(1e6, 0.0, 0);
+        let s = run_cbrs(&mut net, vec![cbr(vec![l], 1e6, 0.5, 2)])[0];
+        assert_eq!((s.delivered, s.dropped), (1, 1));
+    }
+
+    /// An arrival at the exact instant a transmission completes sees the
+    /// freed link: it is served on a zero-queue link instead of dropped,
+    /// and it does not queue behind a packet that has already left.
+    #[test]
+    fn coincident_tx_done_and_arrival_frees_the_link_first() {
+        // 1 Mbit at 1 Mbps takes 1 s, the emission interval: every
+        // emission coincides with the previous packet's TxDone.
+        for queue in [0, 8] {
+            let (mut net, l) = one_link_net(1e6, 0.0, queue);
+            let s = run_cbrs(&mut net, vec![cbr(vec![l], 1e6, 1.0, 4)])[0];
+            assert_eq!((s.delivered, s.dropped), (4, 0), "queue {queue}");
+            assert_latency(&s, 1.0);
+        }
+    }
+
+    #[test]
+    fn cbr_latency_is_none_until_a_delivery() {
+        let (mut net, l) = one_link_net(1e6, 0.0, 0);
+        let id = net.add_cbr(cbr(vec![l], 1e6, 1.0, 1));
+        let s = net.cbr_stats(id);
+        assert_eq!(
+            (s.mean_latency_s(), s.min_latency_s, s.max_latency_s),
+            (None, None, None)
+        );
+        net.run();
+        assert_eq!(net.cbr_stats(id).mean_latency_s(), Some(1.0));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -1357,6 +1751,127 @@ mod tests {
                 let cs = net.cbr_stats(c);
                 prop_assert_eq!(cs.emitted, cs.delivered + cs.dropped);
             }
+        }
+
+        /// The windowed sender never beats the packetized analytic bound,
+        /// whatever the route and the cross-traffic on it.
+        #[test]
+        fn prop_windowed_never_beats_the_packet_bound(
+            hops in proptest::collection::vec((1.0_f64..100.0, 0.0_f64..0.01), 1..=4),
+            packets in 1_u64..200,
+            cross_frac in 0.0_f64..0.9,
+        ) {
+            let bits = 8e3;
+            let links: Vec<_> = hops
+                .iter()
+                .map(|&(mbps, delay)| CongestionLink::new(mbps * 1e6, delay, 32))
+                .collect();
+            let bound = uncontended_packet_transfer_s(bits, packets, &links);
+            let mut net = CongestionNetwork::new();
+            let route: Vec<_> = links.iter().map(|l| net.add_link(*l)).collect();
+            if cross_frac > 0.05 {
+                for (&id, l) in route.iter().zip(&links) {
+                    let load = cross_frac * l.rate_bps;
+                    net.add_cbr(CbrFlow::with_load(vec![id], bits, load, 0.0, 10.0 * bound));
+                }
+            }
+            let id = net.add_windowed(WindowedFlow::new(route, bits, packets, 0.0, CcAlgorithm::Aimd));
+            prop_assert!(net.run_while_incomplete(f64::INFINITY));
+            let t = net.windowed_stats(id).completion_s.expect("completed");
+            prop_assert!(t >= bound - 1e-9, "completion {t} beats the bound {bound}");
+        }
+
+        /// Every emitted CBR packet is delivered or dropped exactly once,
+        /// and a flow reports latencies exactly when it delivered.
+        #[test]
+        fn prop_cbr_conservation(
+            n1 in 1_u64..200,
+            n2 in 1_u64..200,
+            rate in 1e6..1e9f64,
+            queue in 0_usize..64,
+        ) {
+            let (mut net, l) = one_link_net(rate, 0.001, queue);
+            let flows = vec![
+                cbr(vec![l], 1e4, 1e4 / (0.8 * rate), n1),
+                cbr(vec![l], 1e4, 1e4 / (0.8 * rate), n2),
+            ];
+            for (s, n) in run_cbrs(&mut net, flows).iter().zip([n1, n2]) {
+                prop_assert_eq!(s.emitted, n);
+                prop_assert_eq!(s.delivered + s.dropped, n);
+                prop_assert_eq!(s.min_latency_s.is_some(), s.delivered > 0);
+            }
+        }
+
+        /// Conservation over multi-hop routes with unequal per-link queues
+        /// and a guaranteed interior bottleneck: the entry link is
+        /// generously buffered and under-subscribed, so every drop happens
+        /// at an interior hop.
+        #[test]
+        fn prop_cbr_conservation_multi_hop(
+            n1 in 1_u64..200,
+            n2 in 1_u64..200,
+            rate in 1e6..1e9f64,
+            q_mid in 0_usize..8,
+            q_out in 0_usize..64,
+            delay in 0.0..0.01f64,
+        ) {
+            let mut net = CongestionNetwork::new();
+            // Entry: ample queue, jointly under-subscribed (0.8 load).
+            let entry = net.add_link(CongestionLink::new(rate, delay, 1024));
+            // Interior: 4x oversubscribed with a small queue.
+            let mid = net.add_link(CongestionLink::new(rate * 0.2, 0.002, q_mid));
+            let exit = net.add_link(CongestionLink::new(rate, 0.001, q_out));
+            let interval = 1e4 / (0.4 * rate);
+            let flows = vec![
+                cbr(vec![entry, mid, exit], 1e4, interval, n1),
+                cbr(vec![entry, mid], 1e4, interval, n2),
+            ];
+            let stats = run_cbrs(&mut net, flows);
+            for (s, n) in stats.iter().zip([n1, n2]) {
+                prop_assert_eq!(s.delivered + s.dropped, n);
+                prop_assert_eq!(s.min_latency_s.is_some(), s.delivered > 0);
+            }
+            // The bottleneck must bite once the emission run is longer
+            // than its queue can hide.
+            if n1 + n2 > 60 {
+                let dropped = stats[0].dropped + stats[1].dropped;
+                prop_assert!(dropped > 0, "no interior drops at {} packets", n1 + n2);
+            }
+        }
+
+        /// Latency lies between the serialization + propagation floor and
+        /// the full-queue ceiling.
+        #[test]
+        fn prop_cbr_latency_bounds(load in 0.1..1.5f64, queue in 1_usize..32) {
+            let (rate, bits) = (1e8, 1e4);
+            let (mut net, l) = one_link_net(rate, 0.002, queue);
+            let s = run_cbrs(&mut net, vec![cbr(vec![l], bits, bits / (rate * load), 200)])[0];
+            let floor = bits / rate + 0.002;
+            let ceiling = floor + (queue as f64 + 1.0) * bits / rate;
+            prop_assert!(s.min_latency_s.expect("first packet delivered") >= floor - 1e-12);
+            prop_assert!(s.max_latency_s.expect("first packet delivered") <= ceiling + 1e-9);
+        }
+
+        /// A link offered at least its capacity, with room for every
+        /// packet, never idles: the last packet arrives after exactly the
+        /// total serialization work plus one propagation delay.
+        #[test]
+        fn prop_saturated_link_is_work_conserving(
+            packets in 1_u64..300,
+            rate in 1e6..1e9f64,
+            overload in 1.0..4.0f64,
+        ) {
+            let bits = 1e4;
+            let interval = bits / (rate * overload);
+            let (mut net, l) = one_link_net(rate, 0.001, packets as usize);
+            let s = run_cbrs(&mut net, vec![cbr(vec![l], bits, interval, packets)])[0];
+            prop_assert_eq!(s.delivered, packets);
+            // Under overload a FIFO link's latency grows with k, so the
+            // last packet's latency is the largest.
+            let last_arrival =
+                s.max_latency_s.expect("delivered") + (packets - 1) as f64 * interval;
+            let work = packets as f64 * bits / rate;
+            prop_assert!((last_arrival - (work + 0.001)).abs() < 1e-9 * work.max(1.0));
         }
     }
 }

@@ -29,17 +29,15 @@
 //!   ground–satellite and satellite–satellite path helpers over it: the
 //!   reference side of the engine's oracle tests, with no production
 //!   caller. [`routing::GroundEndpoint`] lives here too.
-//! * [`des`] — a discrete-event simulator (event queue, links with rate +
-//!   propagation delay, store-and-forward message transfer) used to time
-//!   state migration in `leo-core` and the Earth-observation pipeline in
-//!   `leo-apps`.
-//! * [`packet`] — packet-level simulation (FIFO queues, drop-tail,
-//!   competing flows) for the §3.3 downlink-contention footnote.
-//! * [`congestion`] — the closed-loop counterpart: window-based senders
+//! * [`congestion`] — the packet simulator: window-based senders
 //!   (AIMD / DCTCP) with pacing, retransmission on drop-tail loss, and
 //!   ECN-style marking at a configurable queue threshold, sharing queues
-//!   with open-loop CBR cross-traffic. Used by `leo-core` to time state
-//!   migration over contended ISLs.
+//!   with open-loop CBR flows whose delivery and latency it reports. Used
+//!   by `leo-core` to time state migration over contended ISLs and by the
+//!   `downlink_contention` example for the §3.3 downlink footnote. Also
+//!   home of the analytic uncontended-transfer bounds
+//!   ([`congestion::uncontended_transfer_s`],
+//!   [`congestion::uncontended_packet_transfer_s`]).
 //! * [`handover`] — single-ground-station pass prediction and hand-over
 //!   schedules for the plain network service (§2).
 //! * [`weather`] — rain-fade link budgets and availability (§6's
@@ -53,7 +51,6 @@
 #![warn(missing_docs)]
 
 pub mod congestion;
-pub mod des;
 pub mod engine;
 pub mod fault;
 pub mod frontier;
@@ -61,7 +58,6 @@ pub mod graph;
 pub mod handover;
 pub mod index;
 pub mod isl;
-pub mod packet;
 pub mod routing;
 pub mod visibility;
 pub mod weather;

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example state_replication`
 
 use in_orbit::core::replication::{predict_servers, ReplicationPlan, StateSizes};
-use in_orbit::net::des::Link;
+use in_orbit::net::congestion::Link;
 use in_orbit::prelude::*;
 
 fn main() {

@@ -13,7 +13,7 @@
 //! | [`orbit`] | `leo-orbit` | Kepler + J2 propagation, TLE I/O |
 //! | [`constellation`] | `leo-constellation` | Walker shells, Starlink/Kuiper presets |
 //! | [`cities`] | `leo-cities` | World cities, Azure regions |
-//! | [`net`] | `leo-net` | Visibility, +Grid ISLs, routing, DES |
+//! | [`net`] | `leo-net` | Visibility, +Grid ISLs, routing, packet simulation |
 //! | [`core`] | `leo-core` | The paper's contribution: in-orbit compute service, MinMax/Sticky selection, virtual stationarity |
 //! | [`feasibility`] | `leo-feasibility` | §4 mass/power/thermal/reliability/cost models |
 //! | [`apps`] | `leo-apps` | Edge/CDN, multi-user QoE, Earth-observation models |

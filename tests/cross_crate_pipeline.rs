@@ -3,8 +3,12 @@
 //! are built from.
 
 use in_orbit::apps::spacenative::SensingPipeline;
-use in_orbit::net::des::{uncontended_transfer_s, DesNetwork, Link};
-use in_orbit::net::routing::{build_graph, ground_to_ground, sat_to_sat};
+use in_orbit::core::replication::{migrate_via_packets, MigrationNetConfig};
+use in_orbit::net::congestion::{
+    uncontended_packet_transfer_s, uncontended_transfer_s, CcAlgorithm, CongestionLink,
+    CongestionNetwork, Link, WindowedFlow,
+};
+use in_orbit::net::routing::{build_graph, ground_to_ground};
 use in_orbit::prelude::*;
 
 #[test]
@@ -65,38 +69,52 @@ fn state_migration_transfer_times_are_practical() {
     // §5: "state migration after every few minutes is still a substantial
     // overhead. However, the high inter-satellite bandwidth could
     // accommodate this." Time a 1 GB session-state migration between two
-    // adjacent meetup servers over a 100 Gbps ISL path found by routing.
-    let constellation = starlink_550_only();
-    let topo = IslTopology::plus_grid(&constellation);
-    let snap = constellation.snapshot(0.0);
-    let graph = build_graph(&constellation, &topo, &snap, &[]);
-    let path = sat_to_sat(&graph, SatId(0), SatId(1)).expect("adjacent");
-
-    // Build the DES route matching the path's hops.
-    let mut net = DesNetwork::new();
-    let links: Vec<_> = (0..path.hops())
-        .map(|_| net.add_link(Link::new(100e9, path.delay_s / path.hops() as f64)))
-        .collect();
-    let size_bits = 8e9; // 1 GB
-    let id = net.schedule_transfer(links, size_bits, 0.0);
-    let rec = net.run()[id.0];
-    // Well under the ~164 s Sticky hand-off interval.
-    assert!(
-        rec.duration_s() < 1.0,
-        "1 GB migration took {} s",
-        rec.duration_s()
-    );
+    // adjacent meetup servers over 100 Gbps ISLs on the routed path.
+    let service = InOrbitService::new(starlink_550_only());
+    let cfg = MigrationNetConfig {
+        isl_rate_bps: 100e9,
+        ..MigrationNetConfig::default()
+    };
+    let out = migrate_via_packets(&service, SatId(0), SatId(1), 0.0, 1e9, &cfg);
+    let t = out.duration_s.expect("idle route completes");
+    // Well under the ~164 s Sticky hand-off interval, and no faster than
+    // the route allows.
+    assert!(t < 1.0, "1 GB migration took {t} s");
+    assert!(t >= out.analytic_packet_s - 1e-9);
 }
 
 #[test]
 fn des_agrees_with_analytic_bound_on_isl_paths() {
-    let links = vec![Link::new(10e9, 0.004), Link::new(10e9, 0.002)];
-    let mut net = DesNetwork::new();
-    let ids: Vec<_> = links.iter().map(|&l| net.add_link(l)).collect();
-    let id = net.schedule_transfer(ids, 1e9, 0.0);
-    let rec = net.run()[id.0];
-    let expect = uncontended_transfer_s(1e9, &links);
-    assert!((rec.duration_s() - expect).abs() < 1e-9);
+    // On an idle two-hop ISL path the packet simulator meets both analytic
+    // bounds: one 1 Gbit message store-and-forwards exactly, and the same
+    // gigabit in 1,000 packets pipelines to within 5 % of the packetized
+    // bound.
+    let hops = [(10e9, 0.004), (10e9, 0.002)];
+    let transfer = |packets: u64| {
+        let mut net = CongestionNetwork::new();
+        let route = hops
+            .iter()
+            .map(|&(rate, delay)| net.add_link(CongestionLink::new(rate, delay, 1024)))
+            .collect();
+        let mut flow =
+            WindowedFlow::new(route, 1e9 / packets as f64, packets, 0.0, CcAlgorithm::Aimd);
+        flow.init_cwnd = packets as f64;
+        let id = net.add_windowed(flow);
+        net.run();
+        net.windowed_stats(id)
+            .completion_s
+            .expect("idle route completes")
+    };
+    let message: Vec<_> = hops.iter().map(|&(r, d)| Link::new(r, d)).collect();
+    let expect = uncontended_transfer_s(1e9, &message);
+    assert!((transfer(1) - expect).abs() < 1e-9);
+    let links = hops.map(|(r, d)| CongestionLink::new(r, d, 1024));
+    let bound = uncontended_packet_transfer_s(1e6, 1_000, &links);
+    let t = transfer(1_000);
+    assert!(
+        t >= bound - 1e-9 && t <= bound * 1.05,
+        "{t} vs bound {bound}"
+    );
 }
 
 #[test]

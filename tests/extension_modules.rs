@@ -7,7 +7,7 @@ use in_orbit::apps::matchmaking::{classify_group, Feasibility, Player};
 use in_orbit::core::capacity::{CapacityPool, PlacementOutcome, PlacementRequest};
 use in_orbit::core::replication::{predict_servers, ReplicationPlan, StateSizes};
 use in_orbit::feasibility::simulation::{simulate_power, Battery, LoadProfile, PowerSimConfig};
-use in_orbit::net::des::Link;
+use in_orbit::net::congestion::Link;
 use in_orbit::net::handover::{handover_schedule, predict_passes};
 
 use in_orbit::prelude::*;
