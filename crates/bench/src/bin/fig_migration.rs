@@ -20,9 +20,10 @@
 //! per cell.
 //!
 //! Determinism contract: `results/migration.json` is byte-identical
-//! across `LEO_THREADS` and `LEO_OBS` levels; the `net.pkt.*` counters
-//! and time series are accumulated on the sequential fold over the
-//! cell grid, so the manifest's work-done metrics are thread-invariant
+//! across `LEO_THREADS` and `LEO_OBS` levels; the per-transfer
+//! `net.pkt.*` counters and time series are accumulated on the
+//! sequential fold over the cell grid, and `net.pkt.events` is a sum over
+//! the workers, so the manifest's work-done metrics are thread-invariant
 //! too. CI greps the `#`-prefixed identity markers printed below.
 
 use leo_bench::cli::{Run, RunConfig};
@@ -163,8 +164,9 @@ fn main() {
     });
 
     // Sequential fold in grid order: build the cells and accumulate the
-    // net.pkt.* counters / time series here — never inside the workers —
-    // so the manifest's work-done metrics are thread-invariant.
+    // per-transfer net.pkt.* counters / time series here — never inside
+    // the workers — so the manifest's work-done metrics are
+    // thread-invariant.
     let mut cells: Vec<MigrationCell> = Vec::new();
     run.phase("fold", || {
         for pi in 0..policies.len() {

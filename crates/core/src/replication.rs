@@ -202,7 +202,8 @@ pub struct MigrationNetConfig {
     /// Congestion-control algorithm for the migration sender.
     pub algorithm: CcAlgorithm,
     /// Background EO/user cross-traffic on *each* ISL of the route, as a
-    /// fraction of `isl_rate_bps`. Open-loop: it does not back off.
+    /// fraction of `isl_rate_bps`. Open-loop: it does not back off. Must be
+    /// finite and non-negative; above 1.0 it models overload.
     pub cross_load_frac: f64,
     /// Route-refresh cadence, seconds: every `segment_s` the ISL route is
     /// recomputed from the snapshot view at that instant. Packets in
@@ -281,7 +282,14 @@ pub struct MigrationOutcome {
 /// segment's route.
 ///
 /// Deterministic: identical inputs produce identical outcomes, independent
-/// of thread count or observability level.
+/// of thread count or observability level. Each segment's event loop is
+/// timed by the `net.pkt.segment_s` span, and its events add to the
+/// `net.pkt.events` counter.
+///
+/// # Panics
+/// Panics on a non-positive or non-finite size, a non-finite start, a
+/// non-positive or non-finite segment length, or a negative or non-finite
+/// cross-traffic load.
 pub fn migrate_via_packets(
     service: &InOrbitService,
     from: SatId,
@@ -302,6 +310,11 @@ pub fn migrate_via_packets(
         cfg.segment_s.is_finite() && cfg.segment_s > 0.0,
         "segment length must be positive and finite, got {}",
         cfg.segment_s
+    );
+    assert!(
+        cfg.cross_load_frac.is_finite() && cfg.cross_load_frac >= 0.0,
+        "cross-traffic load must be non-negative and finite, got {}",
+        cfg.cross_load_frac
     );
     let total_packets = ((size_bytes * 8.0) / cfg.packet_bits).ceil().max(1.0) as u64;
     let mut outcome = MigrationOutcome {
@@ -415,7 +428,11 @@ pub fn migrate_via_packets(
             init_ssthresh: Some(init_cwnd),
         };
         let sender = net.add_windowed(flow);
-        let done = net.run_while_incomplete(cfg.segment_s);
+        let done = {
+            let _span = leo_obs::span!("net.pkt.segment_s");
+            net.run_while_incomplete(cfg.segment_s)
+        };
+        leo_obs::counter!("net.pkt.events").add(net.events_processed());
         let stats = net.windowed_stats(sender);
         outcome.transmissions += stats.transmissions;
         outcome.retransmissions += stats.retransmissions;
@@ -555,6 +572,31 @@ mod tests {
     fn infinite_size_migrations_are_rejected() {
         let s = service();
         migrate_via_packets(&s, SatId(0), SatId(3), 0.0, f64::INFINITY, &mig_cfg());
+    }
+
+    #[test]
+    #[should_panic(expected = "cross-traffic load must be non-negative and finite")]
+    fn nan_cross_load_migrations_are_rejected() {
+        // `NaN > 0.0` is false: unchecked, a NaN load would silently run
+        // an uncontended transfer.
+        let s = service();
+        let cfg = MigrationNetConfig {
+            cross_load_frac: f64::NAN,
+            ..mig_cfg()
+        };
+        migrate_via_packets(&s, SatId(0), SatId(3), 0.0, 1e6, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "cross-traffic load must be non-negative and finite")]
+    fn negative_cross_load_migrations_are_rejected() {
+        // Checked before the same-server shortcut, which would skip it.
+        let s = service();
+        let cfg = MigrationNetConfig {
+            cross_load_frac: -0.5,
+            ..mig_cfg()
+        };
+        migrate_via_packets(&s, SatId(5), SatId(5), 0.0, 1e6, &cfg);
     }
 
     #[test]

@@ -40,8 +40,13 @@
 //! Determinism: the engine is a single sequential event loop; ties in event
 //! time are broken by a fixed event-kind rank (transmit completions before
 //! ACKs before timeouts before pacing before emissions before enqueues) and
-//! then by insertion order. Two runs of the same configuration produce
-//! identical results, independent of thread count or observability level.
+//! then by insertion order. The scheduler packs that order into a 24-byte
+//! integer key — the timestamp's bits mapped so that unsigned order is
+//! [`f64::total_cmp`], then `rank << 61 | seq` — and keeps the events
+//! themselves in a pool the key indexes. `(time, rank, seq)` is a strict
+//! total order, so the pop sequence does not depend on how the heap is
+//! laid out. Two runs of the same configuration produce identical results,
+//! independent of thread count or observability level.
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -397,8 +402,9 @@ enum Ev {
 }
 
 impl Ev {
-    /// Tie-break rank for events at the same timestamp. Transmit
-    /// completions free links before anything else looks at them (pinned by
+    /// Tie-break rank for events at the same timestamp, the top three bits
+    /// of [`Key::order`] above the insertion sequence. Transmit completions
+    /// free links before anything else looks at them (pinned by
     /// `tests::coincident_tx_done_and_arrival_frees_the_link_first`); ACKs
     /// update windows before pacers fire; enqueues observe final link
     /// state.
@@ -414,32 +420,114 @@ impl Ev {
     }
 }
 
-#[derive(Debug)]
-struct Event {
-    time_s: f64,
-    seq: u64,
-    kind: Ev,
+/// Bits of [`Key::order`] below the rank: room for the insertion sequence.
+const SEQ_BITS: u32 = 61;
+
+/// Maps a timestamp to an integer whose unsigned order is
+/// [`f64::total_cmp`]'s: negative values have every bit flipped, the rest
+/// only the sign bit.
+fn time_key(t: f64) -> u64 {
+    let b = t.to_bits();
+    b ^ (((b as i64 >> 63) as u64) | 1 << 63)
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+/// The exact inverse of [`time_key`].
+fn key_time(k: u64) -> f64 {
+    f64::from_bits(k ^ (!((k as i64 >> 63) as u64) | 1 << 63))
+}
+
+/// A scheduled event's place in the pop order, 24 bytes: the timestamp as
+/// [`time_key`], then `rank << 61 | seq`, then the pool slot holding the
+/// event itself. `(time, order)` is unique per event, so the slot never
+/// decides a comparison.
+#[derive(Debug, Clone, Copy)]
+struct Key {
+    time: u64,
+    order: u64,
+    slot: u32,
+}
+
+impl Key {
+    /// `(time, order)` as one integer, so that a comparison is a single
+    /// branch-free 128-bit compare.
+    fn packed(&self) -> u128 {
+        u128::from(self.time) << 64 | u128::from(self.order)
     }
 }
-impl Eq for Event {}
-impl PartialOrd for Event {
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.packed() == other.packed()
+    }
+}
+impl Eq for Key {}
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
+    // The only comparison `BinaryHeap` makes.
+    fn le(&self, other: &Self) -> bool {
+        other.packed() <= self.packed()
+    }
 }
-impl Ord for Event {
+impl Ord for Key {
     // Reversed: BinaryHeap is a max-heap, we want earliest-first.
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time_s
-            .total_cmp(&self.time_s)
-            .then_with(|| other.kind.rank().cmp(&self.kind.rank()))
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.packed().cmp(&self.packed())
+    }
+}
+
+/// The pending events: a heap of [`Key`]s over a pool of [`Ev`]s whose
+/// freed slots are reused, so heap operations move 24-byte keys instead
+/// of whole events.
+#[derive(Default)]
+struct EventQueue {
+    heap: BinaryHeap<Key>,
+    pool: Vec<Ev>,
+    free: Vec<u32>,
+    next_seq: u64,
+}
+
+impl EventQueue {
+    fn push(&mut self, time_s: f64, ev: Ev) {
+        let seq = self.next_seq;
+        assert!(
+            seq < 1 << SEQ_BITS,
+            "event sequence {seq} overflows the scheduler key's {SEQ_BITS} bits"
+        );
+        self.next_seq += 1;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.pool[slot as usize] = ev;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.pool.len())
+                    .expect("pending events overflow the scheduler key's u32 slot");
+                self.pool.push(ev);
+                slot
+            }
+        };
+        self.heap.push(Key {
+            time: time_key(time_s),
+            order: u64::from(ev.rank()) << SEQ_BITS | seq,
+            slot,
+        });
+    }
+
+    /// Pops the earliest event if its time key is at most `limit`.
+    fn pop_until(&mut self, limit: u64) -> Option<(f64, Ev)> {
+        if self.heap.peek()?.time > limit {
+            return None;
+        }
+        let key = self.heap.pop().expect("peeked event");
+        self.free.push(key.slot);
+        Some((key_time(key.time), self.pool[key.slot as usize]))
+    }
+
+    /// Events popped so far: every one scheduled and no longer pending.
+    fn popped(&self) -> u64 {
+        self.next_seq - self.heap.len() as u64
     }
 }
 
@@ -521,9 +609,8 @@ pub struct CongestionNetwork {
     links: Vec<LinkState>,
     wins: Vec<WinState>,
     cbrs: Vec<CbrState>,
-    heap: BinaryHeap<Event>,
+    queue: EventQueue,
     now_s: f64,
-    event_seq: u64,
     incomplete_wins: usize,
 }
 
@@ -712,17 +799,18 @@ impl CongestionNetwork {
     }
 
     fn drive(&mut self, horizon_s: f64, stop_on_complete: bool) -> bool {
+        // `+ 0.0` turns a −0.0 horizon into +0.0: `<=` on floats admits an
+        // event at +0.0 there, and so must the key order.
+        let limit = time_key(horizon_s + 0.0);
         loop {
             if stop_on_complete && self.incomplete_wins == 0 {
                 return true;
             }
-            let Some(ev) = self.heap.peek() else { break };
-            if ev.time_s > horizon_s {
+            let Some((time_s, ev)) = self.queue.pop_until(limit) else {
                 break;
-            }
-            let ev = self.heap.pop().expect("peeked event");
-            self.now_s = ev.time_s;
-            match ev.kind {
+            };
+            self.now_s = time_s;
+            match ev {
                 Ev::TxDone { link } => self.on_tx_done(link),
                 Ev::Ack {
                     flow,
@@ -783,11 +871,14 @@ impl CongestionNetwork {
         }
     }
 
+    /// Events processed so far, across every run call.
+    pub fn events_processed(&self) -> u64 {
+        self.queue.popped()
+    }
+
     fn schedule(&mut self, time_s: f64, kind: Ev) {
         debug_assert!(time_s.is_finite());
-        let seq = self.event_seq;
-        self.event_seq += 1;
-        self.heap.push(Event { time_s, seq, kind });
+        self.queue.push(time_s, kind);
     }
 
     fn packet_bits(&self, src: Src) -> f64 {
@@ -1325,6 +1416,82 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// Pins the engine's output bit for bit on a contended scenario full
+    /// of exact ties: two CBR flows with equal start times and intervals
+    /// share link `a` (every emission coincides with the other flow's),
+    /// and a DCTCP flow crosses `a` then `b`. Any change to the event pop
+    /// order or to handler arithmetic moves these values.
+    #[test]
+    fn engine_output_bits_are_pinned() {
+        let mut net = CongestionNetwork::new();
+        let a = net.add_link(CongestionLink::new(10e6, 2e-3, 8).with_ecn(4));
+        let b = net.add_link(CongestionLink::new(5e6, 4e-3, 8));
+        let cross = [0, 1].map(|_| net.add_cbr(CbrFlow::with_load(vec![a], 8e3, 3e6, 0.0, 2.0)));
+        let id = net.add_windowed(WindowedFlow::new(
+            vec![a, b],
+            8e3,
+            300,
+            0.0,
+            CcAlgorithm::Dctcp { gain: 0.0625 },
+        ));
+        net.run();
+        let w = net.windowed_stats(id);
+        assert_eq!(
+            (
+                w.transmissions,
+                w.retransmissions,
+                w.arrivals,
+                w.delivered,
+                w.dropped,
+                w.ecn_marked
+            ),
+            (309, 9, 300, 300, 9, 93)
+        );
+        assert_eq!(
+            (
+                w.completion_s.map(f64::to_bits),
+                w.srtt_s.to_bits(),
+                w.final_cwnd.to_bits()
+            ),
+            (
+                Some(0x3fe6_0f77_4eb0_4f86),
+                0x3f90_d243_768b_c7a6,
+                0x4026_3ed7_25b1_408b
+            )
+        );
+        let expect = [
+            (
+                (750, 746, 4, 36),
+                (
+                    0x4003_8f48_e4b6_f1e0,
+                    0x3f66_f006_8db8_0000,
+                    0x3f82_d773_18fc_5054,
+                ),
+            ),
+            (
+                (750, 741, 9, 64),
+                (
+                    0x4007_f268_6ebf_f484,
+                    0x3f6d_7dbf_487f_1000,
+                    0x3f82_d773_18fc_503c,
+                ),
+            ),
+        ];
+        for (c, (counts, bits)) in cross.into_iter().zip(expect) {
+            let s = net.cbr_stats(c);
+            assert_eq!((s.emitted, s.delivered, s.dropped, s.ecn_marked), counts);
+            let latency = |v: Option<f64>| v.expect("delivered").to_bits();
+            assert_eq!(
+                (
+                    s.latency_sum_s.to_bits(),
+                    latency(s.min_latency_s),
+                    latency(s.max_latency_s)
+                ),
+                bits
+            );
+        }
+    }
+
     #[test]
     fn completion_is_receiver_side_even_when_acks_lag() {
         // Completion is the arrival of the last distinct packet, not the
@@ -1449,10 +1616,12 @@ mod tests {
     }
 
     #[test]
-    fn heap_events_stay_one_cache_line() {
-        // Every queued packet rides inside an event. CBR latency is derived
-        // from the sequence number so that packets carry no timestamp.
-        assert!(std::mem::size_of::<Event>() <= 64);
+    fn scheduler_keys_are_24_bytes_and_events_at_most_48() {
+        // The heap moves only keys. Every queued packet rides inside a
+        // pooled event; CBR latency is derived from the sequence number so
+        // that packets carry no timestamp.
+        assert_eq!(std::mem::size_of::<Key>(), 24);
+        assert!(std::mem::size_of::<Ev>() <= 48);
     }
 
     #[test]
@@ -1661,6 +1830,99 @@ mod tests {
         );
         net.run();
         assert_eq!(net.cbr_stats(id).mean_latency_s(), Some(1.0));
+    }
+
+    #[test]
+    fn events_processed_counts_every_handled_event() {
+        // One packet on one link: the pacer releases it, the link finishes
+        // serializing it (the receiver completes here), its ACK returns,
+        // and its retransmission timer fires stale.
+        let (mut net, l) = one_link_net(1e6, 1e-3, 4);
+        net.add_windowed(WindowedFlow::new(vec![l], 1e3, 1, 0.0, CcAlgorithm::Aimd));
+        assert_eq!(net.events_processed(), 0);
+        assert!(net.run_while_incomplete(f64::INFINITY));
+        assert_eq!(net.events_processed(), 2, "pace, tx-done");
+        net.run();
+        assert_eq!(net.events_processed(), 4, "then the ACK and the timeout");
+    }
+
+    #[test]
+    fn a_negative_zero_horizon_admits_an_event_at_positive_zero() {
+        // `0.0 <= -0.0` on floats, so the key order must agree.
+        let (mut net, l) = one_link_net(1e6, 0.0, 4);
+        let id = net.add_cbr(cbr(vec![l], 1e3, 1.0, 1));
+        net.run_until(-0.0);
+        assert_eq!(net.cbr_stats(id).emitted, 1);
+    }
+
+    /// Timestamps that stress the time key: both zeros, subnormals, the
+    /// normal extremes, neighbours one ulp apart, and negatives the engine
+    /// never schedules but the key must still order.
+    const EDGE_TIMES: [f64; 12] = [
+        -f64::MAX,
+        -1.0,
+        -0.0,
+        0.0,
+        5e-324,
+        2.225_073_858_507_201e-308,
+        f64::MIN_POSITIVE,
+        1.0,
+        1.000_000_000_000_000_2,
+        1e300,
+        f64::MAX,
+        f64::INFINITY,
+    ];
+
+    #[test]
+    fn time_key_orders_the_edge_times_like_total_cmp() {
+        for a in EDGE_TIMES {
+            assert_eq!(key_time(time_key(a)).to_bits(), a.to_bits(), "{a:e}");
+            for b in EDGE_TIMES {
+                assert_eq!(
+                    time_key(a).cmp(&time_key(b)),
+                    a.total_cmp(&b),
+                    "{a:e} vs {b:e}"
+                );
+            }
+        }
+    }
+
+    /// An event of the given rank carrying `id` in its first field.
+    fn tagged(rank: u8, id: usize) -> Ev {
+        match rank {
+            0 => Ev::TxDone { link: id },
+            1 => Ev::Ack {
+                flow: id,
+                seq: 0,
+                cum: 0,
+                marked: false,
+            },
+            2 => Ev::Timeout {
+                flow: id,
+                seq: 0,
+                txn: 0,
+            },
+            3 => Ev::Pace { flow: id },
+            4 => Ev::Emit { cbr: id, k: 0 },
+            _ => Ev::Enqueue {
+                link: id,
+                pkt: Pkt {
+                    src: Src::Win(0),
+                    seq: 0,
+                    hop: 0,
+                    marked: false,
+                },
+            },
+        }
+    }
+
+    /// The `id` that [`tagged`] put in.
+    fn tag(ev: Ev) -> usize {
+        match ev {
+            Ev::TxDone { link } | Ev::Enqueue { link, .. } => link,
+            Ev::Ack { flow, .. } | Ev::Timeout { flow, .. } | Ev::Pace { flow } => flow,
+            Ev::Emit { cbr, .. } => cbr,
+        }
     }
 
     proptest! {
@@ -1872,6 +2134,84 @@ mod tests {
                 s.max_latency_s.expect("delivered") + (packets - 1) as f64 * interval;
             let work = packets as f64 * bits / rate;
             prop_assert!((last_arrival - (work + 0.001)).abs() < 1e-9 * work.max(1.0));
+        }
+
+        /// Random pushes interleaved with pops come out in the order of a
+        /// sort by `(time.total_cmp, rank, seq)`, ties of every kind
+        /// included, and freed pool slots are reused.
+        #[test]
+        fn prop_scheduler_pops_in_time_rank_seq_order(
+            ops in proptest::collection::vec(
+                (0_u8..4, 0_usize..EDGE_TIMES.len() + 3, 0_u64..u64::MAX, 0_u8..6),
+                1..300,
+            ),
+        ) {
+            let mut queue = EventQueue::default();
+            // (time, rank, seq) of the pending events; seq doubles as the tag.
+            let mut pending: Vec<(f64, u8, usize)> = Vec::new();
+            let mut most_pending = 0;
+            let pop = |queue: &mut EventQueue, pending: &mut Vec<(f64, u8, usize)>| {
+                pending.sort_by(|a, b| {
+                    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
+                });
+                let want = (!pending.is_empty()).then(|| pending.remove(0));
+                let got = queue.pop_until(u64::MAX).map(|(t, ev)| (t, ev.rank(), tag(ev)));
+                let bits = |e: Option<(f64, u8, usize)>| e.map(|(t, r, s)| (t.to_bits(), r, s));
+                (bits(got), bits(want))
+            };
+            for (seq, &(op, pick, raw, rank)) in ops.iter().enumerate() {
+                if op == 0 {
+                    let (got, want) = pop(&mut queue, &mut pending);
+                    prop_assert_eq!(got, want);
+                    continue;
+                }
+                let time = match EDGE_TIMES.get(pick) {
+                    // The engine never schedules an infinite time.
+                    Some(t) if t.is_finite() => *t,
+                    Some(_) => 1.0,
+                    None if f64::from_bits(raw).is_finite() => f64::from_bits(raw),
+                    None => 0.5,
+                };
+                queue.push(time, tagged(rank, seq));
+                pending.push((time, rank, seq));
+                most_pending = most_pending.max(pending.len());
+            }
+            while !pending.is_empty() {
+                let (got, want) = pop(&mut queue, &mut pending);
+                prop_assert_eq!(got, want);
+            }
+            prop_assert!(queue.pop_until(u64::MAX).is_none());
+            prop_assert_eq!(queue.pool.len(), most_pending);
+            prop_assert_eq!(queue.popped(), queue.next_seq);
+        }
+
+        /// The time key is monotone in `f64::total_cmp` and exactly
+        /// invertible over arbitrary finite times, neighbours one ulp apart
+        /// included.
+        #[test]
+        fn prop_time_key_is_monotone_and_invertible(a in 0_u64..u64::MAX, b in 0_u64..u64::MAX) {
+            let (x, y, next) = (f64::from_bits(a), f64::from_bits(b), f64::from_bits(a ^ 1));
+            prop_assume!(x.is_finite() && y.is_finite() && next.is_finite());
+            prop_assert_eq!(key_time(time_key(x)).to_bits(), a);
+            prop_assert_eq!(time_key(x).cmp(&time_key(y)), x.total_cmp(&y));
+            prop_assert_eq!(time_key(x).cmp(&time_key(next)), x.total_cmp(&next));
+        }
+
+        /// `run_until(h)` processes an event at exactly `h` and leaves one
+        /// an ulp later pending.
+        #[test]
+        fn prop_run_until_includes_the_horizon_and_not_the_next_ulp(
+            bits in 0_u64..f64::MAX.to_bits(),
+        ) {
+            let horizon = f64::from_bits(bits);
+            let (mut net, l) = one_link_net(1e6, 0.0, 4);
+            let one = |start_s| CbrFlow { start_s, ..cbr(vec![l], 1e3, 1.0, 1) };
+            let at = net.add_cbr(one(horizon));
+            let after = net.add_cbr(one(f64::from_bits(bits + 1)));
+            net.run_until(horizon);
+            prop_assert_eq!(net.cbr_stats(at).emitted, 1);
+            prop_assert_eq!(net.cbr_stats(after).emitted, 0);
+            prop_assert_eq!(net.now_s().to_bits(), bits);
         }
     }
 }
