@@ -48,7 +48,7 @@ fn main() {
         let ground = Geodetic::ground(lat, lon);
         let ge = ground.to_ecef_spherical();
         let els: Vec<_> = service
-            .reachable_servers_in(&snap, ground)
+            .reachable_servers(ground, 0.0)
             .iter()
             .map(|v| leo_geo::LookAngles::compute(ground, ge, snap.position(v.id)).elevation)
             .collect();

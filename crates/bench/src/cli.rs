@@ -81,7 +81,7 @@ impl RunConfig {
         }
         let threads = leo_sim::threads_from(threads_env);
         if let Some(v) = threads_env {
-            if v.trim().parse::<usize>().ok().is_none_or(|n| n == 0) {
+            if v.trim().parse::<usize>().ok().map_or(true, |n| n == 0) {
                 warnings.push(format!(
                     "LEO_THREADS={v:?} is not a positive integer; using {threads} worker threads"
                 ));

@@ -126,36 +126,6 @@ pub fn access_stats(
     )
 }
 
-/// One row of the Fig 1/2 latitude sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LatitudeRow {
-    /// Ground latitude, degrees.
-    pub latitude_deg: f64,
-    /// The access statistics at that latitude (longitude 0, as in the
-    /// paper's single-ground-location methodology).
-    pub stats: AccessStats,
-}
-
-/// Sweeps latitudes `0..=max_lat_deg` in steps of `step_deg` at
-/// longitude 0 (reproduces the x-axis of Figs 1–2).
-pub fn latitude_sweep(
-    service: &InOrbitService,
-    max_lat_deg: f64,
-    step_deg: f64,
-    sampling: &SamplingConfig,
-) -> Vec<LatitudeRow> {
-    let mut rows = Vec::new();
-    let mut lat = 0.0;
-    while lat <= max_lat_deg + 1e-9 {
-        rows.push(LatitudeRow {
-            latitude_deg: lat,
-            stats: access_stats(service, Geodetic::ground(lat, 0.0), sampling),
-        });
-        lat += step_deg;
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,20 +168,6 @@ mod tests {
         );
         assert_eq!(stats.nearest_rtt_ms, None);
         assert_eq!(stats.max_count, 0);
-    }
-
-    #[test]
-    fn latitude_sweep_produces_requested_rows() {
-        let service = InOrbitService::new(presets::starlink_550_only());
-        let quick = SamplingConfig {
-            start_s: 0.0,
-            interval_s: 600.0,
-            samples: 3,
-        };
-        let rows = latitude_sweep(&service, 20.0, 10.0, &quick);
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].latitude_deg, 0.0);
-        assert_eq!(rows[2].latitude_deg, 20.0);
     }
 
     #[test]

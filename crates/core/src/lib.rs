@@ -44,8 +44,8 @@ pub mod service;
 pub mod session;
 pub mod stats;
 
-pub use failover::{FailoverReport, FailureModel};
-pub use selection::{nearest_assignments, GroupDelays, Policy, StickyParams};
+pub use failover::FailureModel;
+pub use selection::{GroupDelays, Policy, StickyParams};
 pub use service::{InOrbitService, SnapshotView};
 pub use session::{HandoffEvent, SessionConfig, SessionResult};
 pub use stats::Cdf;

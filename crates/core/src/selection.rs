@@ -77,13 +77,6 @@ impl GroupDelays {
         self.delays[sat.0 as usize]
     }
 
-    /// Removes a satellite from consideration (marks it unreachable) —
-    /// used by the failure-injection session runner to take dead
-    /// servers out of the candidate set.
-    pub fn exclude(&mut self, sat: SatId) {
-        self.delays[sat.0 as usize] = f64::INFINITY;
-    }
-
     /// Group RTT of one satellite, milliseconds.
     pub fn rtt_ms(&self, sat: SatId) -> f64 {
         2.0 * self.delay_s(sat) * 1e3
@@ -132,31 +125,6 @@ impl GroupDelays {
         out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         out
     }
-}
-
-/// Batched per-user nearest-server assignment over `[user][sat]` delay
-/// rows: for each user, the satellite with the smallest finite delay and
-/// that delay. Exact-delay ties break toward the lower satellite id —
-/// the same rule as `GroupDelays::within_slack` and the serving layer's
-/// `nearest_server_view` — so the assignment is a pure function of the
-/// rows. Users with no reachable satellite map to `None`.
-pub fn nearest_assignments(direct: &[Vec<f64>]) -> Vec<Option<(SatId, f64)>> {
-    direct
-        .iter()
-        .map(|row| {
-            let mut best: Option<(SatId, f64)> = None;
-            for (i, &d) in row.iter().enumerate() {
-                let beats = match best {
-                    None => true,
-                    Some((_, b)) => d < b,
-                };
-                if d.is_finite() && beats {
-                    best = Some((SatId(i as u32), d));
-                }
-            }
-            best
-        })
-        .collect()
 }
 
 /// Parameters of the Sticky heuristic (paper defaults: 10 % slack, pool
@@ -317,7 +285,7 @@ pub fn sticky_select(
         let handoff = service
             .migration_delay_view(&view, users, cand, successor)
             .unwrap_or(f64::INFINITY);
-        if best.is_none_or(|(_, d)| handoff < d) {
+        if best.map_or(true, |(_, d)| handoff < d) {
             best = Some((cand, handoff));
         }
     }
@@ -375,33 +343,6 @@ mod tests {
         let g = GroupDelays::from_user_delays(&[vec![f64::INFINITY; 4]]);
         assert_eq!(g.minmax(), None);
         assert!(g.within_slack(0.1).is_empty());
-    }
-
-    #[test]
-    fn nearest_assignments_pick_the_per_user_minimum() {
-        let direct = vec![
-            vec![3.0, 1.0, 2.0],
-            vec![f64::INFINITY, f64::INFINITY, f64::INFINITY],
-            vec![5.0, 5.0, 7.0], // exact tie breaks to the lower id
-            vec![],
-        ];
-        let picks = nearest_assignments(&direct);
-        assert_eq!(
-            picks,
-            vec![Some((SatId(1), 1.0)), None, Some((SatId(0), 5.0)), None]
-        );
-    }
-
-    #[test]
-    fn nearest_assignments_agree_with_single_user_minmax() {
-        let s = InOrbitService::new(presets::starlink_550_only());
-        let users = west_africa_users();
-        let direct = s.user_direct_delays(&s.snapshot(30.0), &users);
-        let picks = nearest_assignments(&direct);
-        for (row, pick) in direct.iter().zip(&picks) {
-            let single = GroupDelays::from_user_delays(std::slice::from_ref(row));
-            assert_eq!(*pick, single.minmax());
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use leo_net::engine::{with_thread_arena, GroundLinks, IslWeights, RoutingEngine,
 use leo_net::fault::{FaultConfig, FaultPlan};
 use leo_net::frontier::{self, BandSet, GroundSet, NearestState};
 use leo_net::routing::{self, GroundEndpoint};
-use leo_net::visibility::{self, VisibleSat};
+use leo_net::visibility::VisibleSat;
 use leo_net::{IslTopology, NetworkGraph, VisibilityIndex};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -32,24 +32,20 @@ pub struct SnapshotView {
 
 impl SnapshotView {
     /// Builds a view by propagating `constellation` to `t` and refreshing
-    /// `engine`'s edge weights at that instant.
-    pub fn build(
-        constellation: &Constellation,
-        engine: &Arc<RoutingEngine>,
-        t: f64,
-    ) -> SnapshotView {
-        Self::build_with(constellation, engine, t, None)
-    }
-
-    /// [`SnapshotView::build`] under an optional fault scenario: the
-    /// scenario's plan at `t` masks the refreshed ISL weights and rides
-    /// along for the view's visibility and attachment queries.
+    /// `engine`'s edge weights at that instant. Under a fault scenario,
+    /// the scenario's plan at `t` masks the refreshed ISL weights and
+    /// rides along for the view's visibility and attachment queries.
+    ///
+    /// # Panics
+    /// Panics when `t` is not finite: such an instant propagates to NaN
+    /// positions, which no query could answer.
     pub fn build_with(
         constellation: &Constellation,
         engine: &Arc<RoutingEngine>,
         t: f64,
         faults: Option<&FaultConfig>,
     ) -> SnapshotView {
+        assert!(t.is_finite(), "snapshot instant must be finite, got {t}");
         let snapshot = constellation.snapshot(t);
         let index = VisibilityIndex::build(constellation, &snapshot);
         match faults {
@@ -283,7 +279,8 @@ impl InOrbitService {
     /// The cached [`SnapshotView`] at `t` seconds after the epoch,
     /// propagating and indexing on first use. Distinct times propagate
     /// concurrently: the cache lock is held only for lookup and insert,
-    /// not during propagation.
+    /// not during propagation. Panics when `t` is not finite (see
+    /// [`SnapshotView::build_with`]).
     pub fn view(&self, t: f64) -> Arc<SnapshotView> {
         let key = t.to_bits();
         if let Some(v) = self.cache.lock().expect("cache lock").get(&key) {
@@ -353,60 +350,6 @@ impl InOrbitService {
         }
     }
 
-    /// Same as [`InOrbitService::reachable_servers`] against a prebuilt
-    /// snapshot (avoids re-propagating when the caller already has one).
-    pub fn reachable_servers_in(&self, snapshot: &Snapshot, ground: Geodetic) -> Vec<VisibleSat> {
-        let ge = ground.to_ecef_spherical();
-        match self.plan_in(snapshot) {
-            Some(plan) => {
-                visibility::visible_sats_masked(&self.constellation, snapshot, ground, ge, &plan)
-            }
-            None => visibility::visible_sats(&self.constellation, snapshot, ground, ge),
-        }
-    }
-
-    /// The fault plan governing a prebuilt snapshot: the service's
-    /// scenario evaluated at the snapshot's own instant. `None` for a
-    /// plain service, so unmasked paths stay exactly as before.
-    fn plan_in(&self, snapshot: &Snapshot) -> Option<FaultPlan> {
-        self.faults
-            .as_deref()
-            .map(|cfg| cfg.plan_at(snapshot.time_s))
-    }
-
-    /// ISL weights for a prebuilt snapshot, masked by the service's fault
-    /// scenario when one is set.
-    fn refresh_for(&self, snapshot: &Snapshot, plan: Option<&FaultPlan>) -> IslWeights {
-        match plan {
-            Some(plan) => {
-                let mut weights = IslWeights::default();
-                self.engine
-                    .refresh_into_masked(snapshot, plan, &mut weights);
-                weights
-            }
-            None => self.engine.refresh(snapshot),
-        }
-    }
-
-    /// Ground attachment for a prebuilt snapshot, honoring the fault
-    /// scenario when one is set.
-    fn attach_for(
-        &self,
-        snapshot: &Snapshot,
-        grounds: &[GroundEndpoint],
-        plan: Option<&FaultPlan>,
-    ) -> GroundLinks {
-        match plan {
-            Some(plan) => {
-                self.engine
-                    .attach_scan_masked(&self.constellation, snapshot, grounds, plan)
-            }
-            None => self
-                .engine
-                .attach_scan(&self.constellation, snapshot, grounds),
-        }
-    }
-
     /// The full network graph at a snapshot with the given ground
     /// endpoints attached.
     ///
@@ -419,55 +362,13 @@ impl InOrbitService {
     }
 
     /// One-way delays (seconds) from each ground endpoint to every
-    /// satellite at a snapshot: `result[user][sat_id]`, `INFINITY` when
-    /// unreachable. The bulk query behind meetup-server selection.
-    ///
-    /// Engine-backed adapter: refreshes ISL weights from `snapshot` on
-    /// each call. Sweep code should prefer
-    /// [`InOrbitService::user_delays_view`], which reuses the weights
-    /// already refreshed in the cached [`SnapshotView`].
-    pub fn user_delays(&self, snapshot: &Snapshot, users: &[GroundEndpoint]) -> Vec<Vec<f64>> {
-        let plan = self.plan_in(snapshot);
-        let weights = self.refresh_for(snapshot, plan.as_ref());
-        let links = self.attach_for(snapshot, users, plan.as_ref());
-        with_thread_arena(|arena| self.engine.delays_from_all(&weights, &links, arena))
-    }
-
-    /// [`InOrbitService::user_delays`] against a prebuilt view: one
-    /// shared weight refresh per instant, arena-backed Dijkstra per row.
+    /// satellite at the view's instant: `result[user][sat_id]`, `INFINITY`
+    /// when unreachable. The bulk query behind meetup-server selection:
+    /// one shared weight refresh per instant, arena-backed Dijkstra per
+    /// row.
     pub fn user_delays_view(&self, view: &SnapshotView, users: &[GroundEndpoint]) -> Vec<Vec<f64>> {
         let links = view.attach(users);
         view.delays_from_all(&links)
-    }
-
-    /// One-way delay (seconds) between two satellite-servers over the ISL
-    /// mesh at a snapshot, or `None` when disconnected.
-    pub fn server_to_server_delay(&self, snapshot: &Snapshot, a: SatId, b: SatId) -> Option<f64> {
-        if a == b {
-            return Some(0.0);
-        }
-        let plan = self.plan_in(snapshot);
-        if let Some(p) = &plan {
-            if p.sat_dead(a) || p.sat_dead(b) {
-                return None;
-            }
-        }
-        let weights = self.refresh_for(snapshot, plan.as_ref());
-        with_thread_arena(|arena| self.engine.sat_to_sat_delay(&weights, None, a, b, arena))
-    }
-
-    /// [`InOrbitService::server_to_server_delay`] against a prebuilt
-    /// view, reusing its refreshed weights.
-    pub fn server_to_server_delay_view(
-        &self,
-        view: &SnapshotView,
-        a: SatId,
-        b: SatId,
-    ) -> Option<f64> {
-        if a == b {
-            return Some(0.0);
-        }
-        view.sat_to_sat_delay(None, a, b)
     }
 
     /// One-way state-migration delay (seconds) between two servers when
@@ -475,33 +376,8 @@ impl InOrbitService {
     /// ISLs *or* down through any of `grounds` and back up. Successive
     /// meetup-servers both sit above the same user group, so the
     /// via-ground bounce often beats winding across the +Grid between an
-    /// ascending and a descending plane.
-    pub fn migration_delay(
-        &self,
-        snapshot: &Snapshot,
-        grounds: &[GroundEndpoint],
-        a: SatId,
-        b: SatId,
-    ) -> Option<f64> {
-        if a == b {
-            return Some(0.0);
-        }
-        let plan = self.plan_in(snapshot);
-        if let Some(p) = &plan {
-            if p.sat_dead(a) || p.sat_dead(b) {
-                return None;
-            }
-        }
-        let weights = self.refresh_for(snapshot, plan.as_ref());
-        let links = self.attach_for(snapshot, grounds, plan.as_ref());
-        with_thread_arena(|arena| {
-            self.engine
-                .sat_to_sat_delay(&weights, Some(&links), a, b, arena)
-        })
-    }
-
-    /// [`InOrbitService::migration_delay`] against a prebuilt view,
-    /// reusing its refreshed weights and spatial index.
+    /// ascending and a descending plane. `None` when disconnected, which
+    /// includes a dead endpoint under a fault scenario.
     pub fn migration_delay_view(
         &self,
         view: &SnapshotView,
@@ -518,45 +394,15 @@ impl InOrbitService {
 
     /// Direct (single-hop) one-way delays from each user to every
     /// satellite: `result[user][sat]` is the slant-range delay when the
-    /// satellite is visible to that user, `INFINITY` otherwise.
+    /// satellite is visible to that user (and not masked by the view's
+    /// fault plan), `INFINITY` otherwise. Answered through the view's
+    /// spatial index — the per-tick hot path of the session runner and
+    /// the Sticky lookahead.
     ///
     /// This is the paper's gateway-free session model (§3.2: "user
     /// terminals can communicate directly via satellites without any
     /// gateway intervention") — and it needs no graph construction, so
     /// per-tick session costs stay tiny.
-    pub fn user_direct_delays(
-        &self,
-        snapshot: &Snapshot,
-        users: &[GroundEndpoint],
-    ) -> Vec<Vec<f64>> {
-        let plan = self.plan_in(snapshot);
-        users
-            .iter()
-            .map(|u| {
-                let mut row = vec![f64::INFINITY; self.constellation.num_satellites()];
-                let visible = match &plan {
-                    Some(plan) => visibility::visible_sats_masked(
-                        &self.constellation,
-                        snapshot,
-                        u.geodetic,
-                        u.ecef,
-                        plan,
-                    ),
-                    None => {
-                        visibility::visible_sats(&self.constellation, snapshot, u.geodetic, u.ecef)
-                    }
-                };
-                for v in visible {
-                    row[v.id.0 as usize] = v.delay_s();
-                }
-                row
-            })
-            .collect()
-    }
-
-    /// [`InOrbitService::user_direct_delays`] answered through a
-    /// [`SnapshotView`]'s spatial index — the per-tick hot path of the
-    /// session runner and the Sticky lookahead.
     pub fn user_direct_delays_view(
         &self,
         view: &SnapshotView,
@@ -656,10 +502,43 @@ impl InOrbitService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FailureModel;
     use leo_constellation::presets;
+    use leo_net::visibility;
+    use leo_net::weather::LinkBudget;
+    use leo_net::RainFade;
 
     fn service() -> InOrbitService {
         InOrbitService::new(presets::starlink_550_only())
+    }
+
+    /// The brute-force reference: every satellite scanned, masked by the
+    /// view's fault plan when it has one.
+    fn scan(s: &InOrbitService, view: &SnapshotView, ground: Geodetic) -> Vec<VisibleSat> {
+        let (c, snap) = (s.constellation(), view.snapshot());
+        let ge = ground.to_ecef_spherical();
+        match view.fault_plan() {
+            Some(plan) => visibility::visible_sats_masked(c, snap, ground, ge, plan),
+            None => visibility::visible_sats(c, snap, ground, ge),
+        }
+    }
+
+    /// Direct-delay rows (`[user][sat]`) built from [`scan`].
+    fn scan_rows(
+        s: &InOrbitService,
+        view: &SnapshotView,
+        users: &[GroundEndpoint],
+    ) -> Vec<Vec<f64>> {
+        users
+            .iter()
+            .map(|u| {
+                let mut row = vec![f64::INFINITY; s.num_servers()];
+                for v in scan(s, view, u.geodetic) {
+                    row[v.id.0 as usize] = v.delay_s();
+                }
+                row
+            })
+            .collect()
     }
 
     #[test]
@@ -682,8 +561,7 @@ mod tests {
             GroundEndpoint::new(0, Geodetic::ground(9.06, 7.49)),
             GroundEndpoint::new(1, Geodetic::ground(3.87, 11.52)),
         ];
-        let snap = s.snapshot(0.0);
-        let delays = s.user_delays(&snap, &users);
+        let delays = s.user_delays_view(&s.view(0.0), &users);
         assert_eq!(delays.len(), 2);
         assert_eq!(delays[0].len(), s.num_servers());
         // Shell is ISL-connected, so every server is reachable.
@@ -692,18 +570,10 @@ mod tests {
 
     #[test]
     fn server_to_server_delay_is_symmetric_and_zero_on_diagonal() {
-        let s = service();
-        let snap = s.snapshot(100.0);
-        assert_eq!(
-            s.server_to_server_delay(&snap, SatId(5), SatId(5)),
-            Some(0.0)
-        );
-        let ab = s
-            .server_to_server_delay(&snap, SatId(0), SatId(700))
-            .unwrap();
-        let ba = s
-            .server_to_server_delay(&snap, SatId(700), SatId(0))
-            .unwrap();
+        let view = service().view(100.0);
+        assert_eq!(view.sat_to_sat_delay(None, SatId(5), SatId(5)), Some(0.0));
+        let ab = view.sat_to_sat_delay(None, SatId(0), SatId(700)).unwrap();
+        let ba = view.sat_to_sat_delay(None, SatId(700), SatId(0)).unwrap();
         assert!((ab - ba).abs() < 1e-12);
         assert!(ab > 0.0);
     }
@@ -723,15 +593,48 @@ mod tests {
 
     #[test]
     fn indexed_direct_delays_equal_brute_force() {
-        let s = service();
         let users = [
             GroundEndpoint::new(0, Geodetic::ground(9.06, 7.49)),
             GroundEndpoint::new(1, Geodetic::ground(-33.9, 18.4)),
         ];
-        let view = s.view(777.0);
-        let brute = s.user_direct_delays(view.snapshot(), &users);
-        let indexed = s.user_direct_delays_view(&view, &users);
-        assert_eq!(brute, indexed);
+        // Deaths and a rain fade, so the masked index path is checked too.
+        let cfg = FaultConfig {
+            schedule: Some(
+                FailureModel {
+                    annual_failure_rate: 4000.0,
+                    seed: 17,
+                }
+                .schedule(1584),
+            ),
+            rain: Some(RainFade {
+                budget: LinkBudget::CONSUMER,
+                rain_rate_mm_h: 10.0,
+            }),
+            ..FaultConfig::none()
+        };
+        let faulted = InOrbitService::with_faults(presets::starlink_550_only(), cfg);
+        let plain = service();
+        for (s, t) in [(&plain, 777.0), (&faulted, 777.0), (&faulted, 3600.0)] {
+            let view = s.view(t);
+            let brute = scan_rows(s, &view, &users);
+            assert_eq!(brute, s.user_direct_delays_view(&view, &users), "t={t}");
+            if view.fault_plan().is_some() {
+                let unmasked = scan_rows(&plain, &plain.view(t), &users);
+                assert_ne!(brute, unmasked, "t={t}: the plan must mask some entry");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot instant must be finite")]
+    fn nan_view_is_rejected() {
+        service().view(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot instant must be finite")]
+    fn infinite_view_is_rejected() {
+        service().view(f64::INFINITY);
     }
 
     #[test]
@@ -754,10 +657,9 @@ mod tests {
             faulted.reachable_servers(g, 60.0)
         );
         let users = [GroundEndpoint::new(0, g)];
-        let snap = plain.snapshot(60.0);
         assert_eq!(
-            plain.user_delays(&snap, &users),
-            faulted.user_delays(&faulted.snapshot(60.0), &users)
+            plain.user_delays_view(&plain.view(60.0), &users),
+            faulted.user_delays_view(&faulted.view(60.0), &users)
         );
         assert!(faulted.view(60.0).fault_plan().unwrap().is_empty());
     }
@@ -775,16 +677,12 @@ mod tests {
         };
         let s = InOrbitService::with_faults(presets::starlink_550_only(), cfg);
         assert!(s.reachable_servers(g, 0.0).iter().all(|v| v.id != victim));
-        let snap = s.snapshot(0.0);
-        assert!(s
-            .reachable_servers_in(&snap, g)
-            .iter()
-            .all(|v| v.id != victim));
-        assert_eq!(s.server_to_server_delay(&snap, SatId(0), victim), None);
+        let view = s.view(0.0);
+        assert_eq!(view.sat_to_sat_delay(None, SatId(0), victim), None);
         let users = [GroundEndpoint::new(0, g)];
-        let delays = s.user_delays(&snap, &users);
+        let delays = s.user_delays_view(&view, &users);
         assert!(delays[0][victim.0 as usize].is_infinite());
-        let direct = s.user_direct_delays_view(&s.view(0.0), &users);
+        let direct = s.user_direct_delays_view(&view, &users);
         assert!(direct[0][victim.0 as usize].is_infinite());
         assert!(s.fault_masked_server(&s.view(0.0), &users, victim));
         assert!(!plain.fault_masked_server(&plain.view(0.0), &users, victim));
@@ -804,11 +702,10 @@ mod tests {
         assert_eq!(up, plain.user_direct_delays_view(&plain.view(0.0), &users));
         // But the cut edge itself is gone from the mesh.
         let before = plain
-            .server_to_server_delay(&plain.snapshot(0.0), SatId(0), SatId(1))
+            .view(0.0)
+            .sat_to_sat_delay(None, SatId(0), SatId(1))
             .unwrap();
-        let after = s
-            .server_to_server_delay(&s.snapshot(0.0), SatId(0), SatId(1))
-            .unwrap();
+        let after = view.sat_to_sat_delay(None, SatId(0), SatId(1)).unwrap();
         assert!(after >= before);
     }
 
@@ -816,10 +713,10 @@ mod tests {
     fn direct_visibility_gives_single_hop_minimum_delay() {
         let s = service();
         let g = Geodetic::ground(0.0, 0.0);
-        let snap = s.snapshot(0.0);
-        let direct = s.reachable_servers_in(&snap, g);
+        let view = s.view(0.0);
+        let direct = scan(&s, &view, g);
         let users = [GroundEndpoint::new(0, g)];
-        let delays = &s.user_delays(&snap, &users)[0];
+        let delays = &s.user_delays_view(&view, &users)[0];
         for v in direct {
             // The graph delay to a directly visible satellite equals the
             // direct slant-range delay (straight line beats any relay).
@@ -833,7 +730,7 @@ mod tests {
         let view = s.view(150.0);
         let user = GroundEndpoint::new(0, Geodetic::ground(12.0, 77.0));
         let nearest = s.nearest_server_view(&view, &user).unwrap();
-        let all = s.reachable_servers_in(view.snapshot(), user.geodetic);
+        let all = scan(&s, &view, user.geodetic);
         let best = all.iter().map(|v| v.range_m).fold(f64::INFINITY, f64::min);
         assert_eq!(nearest.range_m, best);
         // Batched answers equal the one-by-one answers, in input order.
@@ -946,7 +843,7 @@ mod tests {
             }
         }
         for (u, g) in users.iter().zip(got) {
-            let mut want = s.reachable_servers_in(view.snapshot(), u.geodetic);
+            let mut want = scan(&s, &view, u.geodetic);
             want.sort_by(|a, b| a.range_m.total_cmp(&b.range_m).then(a.id.cmp(&b.id)));
             assert_eq!(g.expect("every user banded"), want);
         }

@@ -124,6 +124,10 @@ impl SessionResult {
 ///
 /// Ticks where no satellite serves the whole group drop the current
 /// server (the session stalls); service resumes with a fresh acquisition.
+///
+/// # Panics
+/// Panics unless the tick is positive, the start finite, and the
+/// duration finite and non-negative.
 pub fn run_session(
     service: &InOrbitService,
     users: &[GroundEndpoint],
@@ -131,6 +135,16 @@ pub fn run_session(
     config: &SessionConfig,
 ) -> SessionResult {
     assert!(config.tick_s > 0.0, "tick must be positive");
+    assert!(
+        config.start_s.is_finite(),
+        "session start must be finite, got {}",
+        config.start_s
+    );
+    assert!(
+        config.duration_s.is_finite() && config.duration_s >= 0.0,
+        "session duration must be finite and non-negative, got {}",
+        config.duration_s
+    );
     let mut events = Vec::new();
     let mut rtt_samples = Vec::new();
     let mut current: Option<SatId> = None;
@@ -316,6 +330,28 @@ mod tests {
             start_s: 0.0,
             duration_s: 10.0,
             tick_s: 0.0,
+        };
+        run_session(&service, &users(), Policy::MinMax, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "session start must be finite")]
+    fn nan_start_is_rejected() {
+        let service = InOrbitService::new(presets::starlink_550_only());
+        let cfg = SessionConfig {
+            start_s: f64::NAN,
+            ..short_config()
+        };
+        run_session(&service, &users(), Policy::MinMax, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "session duration must be finite and non-negative")]
+    fn infinite_duration_is_rejected() {
+        let service = InOrbitService::new(presets::starlink_550_only());
+        let cfg = SessionConfig {
+            duration_s: f64::INFINITY,
+            ..short_config()
         };
         run_session(&service, &users(), Policy::MinMax, &cfg);
     }

@@ -1,6 +1,6 @@
 //! End-to-end properties of the fault-injection layer.
 //!
-//! Three contracts the unit tests cannot pin alone:
+//! Contracts the unit tests cannot pin alone:
 //!
 //! 1. **No masked traversal** — every delay the masked engine reports
 //!    equals the shortest path over a reference graph from which the
@@ -14,11 +14,15 @@
 //!    access link rains out, not just one that dies or sets.
 //! 4. **Fault-aware migration** — state hand-offs route around cut ISLs
 //!    and dead satellites, and stall on a dead endpoint.
+//! 5. **Failing fleets** — a session on a fleet whose servers die is
+//!    plain `run_session` on a `with_faults` service: it never acquires a
+//!    dead server, hands off a dead one without a state transfer, and
+//!    stalls only when no live server is in view.
 
 use leo_constellation::{presets, SatId};
 use leo_core::replication::{migrate_via_packets, MigrationNetConfig};
 use leo_core::session::run_session;
-use leo_core::{FailureModel, InOrbitService, Policy, SessionConfig, SnapshotView};
+use leo_core::{FailureModel, InOrbitService, Policy, SessionConfig, SessionResult, SnapshotView};
 use leo_geo::Geodetic;
 use leo_net::routing::GroundEndpoint;
 use leo_net::visibility::visible_sats_masked;
@@ -288,7 +292,7 @@ fn dead_endpoints_are_unreachable_not_rerouted() {
     for &d in dead.iter().take(5) {
         assert_eq!(view.sat_to_sat_delay(None, SatId(0), d), None);
         assert_eq!(
-            service.server_to_server_delay(view.snapshot(), SatId(0), d),
+            service.migration_delay_view(&view, &users(), SatId(0), d),
             None
         );
     }
@@ -379,4 +383,136 @@ fn fault_handoff_count() -> u64 {
         .find(|(name, _)| name == "fault.handoffs")
         .map(|(_, v)| v)
         .unwrap_or(0)
+}
+
+/// A service whose servers die on `model`'s schedule.
+fn failing_fleet(model: FailureModel) -> InOrbitService {
+    let cfg = FaultConfig {
+        schedule: Some(model.schedule(1584)),
+        ..FaultConfig::none()
+    };
+    InOrbitService::with_faults(presets::starlink_550_only(), cfg)
+}
+
+/// Fifteen minutes at 15 s ticks.
+fn short_session() -> SessionConfig {
+    SessionConfig {
+        start_s: 0.0,
+        duration_s: 900.0,
+        tick_s: 15.0,
+    }
+}
+
+#[test]
+fn realistic_failure_rates_leave_short_sessions_untouched() {
+    // At 8 %/yr, a 15-minute session sees essentially no deaths.
+    let plain = InOrbitService::new(presets::starlink_550_only());
+    let failing = failing_fleet(FailureModel {
+        annual_failure_rate: 0.08,
+        seed: 42,
+    });
+    for policy in [Policy::MinMax, Policy::sticky_default()] {
+        assert_eq!(
+            run_session(&failing, &users(), policy, &short_session()),
+            run_session(&plain, &users(), policy, &short_session()),
+            "{}",
+            policy.name()
+        );
+    }
+}
+
+#[test]
+fn absurd_failure_rates_disrupt_but_do_not_stall_the_session() {
+    // λ = 2000/yr → mean server life ≈ 4.4 h; several of the ~25
+    // commonly-visible servers die during the session, yet the dense
+    // shell keeps the group served at every tick the plain fleet serves.
+    let plain = InOrbitService::new(presets::starlink_550_only());
+    let failing = failing_fleet(FailureModel {
+        annual_failure_rate: 2000.0,
+        seed: 42,
+    });
+    let served = run_session(&plain, &users(), Policy::MinMax, &short_session());
+    let result = run_session(&failing, &users(), Policy::MinMax, &short_session());
+    let ticks = |r: &SessionResult| r.rtt_samples.iter().map(|&(t, _)| t).collect::<Vec<_>>();
+    assert!(result.rtt_samples.len() > 50, "session mostly served");
+    assert_eq!(
+        ticks(&result),
+        ticks(&served),
+        "no full outage at this density"
+    );
+    assert_ne!(result.events, served.events, "deaths must change the picks");
+    // The RTT stays within the direct-visibility envelope even with the
+    // best servers dying.
+    for &(_, rtt) in &result.rtt_samples {
+        assert!(rtt < 16.5);
+    }
+}
+
+#[test]
+fn total_fleet_death_stalls_service_and_counts_dead_ticks() {
+    let plain = InOrbitService::new(presets::starlink_550_only());
+    let failing = failing_fleet(FailureModel {
+        annual_failure_rate: 1e9, // everything dead at t ≈ 0⁺
+        seed: 3,
+    });
+    let served = run_session(&plain, &users(), Policy::MinMax, &short_session());
+    let result = run_session(&failing, &users(), Policy::MinMax, &short_session());
+    // Dead ticks: the plain fleet serves the group, the failing one cannot.
+    let dead_ticks = served.rtt_samples.len() - result.rtt_samples.len();
+    assert!(dead_ticks > 50, "dead ticks {dead_ticks}");
+    assert!(result.rtt_samples.len() < 5);
+}
+
+#[test]
+fn sticky_survives_failures_of_its_held_server() {
+    let m = FailureModel {
+        annual_failure_rate: 2000.0,
+        seed: 11,
+    };
+    let result = run_session(
+        &failing_fleet(m),
+        &users(),
+        Policy::sticky_default(),
+        &short_session(),
+    );
+    // Every held server in the event log must have been alive when
+    // acquired.
+    for e in &result.events {
+        assert!(
+            m.alive(e.to, e.time_s),
+            "acquired a dead server at {}",
+            e.time_s
+        );
+    }
+}
+
+#[test]
+fn death_forced_handoffs_carry_no_transfer_latency() {
+    // A dead server cannot push its state, so the hand-off off it reports
+    // no transfer latency, and the fault layer is charged with it.
+    let failing = failing_fleet(FailureModel {
+        annual_failure_rate: 8000.0,
+        seed: 42,
+    });
+    let result = run_session(
+        &failing,
+        &users(),
+        Policy::sticky_default(),
+        &short_session(),
+    );
+    let mut forced = 0;
+    for e in &result.events {
+        let Some(from) = e.from else { continue };
+        let view = failing.view(e.time_s);
+        if view.fault_plan().expect("plan").sat_dead(from) {
+            forced += 1;
+            assert_eq!(e.transfer_latency_ms, None, "t={}", e.time_s);
+            assert!(
+                failing.fault_masked_server(&view, &users(), from),
+                "t={}",
+                e.time_s
+            );
+        }
+    }
+    assert!(forced > 0, "a held server must die under the session");
 }

@@ -79,7 +79,7 @@ impl AsciiMap {
     pub fn render(&self) -> String {
         let mut out = String::with_capacity((self.width + 3) * (self.height + 2));
         out.push('+');
-        out.extend(std::iter::repeat_n('-', self.width));
+        out.extend(std::iter::repeat('-').take(self.width));
         out.push_str("+\n");
         for r in 0..self.height {
             out.push('|');
@@ -87,7 +87,7 @@ impl AsciiMap {
             out.push_str("|\n");
         }
         out.push('+');
-        out.extend(std::iter::repeat_n('-', self.width));
+        out.extend(std::iter::repeat('-').take(self.width));
         out.push('+');
         out
     }

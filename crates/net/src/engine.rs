@@ -717,8 +717,10 @@ impl RoutingEngine {
         })
     }
 
-    /// Wires `grounds` in by brute-force scan over the snapshot — for
-    /// callers without an index (identical output; the index is exact).
+    /// Wires `grounds` in by brute-force scan over the snapshot: the
+    /// reference that tests and benches compare [`RoutingEngine::attach`]
+    /// against (identical output; the index is exact). No library code
+    /// calls it.
     pub fn attach_scan(
         &self,
         constellation: &Constellation,
@@ -732,8 +734,9 @@ impl RoutingEngine {
         })
     }
 
-    /// [`RoutingEngine::attach_scan`] under a fault plan (brute-force
-    /// mirror of [`RoutingEngine::attach_masked`]).
+    /// [`RoutingEngine::attach_scan`] under a fault plan: the brute-force
+    /// reference for [`RoutingEngine::attach_masked`], with no library
+    /// caller either.
     pub fn attach_scan_masked(
         &self,
         constellation: &Constellation,

@@ -1,7 +1,7 @@
 //! Satellite-major settled frontier: one arg-min pass per ground set
 //! per snapshot instead of one visibility scan per ground point.
 //!
-//! [`VisibilityIndex`](crate::index::VisibilityIndex) answers *"which
+//! [`VisibilityIndex`] answers *"which
 //! satellites can this point see?"* one point at a time, scanning the
 //! point's whole latitude window (hundreds of candidates at Starlink
 //! scale) per query. The serving layer asks the transposed question at
@@ -15,7 +15,7 @@
 //! The result is *bit-identical* to the per-point scans, by
 //! construction rather than by luck:
 //!
-//! - The candidate window ([`VisibilityIndex::shell_windows`]) and the
+//! - The candidate window (`VisibilityIndex::shell_windows`) and the
 //!   longitude wedge are conservative prunes — provable supersets of
 //!   every pair the per-point scan would accept (the wedge bound is
 //!   derived below; every cut carries an explicit epsilon margin).

@@ -71,9 +71,10 @@ pub fn visible_sats(
 
 /// [`visible_sats`] under a fault plan: satellites whose server is dead
 /// and links the plan's ground fade cannot close are filtered out. The
-/// brute-force mirror of
-/// [`VisibilityIndex::query_masked`](crate::index::VisibilityIndex::query_masked);
-/// identical to [`visible_sats`] when the plan is empty.
+/// brute-force reference that tests compare
+/// [`VisibilityIndex::query_masked`](crate::index::VisibilityIndex::query_masked)
+/// against; no library code calls it. Identical to [`visible_sats`] when
+/// the plan is empty.
 pub fn visible_sats_masked(
     constellation: &Constellation,
     snapshot: &Snapshot,

@@ -28,7 +28,7 @@ fn main() {
         // Elevations of all currently reachable satellites.
         let snap = service.snapshot(0.0);
         let elevations: Vec<Angle> = service
-            .reachable_servers_in(&snap, ground)
+            .reachable_servers(ground, 0.0)
             .iter()
             .map(|v| {
                 in_orbit::geo::LookAngles::compute(ground, ground_ecef, snap.position(v.id))
