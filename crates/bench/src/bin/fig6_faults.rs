@@ -11,10 +11,10 @@
 //! `cargo run -p leo-bench --release --bin fig6_faults` (add `--quick`).
 
 use leo_bench::cli::Run;
+use leo_bench::user_trios;
 use leo_constellation::presets;
 use leo_core::session::run_session;
 use leo_core::{Cdf, FailureModel, InOrbitService, Policy, SessionConfig};
-use leo_geo::Geodetic;
 use leo_net::routing::GroundEndpoint;
 use leo_net::weather::{LinkBudget, RainClimate};
 use leo_net::{FaultConfig, RainFade};
@@ -48,22 +48,6 @@ struct FaultCell {
     mean_group_rtt_ms: Option<f64>,
     served_ticks: usize,
     intervals_s: Vec<f64>,
-}
-
-/// Two of the Fig 6 user groups — the paper's West Africa trio and a
-/// South-East Asia trio, both sitting under climates where the tropical
-/// rain scenario is the physically interesting one.
-fn groups() -> Vec<Vec<GroundEndpoint>> {
-    let mk = |pts: &[(f64, f64)]| {
-        pts.iter()
-            .enumerate()
-            .map(|(i, &(lat, lon))| GroundEndpoint::new(i as u32, Geodetic::ground(lat, lon)))
-            .collect::<Vec<_>>()
-    };
-    vec![
-        mk(&[(9.06, 7.49), (3.87, 11.52), (6.52, 3.38)]),
-        mk(&[(1.35, 103.82), (3.139, 101.69), (-6.21, 106.85)]),
-    ]
 }
 
 fn climates(quick: bool) -> Vec<(&'static str, Option<RainClimate>)> {
@@ -117,6 +101,11 @@ fn main() {
         tick_s: if quick { 15.0 } else { 5.0 },
     };
     let policies = [Policy::MinMax, Policy::sticky_default()];
+    // Two of the Fig 6 trios, West Africa and South-East Asia: both sit
+    // under climates where the tropical rain scenario is the physically
+    // interesting one.
+    let trios = user_trios();
+    let groups: &[&[GroundEndpoint]] = &[&trios[0], &trios[2]];
 
     // One service per (rate, climate) cell: the fault scenario is baked
     // into the service so its snapshot cache holds the masked weights.
@@ -137,16 +126,16 @@ fn main() {
 
     // Fan every (scenario × policy × group) session across the pool;
     // sessions of one scenario share that scenario's snapshot cache.
-    let combos: Vec<(usize, Policy, Vec<GroundEndpoint>)> = (0..scenarios.len())
+    let combos: Vec<(usize, Policy, &[GroundEndpoint])> = (0..scenarios.len())
         .flat_map(|s| {
             policies
                 .iter()
-                .flat_map(move |&p| groups().into_iter().map(move |g| (s, p, g)))
+                .flat_map(move |&p| groups.iter().map(move |&g| (s, p, g)))
         })
         .collect();
     let sessions = run.phase("sessions", || {
-        parallel_map(combos.clone(), threads, |(s, policy, users)| {
-            run_session(&services[*s], users, *policy, &session_cfg)
+        parallel_map(combos.clone(), threads, |&(s, policy, users)| {
+            run_session(&services[s], users, policy, &session_cfg)
         })
     });
 
@@ -204,9 +193,9 @@ fn main() {
             .position(|&(r, n, _)| r == 0.0 && n == "clear")
             .expect("zero cell");
         for &policy in &policies {
-            for users in groups() {
-                let plain = run_session(&baseline, &users, policy, &session_cfg);
-                let faulted = run_session(&services[zero], &users, policy, &session_cfg);
+            for users in groups {
+                let plain = run_session(&baseline, users, policy, &session_cfg);
+                let faulted = run_session(&services[zero], users, policy, &session_cfg);
                 let a = serde_json::to_string(&plain).expect("serialize");
                 let b = serde_json::to_string(&faulted).expect("serialize");
                 assert_eq!(a, b, "empty FaultPlan diverged from the no-plan baseline");
@@ -219,7 +208,7 @@ fn main() {
         "# Fig 6 under faults: {} scenarios x {} policies, {} user groups, {:.0}-s ticks",
         scenarios.len(),
         policies.len(),
-        groups().len(),
+        groups.len(),
         session_cfg.tick_s
     );
     println!(

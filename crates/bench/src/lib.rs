@@ -1,9 +1,10 @@
 //! # leo-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper
-//! (`fig1` … `fig7`, `feasibility`), plus Criterion micro-benchmarks and
-//! ablation benches. See DESIGN.md §3 for the experiment index and
-//! EXPERIMENTS.md for paper-vs-measured results.
+//! (`fig1` … `fig6`, `feasibility`; `fig6` also writes Fig 7, whose
+//! latencies come from the same sessions), plus Criterion
+//! micro-benchmarks and ablation benches. See DESIGN.md §3 for the
+//! experiment index and EXPERIMENTS.md for paper-vs-measured results.
 //!
 //! Every binary prints gnuplot-ready columns to stdout and writes the
 //! same series as JSON under `results/`.
@@ -11,6 +12,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use leo_geo::Geodetic;
+use leo_net::routing::GroundEndpoint;
 use serde::Serialize;
 use std::path::Path;
 
@@ -42,16 +45,6 @@ pub fn write_json<T: Serialize>(dir: &Path, filename: &str, data: &T) {
     }
 }
 
-/// Returns true when the binary was invoked with `--quick`, or when the
-/// `LEO_QUICK` environment variable is set to anything but `0` or the
-/// empty string (coarser sampling for CI / smoke runs).
-pub fn quick_mode() -> bool {
-    if std::env::args().any(|a| a == "--quick") {
-        return true;
-    }
-    quick_mode_from(std::env::var("LEO_QUICK").ok().as_deref())
-}
-
 /// The `LEO_QUICK` decision as a pure function of the variable's value
 /// (`None` = unset): anything but `0` or the empty string enables quick
 /// mode. Split out so tests never have to mutate the process
@@ -60,9 +53,23 @@ pub fn quick_mode_from(value: Option<&str>) -> bool {
     matches!(value, Some(v) if !v.is_empty() && v != "0")
 }
 
-// The experiment binaries predate the sweep engine; keep the old
-// `leo_bench::parallel_map` path working.
-pub use leo_sim::parallel_map;
+/// The user trios of the Fig 6/7 sessions: the paper's West Africa
+/// group (Fig 3), then Southern South America, South-East Asia and
+/// Central Europe, so the CDFs aggregate diverse geometry.
+pub fn user_trios() -> Vec<Vec<GroundEndpoint>> {
+    let trio = |pts: [(f64, f64); 3]| {
+        pts.iter()
+            .enumerate()
+            .map(|(i, &(lat, lon))| GroundEndpoint::new(i as u32, Geodetic::ground(lat, lon)))
+            .collect()
+    };
+    vec![
+        trio([(9.06, 7.49), (3.87, 11.52), (6.52, 3.38)]),
+        trio([(-34.60, -58.38), (-33.45, -70.67), (-31.42, -64.18)]),
+        trio([(1.35, 103.82), (3.139, 101.69), (-6.21, 106.85)]),
+        trio([(47.38, 8.54), (48.86, 2.35), (52.52, 13.40)]),
+    ]
+}
 
 #[cfg(test)]
 mod tests {

@@ -27,8 +27,6 @@
 //!   replicate generic state ahead of the hand-off.
 //! * [`capacity`] — per-server slot budgets and latency-first admission
 //!   (§3.1's "one satellite may not offer a large amount of compute").
-//! * [`orchestrator`] — many concurrent groups sharing the finite
-//!   per-satellite capacity.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +35,6 @@ pub mod access;
 pub mod capacity;
 pub mod failover;
 pub mod meetup;
-pub mod orchestrator;
 pub mod replication;
 pub mod selection;
 pub mod service;

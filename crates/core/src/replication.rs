@@ -14,8 +14,9 @@
 //! over) and quantifies the payoff: at hand-off time only the small
 //! session state moves on the critical path.
 
-use crate::selection::{sticky_select, GroupDelays, Policy};
+use crate::selection::Policy;
 use crate::service::InOrbitService;
+use crate::session::{held_servers, SessionConfig};
 use leo_constellation::SatId;
 use leo_geo::consts::SPEED_OF_LIGHT_M_S;
 use leo_net::congestion::{
@@ -46,7 +47,13 @@ impl ServingInterval {
 /// Rolls the selection policy forward from `start_s` for `horizon_s`,
 /// sampling every `step_s`, and returns the predicted sequence of
 /// serving intervals. Gaps (no satellite serves the whole group) end the
-/// current interval; prediction resumes at the next served sample.
+/// current interval; prediction resumes at the next served sample. The
+/// servers are the ones [`run_session`](crate::session::run_session)
+/// hands off to on the same schedule; no state-transfer path is routed.
+///
+/// # Panics
+/// Panics unless the step is positive, the start finite, and the
+/// horizon finite and positive.
 pub fn predict_servers(
     service: &InOrbitService,
     users: &[GroundEndpoint],
@@ -55,43 +62,30 @@ pub fn predict_servers(
     horizon_s: f64,
     step_s: f64,
 ) -> Vec<ServingInterval> {
-    assert!(step_s > 0.0 && horizon_s > 0.0);
+    assert!(
+        horizon_s > 0.0,
+        "prediction horizon must be positive, got {horizon_s}"
+    );
+    let config = SessionConfig {
+        start_s,
+        duration_s: horizon_s,
+        tick_s: step_s,
+    };
     let mut intervals: Vec<ServingInterval> = Vec::new();
-    let mut current: Option<ServingInterval> = None;
-    let steps = (horizon_s / step_s).round() as usize;
-    for i in 0..=steps {
-        let t = start_s + i as f64 * step_s;
-        let delays = GroupDelays::direct(service, users, t);
-        let desired = match (policy, &current) {
-            (_, _) if delays.minmax().is_none() => None,
-            (Policy::MinMax, _) => delays.minmax().map(|(s, _)| s),
-            (Policy::Sticky(_), Some(cur)) if delays.delay_s(cur.server).is_finite() => {
-                Some(cur.server)
-            }
-            (Policy::Sticky(params), _) => sticky_select(service, users, t, &params)
-                .or_else(|| delays.minmax().map(|(s, _)| s)),
-        };
-        match (&mut current, desired) {
-            (Some(cur), Some(d)) if cur.server == d => cur.until_s = t + step_s,
-            (cur, Some(d)) => {
-                if let Some(done) = cur.take() {
-                    intervals.push(done);
-                }
-                *cur = Some(ServingInterval {
-                    server: d,
+    let mut prev: Option<SatId> = None;
+    for (t, held) in held_servers(service, users, policy, &config) {
+        let server = held.map(|(server, _)| server);
+        if let Some(server) = server {
+            match intervals.last_mut() {
+                Some(iv) if prev == Some(server) => iv.until_s = t + step_s,
+                _ => intervals.push(ServingInterval {
+                    server,
                     from_s: t,
                     until_s: t + step_s,
-                });
-            }
-            (cur, None) => {
-                if let Some(done) = cur.take() {
-                    intervals.push(done);
-                }
+                }),
             }
         }
-    }
-    if let Some(done) = current {
-        intervals.push(done);
+        prev = server;
     }
     intervals
 }
@@ -498,6 +492,15 @@ mod tests {
             st.len(),
             mm.len()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "session duration must be finite and non-negative")]
+    fn infinite_horizon_predictions_are_rejected() {
+        // `(INF / step).round() as usize` saturates to `usize::MAX`:
+        // unchecked, the prediction would run until the process is killed.
+        let s = service();
+        predict_servers(&s, &users(), Policy::MinMax, 0.0, f64::INFINITY, 15.0);
     }
 
     #[test]

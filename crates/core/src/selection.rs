@@ -183,6 +183,11 @@ impl Policy {
 /// next hand-off": once any user loses sight of the server, a hand-off
 /// is forced. Returns `lookahead_horizon_s` for candidates still
 /// servable at the horizon.
+///
+/// # Panics
+/// Panics unless the lookahead step is finite and positive and the
+/// horizon finite and non-negative: a zero step never advances, and a
+/// NaN horizon yields NaN lifetimes.
 pub fn candidate_lifetimes(
     service: &InOrbitService,
     users: &[GroundEndpoint],
@@ -190,6 +195,16 @@ pub fn candidate_lifetimes(
     candidates: &[SatId],
     params: &StickyParams,
 ) -> Vec<f64> {
+    assert!(
+        params.lookahead_step_s.is_finite() && params.lookahead_step_s > 0.0,
+        "lookahead step must be finite and positive, got {}",
+        params.lookahead_step_s
+    );
+    assert!(
+        params.lookahead_horizon_s.is_finite() && params.lookahead_horizon_s >= 0.0,
+        "lookahead horizon must be finite and non-negative, got {}",
+        params.lookahead_horizon_s
+    );
     let mut lifetimes = vec![params.lookahead_horizon_s; candidates.len()];
     let mut alive: Vec<bool> = vec![true; candidates.len()];
     let mut remaining = candidates.len();
@@ -253,12 +268,22 @@ pub fn rank_by_lifetime(
 ///    forced hand-off (loss of common visibility);
 /// 3. among those, pick the one whose hand-off to *its own* successor
 ///    (the MinMax pick at its death time) has the least latency.
+///
+/// # Panics
+/// Panics unless the latency slack is finite and non-negative (a NaN or
+/// negative slack would empty step 1 and silently degrade to MinMax),
+/// and on the lookahead parameters [`candidate_lifetimes`] rejects.
 pub fn sticky_select(
     service: &InOrbitService,
     users: &[GroundEndpoint],
     t0: f64,
     params: &StickyParams,
 ) -> Option<SatId> {
+    assert!(
+        params.latency_slack.is_finite() && params.latency_slack >= 0.0,
+        "latency slack must be finite and non-negative, got {}",
+        params.latency_slack
+    );
     let now = GroupDelays::direct(service, users, t0);
     let candidates = now.within_slack(params.latency_slack);
     if candidates.is_empty() {
@@ -403,6 +428,43 @@ mod tests {
         for lt in lifetimes {
             assert!((0.0..=240.0).contains(&lt));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "lookahead step must be finite and positive")]
+    fn zero_lookahead_step_is_rejected() {
+        // A zero step never advances the lookahead clock: the candidates,
+        // all visible at t0, would never die and the loop never end.
+        let service = InOrbitService::new(presets::starlink_550_only());
+        let params = StickyParams {
+            lookahead_step_s: 0.0,
+            ..StickyParams::default()
+        };
+        candidate_lifetimes(&service, &west_africa_users(), 0.0, &[SatId(0)], &params);
+    }
+
+    #[test]
+    #[should_panic(expected = "lookahead horizon must be finite and non-negative")]
+    fn nan_lookahead_horizon_is_rejected() {
+        let service = InOrbitService::new(presets::starlink_550_only());
+        let params = StickyParams {
+            lookahead_horizon_s: f64::NAN,
+            ..StickyParams::default()
+        };
+        candidate_lifetimes(&service, &west_africa_users(), 0.0, &[SatId(0)], &params);
+    }
+
+    #[test]
+    #[should_panic(expected = "latency slack must be finite and non-negative")]
+    fn nan_latency_slack_is_rejected() {
+        // NaN would empty step 1's candidate set, quietly turning Sticky
+        // into MinMax.
+        let service = InOrbitService::new(presets::starlink_550_only());
+        let params = StickyParams {
+            latency_slack: f64::NAN,
+            ..StickyParams::default()
+        };
+        sticky_select(&service, &west_africa_users(), 0.0, &params);
     }
 
     #[test]

@@ -111,6 +111,53 @@ impl SessionResult {
     }
 }
 
+/// The hold-or-reselect rule, one tick at a time. Yields each instant
+/// with the server held there and the group delays it was chosen on,
+/// or `None` on a tick where no satellite serves the whole group (the
+/// held server is dropped). [`run_session`] and
+/// [`crate::replication::predict_servers`] are folds over it.
+///
+/// # Panics
+/// Panics unless the tick is positive, the start finite, and the
+/// duration finite and non-negative.
+pub(crate) fn held_servers<'a>(
+    service: &'a InOrbitService,
+    users: &'a [GroundEndpoint],
+    policy: Policy,
+    config: &SessionConfig,
+) -> impl Iterator<Item = (f64, Option<(SatId, GroupDelays)>)> + 'a {
+    let SessionConfig {
+        start_s,
+        duration_s,
+        tick_s,
+    } = *config;
+    assert!(tick_s > 0.0, "tick must be positive");
+    assert!(
+        start_s.is_finite(),
+        "session start must be finite, got {start_s}"
+    );
+    assert!(
+        duration_s.is_finite() && duration_s >= 0.0,
+        "session duration must be finite and non-negative, got {duration_s}"
+    );
+    let ticks = (duration_s / tick_s).round() as usize;
+    let mut current: Option<SatId> = None;
+    (0..=ticks).map(move |i| {
+        let t = start_s + i as f64 * tick_s;
+        let delays = GroupDelays::direct(service, users, t);
+        current = match (delays.minmax(), policy, current) {
+            (None, _, _) => None,
+            (Some((optimal, _)), Policy::MinMax, _) => Some(optimal),
+            // Hold while the incumbent still serves the whole group.
+            (Some(_), Policy::Sticky(_), Some(cur)) if delays.delay_s(cur).is_finite() => Some(cur),
+            (Some((optimal, _)), Policy::Sticky(params), _) => {
+                Some(sticky_select(service, users, t, &params).unwrap_or(optimal))
+            }
+        };
+        (t, current.map(|server| (server, delays)))
+    })
+}
+
 /// Runs one session for `users` under `policy`, in the
 /// direct-visibility model of §3.2/§5 (every user talks to the meetup
 /// satellite directly; a hand-off is *forced* when any user loses sight
@@ -134,40 +181,15 @@ pub fn run_session(
     policy: Policy,
     config: &SessionConfig,
 ) -> SessionResult {
-    assert!(config.tick_s > 0.0, "tick must be positive");
-    assert!(
-        config.start_s.is_finite(),
-        "session start must be finite, got {}",
-        config.start_s
-    );
-    assert!(
-        config.duration_s.is_finite() && config.duration_s >= 0.0,
-        "session duration must be finite and non-negative, got {}",
-        config.duration_s
-    );
     let mut events = Vec::new();
     let mut rtt_samples = Vec::new();
     let mut current: Option<SatId> = None;
-
-    let ticks = (config.duration_s / config.tick_s).round() as usize;
-    for i in 0..=ticks {
-        let t = config.start_s + i as f64 * config.tick_s;
-        let delays = GroupDelays::direct(service, users, t);
-        let Some((optimal, _)) = delays.minmax() else {
+    for (t, held) in held_servers(service, users, policy, config) {
+        let Some((server, delays)) = held else {
             current = None;
             continue;
         };
-
-        let desired = match policy {
-            Policy::MinMax => optimal,
-            Policy::Sticky(params) => match current {
-                // Hold while the incumbent still serves the whole group.
-                Some(cur) if delays.delay_s(cur).is_finite() => cur,
-                _ => sticky_select(service, users, t, &params).unwrap_or(optimal),
-            },
-        };
-
-        if current != Some(desired) {
+        if current != Some(server) {
             let transfer_latency_ms = current.and_then(|old| {
                 let view = service.view(t);
                 // Attribute the hand-off to the fault layer when the old
@@ -178,19 +200,19 @@ pub fn run_session(
                     leo_obs::counter!("fault.handoffs").incr();
                 }
                 service
-                    .migration_delay_view(&view, users, old, desired)
+                    .migration_delay_view(&view, users, old, server)
                     .map(|d| d * 1e3)
             });
             events.push(HandoffEvent {
                 time_s: t,
                 from: current,
-                to: desired,
+                to: server,
                 transfer_latency_ms,
-                group_rtt_ms: delays.rtt_ms(desired),
+                group_rtt_ms: delays.rtt_ms(server),
             });
-            current = Some(desired);
+            current = Some(server);
         }
-        rtt_samples.push((t, delays.rtt_ms(desired)));
+        rtt_samples.push((t, delays.rtt_ms(server)));
     }
 
     SessionResult {

@@ -1,14 +1,12 @@
-//! Edge-case backfill for [`leo_core::capacity`] and
-//! [`leo_core::orchestrator`] — the entry points the `leo-edge`
-//! workload layer builds on. Zero-capacity servers, single-group
-//! fleets, and all-satellites-dead services were previously untested.
+//! Edge cases of [`leo_core::capacity`], the slot accounting the
+//! `leo-edge` workload layer builds on: zero-capacity servers, zero-slot
+//! and oversized requests, all-satellites-dead services, and the budget
+//! `try_reserve` and `place` share.
 
 use leo_constellation::{presets, SatId};
 use leo_core::capacity::{admit_batch, CapacityPool, PlacementOutcome, PlacementRequest};
-use leo_core::orchestrator::{orchestrate, GroupSpec, OrchestratorConfig};
 use leo_core::InOrbitService;
 use leo_geo::Geodetic;
-use leo_net::routing::GroundEndpoint;
 use leo_net::{FailureSchedule, FaultConfig};
 
 fn service() -> InOrbitService {
@@ -34,26 +32,6 @@ fn request(slots: u32) -> PlacementRequest {
     }
 }
 
-fn group(name: &str, slots: u32) -> GroupSpec {
-    GroupSpec {
-        name: name.into(),
-        users: vec![
-            GroundEndpoint::new(0, Geodetic::ground(10.0, 10.0)),
-            GroundEndpoint::new(1, Geodetic::ground(11.0, 12.0)),
-        ],
-        slots,
-    }
-}
-
-fn config(slots_per_server: u32) -> OrchestratorConfig {
-    OrchestratorConfig {
-        slots_per_server,
-        start_s: 0.0,
-        duration_s: 300.0,
-        tick_s: 60.0,
-    }
-}
-
 // ------------------------------------------------- zero-capacity servers
 
 #[test]
@@ -61,13 +39,6 @@ fn config(slots_per_server: u32) -> OrchestratorConfig {
 fn zero_capacity_pool_is_rejected_loudly() {
     let s = service();
     let _ = CapacityPool::new(&s, 0.0, 0);
-}
-
-#[test]
-#[should_panic(expected = "slots_per_server > 0")]
-fn zero_capacity_orchestrator_is_rejected_loudly() {
-    let s = service();
-    orchestrate(&s, &[group("g", 1)], &config(0));
 }
 
 #[test]
@@ -93,44 +64,6 @@ fn oversized_single_request_exhausts_without_placing() {
     assert_eq!(pool.used_slots(), 0, "failed placement holds nothing");
 }
 
-// ------------------------------------------------- single-function fleet
-
-#[test]
-fn single_group_single_tick_fleet_serves_and_releases_nothing_extra() {
-    let s = service();
-    let cfg = OrchestratorConfig {
-        slots_per_server: 1,
-        start_s: 0.0,
-        duration_s: 0.0, // a single tick
-        tick_s: 60.0,
-    };
-    let r = orchestrate(&s, &[group("solo", 1)], &cfg);
-    assert_eq!(r.groups.len(), 1);
-    assert_eq!(r.groups[0].served_ticks, 1);
-    assert_eq!(r.groups[0].blocked_ticks, 0);
-    assert_eq!(r.groups[0].handoffs, 0, "one tick cannot hand off");
-    assert_eq!(r.peak_slots_in_use, 1);
-    assert!(r.groups[0].mean_rtt_ms.is_finite());
-    assert_eq!(r.service_ratio(), 1.0);
-}
-
-#[test]
-fn single_group_needing_the_whole_server_still_places() {
-    let s = service();
-    let r = orchestrate(&s, &[group("greedy", 8)], &config(8));
-    assert_eq!(r.groups[0].blocked_ticks, 0);
-    assert_eq!(r.peak_slots_in_use, 8);
-}
-
-#[test]
-fn empty_group_list_is_a_clean_no_op() {
-    let s = service();
-    let r = orchestrate(&s, &[], &config(8));
-    assert!(r.groups.is_empty());
-    assert_eq!(r.peak_slots_in_use, 0);
-    assert_eq!(r.service_ratio(), 1.0);
-}
-
 // ------------------------------------------------- all satellites dead
 
 #[test]
@@ -145,18 +78,6 @@ fn dead_fleet_reports_no_server_in_range() {
 }
 
 #[test]
-fn dead_fleet_blocks_every_orchestrated_tick() {
-    let s = dead_service();
-    let r = orchestrate(&s, &[group("doomed", 1)], &config(8));
-    assert_eq!(r.groups[0].served_ticks, 0);
-    assert_eq!(r.groups[0].blocked_ticks, 6, "every tick coverage-blocked");
-    assert_eq!(r.groups[0].handoffs, 0);
-    assert!(r.groups[0].mean_rtt_ms.is_nan(), "never served → NaN RTT");
-    assert_eq!(r.peak_slots_in_use, 0);
-    assert_eq!(r.service_ratio(), 0.0);
-}
-
-#[test]
 fn dead_fleet_admits_no_batch() {
     let s = dead_service();
     let mut pool = CapacityPool::new(&s, 0.0, 8);
@@ -166,25 +87,6 @@ fn dead_fleet_admits_no_batch() {
         .iter()
         .all(|o| *o == PlacementOutcome::NoServerInRange));
     assert_eq!(fraction, 0.0);
-}
-
-#[test]
-fn fleet_that_dies_mid_run_hands_nothing_back() {
-    // All satellites die at t=150, halfway through a six-tick run: the
-    // group serves the first ticks, then blocks to the end, and its
-    // slots are released (peak stays at the live-phase level).
-    let constellation = presets::starlink_550_only();
-    let n = constellation.num_satellites();
-    let cfg = FaultConfig {
-        schedule: Some(FailureSchedule::from_death_times(vec![150.0; n])),
-        ..FaultConfig::none()
-    };
-    let s = InOrbitService::with_faults(constellation, cfg);
-    let r = orchestrate(&s, &[group("cutoff", 1)], &config(8));
-    assert_eq!(r.groups[0].served_ticks, 3, "t=0,60,120 served");
-    assert_eq!(r.groups[0].blocked_ticks, 3, "t=180,240,300 blocked");
-    assert!(r.groups[0].mean_rtt_ms.is_finite());
-    assert_eq!(r.peak_slots_in_use, 1);
 }
 
 // ------------------------------------------------- sticky reservations
