@@ -9,6 +9,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use leo_constellation::shell::ShellSpec;
 use leo_constellation::{presets, Constellation};
 use leo_geo::{Angle, Epoch, Geodetic};
+use leo_net::fault::FaultPlan;
 use leo_net::visibility::visible_sats;
 use leo_orbit::propagate::ForceModel;
 use leo_orbit::Propagator;
@@ -35,7 +36,7 @@ fn print_elevation_table() {
     for el in [25.0, 30.0, 35.0, 40.0] {
         let c = starlink_with_elevation(el);
         let snap = c.snapshot(0.0);
-        let vis = visible_sats(&c, &snap, g, ge);
+        let vis = visible_sats(&c, &snap, ge, &FaultPlan::empty());
         let near = vis.iter().map(|v| v.rtt_ms()).fold(f64::INFINITY, f64::min);
         let far = vis.iter().map(|v| v.rtt_ms()).fold(0.0, f64::max);
         println!(
@@ -77,7 +78,7 @@ fn bench_elevation(c: &mut Criterion) {
         let constellation = starlink_with_elevation(el);
         let snap = constellation.snapshot(0.0);
         group.bench_function(format!("mask_{el:.0}_deg"), |b| {
-            b.iter(|| black_box(visible_sats(&constellation, &snap, g, ge)))
+            b.iter(|| black_box(visible_sats(&constellation, &snap, ge, &FaultPlan::empty())))
         });
     }
     group.finish();

@@ -6,6 +6,7 @@ use leo_constellation::presets;
 use leo_constellation::SatId;
 use leo_geo::Geodetic;
 use leo_net::engine::{DijkstraArena, RoutingEngine};
+use leo_net::fault::FaultPlan;
 use leo_net::routing::{
     build_graph, delays_to_all_sats, ground_to_ground, sat_to_sat, GroundEndpoint,
 };
@@ -66,8 +67,8 @@ fn bench_engine_1584(c: &mut Criterion) {
     let single = [users[0]];
 
     let engine = RoutingEngine::compile(&constellation, &topo);
-    let mut weights = engine.refresh(&snap);
-    let links = engine.attach_scan(&constellation, &snap, &users);
+    let mut weights = engine.refresh(&snap, &FaultPlan::empty());
+    let links = engine.attach_scan(&constellation, &snap, &users, &FaultPlan::empty());
     let mut arena = DijkstraArena::new();
 
     let mut group = c.benchmark_group("routing_1584");
@@ -83,8 +84,8 @@ fn bench_engine_1584(c: &mut Criterion) {
     });
     group.bench_function("engine_bulk_delays", |bch| {
         bch.iter(|| {
-            engine.refresh_into(&snap, &mut weights);
-            let links = engine.attach_scan(&constellation, &snap, &single);
+            engine.refresh_into(&snap, &FaultPlan::empty(), &mut weights);
+            let links = engine.attach_scan(&constellation, &snap, &single, &FaultPlan::empty());
             black_box(engine.delays_from_all(&weights, &links, &mut arena))
         })
     });
@@ -101,14 +102,14 @@ fn bench_engine_1584(c: &mut Criterion) {
     });
     group.bench_function("engine_group_delays", |bch| {
         bch.iter(|| {
-            engine.refresh_into(&snap, &mut weights);
-            let links = engine.attach_scan(&constellation, &snap, &users);
+            engine.refresh_into(&snap, &FaultPlan::empty(), &mut weights);
+            let links = engine.attach_scan(&constellation, &snap, &users, &FaultPlan::empty());
             black_box(engine.delays_from_all(&weights, &links, &mut arena))
         })
     });
     group.bench_function("engine_refresh_only", |bch| {
         bch.iter(|| {
-            engine.refresh_into(&snap, &mut weights);
+            engine.refresh_into(&snap, &FaultPlan::empty(), &mut weights);
             black_box(weights.len())
         })
     });

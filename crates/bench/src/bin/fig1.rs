@@ -58,7 +58,11 @@ fn main() {
             .with_threads(threads)
             .run(lats.clone(), |&lat, views| {
                 let ge = Geodetic::ground(lat, 0.0).to_ecef_spherical();
-                AccessStats::from_visible_sets(views.iter().map(|(_, v)| v.index().query(ge)))
+                AccessStats::from_visible_sets(
+                    views
+                        .iter()
+                        .map(|(_, v)| v.index().query(ge, v.fault_plan())),
+                )
             })
     };
     let starlink_stats = run.phase("starlink_sweep", || sweep_stats(&starlink));

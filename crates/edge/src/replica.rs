@@ -9,9 +9,9 @@
 //! (`edge.replica_repairs`) — itself a cost the paper's idle-fleet
 //! pitch has to pay.
 //!
-//! Candidate lists arrive pre-masked from the engine (built on the
-//! `query_masked` routing path), so replicas route around faults
-//! exactly like the serving layer: a dead satellite simply never
+//! Candidate lists arrive pre-masked from the engine (the view's
+//! frontier pass applies its fault plan), so replicas route around
+//! faults exactly like the serving layer: a dead satellite simply never
 //! appears as a candidate, and with an empty fault plan the candidates
 //! — and therefore the replica sets — are byte-identical to a plain
 //! run.

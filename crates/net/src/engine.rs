@@ -39,7 +39,7 @@ use crate::fault::FaultPlan;
 use crate::index::VisibilityIndex;
 use crate::isl::{line_of_sight_clear, IslTopology};
 use crate::routing::GroundEndpoint;
-use crate::visibility::{visible_sats, visible_sats_masked};
+use crate::visibility::visible_sats;
 use leo_constellation::{Constellation, SatId, Snapshot};
 use leo_geo::consts::SPEED_OF_LIGHT_M_S;
 use std::cmp::Reverse;
@@ -493,29 +493,40 @@ impl RoutingEngine {
         self.edge_ends.len()
     }
 
-    /// Edge weights at `snapshot`, freshly allocated. Prefer
+    /// Edge weights at `snapshot` under `plan`, freshly allocated. Prefer
     /// [`RoutingEngine::refresh_into`] when a buffer can be reused.
-    pub fn refresh(&self, snapshot: &Snapshot) -> IslWeights {
+    pub fn refresh(&self, snapshot: &Snapshot, plan: &FaultPlan) -> IslWeights {
         let mut w = IslWeights::default();
-        self.refresh_into(snapshot, &mut w);
+        self.refresh_into(snapshot, plan, &mut w);
         w
     }
 
-    /// Rewrites `weights` in place for `snapshot`: one-way delay per
-    /// edge, `INFINITY` where the straight line dips into the atmosphere.
-    /// This replaces the allocating `IslTopology::active_edges` path.
-    pub fn refresh_into(&self, snapshot: &Snapshot, weights: &mut IslWeights) {
+    /// Rewrites `weights` in place for `snapshot` under `plan`: one-way
+    /// delay per edge, `INFINITY` where the straight line dips into the
+    /// atmosphere or where the plan masks the edge (a dead endpoint or a
+    /// cut link), so no search can relax through it. Under a non-empty
+    /// plan, masked edges that would otherwise be up are tallied in the
+    /// `fault.masked_isl_edges` counter.
+    pub fn refresh_into(&self, snapshot: &Snapshot, plan: &FaultPlan, weights: &mut IslWeights) {
         let _span = leo_obs::span!("engine.refresh_s");
-        weights.delays.resize(self.edge_ends.len(), f64::INFINITY);
+        let plan_empty = plan.is_empty();
+        let n_edges = self.edge_ends.len();
+        // Fingerprint the inputs so a later refresh_delta can skip edges
+        // whose endpoints provably didn't move and whose mask held.
+        let inputs = weights.inputs.get_or_insert_with(RefreshInputs::default);
+        inputs.record_positions(snapshot);
+        inputs.masked.clear();
+        inputs.masked.resize(n_edges, false);
+        weights.delays.resize(n_edges, f64::INFINITY);
         let mut min_finite = f64::INFINITY;
+        let mut masked = 0u64;
         for (e, &(a, b)) in self.edge_ends.iter().enumerate() {
-            let pa = snapshot.position(SatId(a));
-            let pb = snapshot.position(SatId(b));
-            let w = if line_of_sight_clear(pa, pb, self.grazing_altitude_m) {
-                pa.distance_m(pb) / SPEED_OF_LIGHT_M_S
-            } else {
-                f64::INFINITY
-            };
+            let mut w = self.edge_weight(snapshot, a, b);
+            if !plan_empty && plan.isl_edge_masked(SatId(a), SatId(b)) {
+                inputs.masked[e] = true;
+                masked += u64::from(w.is_finite());
+                w = f64::INFINITY;
+            }
             weights.delays[e] = w;
             min_finite = min_finite.min(w);
         }
@@ -526,69 +537,38 @@ impl RoutingEngine {
         for (slot, &e) in self.edge_of_slot.iter().enumerate() {
             weights.slots[slot] = weights.delays[e as usize];
         }
-        // Fingerprint the inputs so a later refresh_delta can skip edges
-        // whose endpoints provably didn't move.
-        let inputs = weights.inputs.get_or_insert_with(RefreshInputs::default);
-        inputs.record_positions(snapshot);
-        inputs.masked.clear();
-        inputs.masked.resize(self.edge_ends.len(), false);
+        if !plan_empty {
+            leo_obs::counter!("fault.masked_isl_edges").add(masked);
+        }
     }
 
-    /// [`RoutingEngine::refresh_into`] under a fault plan: after the
-    /// geometric refresh, every masked edge — a dead endpoint or a cut
-    /// link — is forced to `INFINITY`, so no search can relax through
-    /// it. With an empty plan this *is* `refresh_into`, bit for bit.
-    pub fn refresh_into_masked(
-        &self,
-        snapshot: &Snapshot,
-        plan: &FaultPlan,
-        weights: &mut IslWeights,
-    ) {
-        self.refresh_into(snapshot, weights);
-        if plan.is_empty() {
-            return;
+    /// The unmasked weight of edge `a`–`b` at `snapshot`: one-way delay,
+    /// or `INFINITY` when the line of sight is Earth-occluded. Full and
+    /// delta refreshes share it, so a recomputed weight lands on the bits
+    /// a full refresh produces.
+    #[inline]
+    fn edge_weight(&self, snapshot: &Snapshot, a: u32, b: u32) -> f64 {
+        let pa = snapshot.position(SatId(a));
+        let pb = snapshot.position(SatId(b));
+        if line_of_sight_clear(pa, pb, self.grazing_altitude_m) {
+            pa.distance_m(pb) / SPEED_OF_LIGHT_M_S
+        } else {
+            f64::INFINITY
         }
-        let mut inputs = weights.inputs.take().unwrap_or_default();
-        let mut masked = 0u64;
-        let mut min_finite = f64::INFINITY;
-        for (e, &(a, b)) in self.edge_ends.iter().enumerate() {
-            if plan.isl_edge_masked(SatId(a), SatId(b)) {
-                inputs.masked[e] = true;
-                if weights.delays[e].is_finite() {
-                    masked += 1;
-                }
-                weights.delays[e] = f64::INFINITY;
-            } else {
-                min_finite = min_finite.min(weights.delays[e]);
-            }
-        }
-        weights.inputs = Some(inputs);
-        weights.min_finite = min_finite;
-        for (slot, &e) in self.edge_of_slot.iter().enumerate() {
-            weights.slots[slot] = weights.delays[e as usize];
-        }
-        leo_obs::counter!("fault.masked_isl_edges").add(masked);
     }
 
     /// Incremental [`RoutingEngine::refresh_into`]: recomputes only the
-    /// edges whose endpoint positions changed since the weights were last
-    /// refreshed, producing **bit-for-bit** the output a full refresh
-    /// would (`IslWeights::bits_eq` — property-tested in
-    /// `tests/delta_refresh.rs`). "Changed" is decided on exact position
-    /// bit patterns recorded by the previous refresh, so a skipped edge
-    /// is provably identical, never approximately so. A cold or
-    /// mismatched buffer falls back to a full refresh and reports
-    /// `full_rebuild`.
-    pub fn refresh_delta(&self, snapshot: &Snapshot, weights: &mut IslWeights) -> DeltaStats {
-        self.refresh_delta_masked(snapshot, &FaultPlan::empty(), weights)
-    }
-
-    /// [`RoutingEngine::refresh_delta`] under a fault plan: an edge is
-    /// also recomputed when its mask status flipped since the last
-    /// refresh, which makes plan-only transitions (the same instant, a
-    /// new outage) touch exactly the affected edges. Bit-identical to
-    /// [`RoutingEngine::refresh_into_masked`] from any starting state.
-    pub fn refresh_delta_masked(
+    /// edges whose endpoint positions changed, or whose mask status under
+    /// `plan` flipped, since the weights were last refreshed. The output
+    /// is **bit-for-bit** what a full refresh would produce
+    /// (`IslWeights::bits_eq` — property-tested in
+    /// `tests/delta_refresh.rs`), from any starting state. "Changed" is
+    /// decided on exact position bit patterns recorded by the previous
+    /// refresh, so a skipped edge is provably identical, never
+    /// approximately so; plan-only transitions (the same instant, a new
+    /// outage) touch exactly the affected edges. A cold or mismatched
+    /// buffer falls back to a full refresh and reports `full_rebuild`.
+    pub fn refresh_delta(
         &self,
         snapshot: &Snapshot,
         plan: &FaultPlan,
@@ -604,7 +584,7 @@ impl RoutingEngine {
                 .as_ref()
                 .is_some_and(|c| c.sat_bits.len() == self.num_sats && c.masked.len() == n_edges);
         if !usable {
-            self.refresh_into_masked(snapshot, plan, weights);
+            self.refresh_into(snapshot, plan, weights);
             let stats = DeltaStats {
                 edges: n_edges,
                 recomputed: n_edges,
@@ -635,18 +615,10 @@ impl RoutingEngine {
             }
             recomputed += 1;
             inputs.masked[e] = now_masked;
-            // The same expressions as the full refresh, so a recomputed
-            // weight lands on the same bits the full path would produce.
             let w = if now_masked {
                 f64::INFINITY
             } else {
-                let pa = snapshot.position(SatId(a));
-                let pb = snapshot.position(SatId(b));
-                if line_of_sight_clear(pa, pb, self.grazing_altitude_m) {
-                    pa.distance_m(pb) / SPEED_OF_LIGHT_M_S
-                } else {
-                    f64::INFINITY
-                }
+                self.edge_weight(snapshot, a, b)
             };
             if w.to_bits() != weights.delays[e].to_bits() {
                 changed += 1;
@@ -691,64 +663,34 @@ impl RoutingEngine {
 
     /// Wires `grounds` into the node space through a prebuilt
     /// [`VisibilityIndex`] — the hot path: every [`SnapshotView`] already
-    /// carries one.
+    /// carries one. Dead satellites and access links the plan's ground
+    /// fade cannot close contribute no up/down links.
     ///
     /// [`SnapshotView`]: https://docs.rs/leo-core
-    pub fn attach(&self, index: &VisibilityIndex, grounds: &[GroundEndpoint]) -> GroundLinks {
-        self.attach_from(grounds, |gp, out| {
-            index.for_each_visible(gp.ecef, |v| out.push((v.id.0, v.range_m)));
-        })
-    }
-
-    /// [`RoutingEngine::attach`] under a fault plan: dead satellites and
-    /// rain-faded access links contribute no up/down links. Delegates to
-    /// the unmasked path when the plan is empty.
-    pub fn attach_masked(
+    pub fn attach(
         &self,
         index: &VisibilityIndex,
         grounds: &[GroundEndpoint],
         plan: &FaultPlan,
     ) -> GroundLinks {
-        if plan.is_empty() {
-            return self.attach(index, grounds);
-        }
         self.attach_from(grounds, |gp, out| {
-            index.for_each_visible_masked(gp.ecef, plan, |v| out.push((v.id.0, v.range_m)));
+            index.for_each_visible(gp.ecef, plan, |v| out.push((v.id.0, v.range_m)));
         })
     }
 
     /// Wires `grounds` in by brute-force scan over the snapshot: the
     /// reference that tests and benches compare [`RoutingEngine::attach`]
-    /// against (identical output; the index is exact). No library code
+    /// against (the same links; the index is exact). No library code
     /// calls it.
     pub fn attach_scan(
         &self,
         constellation: &Constellation,
         snapshot: &Snapshot,
         grounds: &[GroundEndpoint],
-    ) -> GroundLinks {
-        self.attach_from(grounds, |gp, out| {
-            for v in visible_sats(constellation, snapshot, gp.geodetic, gp.ecef) {
-                out.push((v.id.0, v.range_m));
-            }
-        })
-    }
-
-    /// [`RoutingEngine::attach_scan`] under a fault plan: the brute-force
-    /// reference for [`RoutingEngine::attach_masked`], with no library
-    /// caller either.
-    pub fn attach_scan_masked(
-        &self,
-        constellation: &Constellation,
-        snapshot: &Snapshot,
-        grounds: &[GroundEndpoint],
         plan: &FaultPlan,
     ) -> GroundLinks {
-        if plan.is_empty() {
-            return self.attach_scan(constellation, snapshot, grounds);
-        }
         self.attach_from(grounds, |gp, out| {
-            for v in visible_sats_masked(constellation, snapshot, gp.geodetic, gp.ecef, plan) {
+            for v in visible_sats(constellation, snapshot, gp.ecef, plan) {
                 out.push((v.id.0, v.range_m));
             }
         })
@@ -1377,7 +1319,7 @@ mod tests {
     fn refresh_matches_active_edges() {
         let (c, topo, engine) = setup();
         let snap = c.snapshot(450.0);
-        let weights = engine.refresh(&snap);
+        let weights = engine.refresh(&snap, &FaultPlan::empty());
         let active = topo.active_edges(&snap);
         assert_eq!(weights.active_edges(), active.len());
         // Weights are the same delays active_edges would produce.
@@ -1396,9 +1338,9 @@ mod tests {
     #[test]
     fn refresh_into_reuses_the_buffer() {
         let (c, _, engine) = setup();
-        let mut w = engine.refresh(&c.snapshot(0.0));
+        let mut w = engine.refresh(&c.snapshot(0.0), &FaultPlan::empty());
         let before = w.len();
-        engine.refresh_into(&c.snapshot(60.0), &mut w);
+        engine.refresh_into(&c.snapshot(60.0), &FaultPlan::empty(), &mut w);
         assert_eq!(w.len(), before);
         assert_eq!(w.active_edges(), before, "+Grid links stay visible");
     }
@@ -1407,7 +1349,7 @@ mod tests {
     fn engine_sat_to_sat_matches_graph_dijkstra() {
         let (c, topo, engine) = setup();
         let snap = c.snapshot(0.0);
-        let weights = engine.refresh(&snap);
+        let weights = engine.refresh(&snap, &FaultPlan::empty());
         let graph = build_graph(&c, &topo, &snap, &[]);
         let mut arena = DijkstraArena::new();
         for (a, b) in [(0u32, 792u32), (3, 3), (100, 1500), (5, 6)] {
@@ -1422,7 +1364,7 @@ mod tests {
         // Interleaving path and delay queries must not leak predecessor
         // or distance state between them.
         let (c, _, engine) = setup();
-        let weights = engine.refresh(&c.snapshot(60.0));
+        let weights = engine.refresh(&c.snapshot(60.0), &FaultPlan::empty());
         let mut arena = DijkstraArena::new();
         let first = engine.sat_to_sat_path(&weights, SatId(10), SatId(900), &mut arena);
         let d = engine.sat_to_sat_delay(&weights, None, SatId(900), SatId(11), &mut arena);
@@ -1445,8 +1387,8 @@ mod tests {
         let (c, topo, engine) = setup();
         let snap = c.snapshot(120.0);
         let grounds = [endpoint(0, 9.06, 7.49), endpoint(1, -33.87, 151.21)];
-        let weights = engine.refresh(&snap);
-        let links = engine.attach_scan(&c, &snap, &grounds);
+        let weights = engine.refresh(&snap, &FaultPlan::empty());
+        let links = engine.attach_scan(&c, &snap, &grounds, &FaultPlan::empty());
         let mut arena = DijkstraArena::new();
         let fast = engine.delays_from_all(&weights, &links, &mut arena);
         let graph = build_graph(&c, &topo, &snap, &grounds);
@@ -1463,8 +1405,8 @@ mod tests {
         let a = endpoint(0, 51.51, -0.13);
         let b = endpoint(1, 40.71, -74.01);
         let grounds = [a, b];
-        let weights = engine.refresh(&snap);
-        let links = engine.attach_scan(&c, &snap, &grounds);
+        let weights = engine.refresh(&snap, &FaultPlan::empty());
+        let links = engine.attach_scan(&c, &snap, &grounds, &FaultPlan::empty());
         let mut arena = DijkstraArena::new();
         let fast = engine
             .ground_to_ground_delay(&weights, &links, 0, 1, &mut arena)
@@ -1480,10 +1422,10 @@ mod tests {
         let snap = c.snapshot(300.0);
         let index = VisibilityIndex::build(&c, &snap);
         let grounds = [endpoint(0, 0.0, 0.0), endpoint(1, 47.38, 8.54)];
-        let by_index = engine.attach(&index, &grounds);
-        let by_scan = engine.attach_scan(&c, &snap, &grounds);
+        let by_index = engine.attach(&index, &grounds, &FaultPlan::empty());
+        let by_scan = engine.attach_scan(&c, &snap, &grounds, &FaultPlan::empty());
         let mut arena = DijkstraArena::new();
-        let weights = engine.refresh(&snap);
+        let weights = engine.refresh(&snap, &FaultPlan::empty());
         assert_eq!(
             engine.delays_from_all(&weights, &by_index, &mut arena),
             engine.delays_from_all(&weights, &by_scan, &mut arena),
@@ -1497,8 +1439,8 @@ mod tests {
         let small_topo = IslTopology::plus_grid(&small);
         let small_engine = RoutingEngine::compile(&small, &small_topo);
         let mut arena = DijkstraArena::new();
-        let w_big = engine.refresh(&c.snapshot(0.0));
-        let w_small = small_engine.refresh(&small.snapshot(0.0));
+        let w_big = engine.refresh(&c.snapshot(0.0), &FaultPlan::empty());
+        let w_small = small_engine.refresh(&small.snapshot(0.0), &FaultPlan::empty());
         let d1 = engine.sat_to_sat_delay(&w_big, None, SatId(0), SatId(700), &mut arena);
         let d2 = small_engine.sat_to_sat_delay(&w_small, None, SatId(0), SatId(50), &mut arena);
         let d3 = engine.sat_to_sat_delay(&w_big, None, SatId(0), SatId(700), &mut arena);
@@ -1514,7 +1456,7 @@ mod tests {
         let topo = IslTopology::none(&c);
         let engine = RoutingEngine::compile(&c, &topo);
         let snap = c.snapshot(0.0);
-        let weights = engine.refresh(&snap);
+        let weights = engine.refresh(&snap, &FaultPlan::empty());
         let mut arena = DijkstraArena::new();
         assert_eq!(
             engine.sat_to_sat_delay(&weights, None, SatId(0), SatId(1), &mut arena),
@@ -1523,8 +1465,8 @@ mod tests {
         // With a ground endpoint attached, two satellites it sees become
         // mutually reachable through the bounce.
         let g = endpoint(0, 0.0, 0.0);
-        let links = engine.attach_scan(&c, &snap, &[g]);
-        let vis = visible_sats(&c, &snap, g.geodetic, g.ecef);
+        let links = engine.attach_scan(&c, &snap, &[g], &FaultPlan::empty());
+        let vis = visible_sats(&c, &snap, g.ecef, &FaultPlan::empty());
         assert!(vis.len() >= 2);
         let d = engine.sat_to_sat_delay(&weights, Some(&links), vis[0].id, vis[1].id, &mut arena);
         assert_eq!(
@@ -1537,27 +1479,11 @@ mod tests {
     #[test]
     fn self_delay_is_zero() {
         let (c, _, engine) = setup();
-        let weights = engine.refresh(&c.snapshot(0.0));
+        let weights = engine.refresh(&c.snapshot(0.0), &FaultPlan::empty());
         let mut arena = DijkstraArena::new();
         assert_eq!(
             engine.sat_to_sat_delay(&weights, None, SatId(9), SatId(9), &mut arena),
             Some(0.0)
-        );
-    }
-
-    #[test]
-    fn empty_plan_refresh_is_bit_identical() {
-        let (c, _, engine) = setup();
-        let snap = c.snapshot(450.0);
-        let plain = engine.refresh(&snap);
-        let mut masked = IslWeights::default();
-        engine.refresh_into_masked(&snap, &FaultPlan::empty(), &mut masked);
-        assert_eq!(plain.delays, masked.delays);
-        assert_eq!(plain.slots, masked.slots);
-        assert_eq!(
-            plain.min_finite.to_bits(),
-            masked.min_finite.to_bits(),
-            "min_finite must match bitwise"
         );
     }
 
@@ -1568,13 +1494,13 @@ mod tests {
         let mut plan = FaultPlan::empty();
         plan.kill(SatId(100));
         let mut w = IslWeights::default();
-        engine.refresh_into_masked(&snap, &plan, &mut w);
+        engine.refresh_into(&snap, &plan, &mut w);
         for (e, &(a, b)) in engine.edge_ends.iter().enumerate() {
             if a == 100 || b == 100 {
                 assert!(w.delay_s(e).is_infinite(), "edge {a}-{b} must be masked");
             }
         }
-        let plain = engine.refresh(&snap);
+        let plain = engine.refresh(&snap, &FaultPlan::empty());
         assert_eq!(plain.active_edges(), w.active_edges() + 4, "+Grid degree 4");
     }
 
@@ -1582,12 +1508,12 @@ mod tests {
     fn cut_link_masks_exactly_that_edge() {
         let (c, _, engine) = setup();
         let snap = c.snapshot(0.0);
-        let plain = engine.refresh(&snap);
+        let plain = engine.refresh(&snap, &FaultPlan::empty());
         let (a, b) = engine.edge_ends[0];
         let mut plan = FaultPlan::empty();
         plan.cut_link(SatId(a), SatId(b));
         let mut w = IslWeights::default();
-        engine.refresh_into_masked(&snap, &plan, &mut w);
+        engine.refresh_into(&snap, &plan, &mut w);
         assert!(w.delay_s(0).is_infinite());
         for e in 1..engine.num_edges() {
             assert_eq!(w.delay_s(e), plain.delay_s(e), "edge {e} untouched");
@@ -1600,11 +1526,11 @@ mod tests {
         let snap = c.snapshot(0.0);
         let dead = SatId(50);
         let (a, b) = (SatId(49), SatId(51));
-        let plain = engine.refresh(&snap);
+        let plain = engine.refresh(&snap, &FaultPlan::empty());
         let mut plan = FaultPlan::empty();
         plan.kill(dead);
         let mut w = IslWeights::default();
-        engine.refresh_into_masked(&snap, &plan, &mut w);
+        engine.refresh_into(&snap, &plan, &mut w);
         let mut arena = DijkstraArena::new();
         // The dead satellite has no usable edge left, so it is simply
         // unreachable over the masked mesh.
@@ -1624,19 +1550,19 @@ mod tests {
         let snap = c.snapshot(300.0);
         let index = VisibilityIndex::build(&c, &snap);
         let g = endpoint(0, 0.0, 0.0);
-        let plain = engine.attach(&index, &[g]);
+        let plain = engine.attach(&index, &[g], &FaultPlan::empty());
         let visible = plain.up_of(0).to_vec();
         assert!(visible.len() >= 2);
         let dead = SatId(visible[0].0);
         let mut plan = FaultPlan::empty();
         plan.kill(dead);
-        let masked = engine.attach_masked(&index, &[g], &plan);
+        let masked = engine.attach(&index, &[g], &plan);
         let kept: Vec<(u32, f64)> = masked.up_of(0).to_vec();
         assert_eq!(kept.len(), visible.len() - 1);
         assert!(kept.iter().all(|&(s, _)| s != dead.0));
         // Scan mirror agrees as a set (the index emits band order, the
         // scan emits id order — same links either way).
-        let scanned = engine.attach_scan_masked(&c, &snap, &[g], &plan);
+        let scanned = engine.attach_scan(&c, &snap, &[g], &plan);
         let sort = |links: &GroundLinks| {
             let mut v = links.up_of(0).to_vec();
             v.sort_by_key(|a| a.0);
@@ -1648,7 +1574,7 @@ mod tests {
     #[test]
     fn thread_arena_round_trips() {
         let (c, _, engine) = setup();
-        let weights = engine.refresh(&c.snapshot(0.0));
+        let weights = engine.refresh(&c.snapshot(0.0), &FaultPlan::empty());
         let a = with_thread_arena(|arena| {
             engine.sat_to_sat_delay(&weights, None, SatId(0), SatId(100), arena)
         });
@@ -1661,11 +1587,11 @@ mod tests {
     #[test]
     fn delta_refresh_matches_full_refresh_across_instants() {
         let (c, _, engine) = setup();
-        let mut delta = engine.refresh(&c.snapshot(0.0));
+        let mut delta = engine.refresh(&c.snapshot(0.0), &FaultPlan::empty());
         for t in [60.0, 120.0, 180.0] {
-            let stats = engine.refresh_delta(&c.snapshot(t), &mut delta);
+            let stats = engine.refresh_delta(&c.snapshot(t), &FaultPlan::empty(), &mut delta);
             assert!(!stats.full_rebuild, "warm buffer must stay incremental");
-            let full = engine.refresh(&c.snapshot(t));
+            let full = engine.refresh(&c.snapshot(t), &FaultPlan::empty());
             assert!(delta.bits_eq(&full), "t={t}");
         }
     }
@@ -1674,12 +1600,12 @@ mod tests {
     fn delta_refresh_skips_everything_on_a_repeated_snapshot() {
         let (c, _, engine) = setup();
         let snap = c.snapshot(300.0);
-        let mut w = engine.refresh(&snap);
-        let stats = engine.refresh_delta(&snap, &mut w);
+        let mut w = engine.refresh(&snap, &FaultPlan::empty());
+        let stats = engine.refresh_delta(&snap, &FaultPlan::empty(), &mut w);
         assert_eq!(stats.recomputed, 0, "no position bit changed");
         assert_eq!(stats.changed, 0);
         assert_eq!(stats.skipped(), engine.num_edges());
-        assert!(w.bits_eq(&engine.refresh(&snap)));
+        assert!(w.bits_eq(&engine.refresh(&snap, &FaultPlan::empty())));
     }
 
     #[test]
@@ -1687,30 +1613,30 @@ mod tests {
         let (c, _, engine) = setup();
         let snap = c.snapshot(0.0);
         let mut cold = IslWeights::default();
-        let stats = engine.refresh_delta(&snap, &mut cold);
+        let stats = engine.refresh_delta(&snap, &FaultPlan::empty(), &mut cold);
         assert!(stats.full_rebuild);
-        assert!(cold.bits_eq(&engine.refresh(&snap)));
+        assert!(cold.bits_eq(&engine.refresh(&snap, &FaultPlan::empty())));
     }
 
     #[test]
     fn plan_only_delta_touches_exactly_the_masked_edges() {
         let (c, _, engine) = setup();
         let snap = c.snapshot(0.0);
-        let mut w = engine.refresh(&snap);
+        let mut w = engine.refresh(&snap, &FaultPlan::empty());
         let mut plan = FaultPlan::empty();
         plan.kill(SatId(100));
         // Same instant, new outage: only the dead satellite's +Grid edges
         // flip mask status, so only those are recomputed.
-        let stats = engine.refresh_delta_masked(&snap, &plan, &mut w);
+        let stats = engine.refresh_delta(&snap, &plan, &mut w);
         assert_eq!(stats.recomputed, 4, "+Grid degree 4");
         assert_eq!(stats.changed, 4);
         let mut full = IslWeights::default();
-        engine.refresh_into_masked(&snap, &plan, &mut full);
+        engine.refresh_into(&snap, &plan, &mut full);
         assert!(w.bits_eq(&full));
         // Lifting the outage again recomputes the same four edges back.
-        let back = engine.refresh_delta(&snap, &mut w);
+        let back = engine.refresh_delta(&snap, &FaultPlan::empty(), &mut w);
         assert_eq!(back.recomputed, 4);
-        assert!(w.bits_eq(&engine.refresh(&snap)));
+        assert!(w.bits_eq(&engine.refresh(&snap, &FaultPlan::empty())));
     }
 
     #[test]
@@ -1720,24 +1646,24 @@ mod tests {
         plan.kill(SatId(7));
         plan.cut_link(SatId(200), SatId(201));
         let mut w = IslWeights::default();
-        engine.refresh_into_masked(&c.snapshot(0.0), &plan, &mut w);
+        engine.refresh_into(&c.snapshot(0.0), &plan, &mut w);
         // Advance under the same plan, then drop it — both transitions
         // must land bit-for-bit on the full-refresh result.
-        engine.refresh_delta_masked(&c.snapshot(60.0), &plan, &mut w);
+        engine.refresh_delta(&c.snapshot(60.0), &plan, &mut w);
         let mut full = IslWeights::default();
-        engine.refresh_into_masked(&c.snapshot(60.0), &plan, &mut full);
+        engine.refresh_into(&c.snapshot(60.0), &plan, &mut full);
         assert!(w.bits_eq(&full));
-        engine.refresh_delta(&c.snapshot(60.0), &mut w);
-        assert!(w.bits_eq(&engine.refresh(&c.snapshot(60.0))));
+        engine.refresh_delta(&c.snapshot(60.0), &FaultPlan::empty(), &mut w);
+        assert!(w.bits_eq(&engine.refresh(&c.snapshot(60.0), &FaultPlan::empty())));
     }
 
     #[test]
     fn multi_source_equals_elementwise_min_of_single_sources() {
         let (c, _, engine) = setup();
         let snap = c.snapshot(120.0);
-        let weights = engine.refresh(&snap);
+        let weights = engine.refresh(&snap, &FaultPlan::empty());
         let grounds = [endpoint(0, 9.06, 7.49), endpoint(1, -33.87, 151.21)];
-        let links = engine.attach_scan(&c, &snap, &grounds);
+        let links = engine.attach_scan(&c, &snap, &grounds, &FaultPlan::empty());
         let mut arena = DijkstraArena::new();
         let sources = [SatId(3), SatId(700), SatId(1400)];
         let mut batched = Vec::new();
@@ -1774,9 +1700,9 @@ mod tests {
         // minimum over its own up-links — one hop beats any detour.
         let (c, _, engine) = setup();
         let snap = c.snapshot(0.0);
-        let weights = engine.refresh(&snap);
+        let weights = engine.refresh(&snap, &FaultPlan::empty());
         let grounds = [endpoint(0, 0.0, 0.0), endpoint(1, 47.38, 8.54)];
-        let links = engine.attach_scan(&c, &snap, &grounds);
+        let links = engine.attach_scan(&c, &snap, &grounds, &FaultPlan::empty());
         let all: Vec<SatId> = (0..engine.num_sats() as u32).map(SatId).collect();
         let mut out = Vec::new();
         let mut arena = DijkstraArena::new();
@@ -1795,8 +1721,8 @@ mod tests {
     fn multi_source_with_no_sources_reaches_nothing() {
         let (c, _, engine) = setup();
         let snap = c.snapshot(0.0);
-        let weights = engine.refresh(&snap);
-        let links = engine.attach_scan(&c, &snap, &[endpoint(0, 0.0, 0.0)]);
+        let weights = engine.refresh(&snap, &FaultPlan::empty());
+        let links = engine.attach_scan(&c, &snap, &[endpoint(0, 0.0, 0.0)], &FaultPlan::empty());
         let mut out = Vec::new();
         let mut arena = DijkstraArena::new();
         engine.multi_source_ground_delays_into(&weights, &links, &[], &mut out, &mut arena);
@@ -1807,13 +1733,13 @@ mod tests {
     fn argmin_frontier_delays_match_plain_multi_source() {
         let (c, _, engine) = setup();
         let snap = c.snapshot(240.0);
-        let weights = engine.refresh(&snap);
+        let weights = engine.refresh(&snap, &FaultPlan::empty());
         let grounds = [
             endpoint(0, 9.06, 7.49),
             endpoint(1, -33.87, 151.21),
             endpoint(2, 51.5, -0.1),
         ];
-        let links = engine.attach_scan(&c, &snap, &grounds);
+        let links = engine.attach_scan(&c, &snap, &grounds, &FaultPlan::empty());
         let mut arena = DijkstraArena::new();
         let sources = [SatId(11), SatId(480), SatId(909), SatId(1501)];
         let mut plain = Vec::new();
@@ -1858,9 +1784,9 @@ mod tests {
         // ties to the lowest SatId — never an artifact of settle order.
         let (c, _, engine) = setup();
         let snap = c.snapshot(777.0);
-        let weights = engine.refresh(&snap);
+        let weights = engine.refresh(&snap, &FaultPlan::empty());
         let grounds = [endpoint(0, 0.0, 0.0), endpoint(1, 47.38, 8.54)];
-        let links = engine.attach_scan(&c, &snap, &grounds);
+        let links = engine.attach_scan(&c, &snap, &grounds, &FaultPlan::empty());
         let mut arena = DijkstraArena::new();
         let sources: Vec<SatId> = (0..engine.num_sats() as u32)
             .step_by(7)
@@ -1927,8 +1853,13 @@ mod tests {
             ground.ecef.distance_m(b).to_bits(),
             "mirrored geometry must give bit-equal ranges"
         );
-        let weights = engine.refresh(&snap);
-        let links = engine.attach_scan(&c, &snap, std::slice::from_ref(&ground));
+        let weights = engine.refresh(&snap, &FaultPlan::empty());
+        let links = engine.attach_scan(
+            &c,
+            &snap,
+            std::slice::from_ref(&ground),
+            &FaultPlan::empty(),
+        );
         let mut arena = DijkstraArena::new();
         let (mut delays, mut winners) = (Vec::new(), Vec::new());
         // Seed in descending id order: the tie-break must not care.

@@ -18,9 +18,10 @@
 //!   minimum elevation an access link needs to close through the rain
 //!   ([`GroundFade`]). Built per snapshot by [`FaultConfig::plan_at`].
 //!
-//! An empty plan is a guaranteed no-op: every consumer checks
-//! [`FaultPlan::is_empty`] first and falls through to the unmasked code
-//! path, so results stay byte-identical to a run with no plan at all.
+//! Every visibility, attachment and weight-refresh entry point takes a
+//! plan; there is no unmasked twin to call instead. A fault-free caller
+//! passes [`FaultPlan::empty`], which masks nothing, so its results are
+//! byte-identical to a fault-free run.
 
 use crate::weather::{LinkBudget, RainClimate};
 use leo_constellation::SatId;
@@ -99,7 +100,22 @@ impl RainFade {
     }
 
     /// The access-link restriction this scenario imposes.
+    ///
+    /// # Panics
+    /// Panics when the rain rate is NaN or negative, or the fade margin
+    /// is not finite: every link test would then be false, and the
+    /// scenario would silently become a total outage.
     pub fn ground_fade(&self) -> GroundFade {
+        assert!(
+            self.rain_rate_mm_h >= 0.0,
+            "rain rate must be a non-negative number of mm/h, got {}",
+            self.rain_rate_mm_h
+        );
+        assert!(
+            self.budget.fade_margin_db.is_finite(),
+            "fade margin must be finite, got {} dB",
+            self.budget.fade_margin_db
+        );
         match self.budget.min_surviving_elevation(self.rain_rate_mm_h) {
             None => GroundFade::Outage,
             Some(e) if e.radians() <= 0.0 => GroundFade::Clear,
@@ -362,6 +378,28 @@ mod tests {
             rain_rate_mm_h: 120.0,
         };
         assert_eq!(downpour.ground_fade(), GroundFade::Outage);
+    }
+
+    #[test]
+    #[should_panic(expected = "rain rate must be a non-negative number")]
+    fn nan_rain_rate_is_rejected() {
+        RainFade {
+            budget: LinkBudget::CONSUMER,
+            rain_rate_mm_h: f64::NAN,
+        }
+        .ground_fade();
+    }
+
+    #[test]
+    #[should_panic(expected = "fade margin must be finite")]
+    fn nan_fade_margin_is_rejected() {
+        RainFade {
+            budget: LinkBudget {
+                fade_margin_db: f64::NAN,
+            },
+            rain_rate_mm_h: 10.0,
+        }
+        .ground_fade();
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //! and is bit-identical to a cold [`settle_nearest`] because both
 //! compute the same arg-min over the same candidate set.
 
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, GroundFade};
 use crate::index::{geocentric_latitude, VisibilityIndex};
 use crate::visibility::VisibleSat;
 use leo_constellation::SatId;
@@ -214,12 +214,6 @@ impl Drop for PassTally {
     }
 }
 
-/// An empty plan masks nothing; treat it exactly like no plan (the
-/// per-point scans delegate the same way).
-fn effective_plan(plan: Option<&FaultPlan>) -> Option<&FaultPlan> {
-    plan.filter(|p| !p.is_empty())
-}
-
 /// Cold settle: the nearest visible (non-faulted) server for every
 /// point of `set`, written to `out` in the caller's point order —
 /// bit-identical to running the serving layer's per-point
@@ -227,14 +221,14 @@ fn effective_plan(plan: Option<&FaultPlan>) -> Option<&FaultPlan> {
 pub fn settle_nearest(
     index: &VisibilityIndex,
     set: &GroundSet,
-    plan: Option<&FaultPlan>,
+    plan: &FaultPlan,
     state: &mut NearestState,
     out: &mut Vec<Option<VisibleSat>>,
 ) {
     let _span = leo_obs::span!("engine.frontier.settle_s");
     leo_obs::counter!("engine.frontier.settles").incr();
     state.reset(set.len());
-    challenge(index, set, effective_plan(plan), None, state);
+    challenge(index, set, plan, None, state);
     scatter(set, state, out);
 }
 
@@ -254,7 +248,7 @@ pub fn settle_nearest(
 pub fn refresh_nearest(
     index: &VisibilityIndex,
     set: &GroundSet,
-    plan: Option<&FaultPlan>,
+    plan: &FaultPlan,
     moved: &[bool],
     state: &mut NearestState,
     out: &mut Vec<Option<VisibleSat>>,
@@ -266,7 +260,6 @@ pub fn refresh_nearest(
     );
     let _span = leo_obs::span!("engine.frontier.refresh_s");
     leo_obs::counter!("engine.frontier.refreshes").incr();
-    let plan = effective_plan(plan);
     let mut dirty = 0u64;
     for j in 0..set.len() {
         let id = state.best_id[j];
@@ -275,15 +268,11 @@ pub fn refresh_nearest(
             state.best_range[j] = f64::INFINITY;
             state.best_id[j] = u32::MAX;
             let ge = set.ecef[j];
-            let consider = |v: VisibleSat| {
+            index.for_each_visible(ge, plan, |v| {
                 if !moved[v.id.0 as usize] {
                     challenge_point(state, j, v.range_m, v.id.0);
                 }
-            };
-            match plan {
-                Some(p) => index.for_each_visible_masked(ge, p, consider),
-                None => index.for_each_visible(ge, consider),
-            }
+            });
         }
     }
     leo_obs::counter!("engine.frontier.dirty_rescans").add(dirty);
@@ -299,7 +288,7 @@ pub fn refresh_nearest(
 pub fn settle_visible_lists(
     index: &VisibilityIndex,
     set: &GroundSet,
-    plan: Option<&FaultPlan>,
+    plan: &FaultPlan,
     out: &mut Vec<Vec<VisibleSat>>,
 ) {
     let _span = leo_obs::span!("engine.frontier.list_settle_s");
@@ -309,12 +298,12 @@ pub fn settle_visible_lists(
     if set.is_empty() {
         return;
     }
-    let plan = effective_plan(plan);
+    let fades = fades_access_links(plan);
     let mut tally = PassTally::default();
     for sh in index.shell_windows(set.lat_lo, set.lat_hi) {
         let max_r2s = sh.max_range_m * sh.max_range_m * (1.0 + RANGE2_SLACK);
         for &(id, pos) in sh.entries {
-            if plan.is_some_and_dead(id) {
+            if plan.sat_dead(id) {
                 continue;
             }
             tally.candidates += 1;
@@ -329,11 +318,9 @@ pub fn settle_visible_lists(
                 let range = ge.distance_m(pos);
                 if range <= sh.max_range_m && look::is_visible_spherical(ge, pos, sh.min_elevation)
                 {
-                    if let Some(p) = plan {
-                        if p.access_link_masked(ge, pos) {
-                            tally.masked_links += 1;
-                            return;
-                        }
+                    if fades && plan.access_link_masked(ge, pos) {
+                        tally.masked_links += 1;
+                        return;
                     }
                     out[set.orig[j] as usize].push(VisibleSat { id, range_m: range });
                 }
@@ -351,13 +338,14 @@ pub fn settle_visible_lists(
 fn challenge(
     index: &VisibilityIndex,
     set: &GroundSet,
-    plan: Option<&FaultPlan>,
+    plan: &FaultPlan,
     only: Option<&[bool]>,
     state: &mut NearestState,
 ) {
     if set.is_empty() {
         return;
     }
+    let fades = fades_access_links(plan);
     let mut tally = PassTally::default();
     for sh in index.shell_windows(set.lat_lo, set.lat_hi) {
         let max_r2s = sh.max_range_m * sh.max_range_m * (1.0 + RANGE2_SLACK);
@@ -367,7 +355,7 @@ fn challenge(
                     continue;
                 }
             }
-            if plan.is_some_and_dead(id) {
+            if plan.sat_dead(id) {
                 continue;
             }
             tally.candidates += 1;
@@ -382,17 +370,22 @@ fn challenge(
                 let range = ge.distance_m(pos);
                 if range <= sh.max_range_m && look::is_visible_spherical(ge, pos, sh.min_elevation)
                 {
-                    if let Some(p) = plan {
-                        if p.access_link_masked(ge, pos) {
-                            tally.masked_links += 1;
-                            return;
-                        }
+                    if fades && plan.access_link_masked(ge, pos) {
+                        tally.masked_links += 1;
+                        return;
                     }
                     challenge_point(state, j, range, id.0);
                 }
             });
         }
     }
+}
+
+/// True when `plan`'s ground fade can mask an access link. Hoisted out
+/// of the per-pair loops, so a plan without a fade (the empty plan
+/// included) costs them one predictable branch.
+fn fades_access_links(plan: &FaultPlan) -> bool {
+    plan.ground_fade() != GroundFade::Clear
 }
 
 /// The serving layer's exact preference: smallest slant range wins,
@@ -452,17 +445,6 @@ fn wedge_half_width(set: &GroundSet, pos: Ecef, max_range_m: f64) -> f64 {
         return PI;
     }
     (1.0 - t).clamp(-1.0, 1.0).acos() + WEDGE_EPS_RAD
-}
-
-/// Convenience trait: `plan.is_some_and_dead(id)` without unwrapping.
-trait PlanExt {
-    fn is_some_and_dead(&self, id: SatId) -> bool;
-}
-
-impl PlanExt for Option<&FaultPlan> {
-    fn is_some_and_dead(&self, id: SatId) -> bool {
-        self.is_some_and(|p| p.sat_dead(id))
-    }
 }
 
 /// Ground points grouped into latitude bands, each prepared as a
@@ -535,7 +517,7 @@ impl BandSet {
     pub fn visible_lists(
         &self,
         index: &VisibilityIndex,
-        plan: Option<&FaultPlan>,
+        plan: &FaultPlan,
     ) -> Vec<(u32, Vec<VisibleSat>)> {
         let mut lists = Vec::new();
         settle_visible_lists(index, &self.set, plan, &mut lists);
@@ -546,7 +528,6 @@ impl BandSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::GroundFade;
     use leo_constellation::presets;
     use leo_geo::{Angle, Geodetic};
 
@@ -572,7 +553,7 @@ mod tests {
     fn nearest_reference(
         index: &VisibilityIndex,
         pts: &[Ecef],
-        plan: Option<&FaultPlan>,
+        plan: &FaultPlan,
     ) -> Vec<Option<VisibleSat>> {
         pts.iter()
             .map(|&ge| {
@@ -588,10 +569,7 @@ mod tests {
                         best = Some(v);
                     }
                 };
-                match plan {
-                    Some(p) => index.for_each_visible_masked(ge, p, consider),
-                    None => index.for_each_visible(ge, consider),
-                }
+                index.for_each_visible(ge, plan, consider);
                 best
             })
             .collect()
@@ -621,8 +599,8 @@ mod tests {
             let set = GroundSet::build(&pts);
             let mut state = NearestState::default();
             let mut out = Vec::new();
-            settle_nearest(&index, &set, None, &mut state, &mut out);
-            assert_bitwise_eq(&out, &nearest_reference(&index, &pts, None));
+            settle_nearest(&index, &set, &FaultPlan::empty(), &mut state, &mut out);
+            assert_bitwise_eq(&out, &nearest_reference(&index, &pts, &FaultPlan::empty()));
         }
     }
 
@@ -635,8 +613,8 @@ mod tests {
         let set = GroundSet::build(&pts);
         let mut state = NearestState::default();
         let mut out = Vec::new();
-        settle_nearest(&index, &set, None, &mut state, &mut out);
-        assert_bitwise_eq(&out, &nearest_reference(&index, &pts, None));
+        settle_nearest(&index, &set, &FaultPlan::empty(), &mut state, &mut out);
+        assert_bitwise_eq(&out, &nearest_reference(&index, &pts, &FaultPlan::empty()));
     }
 
     #[test]
@@ -653,26 +631,11 @@ mod tests {
         plan.set_ground_fade(GroundFade::MinElevation(Angle::from_degrees(35.0)));
         let mut state = NearestState::default();
         let mut out = Vec::new();
-        settle_nearest(&index, &set, Some(&plan), &mut state, &mut out);
-        assert_bitwise_eq(&out, &nearest_reference(&index, &pts, Some(&plan)));
+        settle_nearest(&index, &set, &plan, &mut state, &mut out);
+        assert_bitwise_eq(&out, &nearest_reference(&index, &pts, &plan));
         for v in out.iter().flatten() {
             assert!(!plan.sat_dead(v.id), "dead satellite won a point");
         }
-    }
-
-    #[test]
-    fn empty_plan_settle_equals_plain_settle() {
-        let c = presets::starlink_550_only();
-        let snap = c.snapshot(60.0);
-        let index = VisibilityIndex::build(&c, &snap);
-        let pts = grounds(200);
-        let set = GroundSet::build(&pts);
-        let plan = FaultPlan::empty();
-        let (mut s1, mut s2) = (NearestState::default(), NearestState::default());
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        settle_nearest(&index, &set, Some(&plan), &mut s1, &mut a);
-        settle_nearest(&index, &set, None, &mut s2, &mut b);
-        assert_bitwise_eq(&a, &b);
     }
 
     #[test]
@@ -683,10 +646,10 @@ mod tests {
         let set = GroundSet::build(&[]);
         let mut state = NearestState::default();
         let mut out = vec![None; 3];
-        settle_nearest(&index, &set, None, &mut state, &mut out);
+        settle_nearest(&index, &set, &FaultPlan::empty(), &mut state, &mut out);
         assert!(out.is_empty());
         let mut lists = Vec::new();
-        settle_visible_lists(&index, &set, None, &mut lists);
+        settle_visible_lists(&index, &set, &FaultPlan::empty(), &mut lists);
         assert!(lists.is_empty());
     }
 
@@ -699,9 +662,16 @@ mod tests {
         let set = GroundSet::build(&pts);
         let mut state = NearestState::default();
         let (mut cold, mut warm) = (Vec::new(), Vec::new());
-        settle_nearest(&index, &set, None, &mut state, &mut cold);
+        settle_nearest(&index, &set, &FaultPlan::empty(), &mut state, &mut cold);
         let moved = vec![false; snap.len()];
-        refresh_nearest(&index, &set, None, &moved, &mut state, &mut warm);
+        refresh_nearest(
+            &index,
+            &set,
+            &FaultPlan::empty(),
+            &moved,
+            &mut state,
+            &mut warm,
+        );
         assert_bitwise_eq(&cold, &warm);
     }
 
@@ -725,10 +695,23 @@ mod tests {
         let set = GroundSet::build(&pts);
         let mut state = NearestState::default();
         let (mut out0, mut warm, mut cold) = (Vec::new(), Vec::new(), Vec::new());
-        settle_nearest(&index0, &set, None, &mut state, &mut out0);
-        refresh_nearest(&index1, &set, None, &moved, &mut state, &mut warm);
+        settle_nearest(&index0, &set, &FaultPlan::empty(), &mut state, &mut out0);
+        refresh_nearest(
+            &index1,
+            &set,
+            &FaultPlan::empty(),
+            &moved,
+            &mut state,
+            &mut warm,
+        );
         let mut cold_state = NearestState::default();
-        settle_nearest(&index1, &set, None, &mut cold_state, &mut cold);
+        settle_nearest(
+            &index1,
+            &set,
+            &FaultPlan::empty(),
+            &mut cold_state,
+            &mut cold,
+        );
         assert_bitwise_eq(&warm, &cold);
     }
 
@@ -753,10 +736,10 @@ mod tests {
         let set = GroundSet::build(&pts);
         let mut state = NearestState::default();
         let (mut out0, mut warm, mut cold) = (Vec::new(), Vec::new(), Vec::new());
-        settle_nearest(&index0, &set, Some(&plan), &mut state, &mut out0);
-        refresh_nearest(&index1, &set, Some(&plan), &moved, &mut state, &mut warm);
+        settle_nearest(&index0, &set, &plan, &mut state, &mut out0);
+        refresh_nearest(&index1, &set, &plan, &moved, &mut state, &mut warm);
         let mut cold_state = NearestState::default();
-        settle_nearest(&index1, &set, Some(&plan), &mut cold_state, &mut cold);
+        settle_nearest(&index1, &set, &plan, &mut cold_state, &mut cold);
         assert_bitwise_eq(&warm, &cold);
     }
 
@@ -768,9 +751,9 @@ mod tests {
         let pts = grounds(250);
         let set = GroundSet::build(&pts);
         let mut lists = Vec::new();
-        settle_visible_lists(&index, &set, None, &mut lists);
+        settle_visible_lists(&index, &set, &FaultPlan::empty(), &mut lists);
         for (j, (&ge, got)) in pts.iter().zip(&lists).enumerate() {
-            let mut want = index.query(ge);
+            let mut want = index.query(ge, &FaultPlan::empty());
             want.sort_by(|a, b| a.range_m.total_cmp(&b.range_m).then(a.id.cmp(&b.id)));
             assert_eq!(got, &want, "point {j}");
         }
@@ -788,9 +771,9 @@ mod tests {
             plan.kill(SatId(i));
         }
         let mut lists = Vec::new();
-        settle_visible_lists(&index, &set, Some(&plan), &mut lists);
+        settle_visible_lists(&index, &set, &plan, &mut lists);
         for (j, (&ge, got)) in pts.iter().zip(&lists).enumerate() {
-            let mut want = index.query_masked(ge, &plan);
+            let mut want = index.query(ge, &plan);
             want.sort_by(|a, b| a.range_m.total_cmp(&b.range_m).then(a.id.cmp(&b.id)));
             assert_eq!(got, &want, "point {j}");
         }
@@ -818,7 +801,7 @@ mod tests {
         let set = GroundSet::build(&[ge]);
         let mut state = NearestState::default();
         let mut out = Vec::new();
-        settle_nearest(&index, &set, None, &mut state, &mut out);
+        settle_nearest(&index, &set, &FaultPlan::empty(), &mut state, &mut out);
         let won = out[0].expect("planted satellites are visible");
         assert!(
             ge.distance_m(a) <= won.range_m,
@@ -827,7 +810,7 @@ mod tests {
         assert_eq!(won.id, SatId(100), "tie must break to the lowest id");
         assert_eq!(won.range_m.to_bits(), ge.distance_m(a).to_bits());
         // And the reference per-point scan agrees on the same snapshot.
-        assert_bitwise_eq(&out, &nearest_reference(&index, &[ge], None));
+        assert_bitwise_eq(&out, &nearest_reference(&index, &[ge], &FaultPlan::empty()));
     }
 
     #[test]
@@ -841,7 +824,7 @@ mod tests {
         let mut seen = vec![false; pts.len()];
         let mut assembled: Vec<Vec<VisibleSat>> = vec![Vec::new(); pts.len()];
         for band in banded.bands() {
-            for (g, list) in band.visible_lists(&index, None) {
+            for (g, list) in band.visible_lists(&index, &FaultPlan::empty()) {
                 assert!(!seen[g as usize], "point {g} in two bands");
                 seen[g as usize] = true;
                 assembled[g as usize] = list;
@@ -849,7 +832,7 @@ mod tests {
         }
         assert!(seen.iter().all(|&s| s), "bands must cover every point");
         for (j, (&ge, got)) in pts.iter().zip(&assembled).enumerate() {
-            let mut want = index.query(ge);
+            let mut want = index.query(ge, &FaultPlan::empty());
             want.sort_by(|a, b| a.range_m.total_cmp(&b.range_m).then(a.id.cmp(&b.id)));
             assert_eq!(got, &want, "point {j}");
         }

@@ -8,6 +8,8 @@
 //! the machinery the compute-layer sessions in `leo-core` generalize to
 //! whole user groups.
 
+use crate::fault::FaultPlan;
+use crate::index::VisibilityIndex;
 use leo_constellation::{Constellation, SatId};
 use leo_geo::{Ecef, Geodetic};
 use serde::{Deserialize, Serialize};
@@ -33,10 +35,17 @@ impl Pass {
 }
 
 /// Predicts every visibility pass of every satellite over `ground`
-/// within `[start_s, end_s]`, sampling each `step_s` seconds.
+/// within `[start_s, end_s]`, sampling each `step_s` seconds through a
+/// [`VisibilityIndex`] built per sample. The plain network service has
+/// no faults, so every satellite in view counts.
 ///
 /// Sampling bounds the rise/set accuracy to ±`step_s`; the paper's
 /// minutes-scale passes are well resolved at 10 s steps.
+///
+/// # Panics
+/// Panics when `start_s` or `end_s` is not finite, when `end_s` precedes
+/// `start_s`, or when `step_s` is not finite and positive: such a window
+/// has no finite sample count.
 pub fn predict_passes(
     constellation: &Constellation,
     ground: Geodetic,
@@ -44,15 +53,27 @@ pub fn predict_passes(
     end_s: f64,
     step_s: f64,
 ) -> Vec<Pass> {
-    assert!(step_s > 0.0 && end_s >= start_s);
+    assert!(
+        start_s.is_finite() && end_s.is_finite(),
+        "pass window bounds must be finite, got [{start_s}, {end_s}]"
+    );
+    assert!(
+        end_s >= start_s,
+        "pass window ends at {end_s} s, before its start at {start_s} s"
+    );
+    assert!(
+        step_s.is_finite() && step_s > 0.0,
+        "pass sampling step must be finite and positive, got {step_s}"
+    );
     let ground_ecef: Ecef = ground.to_ecef_spherical();
+    let no_faults = FaultPlan::empty();
     let mut open: std::collections::HashMap<SatId, Pass> = std::collections::HashMap::new();
     let mut done: Vec<Pass> = Vec::new();
     let steps = ((end_s - start_s) / step_s).round() as usize;
     for i in 0..=steps {
         let t = start_s + i as f64 * step_s;
         let snap = constellation.snapshot(t);
-        let visible = crate::visibility::visible_sats(constellation, &snap, ground, ground_ecef);
+        let visible = VisibilityIndex::build(constellation, &snap).query(ground_ecef, &no_faults);
         let mut seen: std::collections::HashSet<SatId> = std::collections::HashSet::new();
         for v in visible {
             seen.insert(v.id);
@@ -287,6 +308,55 @@ mod tests {
                 assert!(s.from_s < b, "slot starts at/after end_s: {s:?}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "pass window bounds must be finite")]
+    fn infinite_window_is_rejected() {
+        let c = presets::starlink_550_only();
+        predict_passes(&c, Geodetic::ground(0.0, 0.0), 0.0, f64::INFINITY, 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "before its start")]
+    fn reversed_window_is_rejected() {
+        let c = presets::starlink_550_only();
+        predict_passes(&c, Geodetic::ground(0.0, 0.0), 60.0, 0.0, 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "pass sampling step must be finite and positive")]
+    fn nan_step_is_rejected() {
+        let c = presets::starlink_550_only();
+        predict_passes(&c, Geodetic::ground(0.0, 0.0), 0.0, 60.0, f64::NAN);
+    }
+
+    #[test]
+    fn passes_cover_exactly_the_brute_force_samples() {
+        // Oracle: the brute-force scan at every sample instant. Each
+        // visible sample falls inside a pass of its satellite, and the
+        // passes span no other samples.
+        let c = presets::starlink_550_only();
+        let g = Geodetic::ground(20.0, 50.0);
+        let ge = g.to_ecef_spherical();
+        let passes = predict_passes(&c, g, 0.0, 600.0, 10.0);
+        let mut samples = 0;
+        for i in 0..=60 {
+            let t = i as f64 * 10.0;
+            for v in crate::visibility::visible_sats(&c, &c.snapshot(t), ge, &FaultPlan::empty()) {
+                samples += 1;
+                let pass = passes
+                    .iter()
+                    .find(|p| p.sat == v.id && p.rise_s <= t && t <= p.set_s)
+                    .expect("every visible sample lies in a pass");
+                assert!(pass.min_range_m <= v.range_m);
+            }
+        }
+        let spanned: usize = passes
+            .iter()
+            .map(|p| (p.duration_s() / 10.0).round() as usize + 1)
+            .sum();
+        assert_eq!(spanned, samples);
     }
 
     #[test]

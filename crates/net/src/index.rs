@@ -60,15 +60,17 @@ impl ShellBands {
 /// ```
 /// use leo_constellation::presets::starlink_550_only;
 /// use leo_geo::Geodetic;
+/// use leo_net::fault::FaultPlan;
 /// use leo_net::index::VisibilityIndex;
 /// use leo_net::visibility::visible_sats;
 ///
 /// let c = starlink_550_only();
 /// let snap = c.snapshot(0.0);
 /// let index = VisibilityIndex::build(&c, &snap);
-/// let g = Geodetic::ground(6.52, 3.38);
-/// let fast = index.query(g.to_ecef_spherical());
-/// let slow = visible_sats(&c, &snap, g, g.to_ecef_spherical());
+/// let ge = Geodetic::ground(6.52, 3.38).to_ecef_spherical();
+/// let plan = FaultPlan::empty();
+/// let fast = index.query(ge, &plan);
+/// let slow = visible_sats(&c, &snap, ge, &plan);
 /// assert_eq!(fast, slow);
 /// ```
 #[derive(Debug, Clone)]
@@ -155,12 +157,13 @@ impl VisibilityIndex {
     }
 
     /// All satellites visible from `ground_ecef` (spherical-model ECEF,
-    /// from [`leo_geo::Geodetic::to_ecef_spherical`]). Identical output —
-    /// order included — to [`crate::visibility::visible_sats`] over the
-    /// snapshot the index was built from.
-    pub fn query(&self, ground_ecef: Ecef) -> Vec<VisibleSat> {
+    /// from [`leo_geo::Geodetic::to_ecef_spherical`]) that `plan` leaves
+    /// up. Identical output — order included — to
+    /// [`crate::visibility::visible_sats`] over the snapshot the index was
+    /// built from.
+    pub fn query(&self, ground_ecef: Ecef, plan: &FaultPlan) -> Vec<VisibleSat> {
         let mut out = Vec::new();
-        self.for_each_visible(ground_ecef, |v| out.push(v));
+        self.for_each_visible(ground_ecef, plan, |v| out.push(v));
         // Bands (and shells) are scanned one after another, so ids come
         // back interleaved; restore the global SatId order of the
         // brute-force scan. The visible set is tiny, so this is cheap.
@@ -168,58 +171,21 @@ impl VisibilityIndex {
         out
     }
 
-    /// Calls `f` for every satellite visible from `ground_ecef`, in
-    /// band-bucket order — ascending `SatId` only *within a band* (use
-    /// [`Self::query`] when global order matters). Avoids the `Vec` when
-    /// the caller only aggregates.
-    pub fn for_each_visible<F: FnMut(VisibleSat)>(&self, ground_ecef: Ecef, mut f: F) {
-        let glat = geocentric_latitude(ground_ecef);
-        let (mut scanned, mut returned) = (0u64, 0u64);
-        for sh in &self.shells {
-            let reach = sh.central_angle_rad + LAT_EPS_RAD;
-            let lo = sh.band_of((glat - reach).max(-std::f64::consts::FRAC_PI_2));
-            let hi = sh.band_of((glat + reach).min(std::f64::consts::FRAC_PI_2));
-            let start = sh.band_offsets[lo] as usize;
-            let end = sh.band_offsets[hi + 1] as usize;
-            scanned += (end - start) as u64;
-            for &(id, pos) in &sh.entries[start..end] {
-                let range = ground_ecef.distance_m(pos);
-                if range <= sh.max_range_m
-                    && look::is_visible_spherical(ground_ecef, pos, sh.min_elevation)
-                {
-                    returned += 1;
-                    f(VisibleSat { id, range_m: range });
-                }
-            }
-        }
-        leo_obs::counter!("visibility.candidates_scanned").add(scanned);
-        leo_obs::counter!("visibility.returned").add(returned);
-    }
-
-    /// [`Self::query`] under a fault plan: dead satellites and rain-faded
-    /// access links are filtered out. Sorted by `SatId` like `query`.
-    pub fn query_masked(&self, ground_ecef: Ecef, plan: &FaultPlan) -> Vec<VisibleSat> {
-        let mut out = Vec::new();
-        self.for_each_visible_masked(ground_ecef, plan, |v| out.push(v));
-        out.sort_unstable_by_key(|v| v.id.0);
-        out
-    }
-
-    /// [`Self::for_each_visible`] under a fault plan: skips satellites
-    /// whose server is dead and those whose access link the plan's
-    /// ground fade cannot close. Candidates that are geometrically
-    /// servable at the shell elevation but masked are tallied in the
-    /// `fault.masked_access_links` counter. Delegates to the unmasked
-    /// scan — identical output and counters — when the plan is empty.
-    pub fn for_each_visible_masked<F: FnMut(VisibleSat)>(
+    /// Calls `f` for every satellite visible from `ground_ecef` that
+    /// `plan` leaves up, in band-bucket order — ascending `SatId` only
+    /// *within a band* (use [`Self::query`] when global order matters).
+    /// Avoids the `Vec` when the caller only aggregates.
+    ///
+    /// The plan skips satellites whose server is dead and those whose
+    /// access link its ground fade cannot close. Under a non-empty plan,
+    /// candidates that are geometrically servable at the shell elevation
+    /// but masked are tallied in the `fault.masked_access_links` counter.
+    pub fn for_each_visible<F: FnMut(VisibleSat)>(
         &self,
         ground_ecef: Ecef,
         plan: &FaultPlan,
         mut f: F,
     ) {
-        if plan.is_empty() {
-            return self.for_each_visible(ground_ecef, f);
-        }
         let glat = geocentric_latitude(ground_ecef);
         let (mut scanned, mut returned, mut masked) = (0u64, 0u64, 0u64);
         for sh in &self.shells {
@@ -245,7 +211,9 @@ impl VisibilityIndex {
         }
         leo_obs::counter!("visibility.candidates_scanned").add(scanned);
         leo_obs::counter!("visibility.returned").add(returned);
-        leo_obs::counter!("fault.masked_access_links").add(masked);
+        if !plan.is_empty() {
+            leo_obs::counter!("fault.masked_access_links").add(masked);
+        }
     }
 
     /// The per-shell candidate windows covering every ground point with
@@ -276,7 +244,8 @@ impl VisibilityIndex {
 
     /// Indexed version of [`crate::visibility::coverage_mask`]: marks the
     /// satellites visible from at least one of `grounds` (spherical-model
-    /// ECEF). Returns one boolean per satellite, indexed by `SatId.0`.
+    /// ECEF), fault-free. Returns one boolean per satellite, indexed by
+    /// `SatId.0`.
     pub fn coverage_mask(&self, grounds: &[Ecef]) -> Vec<bool> {
         let mut mask = vec![false; self.num_satellites];
         self.mark_coverage(grounds, &mut mask);
@@ -288,8 +257,9 @@ impl VisibilityIndex {
     /// at a time (Fig 4's top-N city sweep).
     pub fn mark_coverage(&self, grounds: &[Ecef], mask: &mut [bool]) {
         assert_eq!(mask.len(), self.num_satellites, "mask length");
+        let plan = FaultPlan::empty();
         for &ge in grounds {
-            self.for_each_visible(ge, |v| mask[v.id.0 as usize] = true);
+            self.for_each_visible(ge, &plan, |v| mask[v.id.0 as usize] = true);
         }
     }
 }
@@ -320,7 +290,7 @@ mod tests {
     use leo_constellation::presets;
     use leo_geo::Geodetic;
 
-    fn grounds() -> Vec<(Geodetic, Ecef)> {
+    fn grounds() -> Vec<Ecef> {
         [
             (0.0, 0.0),
             (6.52, 3.38),
@@ -332,10 +302,7 @@ mod tests {
             (-90.0, 0.0),
         ]
         .iter()
-        .map(|&(lat, lon)| {
-            let g = Geodetic::ground(lat, lon);
-            (g, g.to_ecef_spherical())
-        })
+        .map(|&(lat, lon)| Geodetic::ground(lat, lon).to_ecef_spherical())
         .collect()
     }
 
@@ -344,8 +311,13 @@ mod tests {
         let c = presets::starlink_550_only();
         let snap = c.snapshot(137.0);
         let index = VisibilityIndex::build(&c, &snap);
-        for (g, ge) in grounds() {
-            assert_eq!(index.query(ge), visible_sats(&c, &snap, g, ge), "at {g:?}");
+        let plan = FaultPlan::empty();
+        for ge in grounds() {
+            assert_eq!(
+                index.query(ge, &plan),
+                visible_sats(&c, &snap, ge, &plan),
+                "at {ge:?}"
+            );
         }
     }
 
@@ -356,8 +328,13 @@ mod tests {
         let c = presets::starlink_phase1();
         let snap = c.snapshot(1800.0);
         let index = VisibilityIndex::build(&c, &snap);
-        for (g, ge) in grounds() {
-            assert_eq!(index.query(ge), visible_sats(&c, &snap, g, ge), "at {g:?}");
+        let plan = FaultPlan::empty();
+        for ge in grounds() {
+            assert_eq!(
+                index.query(ge, &plan),
+                visible_sats(&c, &snap, ge, &plan),
+                "at {ge:?}"
+            );
         }
     }
 
@@ -367,8 +344,7 @@ mod tests {
         let snap = c.snapshot(300.0);
         let index = VisibilityIndex::build(&c, &snap);
         let gs = grounds();
-        let ecefs: Vec<Ecef> = gs.iter().map(|&(_, e)| e).collect();
-        assert_eq!(index.coverage_mask(&ecefs), coverage_mask(&c, &snap, &gs));
+        assert_eq!(index.coverage_mask(&gs), coverage_mask(&c, &snap, &gs));
     }
 
     #[test]
@@ -376,7 +352,7 @@ mod tests {
         let c = presets::starlink_550_only();
         let snap = c.snapshot(0.0);
         let index = VisibilityIndex::build(&c, &snap);
-        let ecefs: Vec<Ecef> = grounds().iter().map(|&(_, e)| e).collect();
+        let ecefs = grounds();
         let mut mask = vec![false; index.num_satellites()];
         for ge in &ecefs {
             index.mark_coverage(std::slice::from_ref(ge), &mut mask);
@@ -421,22 +397,10 @@ mod tests {
         assert_eq!(snap.len(), 0);
         let index = VisibilityIndex::build(&c, &snap);
         assert_eq!(index.num_satellites(), 0);
-        for (_, ge) in grounds() {
-            assert!(index.query(ge).is_empty());
-            assert!(index.query_masked(ge, &FaultPlan::empty()).is_empty());
+        for ge in grounds() {
+            assert!(index.query(ge, &FaultPlan::empty()).is_empty());
         }
         assert_eq!(index.coverage_mask(&[]), Vec::<bool>::new());
-    }
-
-    #[test]
-    fn empty_plan_masked_query_equals_plain_query() {
-        let c = presets::starlink_550_only();
-        let snap = c.snapshot(137.0);
-        let index = VisibilityIndex::build(&c, &snap);
-        let plan = FaultPlan::empty();
-        for (_, ge) in grounds() {
-            assert_eq!(index.query_masked(ge, &plan), index.query(ge));
-        }
     }
 
     #[test]
@@ -445,11 +409,11 @@ mod tests {
         let snap = c.snapshot(137.0);
         let index = VisibilityIndex::build(&c, &snap);
         let ge = Geodetic::ground(6.52, 3.38).to_ecef_spherical();
-        let plain = index.query(ge);
+        let plain = index.query(ge, &FaultPlan::empty());
         assert!(plain.len() >= 2);
         let mut plan = FaultPlan::empty();
         plan.kill(plain[0].id);
-        let masked = index.query_masked(ge, &plan);
+        let masked = index.query(ge, &plan);
         let expect: Vec<_> = plain[1..].to_vec();
         assert_eq!(masked, expect);
     }
@@ -464,8 +428,8 @@ mod tests {
         plan.set_ground_fade(crate::fault::GroundFade::MinElevation(
             leo_geo::Angle::from_degrees(60.0),
         ));
-        let faded = index.query_masked(ge, &plan);
-        let plain = index.query(ge);
+        let faded = index.query(ge, &plan);
+        let plain = index.query(ge, &FaultPlan::empty());
         assert!(faded.len() < plain.len(), "a 60° mask must shrink the set");
         for v in &faded {
             assert!(look::is_visible_spherical(
@@ -475,6 +439,6 @@ mod tests {
             ));
         }
         plan.set_ground_fade(crate::fault::GroundFade::Outage);
-        assert!(index.query_masked(ge, &plan).is_empty());
+        assert!(index.query(ge, &plan).is_empty());
     }
 }

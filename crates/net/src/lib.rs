@@ -5,7 +5,8 @@
 //!
 //! * [`visibility`] — which satellites a ground point can reach at an
 //!   instant, under each shell's minimum-elevation rule, with slant ranges
-//!   and RTTs ([`visibility::VisibleSat`]).
+//!   and RTTs ([`visibility::VisibleSat`]): the brute-force reference scan
+//!   the index is tested against.
 //! * [`index`] — a latitude-banded spatial index over one snapshot
 //!   ([`index::VisibilityIndex`]) answering the same queries by testing
 //!   only the satellites whose coverage cone can reach the ground
@@ -38,14 +39,17 @@
 //!   home of the analytic uncontended-transfer bounds
 //!   ([`congestion::uncontended_transfer_s`],
 //!   [`congestion::uncontended_packet_transfer_s`]).
-//! * [`handover`] — single-ground-station pass prediction and hand-over
-//!   schedules for the plain network service (§2).
+//! * [`handover`] — single-ground-station pass prediction (sampled
+//!   through the visibility index) and hand-over schedules for the plain
+//!   network service (§2).
 //! * [`weather`] — rain-fade link budgets and availability (§6's
 //!   unanalyzed weather question).
 //! * [`fault`] — outage masks over all of the above: dead satellites,
-//!   cut ISLs, and rain-faded access links ([`fault::FaultPlan`]),
-//!   consumed by the engine's masked weight refresh and the index's
-//!   masked visibility queries. An empty plan is a guaranteed no-op.
+//!   cut ISLs, and rain-faded access links ([`fault::FaultPlan`]). Every
+//!   visibility query, ground attachment, frontier pass and weight
+//!   refresh takes a plan as a required argument, so no caller can skip
+//!   the mask; fault-free callers pass the empty plan, which masks
+//!   nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,6 +8,7 @@
 //! helpers bit for bit. They stay public for those tests and for the
 //! benchmark's legacy-router probes.
 
+use crate::fault::FaultPlan;
 use crate::graph::{NetworkGraph, NodeId, Path};
 use crate::isl::IslTopology;
 use crate::visibility::visible_sats;
@@ -65,7 +66,7 @@ pub fn build_graph(
     // Ground endpoints and their visible satellites.
     for gp in grounds {
         net.add_node(gp.node());
-        for v in visible_sats(constellation, snapshot, gp.geodetic, gp.ecef) {
+        for v in visible_sats(constellation, snapshot, gp.ecef, &FaultPlan::empty()) {
             net.add_edge_distance(gp.node(), NodeId::Sat(v.id), v.range_m);
         }
     }
@@ -177,7 +178,7 @@ mod tests {
         // Every satellite in the connected shell is reachable.
         assert!(delays.iter().all(|d| d.is_finite()));
         // And the direct ones are the nearest.
-        let direct = visible_sats(&c, &snap, a.geodetic, a.ecef);
+        let direct = visible_sats(&c, &snap, a.ecef, &FaultPlan::empty());
         let min_direct = direct
             .iter()
             .map(|v| v.delay_s())

@@ -10,7 +10,7 @@ use crate::fault::FaultPlan;
 use leo_constellation::{Constellation, SatId, Snapshot};
 use leo_geo::consts::SPEED_OF_LIGHT_M_S;
 use leo_geo::look;
-use leo_geo::{Ecef, Geodetic};
+use leo_geo::Ecef;
 use serde::{Deserialize, Serialize};
 
 /// One satellite visible from a ground point.
@@ -34,19 +34,25 @@ impl VisibleSat {
     }
 }
 
-/// All satellites visible from `ground` in `snapshot`, unsorted.
+/// All satellites visible from `ground_ecef` in `snapshot` that `plan`
+/// leaves up, in `SatId` order: the brute-force scan of every satellite.
 ///
 /// Visibility uses the spherical-Earth dot-product test
 /// ([`look::is_visible_spherical`]) with each satellite's own shell
-/// minimum elevation. `ground_ecef` must be the spherical-model ECEF of
-/// `ground` (pass the result of [`Geodetic::to_ecef_spherical`]).
+/// minimum elevation. `ground_ecef` must be spherical-model ECEF (pass
+/// the result of [`leo_geo::Geodetic::to_ecef_spherical`]). The plan
+/// drops satellites whose server is dead and links its ground fade cannot
+/// close. This is the reference that tests compare
+/// [`VisibilityIndex::query`](crate::index::VisibilityIndex::query)
+/// against; only the reference oracles ([`crate::routing::build_graph`]
+/// and [`RoutingEngine::attach_scan`](crate::engine::RoutingEngine::attach_scan))
+/// call it in library code.
 pub fn visible_sats(
     constellation: &Constellation,
     snapshot: &Snapshot,
-    ground: Geodetic,
     ground_ecef: Ecef,
+    plan: &FaultPlan,
 ) -> Vec<VisibleSat> {
-    let _ = ground; // geodetic kept in the signature for API symmetry
     let mut out = Vec::new();
     // Per-shell max slant range is a cheap distance prefilter that is also
     // *exact* for circular shells: elevation ≥ ε ⟺ range ≤ max range.
@@ -62,68 +68,24 @@ pub fn visible_sats(
             continue;
         }
         let min_el = constellation.shells()[sat.shell as usize].min_elevation;
-        if look::is_visible_spherical(ground_ecef, pos, min_el) {
+        if look::is_visible_spherical(ground_ecef, pos, min_el)
+            && !plan.sat_dead(id)
+            && !plan.access_link_masked(ground_ecef, pos)
+        {
             out.push(VisibleSat { id, range_m: range });
         }
     }
     out
 }
 
-/// [`visible_sats`] under a fault plan: satellites whose server is dead
-/// and links the plan's ground fade cannot close are filtered out. The
-/// brute-force reference that tests compare
-/// [`VisibilityIndex::query_masked`](crate::index::VisibilityIndex::query_masked)
-/// against; no library code calls it. Identical to [`visible_sats`] when
-/// the plan is empty.
-pub fn visible_sats_masked(
-    constellation: &Constellation,
-    snapshot: &Snapshot,
-    ground: Geodetic,
-    ground_ecef: Ecef,
-    plan: &FaultPlan,
-) -> Vec<VisibleSat> {
-    if plan.is_empty() {
-        return visible_sats(constellation, snapshot, ground, ground_ecef);
-    }
-    visible_sats(constellation, snapshot, ground, ground_ecef)
-        .into_iter()
-        .filter(|v| {
-            !plan.sat_dead(v.id) && !plan.access_link_masked(ground_ecef, snapshot.position(v.id))
-        })
-        .collect()
-}
-
-/// The nearest visible satellite, if any.
-pub fn nearest_visible(
-    constellation: &Constellation,
-    snapshot: &Snapshot,
-    ground: Geodetic,
-    ground_ecef: Ecef,
-) -> Option<VisibleSat> {
-    visible_sats(constellation, snapshot, ground, ground_ecef)
-        .into_iter()
-        .min_by(|a, b| a.range_m.total_cmp(&b.range_m))
-}
-
-/// The farthest directly reachable satellite, if any.
-pub fn farthest_visible(
-    constellation: &Constellation,
-    snapshot: &Snapshot,
-    ground: Geodetic,
-    ground_ecef: Ecef,
-) -> Option<VisibleSat> {
-    visible_sats(constellation, snapshot, ground, ground_ecef)
-        .into_iter()
-        .max_by(|a, b| a.range_m.total_cmp(&b.range_m))
-}
-
 /// Marks which satellites are visible from *at least one* of the given
-/// ground stations — the complement is the paper's "invisible" satellite
-/// set (Figs 4–5). Returns a boolean per satellite, indexed by `SatId.0`.
+/// ground stations (spherical-model ECEF) — the complement is the paper's
+/// "invisible" satellite set (Figs 4–5). Returns a boolean per satellite,
+/// indexed by `SatId.0`.
 pub fn coverage_mask(
     constellation: &Constellation,
     snapshot: &Snapshot,
-    grounds: &[(Geodetic, Ecef)],
+    grounds: &[Ecef],
 ) -> Vec<bool> {
     let max_ranges: Vec<f64> = constellation
         .shells()
@@ -135,7 +97,7 @@ pub fn coverage_mask(
         let sat = constellation.satellite(id);
         let max_range = max_ranges[sat.shell as usize];
         let min_el = constellation.shells()[sat.shell as usize].min_elevation;
-        for &(_, ge) in grounds {
+        for &ge in grounds {
             if ge.distance_m(pos) <= max_range && look::is_visible_spherical(ge, pos, min_el) {
                 mask[id.0 as usize] = true;
                 break;
@@ -149,10 +111,15 @@ pub fn coverage_mask(
 mod tests {
     use super::*;
     use leo_constellation::presets;
+    use leo_geo::Geodetic;
 
-    fn ground(lat: f64, lon: f64) -> (Geodetic, Ecef) {
-        let g = Geodetic::ground(lat, lon);
-        (g, g.to_ecef_spherical())
+    fn ground(lat: f64, lon: f64) -> Ecef {
+        Geodetic::ground(lat, lon).to_ecef_spherical()
+    }
+
+    /// Everything visible from `ge`, fault-free.
+    fn visible(c: &Constellation, snap: &Snapshot, ge: Ecef) -> Vec<VisibleSat> {
+        visible_sats(c, snap, ge, &FaultPlan::empty())
     }
 
     #[test]
@@ -161,8 +128,7 @@ mod tests {
         // locations.
         let c = presets::starlink_phase1();
         let snap = c.snapshot(0.0);
-        let (g, ge) = ground(0.0, 0.0);
-        let vis = visible_sats(&c, &snap, g, ge);
+        let vis = visible(&c, &snap, ground(0.0, 0.0));
         assert!(vis.len() >= 20, "only {} visible", vis.len());
     }
 
@@ -171,8 +137,7 @@ mod tests {
         // Fig. 1: "Kuiper's design does not provide service beyond 60°".
         let c = presets::kuiper();
         let snap = c.snapshot(0.0);
-        let (g, ge) = ground(65.0, 0.0);
-        assert!(visible_sats(&c, &snap, g, ge).is_empty());
+        assert!(visible(&c, &snap, ground(65.0, 0.0)).is_empty());
     }
 
     #[test]
@@ -183,8 +148,7 @@ mod tests {
         let mut seen = 0;
         for i in 0..10 {
             let snap = c.snapshot(i as f64 * 300.0);
-            let (g, ge) = ground(85.0, 0.0);
-            seen += visible_sats(&c, &snap, g, ge).len();
+            seen += visible(&c, &snap, ground(85.0, 0.0)).len();
         }
         assert!(seen > 0, "no polar coverage in any sample");
     }
@@ -193,30 +157,15 @@ mod tests {
     fn masked_visibility_filters_dead_and_faded() {
         let c = presets::starlink_550_only();
         let snap = c.snapshot(0.0);
-        let (g, ge) = ground(0.0, 0.0);
-        let plain = visible_sats(&c, &snap, g, ge);
+        let ge = ground(0.0, 0.0);
+        let plain = visible(&c, &snap, ge);
         assert!(plain.len() >= 2);
-        assert_eq!(
-            visible_sats_masked(&c, &snap, g, ge, &FaultPlan::empty()),
-            plain,
-            "empty plan is invisible"
-        );
         let mut plan = FaultPlan::empty();
         plan.kill(plain[0].id);
-        let masked = visible_sats_masked(&c, &snap, g, ge, &plan);
+        let masked = visible_sats(&c, &snap, ge, &plan);
         assert_eq!(masked, plain[1..].to_vec());
         plan.set_ground_fade(crate::fault::GroundFade::Outage);
-        assert!(visible_sats_masked(&c, &snap, g, ge, &plan).is_empty());
-    }
-
-    #[test]
-    fn nearest_is_closer_than_farthest() {
-        let c = presets::starlink_phase1();
-        let snap = c.snapshot(0.0);
-        let (g, ge) = ground(30.0, -100.0);
-        let near = nearest_visible(&c, &snap, g, ge).unwrap();
-        let far = farthest_visible(&c, &snap, g, ge).unwrap();
-        assert!(near.range_m <= far.range_m);
+        assert!(visible_sats(&c, &snap, ge, &plan).is_empty());
     }
 
     #[test]
@@ -224,10 +173,13 @@ mod tests {
         // Fig. 1: nearest reachable satellite within ~4 ms at most
         // latitudes (some instants are worse; stay under the 11 ms bound).
         let c = presets::starlink_phase1();
-        let (g, ge) = ground(40.0, 7.0);
+        let ge = ground(40.0, 7.0);
         for i in 0..8 {
             let snap = c.snapshot(i as f64 * 450.0);
-            let near = nearest_visible(&c, &snap, g, ge).unwrap();
+            let near = visible(&c, &snap, ge)
+                .into_iter()
+                .min_by(|a, b| a.range_m.total_cmp(&b.range_m))
+                .unwrap();
             assert!(near.rtt_ms() < 11.0, "t={}: rtt {}", i * 450, near.rtt_ms());
         }
     }
@@ -237,11 +189,14 @@ mod tests {
         // Fig. 1: even the farthest directly reachable satellite is within
         // 16 ms RTT.
         let c = presets::starlink_phase1();
-        let (g, ge) = ground(25.0, 60.0);
+        let ge = ground(25.0, 60.0);
         for i in 0..8 {
             let snap = c.snapshot(i as f64 * 450.0);
-            let far = farthest_visible(&c, &snap, g, ge).unwrap();
-            assert!(far.rtt_ms() <= 16.2, "rtt {}", far.rtt_ms());
+            let vis = visible(&c, &snap, ge);
+            assert!(!vis.is_empty());
+            for v in vis {
+                assert!(v.rtt_ms() <= 16.2, "rtt {}", v.rtt_ms());
+            }
         }
     }
 
@@ -249,8 +204,9 @@ mod tests {
     fn visible_set_respects_per_shell_elevation_rule() {
         let c = presets::kuiper();
         let snap = c.snapshot(600.0);
-        let (g, ge) = ground(10.0, 20.0);
-        for v in visible_sats(&c, &snap, g, ge) {
+        let g = Geodetic::ground(10.0, 20.0);
+        let ge = g.to_ecef_spherical();
+        for v in visible(&c, &snap, ge) {
             let look = leo_geo::LookAngles::compute(g, ge, snap.position(v.id));
             let min_el = c.min_elevation_of(v.id);
             assert!(
@@ -268,8 +224,8 @@ mod tests {
         let grounds = vec![ground(0.0, 0.0), ground(30.0, 100.0), ground(-30.0, -60.0)];
         let mask = coverage_mask(&c, &snap, &grounds);
         let mut expect = vec![false; snap.len()];
-        for &(g, ge) in &grounds {
-            for v in visible_sats(&c, &snap, g, ge) {
+        for &ge in &grounds {
+            for v in visible(&c, &snap, ge) {
                 expect[v.id.0 as usize] = true;
             }
         }

@@ -71,10 +71,10 @@ proptest! {
         dt in (0u8..4, 1e-3f64..600.0).prop_map(|(z, v)| if z == 0 { 0.0 } else { v }),
     ) {
         let (c, engine) = compiled();
-        let mut w = engine.refresh(&c.snapshot(t0));
-        let stats = engine.refresh_delta(&c.snapshot(t0 + dt), &mut w);
+        let mut w = engine.refresh(&c.snapshot(t0), &FaultPlan::empty());
+        let stats = engine.refresh_delta(&c.snapshot(t0 + dt), &FaultPlan::empty(), &mut w);
         prop_assert!(!stats.full_rebuild);
-        assert_bits_eq(&w, &engine.refresh(&c.snapshot(t0 + dt)), "unmasked pair");
+        assert_bits_eq(&w, &engine.refresh(&c.snapshot(t0 + dt), &FaultPlan::empty()), "unmasked pair");
         if dt == 0.0 {
             prop_assert_eq!(stats.recomputed, 0);
         }
@@ -95,15 +95,15 @@ proptest! {
         let plan0 = plan_from(&dead0, &[], &engine);
         let plan1 = plan_from(&dead1, &cuts, &engine);
         let mut w = IslWeights::default();
-        engine.refresh_into_masked(&c.snapshot(t0), &plan0, &mut w);
+        engine.refresh_into(&c.snapshot(t0), &plan0, &mut w);
         // Transition 1: new instant, new plan.
-        engine.refresh_delta_masked(&c.snapshot(t0 + dt), &plan1, &mut w);
+        engine.refresh_delta(&c.snapshot(t0 + dt), &plan1, &mut w);
         let mut full = IslWeights::default();
-        engine.refresh_into_masked(&c.snapshot(t0 + dt), &plan1, &mut full);
+        engine.refresh_into(&c.snapshot(t0 + dt), &plan1, &mut full);
         assert_bits_eq(&w, &full, "plan transition");
         // Transition 2: same instant, plan lifted entirely.
-        engine.refresh_delta(&c.snapshot(t0 + dt), &mut w);
-        assert_bits_eq(&w, &engine.refresh(&c.snapshot(t0 + dt)), "plan lifted");
+        engine.refresh_delta(&c.snapshot(t0 + dt), &FaultPlan::empty(), &mut w);
+        assert_bits_eq(&w, &engine.refresh(&c.snapshot(t0 + dt), &FaultPlan::empty()), "plan lifted");
     }
 
     /// A chain of deltas tracks a chain of full refreshes bitwise — no
@@ -114,12 +114,12 @@ proptest! {
         steps in proptest::collection::vec(0.0f64..240.0, 1..6),
     ) {
         let (c, engine) = compiled();
-        let mut w = engine.refresh(&c.snapshot(t0));
+        let mut w = engine.refresh(&c.snapshot(t0), &FaultPlan::empty());
         let mut t = t0;
         for (i, dt) in steps.iter().enumerate() {
             t += dt;
-            engine.refresh_delta(&c.snapshot(t), &mut w);
-            assert_bits_eq(&w, &engine.refresh(&c.snapshot(t)), &format!("step {i}"));
+            engine.refresh_delta(&c.snapshot(t), &FaultPlan::empty(), &mut w);
+            assert_bits_eq(&w, &engine.refresh(&c.snapshot(t), &FaultPlan::empty()), &format!("step {i}"));
         }
     }
 
@@ -137,13 +137,13 @@ proptest! {
         let (c, engine) = compiled();
         let plan = plan_from(&dead, &[], &engine);
         let mut w = IslWeights::default();
-        engine.refresh_into_masked(&c.snapshot(t0), &plan, &mut w);
+        engine.refresh_into(&c.snapshot(t0), &plan, &mut w);
         let snap = c.snapshot(t0 + dt);
-        engine.refresh_delta_masked(&snap, &plan, &mut w);
+        engine.refresh_delta(&snap, &plan, &mut w);
         let mut full = IslWeights::default();
-        engine.refresh_into_masked(&snap, &plan, &mut full);
+        engine.refresh_into(&snap, &plan, &mut full);
         let grounds = [GroundEndpoint::new(0, Geodetic::ground(lat, lon))];
-        let links = engine.attach_scan_masked(&c, &snap, &grounds, &plan);
+        let links = engine.attach_scan(&c, &snap, &grounds, &plan);
         let mut arena = DijkstraArena::new();
         let mut via_delta = Vec::new();
         let mut via_full = Vec::new();
@@ -165,7 +165,7 @@ proptest! {
     ) {
         let (c, engine) = compiled();
         let snap = c.snapshot(t);
-        let weights = engine.refresh(&snap);
+        let weights = engine.refresh(&snap, &FaultPlan::empty());
         let grounds: Vec<GroundEndpoint> = lats
             .iter()
             .enumerate()
@@ -173,7 +173,7 @@ proptest! {
                 GroundEndpoint::new(i as u32, Geodetic::ground(lat, 31.0 * i as f64))
             })
             .collect();
-        let links = engine.attach_scan(&c, &snap, &grounds);
+        let links = engine.attach_scan(&c, &snap, &grounds, &FaultPlan::empty());
         let n = engine.num_sats() as u32;
         let sources: Vec<SatId> = picks.iter().map(|&p| SatId(u32::from(p) % n)).collect();
         let mut arena = DijkstraArena::new();

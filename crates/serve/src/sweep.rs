@@ -24,7 +24,7 @@
 //! property tests prove.
 //!
 //! Per snapshot the engine still runs one incremental weight refresh
-//! ([`RoutingEngine::refresh_delta_masked`]) on the main thread and
+//! ([`RoutingEngine::refresh_delta`]) on the main thread and
 //! **asserts** the result bit-identical to the view's full refresh —
 //! the serving layer never trades correctness for an incremental path's
 //! speed, it proves the two equal on every instant it serves. In
@@ -37,14 +37,13 @@
 //! population and the schedule: thread counts change wall-clock, never
 //! bytes.
 //!
-//! [`RoutingEngine::refresh_delta_masked`]: leo_net::RoutingEngine::refresh_delta_masked
+//! [`RoutingEngine::refresh_delta`]: leo_net::RoutingEngine::refresh_delta
 //! [`RoutingEngine::multi_source_ground_frontier_into`]: leo_net::RoutingEngine::multi_source_ground_frontier_into
 
 use crate::shard::ShardedUsers;
 use leo_constellation::SatId;
 use leo_core::{InOrbitService, SnapshotView};
 use leo_net::engine::with_thread_arena;
-use leo_net::fault::FaultPlan;
 use leo_net::{GroundSet, IslWeights, NearestState, VisibleSat};
 use leo_sim::parallel_map;
 use serde::{Deserialize, Serialize};
@@ -157,12 +156,6 @@ enum SettleMode {
 /// over. A work heuristic only — both paths produce identical bytes.
 const WARM_MOVED_MAX_FRAC: f64 = 0.25;
 
-/// Fault plans compare for warm-start purposes with empty plans
-/// normalized away: an empty plan masks nothing, exactly like no plan.
-fn effective_plan(plan: Option<&FaultPlan>) -> Option<&FaultPlan> {
-    plan.filter(|p| !p.is_empty())
-}
-
 impl ServeEngine {
     /// Shards `users` per `config` and binds them to `service`.
     pub fn new(
@@ -226,10 +219,7 @@ impl ServeEngine {
             let view = self.service.view(t);
             // Incremental weight refresh, chained from the previous
             // instant and proven against the view's full refresh.
-            let stats = match view.fault_plan() {
-                Some(plan) => engine.refresh_delta_masked(view.snapshot(), plan, &mut delta),
-                None => engine.refresh_delta(view.snapshot(), &mut delta),
-            };
+            let stats = engine.refresh_delta(view.snapshot(), view.fault_plan(), &mut delta);
             assert!(
                 delta.bits_eq(view.isl_weights()),
                 "delta refresh diverged from full refresh at t={t}"
@@ -459,7 +449,7 @@ fn settle_mode(prev: Option<&SnapshotView>, view: &SnapshotView) -> SettleMode {
         leo_obs::counter!("serve.frontier_cold_settles").incr();
         return SettleMode::Cold;
     };
-    if effective_plan(pv.fault_plan()) != effective_plan(view.fault_plan()) {
+    if pv.fault_plan() != view.fault_plan() {
         leo_obs::counter!("serve.frontier_cold_settles").incr();
         return SettleMode::Cold;
     }

@@ -159,7 +159,7 @@ impl<'a> SweepViews<'a> {
 ///     let ge = Geodetic::ground(lat, 0.0).to_ecef_spherical();
 ///     views
 ///         .iter()
-///         .map(|(_, v)| v.index().query(ge).len())
+///         .map(|(_, v)| v.index().query(ge, v.fault_plan()).len())
 ///         .max()
 ///         .unwrap()
 /// });
@@ -296,7 +296,7 @@ mod tests {
             let ge = Geodetic::ground(lat, 0.0).to_ecef_spherical();
             views
                 .iter()
-                .map(|(_, v)| v.index().query(ge).len())
+                .map(|(_, v)| v.index().query(ge, v.fault_plan()).len())
                 .collect()
         };
         let one = TimeSweep::new(&service, times.clone())

@@ -8,6 +8,7 @@
 use in_orbit::net::engine::{DijkstraArena, IslWeights, RoutingEngine};
 use in_orbit::net::graph::{NetworkGraph, NodeId, Path};
 use in_orbit::net::routing::{self, build_graph, delays_to_all_sats};
+use in_orbit::net::FaultPlan;
 use in_orbit::prelude::*;
 use proptest::prelude::*;
 
@@ -73,8 +74,8 @@ fn assert_bulk_bitwise(c: &Constellation, t: f64, users: &[GroundEndpoint]) {
     let topo = IslTopology::plus_grid(c);
     let engine = RoutingEngine::compile(c, &topo);
     let snap = c.snapshot(t);
-    let weights = engine.refresh(&snap);
-    let links = engine.attach_scan(c, &snap, users);
+    let weights = engine.refresh(&snap, &FaultPlan::empty());
+    let links = engine.attach_scan(c, &snap, users, &FaultPlan::empty());
     let mut arena = DijkstraArena::new();
     let fast = engine.delays_from_all(&weights, &links, &mut arena);
 
@@ -125,7 +126,7 @@ proptest! {
         let topo = IslTopology::plus_grid(&c);
         let engine = RoutingEngine::compile(&c, &topo);
         let snap = c.snapshot(t);
-        let weights = engine.refresh(&snap);
+        let weights = engine.refresh(&snap, &FaultPlan::empty());
         let mut arena = DijkstraArena::new();
 
         let graph = build_graph(&c, &topo, &snap, &[]);
@@ -134,7 +135,7 @@ proptest! {
         prop_assert_eq!(slow.map(f64::to_bits), fast.map(f64::to_bits));
 
         let grounds = [GroundEndpoint::new(0, Geodetic::ground(lat, 0.0))];
-        let links = engine.attach_scan(&c, &snap, &grounds);
+        let links = engine.attach_scan(&c, &snap, &grounds, &FaultPlan::empty());
         let relayed_graph = build_graph(&c, &topo, &snap, &grounds);
         let slow = routing::sat_to_sat(&relayed_graph, SatId(a), SatId(b)).map(|p| p.delay_s);
         let fast =
@@ -153,7 +154,7 @@ proptest! {
         let topo = IslTopology::plus_grid(&c);
         let engine = RoutingEngine::compile(&c, &topo);
         let snap = c.snapshot(t);
-        let weights = engine.refresh(&snap);
+        let weights = engine.refresh(&snap, &FaultPlan::empty());
         let graph = build_graph(&c, &topo, &snap, &[]);
         let mut arena = DijkstraArena::new();
         for (a, b) in pairs {
@@ -178,8 +179,8 @@ proptest! {
             GroundEndpoint::new(0, Geodetic::ground(lat1, -20.0)),
             GroundEndpoint::new(1, Geodetic::ground(lat2, -20.0 + dlon)),
         ];
-        let weights = engine.refresh(&snap);
-        let links = engine.attach_scan(&c, &snap, &grounds);
+        let weights = engine.refresh(&snap, &FaultPlan::empty());
+        let links = engine.attach_scan(&c, &snap, &grounds, &FaultPlan::empty());
         let mut arena = DijkstraArena::new();
 
         let graph = build_graph(&c, &topo, &snap, &grounds);
@@ -214,7 +215,7 @@ fn starlink_scale_paths_match_graph_routes() {
     let mut arena = DijkstraArena::new();
     for t in [0.0, 450.0, 1800.0, 3600.0, 5400.0] {
         let snap = c.snapshot(t);
-        let weights = engine.refresh(&snap);
+        let weights = engine.refresh(&snap, &FaultPlan::empty());
         let graph = build_graph(&c, &topo, &snap, &[]);
         for i in 0..40u32 {
             let a = (i * 389) % n;

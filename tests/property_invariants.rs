@@ -3,6 +3,7 @@
 
 use in_orbit::net::routing::{build_graph, delays_to_all_sats};
 use in_orbit::net::visibility::visible_sats;
+use in_orbit::net::FaultPlan;
 use in_orbit::prelude::*;
 use proptest::prelude::*;
 
@@ -42,7 +43,7 @@ proptest! {
         let max_range = in_orbit::geo::look::max_slant_range_m(
             550e3, Angle::from_degrees(25.0));
         let max_rtt = 2.0 * max_range / in_orbit::geo::consts::SPEED_OF_LIGHT_M_S * 1e3;
-        for v in visible_sats(&c, &snap, g, ge) {
+        for v in visible_sats(&c, &snap, ge, &FaultPlan::empty()) {
             prop_assert!(v.rtt_ms() >= min_rtt - 1e-6);
             prop_assert!(v.rtt_ms() <= max_rtt + 1e-6);
         }
@@ -62,7 +63,7 @@ proptest! {
         let user = GroundEndpoint::new(0, Geodetic::ground(lat, 0.0));
         let graph = build_graph(&c, &topo, &snap, &[user]);
         let delays = delays_to_all_sats(&graph, &c, &user);
-        let direct = visible_sats(&c, &snap, user.geodetic, user.ecef);
+        let direct = visible_sats(&c, &snap, user.ecef, &FaultPlan::empty());
         prop_assume!(!direct.is_empty());
         let min_direct = direct.iter().map(|v| v.delay_s()).fold(f64::INFINITY, f64::min);
         for v in &direct {

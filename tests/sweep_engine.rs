@@ -3,29 +3,47 @@
 //! sweep output must not depend on the worker-pool size.
 
 use in_orbit::net::visibility::visible_sats;
-use in_orbit::net::VisibilityIndex;
+use in_orbit::net::{FaultPlan, GroundFade, VisibilityIndex};
 use in_orbit::prelude::*;
 use in_orbit::sim::{SweepViews, TimeSweep};
 use proptest::prelude::*;
+
+/// A fault plan from sampled inputs: the `dead` satellite ids plus a
+/// ground fade chosen by `fade.0` (0 = clear, 1 = a raised elevation
+/// mask of `fade.1` degrees, otherwise a total outage).
+fn plan_from(dead: &[u32], fade: (u8, f64)) -> FaultPlan {
+    let mut plan = FaultPlan::empty();
+    for &id in dead {
+        plan.kill(SatId(id));
+    }
+    plan.set_ground_fade(match fade.0 {
+        0 => GroundFade::Clear,
+        1 => GroundFade::MinElevation(Angle::from_degrees(fade.1)),
+        _ => GroundFade::Outage,
+    });
+    plan
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The latitude-band index is an exact accelerator: for any ground
-    /// point and any epoch it returns precisely the brute-force visible
-    /// set, same satellites, same ranges, same order.
+    /// point, any epoch and any fault plan it returns precisely the
+    /// brute-force visible set, same satellites, same ranges, same order.
     #[test]
     fn index_matches_brute_force_everywhere(
         lat in -90.0..90.0f64,
         lon in -180.0..180.0f64,
         t in 0.0..86_400.0f64,
+        dead in collection::vec(0u32..1584, 0..40),
+        fade in (0u8..3, 25.0..70.0f64),
     ) {
         let c = starlink_550_only();
         let snap = c.snapshot(t);
         let index = VisibilityIndex::build(&c, &snap);
-        let g = Geodetic::ground(lat, lon);
-        let ge = g.to_ecef_spherical();
-        prop_assert_eq!(index.query(ge), visible_sats(&c, &snap, g, ge));
+        let ge = Geodetic::ground(lat, lon).to_ecef_spherical();
+        let plan = plan_from(&dead, fade);
+        prop_assert_eq!(index.query(ge, &plan), visible_sats(&c, &snap, ge, &plan));
     }
 
     /// Multi-shell constellations go through the same per-shell pruning;
@@ -35,13 +53,15 @@ proptest! {
         lat in -60.0..60.0f64,
         lon in -180.0..180.0f64,
         t in 0.0..43_200.0f64,
+        dead in collection::vec(0u32..3236, 0..40),
+        fade in (0u8..3, 25.0..70.0f64),
     ) {
         let c = kuiper();
         let snap = c.snapshot(t);
         let index = VisibilityIndex::build(&c, &snap);
-        let g = Geodetic::ground(lat, lon);
-        let ge = g.to_ecef_spherical();
-        prop_assert_eq!(index.query(ge), visible_sats(&c, &snap, g, ge));
+        let ge = Geodetic::ground(lat, lon).to_ecef_spherical();
+        let plan = plan_from(&dead, fade);
+        prop_assert_eq!(index.query(ge, &plan), visible_sats(&c, &snap, ge, &plan));
     }
 }
 
@@ -64,7 +84,7 @@ fn sweep_output_is_independent_of_thread_count() {
                 let ge = g.to_ecef_spherical();
                 views
                     .iter()
-                    .map(|(_, v)| v.index().query(ge))
+                    .map(|(_, v)| v.index().query(ge, &FaultPlan::empty()))
                     .collect::<Vec<_>>()
             })
     };
