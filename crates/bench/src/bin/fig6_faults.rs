@@ -73,8 +73,9 @@ fn rates(quick: bool) -> Vec<f64> {
 
 fn fault_config(num_sats: usize, rate: f64, climate: Option<&RainClimate>) -> FaultConfig {
     let mut cfg = FaultConfig::none();
-    // Rate 0 still installs the (all-INFINITY) schedule so the zero cell
-    // exercises the masked entry points' empty-plan fast path.
+    // Rate 0 still installs the (all-INFINITY) schedule: its plans are
+    // empty and every query runs the one plan-taking path with them, so
+    // the zero cell must equal the fault-free run.
     cfg.schedule = Some(
         FailureModel {
             annual_failure_rate: rate,
