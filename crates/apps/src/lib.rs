@@ -17,7 +17,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cdn_cache;
 pub mod edge;
 pub mod geo_baseline;
 pub mod interactive;

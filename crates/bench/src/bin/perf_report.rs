@@ -1,54 +1,53 @@
-//! Pretty-prints one run manifest, diffs two, or gates a diff on
-//! throughput and quantile drift.
+//! Pretty-prints one run manifest, or diffs two and runs the checks
+//! its flags arm.
 //!
 //! ```text
 //! cargo run -p leo-bench --bin perf_report -- results/fig1.meta.json
 //! cargo run -p leo-bench --bin perf_report -- baseline.meta.json candidate.meta.json
-//! cargo run -p leo-bench --bin perf_report -- --diff baseline.meta.json candidate.meta.json \
-//!     --min-qps-ratio 0.8 --qps-counter serve.queries --qps-phase sweep
-//! cargo run -p leo-bench --bin perf_report -- --diff baseline.meta.json candidate.meta.json \
+//! cargo run -p leo-bench --bin perf_report -- baseline.meta.json candidate.meta.json \
+//!     --min-qps-ratio 0.85
+//! cargo run -p leo-bench --bin perf_report -- baseline.meta.json candidate.meta.json \
 //!     --p99-tol 3.0 --quantile-metric serve.query_latency_s --md-report watchdog.md
+//! cargo run -p leo-bench --bin perf_report -- --same-work t4.meta.json t1.meta.json \
+//!     --require serve.queries --require serve.served
 //! ```
 //!
 //! With one manifest: configuration, phase wall-clocks, counters,
 //! histogram summaries, and time series. With two: per-phase speedup
 //! (baseline over candidate) and counter deltas — the quick answer to
 //! "did my change make the sweep faster, and did it change how much work
-//! was done?". With `--min-qps-ratio R`, the diff additionally computes
-//! each side's throughput (the `--qps-counter` count over the
-//! `--qps-phase` wall clock) and exits nonzero when candidate/baseline
-//! falls below `R` — the CI perf regression gate.
+//! was done?". Every flag arms a check on the pair, so every flag needs
+//! exactly two manifests; any failed check exits nonzero.
 //!
-//! Any of `--p50-tol`/`--p99-tol`/`--ts-tol`/`--quantile-metric`/
-//! `--md-report` additionally arms the quantile watchdog
-//! (`leo_bench::watchdog`): histogram p50/p99 may grow by at most their
-//! tolerance factor, work time-series max/mean must stay within the
-//! two-sided `--ts-tol` envelope, and violations exit nonzero.
-//! `--quantile-metric NAME` (repeatable) restricts the quantile checks
-//! to the named histograms; `--md-report PATH` writes the findings as a
-//! markdown table (CI job summaries).
+//! * `--min-qps-ratio R` is the serve throughput gate: each side's
+//!   `serve.queries` counter over its `sweep` phase wall clock, and
+//!   candidate/baseline may not fall below `R`.
+//! * `--p50-tol`/`--p99-tol`/`--quantile-metric`/`--md-report` arm the
+//!   quantile watchdog (`leo_bench::watchdog::compare`): histogram
+//!   p50/p99 may grow by at most their tolerance factor.
+//!   `--quantile-metric NAME` (repeatable) restricts the checks to the
+//!   named histograms, each of which must be in both manifests;
+//!   `--md-report PATH` writes the findings as a markdown table (CI job
+//!   summaries).
+//! * `--same-work` is the determinism check
+//!   (`leo_bench::watchdog::same_work`): the two runs must report equal
+//!   counters and bitwise-equal work time series. `--require NAME`
+//!   (repeatable) names a counter or work series the first manifest must
+//!   carry.
 
 use leo_bench::cli::RunManifest;
 use leo_bench::watchdog::{self, WatchdogConfig};
 use std::path::Path;
 use std::process::ExitCode;
 
-/// Throughput gate settings parsed from the flag arguments.
-struct QpsGate {
-    min_ratio: Option<f64>,
-    counter: String,
-    phase: String,
-}
+const USAGE: &str = "usage: perf_report A.meta.json [B.meta.json] [--min-qps-ratio R] \
+     [--p50-tol T] [--p99-tol T] [--quantile-metric NAME]... [--md-report PATH] \
+     [--same-work [--require NAME]...]\n\
+     every flag compares baseline A with candidate B, so it needs both manifests";
 
-impl Default for QpsGate {
-    fn default() -> Self {
-        QpsGate {
-            min_ratio: None,
-            counter: "serve.queries".to_string(),
-            phase: "sweep".to_string(),
-        }
-    }
-}
+/// The throughput gate's work counter and the phase it is timed over.
+const QPS_COUNTER: &str = "serve.queries";
+const QPS_PHASE: &str = "sweep";
 
 /// Watchdog settings: `config` is applied only when `armed` (any
 /// watchdog flag was given).
@@ -62,23 +61,16 @@ struct Watchdog {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut paths: Vec<&str> = Vec::new();
-    let mut gate = QpsGate::default();
+    let mut min_qps_ratio = None;
     let mut dog = Watchdog::default();
+    let mut same_work = false;
+    let mut require: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--diff" => {} // explicit marker; two paths already mean diff
             "--min-qps-ratio" => match it.next().map(|v| v.parse::<f64>()) {
-                Some(Ok(r)) if r > 0.0 => gate.min_ratio = Some(r),
+                Some(Ok(r)) if r > 0.0 => min_qps_ratio = Some(r),
                 _ => return fail("--min-qps-ratio needs a positive number"),
-            },
-            "--qps-counter" => match it.next() {
-                Some(v) => gate.counter = v.clone(),
-                None => return fail("--qps-counter needs a counter name"),
-            },
-            "--qps-phase" => match it.next() {
-                Some(v) => gate.phase = v.clone(),
-                None => return fail("--qps-phase needs a phase name"),
             },
             "--p50-tol" => match it.next().map(|v| v.parse::<f64>()) {
                 Some(Ok(t)) if t >= 1.0 => (dog.armed, dog.config.p50_tol) = (true, t),
@@ -87,10 +79,6 @@ fn main() -> ExitCode {
             "--p99-tol" => match it.next().map(|v| v.parse::<f64>()) {
                 Some(Ok(t)) if t >= 1.0 => (dog.armed, dog.config.p99_tol) = (true, t),
                 _ => return fail("--p99-tol needs a number >= 1"),
-            },
-            "--ts-tol" => match it.next().map(|v| v.parse::<f64>()) {
-                Some(Ok(t)) if t >= 1.0 => (dog.armed, dog.config.ts_tol) = (true, t),
-                _ => return fail("--ts-tol needs a number >= 1"),
             },
             "--quantile-metric" => match it.next() {
                 Some(v) => {
@@ -106,70 +94,64 @@ fn main() -> ExitCode {
                 }
                 None => return fail("--md-report needs a file path"),
             },
-            flag if flag.starts_with("--") => {
-                eprintln!("perf_report: unknown flag {flag}");
-                return ExitCode::FAILURE;
-            }
+            "--same-work" => same_work = true,
+            "--require" => match it.next() {
+                Some(v) => require.push(v.clone()),
+                None => return fail("--require needs a counter or work-series name"),
+            },
+            flag if flag.starts_with("--") => return fail(&format!("unknown flag {flag}")),
             path => paths.push(path),
         }
     }
-    match paths.as_slice() {
-        [one] => match RunManifest::load(Path::new(one)) {
+    if !require.is_empty() && !same_work {
+        return fail("--require only applies to --same-work");
+    }
+    let compares = min_qps_ratio.is_some() || dog.armed || same_work;
+    match (paths.as_slice(), compares) {
+        ([one], false) => match RunManifest::load(Path::new(one)) {
             Ok(m) => {
                 print_single(&m);
                 ExitCode::SUCCESS
             }
             Err(e) => fail(&e),
         },
-        [base, cand] => {
-            match (
+        ([base, cand], _) => {
+            let (b, c) = match (
                 RunManifest::load(Path::new(base)),
                 RunManifest::load(Path::new(cand)),
             ) {
-                (Ok(b), Ok(c)) => {
-                    print_diff(&b, &c);
-                    let qps = check_qps_gate(&b, &c, &gate);
-                    let watch = check_watchdog(&b, &c, &dog, base, cand);
-                    if qps != ExitCode::SUCCESS {
-                        qps
-                    } else {
-                        watch
-                    }
-                }
-                (Err(e), _) | (_, Err(e)) => fail(&e),
+                (Ok(b), Ok(c)) => (b, c),
+                (Err(e), _) | (_, Err(e)) => return fail(&e),
+            };
+            print_diff(&b, &c);
+            let passed = [
+                min_qps_ratio.map_or(true, |r| check_qps_gate(&b, &c, r)),
+                !dog.armed || check_watchdog(&b, &c, &dog, base, cand),
+                !same_work || check_same_work(&b, &c, &require),
+            ];
+            if passed.iter().all(|&p| p) {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::FAILURE
             }
         }
-        _ => fail(
-            "usage: perf_report <manifest.meta.json> [candidate.meta.json] \
-             [--min-qps-ratio R] [--qps-counter NAME] [--qps-phase NAME] \
-             [--p50-tol T] [--p99-tol T] [--ts-tol T] [--quantile-metric NAME]... \
-             [--md-report PATH]",
-        ),
+        _ => fail(USAGE),
     }
 }
 
-/// Runs the quantile watchdog when any of its flags armed it: prints the
-/// verdict, writes the optional markdown report, exits nonzero on
-/// violations.
+/// Runs the quantile watchdog: prints the verdict, writes the optional
+/// markdown report, and reports each finding on stderr.
 fn check_watchdog(
     base: &RunManifest,
     cand: &RunManifest,
     dog: &Watchdog,
     base_path: &str,
     cand_path: &str,
-) -> ExitCode {
-    if !dog.armed {
-        return ExitCode::SUCCESS;
-    }
+) -> bool {
     let report = watchdog::compare(base, cand, &dog.config);
     println!(
-        "\nquantile watchdog: {} histogram(s) checked (p50 tol {:.2}, p99 tol {:.2}), \
-         {} work series checked (envelope tol {:.2})",
-        report.histograms_checked,
-        dog.config.p50_tol,
-        dog.config.p99_tol,
-        report.series_checked,
-        dog.config.ts_tol,
+        "\nquantile watchdog: {} histogram(s) checked (p50 tol {:.2}, p99 tol {:.2})",
+        report.histograms_checked, dog.config.p50_tol, dog.config.p99_tol,
     );
     if let Some(path) = &dog.md_report {
         let md = report.markdown(base_path, cand_path);
@@ -178,48 +160,55 @@ fn check_watchdog(
             Err(e) => eprintln!("warning: cannot write {path}: {e}"),
         }
     }
+    for f in &report.findings {
+        eprintln!("perf_report: {f}");
+    }
     if report.is_clean() {
         println!("quantile watchdog passed");
-        ExitCode::SUCCESS
-    } else {
-        for f in &report.findings {
-            eprintln!(
-                "perf_report: {} {} regressed — baseline {:.6}, candidate {:.6}, \
-                 ratio {:.3} breaks tolerance {:.3}",
-                f.metric, f.stat, f.baseline, f.candidate, f.ratio, f.tolerance
-            );
-        }
-        ExitCode::FAILURE
     }
+    report.is_clean()
+}
+
+/// Runs the determinism check: the two runs must report the same work.
+fn check_same_work(a: &RunManifest, b: &RunManifest, require: &[String]) -> bool {
+    let report = watchdog::same_work(a, b, require);
+    println!(
+        "\nsame work: {} counter(s) and {} work time series identical, {} required name(s) checked",
+        report.counters_equal,
+        report.series_equal,
+        require.len()
+    );
+    for offender in &report.offenders {
+        eprintln!("perf_report: same-work: {offender}");
+    }
+    if report.offenders.is_empty() {
+        println!("same-work check passed");
+    }
+    report.offenders.is_empty()
 }
 
 /// Applies the throughput gate to a diffed pair: candidate qps must be
 /// at least `min_ratio` of baseline qps. A manifest that cannot produce
 /// a rate (counter or phase missing — e.g. a run without `LEO_OBS=1`)
 /// fails the gate loudly rather than passing vacuously.
-fn check_qps_gate(base: &RunManifest, cand: &RunManifest, gate: &QpsGate) -> ExitCode {
-    let Some(min_ratio) = gate.min_ratio else {
-        return ExitCode::SUCCESS;
-    };
-    let rate = |m: &RunManifest, side: &str| match m.rate_per_sec(&gate.counter, &gate.phase) {
-        Some(r) if r > 0.0 => Ok(r),
+fn check_qps_gate(base: &RunManifest, cand: &RunManifest, min_ratio: f64) -> bool {
+    let rate = |m: &RunManifest, side: &str| match m.rate_per_sec(QPS_COUNTER, QPS_PHASE) {
+        Some(r) if r > 0.0 => Some(r),
         _ => {
             eprintln!(
-                "perf_report: {side} manifest has no rate for counter '{}' over phase '{}' \
-                 (was the run made with LEO_OBS=1?)",
-                gate.counter, gate.phase
+                "perf_report: {side} manifest has no rate for counter '{QPS_COUNTER}' over \
+                 phase '{QPS_PHASE}' (was the run made with LEO_OBS=1?)"
             );
-            Err(ExitCode::FAILURE)
+            None
         }
     };
-    let (b, c) = match (rate(base, "baseline"), rate(cand, "candidate")) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => return e,
+    let (Some(b), Some(c)) = (rate(base, "baseline"), rate(cand, "candidate")) else {
+        return false;
     };
     let ratio = c / b;
     println!(
-        "\nthroughput gate: {} over {} — baseline {:.0}/s, candidate {:.0}/s, ratio {:.3} (min {:.3})",
-        gate.counter, gate.phase, b, c, ratio, min_ratio
+        "\nthroughput gate: {QPS_COUNTER} over {QPS_PHASE} — baseline {b:.0}/s, \
+         candidate {c:.0}/s, ratio {ratio:.3} (min {min_ratio:.3})"
     );
     if ratio < min_ratio {
         eprintln!(
@@ -227,10 +216,10 @@ fn check_qps_gate(base: &RunManifest, cand: &RunManifest, gate: &QpsGate) -> Exi
             100.0 * ratio,
             100.0 * min_ratio
         );
-        ExitCode::FAILURE
+        false
     } else {
         println!("throughput gate passed");
-        ExitCode::SUCCESS
+        true
     }
 }
 

@@ -307,11 +307,12 @@ pub struct HistogramRecord {
     pub sum: f64,
     /// Arithmetic mean.
     pub mean: f64,
-    /// Median, accurate to one log-bucket (≲ 19 %).
+    /// Median, accurate to one log-bucket (≲ 19 %) and clamped to the
+    /// exact extremes.
     pub p50: f64,
-    /// 99th percentile, same accuracy.
+    /// 99th percentile, same accuracy and clamp.
     pub p99: f64,
-    /// Upper bound on the maximum sample.
+    /// Exact largest sample.
     pub max: f64,
 }
 
@@ -336,8 +337,8 @@ pub struct TimeSeriesRecord {
     /// Registered series name.
     pub name: String,
     /// True for wall-clock series: gated like spans, *not* deterministic
-    /// across thread counts, excluded from determinism checks and the
-    /// watchdog's envelope comparison.
+    /// across thread counts, and excluded from the determinism check
+    /// ([`crate::watchdog::same_work`]).
     pub timing: bool,
     /// `[x, value]` points in sample order.
     pub points: Vec<(f64, f64)>,
@@ -381,7 +382,7 @@ pub struct RunManifest {
     /// Configuration values that did not parse and the fallbacks taken
     /// (see [`RunConfig::warnings`]). Empty on a clean run.
     pub config_warnings: Vec<String>,
-    /// Observability level: `off`, `metrics`, or `full`.
+    /// Observability level: `off`, `metrics`, `full`, or `trace`.
     pub obs_level: String,
     /// Total wall-clock seconds from `Run::start` to `Run::finish`.
     pub total_s: f64,

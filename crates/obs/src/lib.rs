@@ -310,18 +310,50 @@ fn bucket_hi(idx: usize) -> f64 {
     f64::from_bits((MIN_KEY + idx as u64) << (52 - SUB_BITS))
 }
 
-/// One shard of histogram state: per-bucket counts plus a bit-CAS `f64`
-/// sum (relaxed; only folded at snapshot time).
+/// One shard of histogram state: per-bucket counts, a bit-CAS `f64` sum,
+/// and the exact extremes (relaxed; only folded at snapshot time). The
+/// extremes are `f64` bits of non-negative samples, whose unsigned order
+/// is their numeric order, so `fetch_min`/`fetch_max` track them.
 struct HistShard {
     buckets: Vec<AtomicU64>,
     sum_bits: AtomicU64,
+    min_bits: AtomicU64,
+    max_bits: AtomicU64,
 }
 
 impl HistShard {
     fn new() -> Self {
-        HistShard {
+        let shard = HistShard {
             buckets: (0..SLOTS).map(|_| AtomicU64::new(0)).collect(),
-            sum_bits: AtomicU64::new(0f64.to_bits()),
+            sum_bits: AtomicU64::new(0),
+            min_bits: AtomicU64::new(0),
+            max_bits: AtomicU64::new(0),
+        };
+        shard.reset();
+        shard
+    }
+
+    fn reset(&self) {
+        for b in &self.buckets {
+            b.store(0, Ordering::Relaxed);
+        }
+        self.sum_bits.store(0f64.to_bits(), Ordering::Relaxed);
+        // The identities of min and max over non-negative samples.
+        self.min_bits
+            .store(f64::INFINITY.to_bits(), Ordering::Relaxed);
+        self.max_bits.store(0f64.to_bits(), Ordering::Relaxed);
+    }
+
+    /// Folds `v` into the extremes. NaN, negatives and `-0.0` count as
+    /// `+0.0`, the floor of the underflow bucket they land in. The loads
+    /// skip the read-modify-write when the extreme does not move.
+    fn add_extremes(&self, v: f64) {
+        let bits = if v > 0.0 { v } else { 0.0 }.to_bits();
+        if bits < self.min_bits.load(Ordering::Relaxed) {
+            self.min_bits.fetch_min(bits, Ordering::Relaxed);
+        }
+        if bits > self.max_bits.load(Ordering::Relaxed) {
+            self.max_bits.fetch_max(bits, Ordering::Relaxed);
         }
     }
 
@@ -345,7 +377,8 @@ impl HistShard {
 /// A named log-bucketed histogram over non-negative `f64` samples,
 /// sharded per thread. Geometric buckets (4 per power of two) cover
 /// `2^-64 ..= 2^64` with under/overflow tails; quantiles are answered to
-/// within one bucket (≲ 19 % relative error).
+/// within one bucket (≲ 19 % relative error) and clamped to the exact
+/// extremes, which each shard tracks alongside the sum.
 pub struct Histogram {
     name: &'static str,
     shards: Vec<HistShard>,
@@ -372,13 +405,15 @@ impl Histogram {
     }
 
     /// Records one sample when metrics are enabled: one relaxed
-    /// `fetch_add` on the bucket plus a relaxed CAS on the shard sum.
+    /// `fetch_add` on the bucket, a relaxed CAS on the shard sum, and a
+    /// relaxed update of the shard extremes when the sample moves them.
     #[inline]
     pub fn record(&self, v: f64) {
         if metrics_enabled() {
             let shard = &self.shards[shard_index()];
             shard.buckets[slot_of(v)].fetch_add(1, Ordering::Relaxed);
             shard.add_sum(v);
+            shard.add_extremes(v);
         }
     }
 
@@ -404,12 +439,14 @@ impl Histogram {
     /// Folds the shards into an immutable dump.
     pub fn dump(&self) -> HistogramDump {
         let mut folded = vec![0u64; SLOTS];
-        let mut sum = 0.0;
+        let (mut sum, mut min, mut max) = (0.0, f64::INFINITY, 0.0f64);
         for shard in &self.shards {
             for (acc, b) in folded.iter_mut().zip(&shard.buckets) {
                 *acc += b.load(Ordering::Relaxed);
             }
             sum += f64::from_bits(shard.sum_bits.load(Ordering::Relaxed));
+            min = min.min(f64::from_bits(shard.min_bits.load(Ordering::Relaxed)));
+            max = max.max(f64::from_bits(shard.max_bits.load(Ordering::Relaxed)));
         }
         let buckets: Vec<Bucket> = folded
             .iter()
@@ -428,16 +465,15 @@ impl Histogram {
             name: self.name.to_string(),
             count: buckets.iter().map(|b| b.count).sum(),
             sum,
+            min,
+            max,
             buckets,
         }
     }
 
     fn reset(&self) {
         for shard in &self.shards {
-            for b in &shard.buckets {
-                b.store(0, Ordering::Relaxed);
-            }
-            shard.sum_bits.store(0f64.to_bits(), Ordering::Relaxed);
+            shard.reset();
         }
     }
 }
@@ -781,22 +817,6 @@ pub struct TimeSeriesDump {
     pub points: Vec<(f64, f64)>,
 }
 
-impl TimeSeriesDump {
-    /// Largest sampled value, `None` when empty.
-    pub fn max_value(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.max(v))))
-    }
-
-    /// Arithmetic mean of the sampled values, `None` when empty.
-    pub fn mean_value(&self) -> Option<f64> {
-        (!self.points.is_empty())
-            .then(|| self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64)
-    }
-}
-
 // ----------------------------------------------------------------- dumps
 
 /// One non-empty histogram bucket: `lo <= sample < hi`, `count` samples.
@@ -825,8 +845,9 @@ impl Bucket {
 }
 
 /// An immutable fold of one histogram: sparse non-empty buckets in
-/// ascending order, total count, and exact sum. Mergeable — dumps of the
-/// same metric from different runs or processes can be added.
+/// ascending order, total count, exact sum and exact extremes. Mergeable
+/// — dumps of the same metric from different runs or processes can be
+/// added.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramDump {
     /// Registered metric name.
@@ -835,6 +856,10 @@ pub struct HistogramDump {
     pub count: u64,
     /// Exact sum of all samples.
     pub sum: f64,
+    /// Exact smallest sample (`INFINITY` when empty).
+    pub min: f64,
+    /// Exact largest sample (`0.0` when empty).
+    pub max: f64,
     /// Non-empty buckets, ascending by `lo`.
     pub buckets: Vec<Bucket>,
 }
@@ -845,42 +870,43 @@ impl HistogramDump {
         (self.count > 0).then(|| self.sum / self.count as f64)
     }
 
-    /// Lower edge of the lowest non-empty bucket (a lower bound on the
-    /// true minimum), `None` when empty.
+    /// Exact smallest sample, `None` when empty.
     pub fn min(&self) -> Option<f64> {
-        self.buckets.first().map(|b| b.lo)
+        (self.count > 0).then_some(self.min)
     }
 
-    /// Upper edge of the highest non-empty bucket (an upper bound on the
-    /// true maximum), `None` when empty.
+    /// Exact largest sample, `None` when empty.
     pub fn max(&self) -> Option<f64> {
-        self.buckets.last().map(|b| b.hi)
+        (self.count > 0).then_some(self.max)
     }
 
-    /// The `q`-quantile over the bucket representatives, `None` when the
-    /// dump is empty or `q` is NaN. Accurate to one bucket width
-    /// (≲ 19 %).
+    /// The `q`-quantile over the bucket representatives, clamped to the
+    /// exact extremes; `None` when the dump is empty or `q` is NaN.
+    /// Accurate to one bucket width (≲ 19 %).
     ///
     /// The rule is **nearest rank**: with `q` clamped to `[0, 1]` and
     /// `n = count`, the answer is the [`Bucket::mid`] of the bucket
-    /// holding sample number `max(1, ceil(q·n))` in ascending order. So
-    /// `q = 0` is the lowest non-empty bucket's representative, `q = 1`
-    /// the highest, a single-bucket dump answers that bucket's `mid` for
-    /// every `q`, and the result is monotone non-decreasing in `q` (the
-    /// rank is monotone and buckets ascend).
+    /// holding sample number `max(1, ceil(q·n))` in ascending order,
+    /// clamped to `[min, max]`. So `q = 0` and `q = 1` answer the lowest
+    /// and highest non-empty buckets' representatives clamped to the
+    /// extremes, a one-sample dump answers the sample itself for every
+    /// `q`, and the result is monotone non-decreasing in `q` (the rank is
+    /// monotone, buckets ascend, and clamping preserves order).
     pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.count == 0 || q.is_nan() {
             return None;
         }
         let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0;
-        for b in &self.buckets {
-            seen += b.count;
-            if seen >= rank {
-                return Some(b.mid());
-            }
-        }
-        self.buckets.last().map(Bucket::mid)
+        let bucket = self
+            .buckets
+            .iter()
+            .find(|b| {
+                seen += b.count;
+                seen >= rank
+            })
+            .or(self.buckets.last())?;
+        Some(bucket.mid().max(self.min).min(self.max))
     }
 
     /// Adds `other`'s samples into this dump. Bucket edges come from the
@@ -912,6 +938,8 @@ impl HistogramDump {
         self.buckets = merged;
         self.count += other.count;
         self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 }
 
@@ -1165,8 +1193,7 @@ mod tests {
             assert!((400.0..700.0).contains(&p50), "p50 {p50}");
             let p99 = d.quantile(0.99).unwrap();
             assert!((800.0..1400.0).contains(&p99), "p99 {p99}");
-            assert!(d.min().unwrap() <= 1.0);
-            assert!(d.max().unwrap() >= 1000.0);
+            assert_eq!((d.min(), d.max()), (Some(1.0), Some(1000.0)));
             assert!((d.mean().unwrap() - 500.5).abs() < 1e-6);
         });
     }
@@ -1198,6 +1225,8 @@ mod tests {
             merged.merge(&other);
             let combined = both.dump();
             assert_eq!(merged.count, combined.count);
+            assert_eq!((merged.min(), merged.max()), (Some(0.37), Some(37.0)));
+            assert_eq!((merged.min, merged.max), (combined.min, combined.max));
             assert!((merged.sum - combined.sum).abs() < 1e-9);
             let merged_counts: Vec<(u64, u64)> = merged
                 .buckets
@@ -1245,14 +1274,19 @@ mod tests {
             }
             let d = h.dump();
             // q = 0 is the lowest bucket's representative, q = 1 the
-            // highest; out-of-range q clamps to the same answers.
-            assert_eq!(d.quantile(0.0), Some(d.buckets.first().unwrap().mid()));
-            assert_eq!(d.quantile(1.0), Some(d.buckets.last().unwrap().mid()));
+            // highest, each clamped to the exact extremes [1, 100]. The
+            // lowest bucket's midpoint (1.118) lies inside them; the top
+            // bucket is [96, 112), so q = 1 answers 100, not its midpoint
+            // 103.7. Out-of-range q clamps to the same answers.
+            assert_eq!(d.quantile(0.0), Some(d.buckets[0].mid()));
+            assert_eq!(d.quantile(1.0), Some(100.0));
             assert_eq!(d.quantile(-3.0), d.quantile(0.0));
             assert_eq!(d.quantile(7.0), d.quantile(1.0));
             assert_eq!(d.quantile(f64::NAN), None);
 
-            // Single-bucket dump: every q answers that bucket's mid.
+            // Single-bucket dump of one value: the bucket [3, 3.5) has
+            // midpoint 3.24, which clamps to the exact extremes, so every
+            // q answers 3.
             let h1 = Histogram::register("test.quantile.single");
             h1.reset();
             for _ in 0..5 {
@@ -1260,15 +1294,32 @@ mod tests {
             }
             let d1 = h1.dump();
             assert_eq!(d1.buckets.len(), 1);
-            let mid = d1.buckets[0].mid();
+            assert_ne!(d1.buckets[0].mid(), 3.0);
             for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
-                assert_eq!(d1.quantile(q), Some(mid), "q = {q}");
+                assert_eq!(d1.quantile(q), Some(3.0), "q = {q}");
             }
 
             // Empty dump: always None.
             let h0 = Histogram::register("test.quantile.empty");
             h0.reset();
             assert_eq!(h0.dump().quantile(0.5), None);
+        });
+    }
+
+    /// One sample of 86.24 s lands in the [80, 96) bucket, whose
+    /// midpoint is 87.64 and upper edge 96: the dump must report the
+    /// sample itself as its extremes and every quantile.
+    #[test]
+    fn one_sample_reports_the_sample_as_every_statistic() {
+        with_level(Level::Metrics, || {
+            let h = Histogram::register("test.quantile.one");
+            h.reset();
+            h.record(86.24);
+            let d = h.dump();
+            assert_eq!((d.min(), d.max()), (Some(86.24), Some(86.24)));
+            for q in [0.0, 0.5, 0.99, 1.0] {
+                assert_eq!(d.quantile(q), Some(86.24), "q = {q}");
+            }
         });
     }
 
@@ -1322,8 +1373,6 @@ mod tests {
                 .expect("series registered");
             assert!(!d.timing);
             assert_eq!(d.points, vec![(0.0, 10.0), (60.0, 12.0)]);
-            assert_eq!(d.max_value(), Some(12.0));
-            assert_eq!(d.mean_value(), Some(11.0));
             let names: Vec<&String> = snap.series.iter().map(|s| &s.name).collect();
             let mut sorted = names.clone();
             sorted.sort();
@@ -1435,10 +1484,12 @@ mod tests {
             qb in 0.0..1.0f64,
         ) {
             let mut folded = vec![0u64; SLOTS];
-            let mut sum = 0.0;
+            let (mut sum, mut min, mut max) = (0.0, f64::INFINITY, 0.0f64);
             for &v in &samples {
                 folded[slot_of(v)] += 1;
                 sum += v;
+                min = min.min(v);
+                max = max.max(v);
             }
             // Build the dump directly from the shared bucketing scheme,
             // sidestepping the process-global level and registry.
@@ -1456,6 +1507,8 @@ mod tests {
                 name: "prop".into(),
                 count: samples.len() as u64,
                 sum,
+                min,
+                max,
                 buckets,
             };
             let (lo, hi) = if qa <= qb { (qa, qb) } else { (qb, qa) };
@@ -1465,8 +1518,10 @@ mod tests {
                 vlo <= vhi,
                 "quantile({lo}) = {vlo} > quantile({hi}) = {vhi}"
             );
-            proptest::prop_assert_eq!(d.quantile(0.0).unwrap(), d.buckets.first().unwrap().mid());
-            proptest::prop_assert_eq!(d.quantile(1.0).unwrap(), d.buckets.last().unwrap().mid());
+            proptest::prop_assert!(min <= vlo && vhi <= max, "[{vlo}, {vhi}] outside [{min}, {max}]");
+            let clamped = |b: &Bucket| b.mid().clamp(min, max);
+            proptest::prop_assert_eq!(d.quantile(0.0).unwrap(), clamped(&d.buckets[0]));
+            proptest::prop_assert_eq!(d.quantile(1.0).unwrap(), clamped(d.buckets.last().unwrap()));
         }
     }
 
@@ -1516,6 +1571,9 @@ mod tests {
             reset();
             assert_eq!(c.value(), 0);
             assert_eq!(h.dump().count, 0);
+            // Reset clears the extremes too: the next sample sets both.
+            h.record(1.5);
+            assert_eq!((h.dump().min(), h.dump().max()), (Some(1.5), Some(1.5)));
         });
     }
 

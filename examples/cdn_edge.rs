@@ -1,9 +1,8 @@
 //! In-orbit CDN edge (§3.1): latency comparison against terrestrial
-//! CDN sites, plus content-cache behaviour under orbital churn.
+//! CDN sites.
 //!
 //! Run with: `cargo run --release --example cdn_edge`
 
-use in_orbit::apps::cdn_cache::{simulate_cdn, CacheHandoffPolicy, CdnSimConfig};
 use in_orbit::apps::edge::{compare_edge, TERRESTRIAL_PATH_STRETCH};
 use in_orbit::prelude::*;
 
@@ -37,38 +36,4 @@ fn main() {
         let winner = if cmp.orbit_wins() { "orbit" } else { "ground" };
         println!("{name:<26} {terr:>14} {orbit:>12} {winner:>8}");
     }
-
-    // Cache behaviour under churn: the serving satellite changes every
-    // few minutes; does the edge cache survive?
-    println!("\ncontent cache across satellite hand-offs (Lagos region, 20 min):");
-    let region = Geodetic::ground(6.52, 3.38);
-    let service550 = InOrbitService::new(starlink_550_only());
-    for policy in [
-        CacheHandoffPolicy::ColdStart,
-        CacheHandoffPolicy::WarmHandoff,
-    ] {
-        let result = simulate_cdn(
-            &service550,
-            region,
-            &CdnSimConfig {
-                catalog_items: 10_000,
-                zipf_exponent: 0.9,
-                cache_items: 1_000,
-                request_rate_hz: 50.0,
-                duration_s: 1_200.0,
-                policy,
-                seed: 42,
-            },
-        );
-        println!(
-            "  {policy:?}: {:>6} requests, {:>2} hand-offs, hit rate {:.1} %",
-            result.requests,
-            result.handoffs,
-            result.hit_rate() * 100.0
-        );
-    }
-    println!(
-        "\nWarm hand-off (migrating the hot set over ISLs, as §5 migrates\n\
-         session state) keeps the cache effective despite orbital churn."
-    );
 }

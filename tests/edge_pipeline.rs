@@ -4,9 +4,10 @@
 //! count and whatever the observability level, and a service carrying
 //! an empty fault plan must be indistinguishable from a plain one.
 //!
-//! This is the in-process twin of the CI `edge-smoke` job, which
-//! re-runs the `fig_edge` binary under `LEO_THREADS={1,4}` and
-//! `LEO_OBS={off,1}` and byte-diffs `results/edge.json`.
+//! This is the in-process twin of the `fig_edge` entry of the CI
+//! `extension-smoke` matrix, which re-runs the binary under
+//! `LEO_THREADS={1,4}` and `LEO_OBS={off,trace}` and byte-diffs
+//! `results/edge.json`.
 
 use in_orbit::constellation::{Constellation, ShellSpec, WalkerPattern};
 use in_orbit::core::{FailureModel, InOrbitService};
