@@ -12,7 +12,7 @@
 use leo_apps::geo_baseline::{choose_platform, GeoSatellite, PlatformChoice};
 use leo_apps::interactive::AppClass;
 use leo_apps::matchmaking::{pairwise_census, Player};
-use leo_bench::write_results;
+use leo_bench::cli::Run;
 use leo_cities::WorldCities;
 use leo_constellation::presets;
 use leo_core::capacity::CapacityPool;
@@ -29,6 +29,7 @@ struct DiscussionResults {
 }
 
 fn main() {
+    let run = Run::start("discussion");
     let service = InOrbitService::new(presets::starlink_phase1());
     let mut out = DiscussionResults::default();
 
@@ -128,5 +129,6 @@ fn main() {
         out.capacity.push((name.to_string(), slots));
     }
 
-    write_results("discussion", &out);
+    run.write_results(&out);
+    run.finish();
 }

@@ -3,7 +3,7 @@
 //!
 //! Run: `cargo run -p leo-bench --release --bin feasibility`.
 
-use leo_bench::write_results;
+use leo_bench::cli::Run;
 use leo_feasibility::cost::CostModel;
 use leo_feasibility::power::{battery_wh_for_load, generation_w_for_load, radiator_area_m2};
 use leo_feasibility::reliability::ReliabilityParams;
@@ -19,6 +19,7 @@ struct FeasibilityRow {
 }
 
 fn main() {
+    let run = Run::start("feasibility");
     let server = ServerSpec::hpe_dl325_gen10();
     let bus = SatelliteBus::starlink_v1();
     let mass = MassBudget::compute(&server, &bus);
@@ -111,5 +112,6 @@ fn main() {
         radiator_area_m2(350.0, 300.0, 0.85)
     );
 
-    write_results("feasibility", &rows);
+    run.write_results(&rows);
+    run.finish();
 }

@@ -16,12 +16,13 @@
 //!   re-runs the demoted scan and its head must match (asserted inside
 //!   the engine — reaching the report at all means it held).
 //!
+//! Full mode runs 96 demand cells over 120 one-minute ticks, quick mode
+//! 24 cells over 12, with 8 function slots per satellite server.
 //! `results/edge.json` holds only thread-count-invariant rows; wall
-//! times and counter rates live in `results/edge.meta.json`. Knobs:
-//! `LEO_EDGE_CELLS`, `LEO_EDGE_TICKS`, `LEO_EDGE_SLOTS`.
+//! times and counter rates live in `results/edge.meta.json`.
 //! Run: `cargo run -p leo-bench --release --bin fig_edge` (add `--quick`).
 
-use leo_bench::cli::{Run, RunConfig};
+use leo_bench::cli::Run;
 use leo_constellation::presets;
 use leo_core::{FailureModel, InOrbitService};
 use leo_edge::{
@@ -39,42 +40,16 @@ const FAULT_RATE_PER_YEAR: f64 = 2000.0;
 /// Seed for the outage schedule's death draws.
 const FAULT_SEED: u64 = 42;
 
-struct Knobs {
-    cells: usize,
-    ticks: usize,
-    slots: u32,
-}
+/// Function slots per satellite server.
+const SLOTS_PER_SERVER: u32 = 8;
 
-/// Reads the edge knobs through the shared `RunConfig` warning path, so
-/// a typo'd variable lands in `edge.meta.json` like a bad `LEO_THREADS`
-/// does.
-fn knobs(config: &mut RunConfig) -> Knobs {
-    let quick = config.quick;
-    let already_warned = config.warnings.len();
-    let env = |name: &str| std::env::var(name).ok();
-    let k = Knobs {
-        cells: config.usize_knob(
-            "LEO_EDGE_CELLS",
-            env("LEO_EDGE_CELLS").as_deref(),
-            if quick { 24 } else { 96 },
-        ),
-        ticks: config.usize_knob(
-            "LEO_EDGE_TICKS",
-            env("LEO_EDGE_TICKS").as_deref(),
-            if quick { 12 } else { 120 },
-        ),
-        slots: config.usize_knob("LEO_EDGE_SLOTS", env("LEO_EDGE_SLOTS").as_deref(), 8) as u32,
-    };
-    for w in &config.warnings[already_warned..] {
-        eprintln!("warning: {w}");
-    }
-    k
-}
-
-fn scenario_config(k: &Knobs) -> ScenarioConfig {
+/// The demand scenario: 96 cells over 120 ticks, or 24 over 12 in quick
+/// mode.
+fn scenario_config(quick: bool) -> ScenarioConfig {
+    let (num_cells, ticks) = if quick { (24, 12.0) } else { (96, 120.0) };
     ScenarioConfig {
-        num_cells: k.cells,
-        duration_s: k.ticks as f64 * TICK_S,
+        num_cells,
+        duration_s: ticks * TICK_S,
         tick_s: TICK_S,
         ..ScenarioConfig::default()
     }
@@ -85,19 +60,18 @@ fn functions() -> Vec<FunctionSpec> {
 }
 
 fn main() {
-    let mut config = RunConfig::from_env();
-    let k = knobs(&mut config);
-    let mut run = Run::with_config("edge", config);
+    let mut run = Run::start("edge");
+    let quick = run.quick();
     let edge_config = EdgeConfig {
-        slots_per_server: k.slots,
+        slots_per_server: SLOTS_PER_SERVER,
         qos: QosSpec::default(),
         threads: run.threads(),
     };
 
     // Identity 1: the scenario is a pure function of its config.
     let scenario = run.phase("generate", || {
-        let scenario = Scenario::generate(scenario_config(&k));
-        let again = Scenario::generate(scenario_config(&k));
+        let scenario = Scenario::generate(scenario_config(quick));
+        let again = Scenario::generate(scenario_config(quick));
         assert_eq!(scenario, again, "scenario regeneration diverged");
         scenario
     });

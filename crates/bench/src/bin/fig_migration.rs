@@ -15,9 +15,9 @@
 //! Sweeps state size × cross-traffic load × policy (Sticky's few long
 //! serving intervals vs MinMax's ~4× more frequent hand-offs — the Fig 6
 //! comparison, now with each hand-off carrying a congestion-priced
-//! transfer). Run: `cargo run -p leo-bench --release --bin fig_migration`
-//! (add `--quick`). Knob: `LEO_MIG_HANDOFFS` caps the hand-offs timed
-//! per cell.
+//! transfer). Each cell times its first 3 hand-offs (2 in quick mode).
+//! Run: `cargo run -p leo-bench --release --bin fig_migration`
+//! (add `--quick`).
 //!
 //! Determinism contract: `results/migration.json` is byte-identical
 //! across `LEO_THREADS` and `LEO_OBS` levels; the per-transfer
@@ -26,7 +26,7 @@
 //! the workers, so the manifest's work-done metrics are thread-invariant
 //! too. CI greps the `#`-prefixed identity markers printed below.
 
-use leo_bench::cli::{Run, RunConfig};
+use leo_bench::cli::Run;
 use leo_constellation::{presets, SatId};
 use leo_core::replication::{
     migrate_via_packets, predict_servers, MigrationNetConfig, MigrationOutcome,
@@ -57,7 +57,7 @@ struct MigrationCell {
     predicted_handoffs: usize,
     /// Predicted hand-off rate, per hour — the Fig 6 axis.
     handoff_rate_per_hour: f64,
-    /// The timed subset (first `LEO_MIG_HANDOFFS` hand-offs).
+    /// The timed subset (the first 3 hand-offs, 2 in quick mode).
     measured: Vec<HandoffTransfer>,
     completed: usize,
     mean_duration_s: Option<f64>,
@@ -108,14 +108,9 @@ fn mean(xs: &[f64]) -> Option<f64> {
 }
 
 fn main() {
-    let mut config = RunConfig::from_env();
-    let max_handoffs = {
-        let default = if config.quick { 2 } else { 3 };
-        let raw = std::env::var("LEO_MIG_HANDOFFS").ok();
-        config.usize_knob("LEO_MIG_HANDOFFS", raw.as_deref(), default)
-    };
-    let mut run = Run::with_config("migration", config);
+    let mut run = Run::start("migration");
     let (quick, threads) = (run.quick(), run.threads());
+    let max_handoffs = if quick { 2 } else { 3 };
     let horizon_s = if quick { 1800.0 } else { 3600.0 };
     let step_s = 15.0;
     let net_cfg = MigrationNetConfig::default();

@@ -5,15 +5,16 @@
 //! catalog, shards it by latitude band, and answers every user at every
 //! instant of the schedule through `leo-serve`'s **frontier-primary**
 //! path: one settled satellite-major pass per shard per snapshot,
-//! warm-started across snapshots, instead of one visibility scan per
-//! user. Identities asserted in-binary on every run (grepped by CI):
+//! instead of one visibility scan per user. Full mode answers 1.2 M
+//! users over 12 one-minute snapshots, quick mode 100 k over 4.
+//! Identities asserted in-binary on every run (grepped by CI):
 //!
 //! - the delta weight refresh is bit-identical to the full refresh at
 //!   every snapshot, chained across the sweep;
-//! - on sampled snapshots (`LEO_SERVE_VALIDATE_EVERY`, every snapshot
-//!   in quick mode, every 4th in full mode) one shard's settled answers
-//!   are re-derived through the demoted per-user scans *and* the
-//!   engine's multi-source arg-min frontier, all three bitwise equal;
+//! - on sampled snapshots (every snapshot in quick mode, every 4th in
+//!   full mode) one shard's settled answers are re-derived through the
+//!   demoted per-user scans *and* the engine's multi-source arg-min
+//!   frontier, all three bitwise equal;
 //! - a service carrying an empty fault plan serves byte-identically to
 //!   a plain service, and the masked delta path holds under a real
 //!   outage schedule.
@@ -23,13 +24,11 @@
 //! `serve.queries` over the `sweep` phase — run with `LEO_OBS=1`) and
 //! is what the CI perf gate diffs, alongside the `engine.frontier.*` /
 //! `serve.frontier_*` work counters. The validation cadence is recorded
-//! in the manifest as counter `serve.frontier_validate_every`. Knobs:
-//! `LEO_SERVE_USERS`, `LEO_SERVE_SNAPSHOTS`, `LEO_SERVE_BAND_DEG`,
-//! `LEO_SERVE_SHARD_MAX`, `LEO_SERVE_VALIDATE_EVERY`.
+//! in the manifest as counter `serve.frontier_validate_every`.
 //! Run: `cargo run -p leo-bench --release --bin serve_bench`
 //! (add `--quick`).
 
-use leo_bench::cli::{Run, RunConfig};
+use leo_bench::cli::Run;
 use leo_constellation::presets;
 use leo_core::{FailureModel, InOrbitService};
 use leo_net::FaultConfig;
@@ -49,76 +48,34 @@ const FAULT_RATE_PER_YEAR: f64 = 2000.0;
 /// Seed for the fault schedule's death draws.
 const FAULT_SEED: u64 = 42;
 
-struct Knobs {
-    users: usize,
-    snapshots: usize,
-    band_deg: f64,
-    max_shard: usize,
-    validate_every: usize,
-}
+/// Latitude band height of a user shard, degrees.
+const BAND_DEG: f64 = 4.0;
 
-/// Reads the serve knobs through the shared `RunConfig` warning path, so
-/// a typo'd variable lands in `serve.meta.json` like a bad
-/// `LEO_THREADS` does.
-fn knobs(config: &mut RunConfig) -> Knobs {
-    let quick = config.quick;
-    let already_warned = config.warnings.len();
-    let env = |name: &str| std::env::var(name).ok();
-    let k = Knobs {
-        users: config.usize_knob(
-            "LEO_SERVE_USERS",
-            env("LEO_SERVE_USERS").as_deref(),
-            if quick { 100_000 } else { 1_200_000 },
-        ),
-        snapshots: config.usize_knob(
-            "LEO_SERVE_SNAPSHOTS",
-            env("LEO_SERVE_SNAPSHOTS").as_deref(),
-            if quick { 4 } else { 12 },
-        ),
-        band_deg: config.usize_knob(
-            "LEO_SERVE_BAND_DEG",
-            env("LEO_SERVE_BAND_DEG").as_deref(),
-            4,
-        ) as f64,
-        max_shard: config.usize_knob(
-            "LEO_SERVE_SHARD_MAX",
-            env("LEO_SERVE_SHARD_MAX").as_deref(),
-            if quick { 16_384 } else { 65_536 },
-        ),
+fn main() {
+    let mut run = Run::start("serve");
+    let quick = run.quick();
+    let serve_config = ServeConfig {
+        band_deg: BAND_DEG,
+        max_shard: if quick { 16_384 } else { 65_536 },
+        threads: run.threads(),
         // Quick mode validates every snapshot; full mode samples every
         // 4th — the settled pass is proven bit-identical either way
         // (and the serve test suite pins cadence-independence), so full
         // runs don't pay the demoted per-user scans on every instant.
-        validate_every: config.usize_knob(
-            "LEO_SERVE_VALIDATE_EVERY",
-            env("LEO_SERVE_VALIDATE_EVERY").as_deref(),
-            if quick { 1 } else { 4 },
-        ),
-    };
-    for w in &config.warnings[already_warned..] {
-        eprintln!("warning: {w}");
-    }
-    k
-}
-
-fn main() {
-    let mut config = RunConfig::from_env();
-    let k = knobs(&mut config);
-    let mut run = Run::with_config("serve", config);
-    let threads = run.threads();
-    let serve_config = ServeConfig {
-        band_deg: k.band_deg,
-        max_shard: k.max_shard,
-        threads,
-        validate_every: k.validate_every,
+        validate_every: if quick { 1 } else { 4 },
     };
     // The sampling cadence is part of the run's provenance: record it
     // in the manifest next to the validation counts it explains.
-    leo_obs::counter!("serve.frontier_validate_every").add(k.validate_every as u64);
-    let times: Vec<f64> = (0..k.snapshots).map(|i| i as f64 * STEP_S).collect();
+    leo_obs::counter!("serve.frontier_validate_every").add(serve_config.validate_every as u64);
+    let snapshots = if quick { 4 } else { 12 };
+    let times: Vec<f64> = (0..snapshots).map(|i| i as f64 * STEP_S).collect();
 
     let users = run.phase("generate_users", || {
-        synthesize_users(k.users, SPREAD_DEG, USER_SEED)
+        synthesize_users(
+            if quick { 100_000 } else { 1_200_000 },
+            SPREAD_DEG,
+            USER_SEED,
+        )
     });
 
     // Main sweep: the full population on a plain service. The engine
@@ -136,13 +93,11 @@ fn main() {
         "# delta-refresh weights bit-identical to full refresh across {} snapshots",
         report.snapshots.len()
     );
-    if k.validate_every > 0 {
-        println!("# multi-source frontier matches nearest assignments");
-        println!(
-            "# frontier-primary: settled pass validated against per-user scans every {} snapshot(s)",
-            k.validate_every
-        );
-    }
+    println!("# multi-source frontier matches nearest assignments");
+    println!(
+        "# frontier-primary: settled pass validated against per-user scans every {} snapshot(s)",
+        serve_config.validate_every
+    );
 
     // Identity check: an empty fault plan must serve byte-identically
     // to the plain service. A population subset keeps this O(seconds).

@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run -p leo-bench --release --bin spread_sweep`.
 
-use leo_bench::write_results;
+use leo_bench::cli::Run;
 use leo_constellation::presets;
 use leo_core::meetup::{azure_sites, compare};
 use leo_core::InOrbitService;
@@ -73,6 +73,7 @@ fn sweep(service: &InOrbitService, region: &str, a: Geodetic, b: Geodetic, rows:
 }
 
 fn main() {
+    let run = Run::start("spread_sweep");
     let service = InOrbitService::new(presets::starlink_phase1());
     let mut rows = Vec::new();
 
@@ -100,5 +101,6 @@ fn main() {
          # the same satellite bounce), and the in-orbit edge narrows as the\n\
          # group spreads toward the width of the data-center footprint."
     );
-    write_results("spread_sweep", &rows);
+    run.write_results(&rows);
+    run.finish();
 }

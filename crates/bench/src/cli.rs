@@ -114,26 +114,6 @@ impl RunConfig {
             warnings,
         }
     }
-
-    /// Parses a positive-integer knob (`name` is the environment
-    /// variable, `value` its raw content, `None` = unset), falling back
-    /// to `default` and recording a warning on garbage — the same
-    /// config_warnings paper trail `LEO_THREADS` gets, shared by every
-    /// binary instead of re-parsed ad hoc.
-    pub fn usize_knob(&mut self, name: &str, value: Option<&str>, default: usize) -> usize {
-        match value {
-            None => default,
-            Some(v) => match v.trim().parse::<usize>() {
-                Ok(n) if n > 0 => n,
-                _ => {
-                    self.warnings.push(format!(
-                        "{name}={v:?} is not a positive integer; using {default}"
-                    ));
-                    default
-                }
-            },
-        }
-    }
 }
 
 /// One experiment binary's execution context: the parsed [`RunConfig`],
@@ -546,32 +526,16 @@ mod tests {
     }
 
     #[test]
-    fn usize_knob_parses_warns_and_falls_back() {
-        let mut c = cfg(&[], None, None);
-        assert_eq!(c.usize_knob("LEO_SERVE_USERS", None, 7), 7);
-        assert_eq!(c.usize_knob("LEO_SERVE_USERS", Some("12"), 7), 12);
-        assert_eq!(c.usize_knob("LEO_SERVE_USERS", Some(" 3 "), 7), 3);
-        assert!(c.warnings.is_empty());
-        for bad in ["zero", "0", "-1", "1.5", ""] {
-            assert_eq!(c.usize_knob("LEO_SERVE_USERS", Some(bad), 7), 7);
-        }
-        assert_eq!(c.warnings.len(), 5);
-        assert!(c.warnings[0].contains("LEO_SERVE_USERS"));
-    }
-
-    #[test]
     fn malformed_threads_env_surfaces_in_the_serve_manifest() {
         // The serve_bench path: RunConfig parsed from a garbage
-        // LEO_THREADS, knobs layered on, manifest named "serve" — the
-        // warning must ride all the way into serve.meta.json.
+        // LEO_THREADS, manifest named "serve" — the warning must ride
+        // all the way into serve.meta.json.
         let args: Vec<String> = Vec::new();
-        let mut config = RunConfig::from_parts(&args, None, Some("eight"), None, None);
-        config.usize_knob("LEO_SERVE_USERS", Some("oops"), 100);
+        let config = RunConfig::from_parts(&args, None, Some("eight"), None, None);
         let m = Run::with_config("serve", config).manifest();
         assert_eq!(m.name, "serve");
-        assert_eq!(m.config_warnings.len(), 2);
+        assert_eq!(m.config_warnings.len(), 1);
         assert!(m.config_warnings[0].contains("LEO_THREADS"));
-        assert!(m.config_warnings[1].contains("LEO_SERVE_USERS"));
         let text = serde_json::to_string(&m).unwrap();
         assert!(text.contains("LEO_THREADS"));
     }

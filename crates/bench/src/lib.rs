@@ -20,14 +20,6 @@ use std::path::Path;
 pub mod cli;
 pub mod watchdog;
 
-/// Writes an experiment's data as pretty JSON under `results/<name>.json`
-/// (creating the directory), and reports where it went on stderr.
-/// Binaries using the [`cli::Run`] context should prefer
-/// [`cli::Run::write_results`], which honours `--out-dir`.
-pub fn write_results<T: Serialize>(name: &str, data: &T) {
-    write_json(Path::new("results"), &format!("{name}.json"), data);
-}
-
 /// Writes `data` as pretty JSON to `dir/filename` (creating the
 /// directory), reporting where it went — or why it couldn't — on stderr.
 pub fn write_json<T: Serialize>(dir: &Path, filename: &str, data: &T) {

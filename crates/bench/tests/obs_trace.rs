@@ -64,7 +64,7 @@ fn counters_and_timeseries_identical_across_threads_and_levels() {
         "sweep recorded no counters"
     );
     assert!(
-        base_series.contains("serve.served") && base_series.contains("serve.frontier_mode"),
+        base_series.contains("serve.served") && base_series.contains("serve.delta_recomputed"),
         "sweep recorded no work series: {base_series}"
     );
     for (level, threads) in [(Level::Metrics, 4), (Level::Trace, 1), (Level::Trace, 4)] {

@@ -5,7 +5,7 @@ use leo_constellation::{Constellation, SatId, Snapshot};
 use leo_geo::{look, Geodetic};
 use leo_net::engine::{with_thread_arena, GroundLinks, IslWeights, RoutingEngine, SatPath};
 use leo_net::fault::{FaultConfig, FaultPlan};
-use leo_net::frontier::{self, BandSet, GroundSet, NearestState};
+use leo_net::frontier::{self, BandSet, GroundSet};
 use leo_net::routing::{self, GroundEndpoint};
 use leo_net::visibility::VisibleSat;
 use leo_net::{IslTopology, NetworkGraph, VisibilityIndex};
@@ -130,32 +130,10 @@ impl SnapshotView {
     /// visible (non-faulted) server for every point, in the caller's
     /// point order — bit-identical to running
     /// [`InOrbitService::nearest_servers_view`] over the same points, at
-    /// a fraction of the candidate scans. The settled labels stay in
-    /// `state` for [`SnapshotView::refresh_nearest_servers`] at the next
-    /// instant. Fault-plan aware through the view, like every query.
-    pub fn settle_nearest_servers(
-        &self,
-        set: &GroundSet,
-        state: &mut NearestState,
-        out: &mut Vec<Option<VisibleSat>>,
-    ) {
-        frontier::settle_nearest(&self.index, set, &self.fault, state, out);
-    }
-
-    /// Warm-started refresh of a frontier settled at an earlier instant:
-    /// valid when this view's snapshot differs from the settled one by
-    /// exactly the satellites flagged in `moved` (bitwise position
-    /// compare) under an equal fault plan — then bit-identical to a cold
-    /// [`SnapshotView::settle_nearest_servers`]. Callers are expected to
-    /// verify both preconditions and fall back to a cold settle.
-    pub fn refresh_nearest_servers(
-        &self,
-        set: &GroundSet,
-        moved: &[bool],
-        state: &mut NearestState,
-        out: &mut Vec<Option<VisibleSat>>,
-    ) {
-        frontier::refresh_nearest(&self.index, set, &self.fault, moved, state, out);
+    /// a fraction of the candidate scans. Fault-plan aware through the
+    /// view, like every query.
+    pub fn settle_nearest_servers(&self, set: &GroundSet, out: &mut Vec<Option<VisibleSat>>) {
+        frontier::settle_nearest(&self.index, set, &self.fault, out);
     }
 
     /// Full candidate lists for one latitude band of prepared points via
@@ -760,9 +738,8 @@ mod tests {
         for t in [0.0, 333.0] {
             let view = s.view(t);
             let legacy = s.nearest_servers_view(&view, &users);
-            let mut state = NearestState::default();
             let mut settled = Vec::new();
-            view.settle_nearest_servers(&set, &mut state, &mut settled);
+            view.settle_nearest_servers(&set, &mut settled);
             assert_eq!(legacy.len(), settled.len());
             for (j, (a, b)) in legacy.iter().zip(&settled).enumerate() {
                 match (a, b) {
@@ -793,9 +770,8 @@ mod tests {
         let view = s.view(120.0);
         assert!(!view.fault_plan().is_empty());
         let legacy = s.nearest_servers_view(&view, &users);
-        let mut state = NearestState::default();
         let mut settled = Vec::new();
-        view.settle_nearest_servers(&set, &mut state, &mut settled);
+        view.settle_nearest_servers(&set, &mut settled);
         assert_eq!(legacy, settled);
         for v in settled.iter().flatten() {
             assert!(!view.fault_plan().sat_dead(v.id));

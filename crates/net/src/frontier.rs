@@ -9,8 +9,10 @@
 //! that shape a **satellite-major** pass is far cheaper: fetch the
 //! ground set's candidate satellites once, then let each satellite
 //! challenge only the points inside its **longitude wedge** (the only
-//! points it could possibly cover), updating a running arg-min label
-//! per point.
+//! points it could possibly cover). One private pass finds every
+//! visible `(point, satellite)` pair this way; [`settle_nearest`] folds
+//! the pairs into a running arg-min label per point, and
+//! [`settle_visible_lists`] into a sorted candidate list per point.
 //!
 //! The result is *bit-identical* to the per-point scans, by
 //! construction rather than by luck:
@@ -35,14 +37,6 @@
 //! `1 − cos Δλ ≤ (1 − cos_c_min) / (cos φs · min cos φg)` — an explicit
 //! longitude wedge around the sub-satellite point. Points are kept
 //! longitude-sorted, so a wedge is one or two contiguous slices.
-//!
-//! A settled frontier also supports **warm-started refreshes**: when
-//! only a subset of satellites moved between snapshots (and the fault
-//! plan is unchanged), [`refresh_nearest`] re-derives exactly the
-//! answers that could have changed — points whose winner moved rescan
-//! their candidates, and the moved satellites re-challenge everyone —
-//! and is bit-identical to a cold [`settle_nearest`] because both
-//! compute the same arg-min over the same candidate set.
 
 use crate::fault::{FaultPlan, GroundFade};
 use crate::index::{geocentric_latitude, VisibilityIndex};
@@ -172,26 +166,6 @@ impl GroundSet {
     }
 }
 
-/// Persistent arg-min labels of one [`GroundSet`] — the settled
-/// frontier. Kept in the set's longitude order; reused across
-/// snapshots by [`refresh_nearest`].
-#[derive(Debug, Clone, Default)]
-pub struct NearestState {
-    /// Winning slant range per point (`INFINITY` = no server).
-    best_range: Vec<f64>,
-    /// Winning satellite per point (`u32::MAX` = no server).
-    best_id: Vec<u32>,
-}
-
-impl NearestState {
-    fn reset(&mut self, n: usize) {
-        self.best_range.clear();
-        self.best_range.resize(n, f64::INFINITY);
-        self.best_id.clear();
-        self.best_id.resize(n, u32::MAX);
-    }
-}
-
 /// Work tallies of one satellite-major pass, flushed to the
 /// `engine.frontier.*` counters on drop. Pure work-done counts: they
 /// depend only on the inputs, never on threads or scheduling.
@@ -214,70 +188,40 @@ impl Drop for PassTally {
     }
 }
 
-/// Cold settle: the nearest visible (non-faulted) server for every
-/// point of `set`, written to `out` in the caller's point order —
-/// bit-identical to running the serving layer's per-point
-/// nearest-server query on each point, in one satellite-major pass.
+/// The nearest visible (non-faulted) server for every point of `set`,
+/// written to `out` in the caller's point order — bit-identical to
+/// running the serving layer's per-point nearest-server query on each
+/// point, in one satellite-major pass.
 pub fn settle_nearest(
     index: &VisibilityIndex,
     set: &GroundSet,
     plan: &FaultPlan,
-    state: &mut NearestState,
     out: &mut Vec<Option<VisibleSat>>,
 ) {
     let _span = leo_obs::span!("engine.frontier.settle_s");
     leo_obs::counter!("engine.frontier.settles").incr();
-    state.reset(set.len());
-    challenge(index, set, plan, None, state);
-    scatter(set, state, out);
-}
-
-/// Warm-started refresh of a settled frontier when only the satellites
-/// flagged in `moved` changed position since the settle that produced
-/// `state` — under the **same** fault plan and the same point set.
-///
-/// Two phases, together bit-identical to a cold settle: points whose
-/// recorded winner moved (their label is stale) rescan their own
-/// candidates among the *unmoved* satellites; then every moved
-/// satellite re-challenges the whole set satellite-major. Unmoved
-/// satellites' ranges are bitwise unchanged, so every other label is
-/// still the arg-min over the unmoved candidates, and the arg-min
-/// comparison is scan-order independent — the two phases reconstruct
-/// exactly the full arg-min. With `moved` all-false this reduces to a
-/// scatter of the prior labels (the cross-snapshot reuse fast path).
-pub fn refresh_nearest(
-    index: &VisibilityIndex,
-    set: &GroundSet,
-    plan: &FaultPlan,
-    moved: &[bool],
-    state: &mut NearestState,
-    out: &mut Vec<Option<VisibleSat>>,
-) {
-    assert_eq!(
-        state.best_id.len(),
-        set.len(),
-        "refresh_nearest needs a previously settled state for this set"
-    );
-    let _span = leo_obs::span!("engine.frontier.refresh_s");
-    leo_obs::counter!("engine.frontier.refreshes").incr();
-    let mut dirty = 0u64;
-    for j in 0..set.len() {
-        let id = state.best_id[j];
-        if id != u32::MAX && moved[id as usize] {
-            dirty += 1;
-            state.best_range[j] = f64::INFINITY;
-            state.best_id[j] = u32::MAX;
-            let ge = set.ecef[j];
-            index.for_each_visible(ge, plan, |v| {
-                if !moved[v.id.0 as usize] {
-                    challenge_point(state, j, v.range_m, v.id.0);
-                }
+    // Arg-min labels in the set's longitude order (`INFINITY` and
+    // `u32::MAX` = no server yet).
+    let mut best_range = vec![f64::INFINITY; set.len()];
+    let mut best_id = vec![u32::MAX; set.len()];
+    for_each_visible_pair(index, set, plan, |j, v| {
+        // The serving layer's exact preference: smallest slant range
+        // wins, exact range ties break to the lower satellite id.
+        if v.range_m < best_range[j] || (v.range_m == best_range[j] && v.id.0 < best_id[j]) {
+            best_range[j] = v.range_m;
+            best_id[j] = v.id.0;
+        }
+    });
+    out.clear();
+    out.resize(set.len(), None);
+    for (j, &orig) in set.orig.iter().enumerate() {
+        if best_id[j] != u32::MAX {
+            out[orig as usize] = Some(VisibleSat {
+                id: SatId(best_id[j]),
+                range_m: best_range[j],
             });
         }
     }
-    leo_obs::counter!("engine.frontier.dirty_rescans").add(dirty);
-    challenge(index, set, plan, Some(moved), state);
-    scatter(set, state, out);
 }
 
 /// The full candidate lists variant: every visible (non-faulted)
@@ -295,66 +239,33 @@ pub fn settle_visible_lists(
     leo_obs::counter!("engine.frontier.list_settles").incr();
     out.clear();
     out.resize_with(set.len(), Vec::new);
-    if set.is_empty() {
-        return;
-    }
-    let fades = fades_access_links(plan);
-    let mut tally = PassTally::default();
-    for sh in index.shell_windows(set.lat_lo, set.lat_hi) {
-        let max_r2s = sh.max_range_m * sh.max_range_m * (1.0 + RANGE2_SLACK);
-        for &(id, pos) in sh.entries {
-            if plan.sat_dead(id) {
-                continue;
-            }
-            tally.candidates += 1;
-            let half = wedge_half_width(set, pos, sh.max_range_m);
-            set.for_each_in_wedge(pos.0.y.atan2(pos.0.x), half, |j| {
-                let ge = set.ecef[j];
-                tally.pairs_tested += 1;
-                if (ge.0 - pos.0).norm_squared() > max_r2s {
-                    return;
-                }
-                tally.pairs_exact += 1;
-                let range = ge.distance_m(pos);
-                if range <= sh.max_range_m && look::is_visible_spherical(ge, pos, sh.min_elevation)
-                {
-                    if fades && plan.access_link_masked(ge, pos) {
-                        tally.masked_links += 1;
-                        return;
-                    }
-                    out[set.orig[j] as usize].push(VisibleSat { id, range_m: range });
-                }
-            });
-        }
-    }
+    for_each_visible_pair(index, set, plan, |j, v| out[set.orig[j] as usize].push(v));
     for cands in out.iter_mut() {
         cands.sort_by(|a, b| a.range_m.total_cmp(&b.range_m).then(a.id.cmp(&b.id)));
     }
 }
 
-/// Satellite-major arg-min pass over `set`: every candidate satellite
-/// (restricted to `only_moved` when given) challenges the points in its
-/// longitude wedge. Exact per-pair tests; order-independent updates.
-fn challenge(
+/// The satellite-major pass both settles share: every live candidate
+/// satellite challenges the points inside its longitude wedge, and each
+/// pair that passes the exact range, elevation and ground-fade tests
+/// reaches `visit` as `(point, satellite)`, the point indexed in the
+/// set's longitude order.
+fn for_each_visible_pair(
     index: &VisibilityIndex,
     set: &GroundSet,
     plan: &FaultPlan,
-    only: Option<&[bool]>,
-    state: &mut NearestState,
+    mut visit: impl FnMut(usize, VisibleSat),
 ) {
     if set.is_empty() {
         return;
     }
-    let fades = fades_access_links(plan);
+    // Hoisted out of the pair loop, so a plan without a fade (the empty
+    // plan included) costs it one predictable branch.
+    let fades = plan.ground_fade() != GroundFade::Clear;
     let mut tally = PassTally::default();
     for sh in index.shell_windows(set.lat_lo, set.lat_hi) {
         let max_r2s = sh.max_range_m * sh.max_range_m * (1.0 + RANGE2_SLACK);
         for &(id, pos) in sh.entries {
-            if let Some(flags) = only {
-                if !flags[id.0 as usize] {
-                    continue;
-                }
-            }
             if plan.sat_dead(id) {
                 continue;
             }
@@ -374,39 +285,8 @@ fn challenge(
                         tally.masked_links += 1;
                         return;
                     }
-                    challenge_point(state, j, range, id.0);
+                    visit(j, VisibleSat { id, range_m: range });
                 }
-            });
-        }
-    }
-}
-
-/// True when `plan`'s ground fade can mask an access link. Hoisted out
-/// of the per-pair loops, so a plan without a fade (the empty plan
-/// included) costs them one predictable branch.
-fn fades_access_links(plan: &FaultPlan) -> bool {
-    plan.ground_fade() != GroundFade::Clear
-}
-
-/// The serving layer's exact preference: smallest slant range wins,
-/// exact range ties break to the lower satellite id.
-#[inline]
-fn challenge_point(state: &mut NearestState, j: usize, range: f64, id: u32) {
-    if range < state.best_range[j] || (range == state.best_range[j] && id < state.best_id[j]) {
-        state.best_range[j] = range;
-        state.best_id[j] = id;
-    }
-}
-
-/// Writes the settled labels back in the caller's point order.
-fn scatter(set: &GroundSet, state: &NearestState, out: &mut Vec<Option<VisibleSat>>) {
-    out.clear();
-    out.resize(set.len(), None);
-    for j in 0..set.len() {
-        if state.best_id[j] != u32::MAX {
-            out[set.orig[j] as usize] = Some(VisibleSat {
-                id: SatId(state.best_id[j]),
-                range_m: state.best_range[j],
             });
         }
     }
@@ -597,9 +477,8 @@ mod tests {
             let index = VisibilityIndex::build(&c, &snap);
             let pts = grounds(500);
             let set = GroundSet::build(&pts);
-            let mut state = NearestState::default();
             let mut out = Vec::new();
-            settle_nearest(&index, &set, &FaultPlan::empty(), &mut state, &mut out);
+            settle_nearest(&index, &set, &FaultPlan::empty(), &mut out);
             assert_bitwise_eq(&out, &nearest_reference(&index, &pts, &FaultPlan::empty()));
         }
     }
@@ -611,9 +490,8 @@ mod tests {
         let index = VisibilityIndex::build(&c, &snap);
         let pts = grounds(300);
         let set = GroundSet::build(&pts);
-        let mut state = NearestState::default();
         let mut out = Vec::new();
-        settle_nearest(&index, &set, &FaultPlan::empty(), &mut state, &mut out);
+        settle_nearest(&index, &set, &FaultPlan::empty(), &mut out);
         assert_bitwise_eq(&out, &nearest_reference(&index, &pts, &FaultPlan::empty()));
     }
 
@@ -629,9 +507,8 @@ mod tests {
             plan.kill(SatId(i));
         }
         plan.set_ground_fade(GroundFade::MinElevation(Angle::from_degrees(35.0)));
-        let mut state = NearestState::default();
         let mut out = Vec::new();
-        settle_nearest(&index, &set, &plan, &mut state, &mut out);
+        settle_nearest(&index, &set, &plan, &mut out);
         assert_bitwise_eq(&out, &nearest_reference(&index, &pts, &plan));
         for v in out.iter().flatten() {
             assert!(!plan.sat_dead(v.id), "dead satellite won a point");
@@ -644,103 +521,12 @@ mod tests {
         let snap = c.snapshot(0.0);
         let index = VisibilityIndex::build(&c, &snap);
         let set = GroundSet::build(&[]);
-        let mut state = NearestState::default();
         let mut out = vec![None; 3];
-        settle_nearest(&index, &set, &FaultPlan::empty(), &mut state, &mut out);
+        settle_nearest(&index, &set, &FaultPlan::empty(), &mut out);
         assert!(out.is_empty());
         let mut lists = Vec::new();
         settle_visible_lists(&index, &set, &FaultPlan::empty(), &mut lists);
         assert!(lists.is_empty());
-    }
-
-    #[test]
-    fn refresh_with_nothing_moved_reuses_the_settled_labels() {
-        let c = presets::starlink_550_only();
-        let snap = c.snapshot(90.0);
-        let index = VisibilityIndex::build(&c, &snap);
-        let pts = grounds(300);
-        let set = GroundSet::build(&pts);
-        let mut state = NearestState::default();
-        let (mut cold, mut warm) = (Vec::new(), Vec::new());
-        settle_nearest(&index, &set, &FaultPlan::empty(), &mut state, &mut cold);
-        let moved = vec![false; snap.len()];
-        refresh_nearest(
-            &index,
-            &set,
-            &FaultPlan::empty(),
-            &moved,
-            &mut state,
-            &mut warm,
-        );
-        assert_bitwise_eq(&cold, &warm);
-    }
-
-    #[test]
-    fn incremental_refresh_is_bit_identical_to_a_cold_settle() {
-        // Settle at t0, move a subset of satellites (t1 positions), then
-        // refresh incrementally — must equal a cold settle at t1.
-        let c = presets::starlink_550_only();
-        let snap0 = c.snapshot(300.0);
-        let mut snap1 = c.snapshot(300.0);
-        let moved_ids: Vec<usize> = (0..snap1.len()).step_by(5).collect();
-        let t1 = c.snapshot(360.0);
-        let mut moved = vec![false; snap1.len()];
-        for &i in &moved_ids {
-            snap1.positions[i] = t1.positions[i];
-            moved[i] = true;
-        }
-        let index0 = VisibilityIndex::build(&c, &snap0);
-        let index1 = VisibilityIndex::build(&c, &snap1);
-        let pts = grounds(400);
-        let set = GroundSet::build(&pts);
-        let mut state = NearestState::default();
-        let (mut out0, mut warm, mut cold) = (Vec::new(), Vec::new(), Vec::new());
-        settle_nearest(&index0, &set, &FaultPlan::empty(), &mut state, &mut out0);
-        refresh_nearest(
-            &index1,
-            &set,
-            &FaultPlan::empty(),
-            &moved,
-            &mut state,
-            &mut warm,
-        );
-        let mut cold_state = NearestState::default();
-        settle_nearest(
-            &index1,
-            &set,
-            &FaultPlan::empty(),
-            &mut cold_state,
-            &mut cold,
-        );
-        assert_bitwise_eq(&warm, &cold);
-    }
-
-    #[test]
-    fn incremental_refresh_under_a_plan_matches_cold_settle() {
-        let c = presets::starlink_550_only();
-        let snap0 = c.snapshot(0.0);
-        let mut snap1 = c.snapshot(0.0);
-        let t1 = c.snapshot(60.0);
-        let mut moved = vec![false; snap1.len()];
-        for i in (0..snap1.len()).step_by(3) {
-            snap1.positions[i] = t1.positions[i];
-            moved[i] = true;
-        }
-        let mut plan = FaultPlan::empty();
-        for i in (0..snap1.len() as u32).step_by(11) {
-            plan.kill(SatId(i));
-        }
-        let index0 = VisibilityIndex::build(&c, &snap0);
-        let index1 = VisibilityIndex::build(&c, &snap1);
-        let pts = grounds(350);
-        let set = GroundSet::build(&pts);
-        let mut state = NearestState::default();
-        let (mut out0, mut warm, mut cold) = (Vec::new(), Vec::new(), Vec::new());
-        settle_nearest(&index0, &set, &plan, &mut state, &mut out0);
-        refresh_nearest(&index1, &set, &plan, &moved, &mut state, &mut warm);
-        let mut cold_state = NearestState::default();
-        settle_nearest(&index1, &set, &plan, &mut cold_state, &mut cold);
-        assert_bitwise_eq(&warm, &cold);
     }
 
     #[test]
@@ -799,9 +585,8 @@ mod tests {
         snap.positions[101] = b;
         let index = VisibilityIndex::build(&c, &snap);
         let set = GroundSet::build(&[ge]);
-        let mut state = NearestState::default();
         let mut out = Vec::new();
-        settle_nearest(&index, &set, &FaultPlan::empty(), &mut state, &mut out);
+        settle_nearest(&index, &set, &FaultPlan::empty(), &mut out);
         let won = out[0].expect("planted satellites are visible");
         assert!(
             ge.distance_m(a) <= won.range_m,

@@ -2,9 +2,9 @@
 //! population over a snapshot schedule, on delta-refreshed routing
 //! state.
 //!
-//! **Frontier-primary.** Each shard's assignments come from one settled
-//! satellite-major pass ([`SnapshotView::settle_nearest_servers`]) per
-//! snapshot — candidate satellites challenge the shard's
+//! **Frontier-primary.** Each shard's assignments come from one cold,
+//! settled satellite-major pass ([`SnapshotView::settle_nearest_servers`])
+//! per snapshot — candidate satellites challenge the shard's
 //! longitude-sorted users inside their coverage wedges — instead of one
 //! visibility scan per user. The settled pass is bit-identical to the
 //! per-user scans by construction (conservative prunes, exact per-pair
@@ -12,16 +12,6 @@
 //! demoted per-user scan survives as an opt-in, sampled validation mode
 //! ([`ServeConfig::validate_every`]) that re-derives whole shards and
 //! asserts equality.
-//!
-//! **Warm-started across snapshots.** Each shard keeps its settled
-//! labels. When a snapshot's positions differ from the previous one by
-//! only a subset of satellites (bitwise compare) under an equal fault
-//! plan, the pass refreshes incrementally — stale winners rescan, moved
-//! satellites re-challenge — and with nothing moved it reuses the labels
-//! outright (`serve.frontier_reuse`). Any doubt (first snapshot, plan
-//! change, wholesale motion) falls back to a cold settle; every path
-//! yields the same bytes, which is what the sampled validation and the
-//! property tests prove.
 //!
 //! Per snapshot the engine still runs one incremental weight refresh
 //! ([`RoutingEngine::refresh_delta`]) on the main thread and
@@ -44,10 +34,9 @@ use crate::shard::ShardedUsers;
 use leo_constellation::SatId;
 use leo_core::{InOrbitService, SnapshotView};
 use leo_net::engine::with_thread_arena;
-use leo_net::{GroundSet, IslWeights, NearestState, VisibleSat};
+use leo_net::{GroundSet, IslWeights, VisibleSat};
 use leo_sim::parallel_map;
 use serde::{Deserialize, Serialize};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Knobs of a serve sweep. Sharding and validation cadence are part of
@@ -136,26 +125,6 @@ struct ShardOut {
     rtt_sum_ms: f64,
 }
 
-/// How this snapshot's settled pass relates to the previous one —
-/// decided once per snapshot on the main thread, applied to every
-/// shard. All variants produce identical bytes; they differ only in
-/// work.
-enum SettleMode {
-    /// No usable prior labels (first snapshot, fault-plan change, or
-    /// wholesale satellite motion): settle from scratch.
-    Cold,
-    /// Positions differ from the previous snapshot by exactly the
-    /// flagged satellites, under an equal fault plan: refresh the
-    /// prior labels incrementally (with nothing flagged, reuse them
-    /// outright).
-    Warm(Vec<bool>),
-}
-
-/// Warm refreshes beat cold settles only while few satellites moved;
-/// past this fraction the dirty-user rescans cost more than starting
-/// over. A work heuristic only — both paths produce identical bytes.
-const WARM_MOVED_MAX_FRAC: f64 = 0.25;
-
 impl ServeEngine {
     /// Shards `users` per `config` and binds them to `service`.
     pub fn new(
@@ -189,8 +158,8 @@ impl ServeEngine {
     }
 
     /// Answers every user at every instant of `times` with one settled
-    /// frontier pass per shard, chaining the delta weight refresh and
-    /// the shard frontiers across snapshots.
+    /// frontier pass per shard, chaining the delta weight refresh across
+    /// snapshots.
     ///
     /// # Panics
     /// Panics if the delta-refreshed weights ever diverge from the
@@ -203,10 +172,6 @@ impl ServeEngine {
         let engine = self.service.routing_engine().clone();
         let mut delta = IslWeights::default();
         let mut prev: Vec<Option<SatId>> = Vec::new();
-        let mut prev_view: Option<std::sync::Arc<SnapshotView>> = None;
-        let mut states: Vec<NearestState> = (0..self.users.num_shards())
-            .map(|_| NearestState::default())
-            .collect();
         let mut report = SweepReport {
             snapshots: Vec::with_capacity(times.len()),
             total_queries: 0,
@@ -228,32 +193,12 @@ impl ServeEngine {
             report.delta_skipped += stats.skipped() as u64;
             report.delta_full_rebuilds += u64::from(stats.full_rebuild);
 
-            let mode = settle_mode(prev_view.as_deref(), &view);
-
-            // Fan the shards across the pool, threading each shard's
-            // persistent frontier labels through the items; results come
-            // back in shard order, so the fold below (and the labels
-            // each shard carries into the next snapshot) are
-            // thread-count-invariant.
-            let items: Vec<(usize, Mutex<Option<NearestState>>)> = states
-                .drain(..)
-                .enumerate()
-                .map(|(i, s)| (i, Mutex::new(Some(s))))
-                .collect();
-            let pairs = parallel_map(items, self.config.threads, |(i, cell)| {
-                let mut state = cell
-                    .lock()
-                    .expect("shard state lock")
-                    .take()
-                    .expect("shard state taken once");
-                let out = self.answer_shard(&view, *i, &mode, &mut state);
-                (out, state)
+            // Fan the shards across the pool; results come back in shard
+            // order, so the fold below is thread-count-invariant.
+            let shards: Vec<usize> = (0..self.users.num_shards()).collect();
+            let outs = parallel_map(shards, self.config.threads, |&i| {
+                self.answer_shard(&view, i)
             });
-            let mut outs = Vec::with_capacity(pairs.len());
-            for (out, state) in pairs {
-                outs.push(out);
-                states.push(state);
-            }
 
             let mut row = SnapshotStats {
                 time_s: t,
@@ -297,15 +242,6 @@ impl ServeEngine {
             leo_obs::timeseries!("serve.served").sample(t, row.served as f64);
             leo_obs::timeseries!("serve.handoffs").sample(t, row.handoffs as f64);
             leo_obs::timeseries!("serve.delta_recomputed").sample(t, stats.recomputed as f64);
-            // 0 = cold settle, 1 = warm incremental refresh, 2 = label
-            // reuse (warm with nothing moved) — the warm-start decay
-            // curve over orbital time.
-            let mode_code = match &mode {
-                SettleMode::Cold => 0.0,
-                SettleMode::Warm(moved) if moved.iter().any(|&m| m) => 1.0,
-                SettleMode::Warm(_) => 2.0,
-            };
-            leo_obs::timeseries!("serve.frontier_mode").sample(t, mode_code);
             leo_obs::trace_instant("serve.snapshot");
             if let Some(t0) = snap_t0 {
                 // Wall-clock series: spans-gated, excluded from the
@@ -320,7 +256,6 @@ impl ServeEngine {
                 self.validate_shard_frontier(&view, &delta, k, &outs[k]);
             }
             prev = current;
-            prev_view = Some(view);
             report.snapshots.push(row);
         }
         report
@@ -328,23 +263,11 @@ impl ServeEngine {
 
     /// Answers one shard against a view via its settled frontier,
     /// timing the batch.
-    fn answer_shard(
-        &self,
-        view: &SnapshotView,
-        i: usize,
-        mode: &SettleMode,
-        state: &mut NearestState,
-    ) -> ShardOut {
+    fn answer_shard(&self, view: &SnapshotView, i: usize) -> ShardOut {
         let users = self.users.shard(i);
-        let set = &self.sets[i];
         let start = Instant::now();
         let mut assignments = Vec::new();
-        match mode {
-            SettleMode::Cold => view.settle_nearest_servers(set, state, &mut assignments),
-            SettleMode::Warm(moved) => {
-                view.refresh_nearest_servers(set, moved, state, &mut assignments)
-            }
-        }
+        view.settle_nearest_servers(&self.sets[i], &mut assignments);
         let elapsed = start.elapsed().as_secs_f64();
         if !users.is_empty() {
             // Per-query latency, batch-averaged: one sample per shard
@@ -437,52 +360,6 @@ impl ServeEngine {
                 a.map(|v| v.id)
             );
         }
-    }
-}
-
-/// Decides how this snapshot's settled pass may reuse the previous
-/// snapshot's labels. Conservative by construction: anything but
-/// "same fault plan, same satellite count, few satellites moved
-/// (bitwise)" falls back to a cold settle.
-fn settle_mode(prev: Option<&SnapshotView>, view: &SnapshotView) -> SettleMode {
-    let Some(pv) = prev else {
-        leo_obs::counter!("serve.frontier_cold_settles").incr();
-        return SettleMode::Cold;
-    };
-    if pv.fault_plan() != view.fault_plan() {
-        leo_obs::counter!("serve.frontier_cold_settles").incr();
-        return SettleMode::Cold;
-    }
-    let a = pv.snapshot();
-    let b = view.snapshot();
-    if a.len() != b.len() {
-        leo_obs::counter!("serve.frontier_cold_settles").incr();
-        return SettleMode::Cold;
-    }
-    let mut moved = vec![false; b.len()];
-    let mut count = 0usize;
-    for (m, (pe, qe)) in moved
-        .iter_mut()
-        .zip(a.positions.iter().zip(b.positions.iter()))
-    {
-        let (p, q) = (pe.0, qe.0);
-        if p.x.to_bits() != q.x.to_bits()
-            || p.y.to_bits() != q.y.to_bits()
-            || p.z.to_bits() != q.z.to_bits()
-        {
-            *m = true;
-            count += 1;
-        }
-    }
-    if count == 0 {
-        leo_obs::counter!("serve.frontier_reuse").incr();
-        SettleMode::Warm(moved)
-    } else if (count as f64) <= WARM_MOVED_MAX_FRAC * b.len() as f64 {
-        leo_obs::counter!("serve.frontier_warm_refreshes").incr();
-        SettleMode::Warm(moved)
-    } else {
-        leo_obs::counter!("serve.frontier_cold_settles").incr();
-        SettleMode::Cold
     }
 }
 
@@ -648,10 +525,9 @@ mod tests {
             report.snapshots[0].assignment_checksum,
             report.snapshots[1].assignment_checksum
         );
-        // The repeated instant is where both incremental paths pay off:
-        // the cold start rebuilds every edge and settles every shard,
-        // the second snapshot recomputes no edges and reuses every
-        // shard's settled frontier labels outright.
+        // The repeated instant is where the delta refresh pays off: the
+        // cold start rebuilds every edge, the second snapshot recomputes
+        // none.
         assert_eq!(report.delta_full_rebuilds, 1);
         assert_eq!(report.delta_recomputed, n_edges);
         assert_eq!(report.delta_skipped, n_edges);

@@ -1,9 +1,13 @@
 //! Integration tests for the parallel time-sweep engine: the spatial
-//! visibility index must be indistinguishable from brute force, and the
-//! sweep output must not depend on the worker-pool size.
+//! visibility index must be indistinguishable from brute force, the
+//! satellite-major frontier from the index, and the sweep output must
+//! not depend on the worker-pool size.
 
+use in_orbit::net::frontier::settle_nearest;
 use in_orbit::net::visibility::visible_sats;
-use in_orbit::net::{FaultPlan, GroundFade, VisibilityIndex};
+use in_orbit::net::{
+    BandedGroundSets, FaultPlan, GroundFade, GroundSet, VisibilityIndex, VisibleSat,
+};
 use in_orbit::prelude::*;
 use in_orbit::sim::{SweepViews, TimeSweep};
 use proptest::prelude::*;
@@ -62,6 +66,67 @@ proptest! {
         let ge = Geodetic::ground(lat, lon).to_ecef_spherical();
         let plan = plan_from(&dead, fade);
         prop_assert_eq!(index.query(ge, &plan), visible_sats(&c, &snap, ge, &plan));
+    }
+
+    /// The satellite-major frontier is exact against the index: over
+    /// random points (both poles and both sides of the antimeridian
+    /// included) cut into latitude bands of a random height, each
+    /// point lands in exactly one band, its band's candidate list is its
+    /// sorted index query, and the band's nearest-server settle is that
+    /// query's minimum (range, then lowest id).
+    #[test]
+    fn frontier_matches_per_point_queries(
+        t in 0.0..86_400.0f64,
+        multi_shell in 0u8..2,
+        dead in collection::vec(0.0..1.0f64, 0..40),
+        fade in (0u8..3, 25.0..70.0f64),
+        random_pts in collection::vec((-90.0..90.0f64, -180.0..180.0f64), 0..=80),
+        antimeridian_lat in -60.0..60.0f64,
+        band_deg in 0.5..30.0f64,
+    ) {
+        let c = if multi_shell == 1 { kuiper() } else { starlink_550_only() };
+        let snap = c.snapshot(t);
+        let index = VisibilityIndex::build(&c, &snap);
+        let n = c.num_satellites() as f64;
+        let dead: Vec<u32> = dead.iter().map(|&u| (u * n) as u32).collect();
+        let plan = plan_from(&dead, fade);
+        let fixed = [
+            (90.0, 0.0),
+            (-90.0, 0.0),
+            (antimeridian_lat, 179.999),
+            (antimeridian_lat, -179.999),
+        ];
+        let pts: Vec<Ecef> = fixed
+            .iter()
+            .chain(&random_pts)
+            .map(|&(lat, lon)| Geodetic::ground(lat, lon).to_ecef_spherical())
+            .collect();
+        let want: Vec<Vec<VisibleSat>> = pts
+            .iter()
+            .map(|&ge| {
+                let mut v = index.query(ge, &plan);
+                v.sort_by(|a, b| a.range_m.total_cmp(&b.range_m).then(a.id.cmp(&b.id)));
+                v
+            })
+            .collect();
+        let mut bands_per_point = vec![0u32; pts.len()];
+        for band in BandedGroundSets::build(&pts, band_deg).bands() {
+            let lists = band.visible_lists(&index, &plan);
+            let band_pts: Vec<Ecef> = lists.iter().map(|&(g, _)| pts[g as usize]).collect();
+            let mut nearest = Vec::new();
+            settle_nearest(&index, &GroundSet::build(&band_pts), &plan, &mut nearest);
+            for ((g, list), best) in lists.iter().zip(&nearest) {
+                let g = *g as usize;
+                bands_per_point[g] += 1;
+                prop_assert_eq!(list, &want[g], "candidate list of point {}", g);
+                prop_assert_eq!(best.as_ref(), want[g].first(), "nearest server of point {}", g);
+            }
+        }
+        prop_assert!(
+            bands_per_point.iter().all(|&k| k == 1),
+            "bands per point: {:?}",
+            bands_per_point
+        );
     }
 }
 
