@@ -50,11 +50,25 @@ pub fn invisible_count(service: &InOrbitService, sites: &[Geodetic], t: f64) -> 
     }
 }
 
+/// Invisible-satellite counts for a growing ground-station set, and the
+/// satellites the whole set still cannot see.
+#[derive(Debug, Clone, PartialEq)]
+pub struct InvisibleSeries {
+    /// One report per prefix length, in the order requested.
+    pub reports: Vec<InvisibleReport>,
+    /// Geodetic subpoints of the satellites invisible from every site of
+    /// the longest prefix, in satellite order — the data behind Fig 5's
+    /// map.
+    pub positions: Vec<Geodetic>,
+}
+
 /// [`InvisibleReport`]s for a *growing* ground-station set: one report
-/// per prefix length in `prefix_sizes` (ascending) of `sites`. The
+/// per prefix length in `prefix_sizes` (ascending) of `sites`, plus the
+/// subpoints of the satellites the longest prefix leaves invisible. The
 /// coverage mask is extended incrementally — each site's visibility is
 /// computed exactly once however many prefixes it appears in — which is
-/// what makes Fig 4's 100..=1000-city sweep cheap.
+/// what makes Fig 4's 100..=1000-city sweep cheap, and Fig 5's map reads
+/// the same mask.
 ///
 /// # Panics
 /// Panics when `prefix_sizes` is not ascending or a size exceeds
@@ -64,7 +78,7 @@ pub fn invisible_series(
     sites: &[Geodetic],
     t: f64,
     prefix_sizes: &[usize],
-) -> Vec<InvisibleReport> {
+) -> InvisibleSeries {
     let _span = leo_obs::span!("apps.spacenative.coverage_s");
     let view = service.view(t);
     let total_sats = view.index().num_satellites();
@@ -88,23 +102,13 @@ pub fn invisible_series(
             invisible: mask.iter().filter(|&&v| !v).count(),
         });
     }
-    reports
-}
-
-/// Geodetic subpoints of the invisible satellites at time `t` — the data
-/// behind Fig 5's map. Shares the cached snapshot view (and therefore
-/// the propagation) with [`invisible_count`] at the same instant.
-pub fn invisible_positions(service: &InOrbitService, sites: &[Geodetic], t: f64) -> Vec<Geodetic> {
-    let _span = leo_obs::span!("apps.spacenative.coverage_s");
-    leo_obs::counter!("apps.spacenative.coverage_sites").add(sites.len() as u64);
-    let view = service.view(t);
-    let grounds: Vec<Ecef> = sites.iter().map(|g| g.to_ecef_spherical()).collect();
-    let mask = view.index().coverage_mask(&grounds);
-    view.snapshot()
+    let positions = view
+        .snapshot()
         .iter()
         .filter(|(id, _)| !mask[id.0 as usize])
         .map(|(_, pos)| pos.to_geodetic_spherical())
-        .collect()
+        .collect();
+    InvisibleSeries { reports, positions }
 }
 
 /// An Earth-observation sensing pipeline.
@@ -223,8 +227,8 @@ mod tests {
         let service = InOrbitService::new(presets::kuiper());
         let sites = WorldCities::load_at_least(400).top_n_geodetic(400);
         let series = invisible_series(&service, &sites, 0.0, &[100, 250, 400]);
-        assert_eq!(series.len(), 3);
-        for r in &series {
+        assert_eq!(series.reports.len(), 3);
+        for r in &series.reports {
             let direct = invisible_count(&service, &sites[..r.num_sites], 0.0);
             assert_eq!(r.invisible, direct.invisible, "at {} sites", r.num_sites);
             assert_eq!(r.total_sats, direct.total_sats);
@@ -241,11 +245,13 @@ mod tests {
 
     #[test]
     fn invisible_positions_match_the_count() {
+        // The positions belong to the longest prefix, not to the first.
         let service = InOrbitService::new(presets::kuiper());
         let cities = WorldCities::load().top_n_geodetic(200);
         let r = invisible_count(&service, &cities, 0.0);
-        let pos = invisible_positions(&service, &cities, 0.0);
-        assert_eq!(pos.len(), r.invisible);
+        let series = invisible_series(&service, &cities, 0.0, &[50, 200]);
+        assert_eq!(series.positions.len(), r.invisible);
+        assert!(series.reports[0].invisible > r.invisible);
     }
 
     #[test]
@@ -254,7 +260,7 @@ mod tests {
         // South of most of the World's population".
         let service = InOrbitService::new(presets::starlink_phase1());
         let cities = WorldCities::load_at_least(1000).top_n_geodetic(1000);
-        let pos = invisible_positions(&service, &cities, 0.0);
+        let pos = invisible_series(&service, &cities, 0.0, &[1000]).positions;
         let south = pos.iter().filter(|p| p.lat.degrees() < 0.0).count();
         assert!(
             south * 2 > pos.len(),

@@ -25,8 +25,21 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_f64(s: Option<&String>) -> f64 {
-    s.and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+/// The `<lat> <lon>` arguments in degrees. Anything that cannot be a
+/// place on Earth — not a number, not finite, |lat| > 90 or |lon| > 180 —
+/// is a usage error.
+fn lat_lon(args: &[String]) -> (f64, f64) {
+    let degrees = |i: usize, name: &str, limit: f64| {
+        let given = args.get(i).map_or("nothing", String::as_str);
+        match given.parse::<f64>() {
+            Ok(x) if x.is_finite() && x.abs() <= limit => x,
+            _ => {
+                eprintln!("{name} must be finite degrees within ±{limit}, got {given}");
+                usage()
+            }
+        }
+    };
+    (degrees(2, "latitude", 90.0), degrees(3, "longitude", 180.0))
 }
 
 fn main() {
@@ -72,8 +85,7 @@ fn main() {
             }
         }
         "visible" => {
-            let lat = parse_f64(args.get(2));
-            let lon = parse_f64(args.get(3));
+            let (lat, lon) = lat_lon(&args);
             let service = InOrbitService::new(constellation);
             let mut vis = service.reachable_servers(Geodetic::ground(lat, lon), 0.0);
             vis.sort_by(|a, b| a.range_m.total_cmp(&b.range_m));
@@ -91,8 +103,7 @@ fn main() {
             }
         }
         "passes" => {
-            let lat = parse_f64(args.get(2));
-            let lon = parse_f64(args.get(3));
+            let (lat, lon) = lat_lon(&args);
             let ground = Geodetic::ground(lat, lon);
             let passes = predict_passes(&constellation, ground, 0.0, 3600.0, 10.0);
             println!(

@@ -141,6 +141,6 @@ fn main() {
     );
 
     run.write_results(&fig6);
-    leo_bench::write_json(run.out_dir(), "fig7.json", &fig7);
+    run.write_json("fig7.json", &fig7);
     run.finish();
 }

@@ -152,11 +152,6 @@ impl Run {
         self.config.threads
     }
 
-    /// Output directory for results and the manifest.
-    pub fn out_dir(&self) -> &Path {
-        &self.config.out_dir
-    }
-
     /// Runs `f`, recording its wall-clock time as phase `label` in the
     /// manifest. Phases appear in execution order. At `LEO_OBS=trace`
     /// the phase is also an interval in the exported trace.
@@ -177,7 +172,33 @@ impl Run {
     /// whatever the observability level, which is why timings and
     /// counters go to the separate manifest instead.
     pub fn write_results<T: Serialize>(&self, data: &T) {
-        crate::write_json(&self.config.out_dir, &format!("{}.json", self.name), data);
+        self.write_json(&format!("{}.json", self.name), data);
+    }
+
+    /// Writes `data` as pretty JSON to `<out_dir>/<filename>` (creating
+    /// the directory) and reports where it went on stderr. A run that
+    /// cannot write what it computed has failed: the process then exits
+    /// with status 1, naming the path and the error.
+    pub fn write_json<T: Serialize>(&self, filename: &str, data: &T) {
+        let dir = &self.config.out_dir;
+        let path = dir.join(filename);
+        let written = std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))
+            .and_then(|()| {
+                serde_json::to_string_pretty(data)
+                    .map_err(|e| format!("cannot serialize {}: {e}", path.display()))
+            })
+            .and_then(|json| {
+                std::fs::write(&path, json)
+                    .map_err(|e| format!("cannot write {}: {e}", path.display()))
+            });
+        match written {
+            Ok(()) => eprintln!("wrote {}", path.display()),
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(1);
+            }
+        }
     }
 
     /// Builds the manifest (configuration, phase wall-clocks, and a dump
@@ -185,14 +206,12 @@ impl Run {
     /// `<out_dir>/<name>.meta.json`, and returns it. At `LEO_OBS=trace`
     /// the buffered trace events are additionally drained into
     /// `<out_dir>/<name>.trace.json` (Chrome trace-event JSON — open in
-    /// Perfetto or chrome://tracing).
+    /// Perfetto or chrome://tracing). A manifest that cannot be written
+    /// ends the process like a result ([`Run::write_json`]); a trace that
+    /// cannot be written is only a warning.
     pub fn finish(self) -> RunManifest {
         let manifest = self.manifest();
-        crate::write_json(
-            &self.config.out_dir,
-            &format!("{}.meta.json", manifest.name),
-            &manifest,
-        );
+        self.write_json(&format!("{}.meta.json", manifest.name), &manifest);
         if leo_obs::trace_enabled() {
             let dump = leo_obs::take_trace();
             let path = self

@@ -1,10 +1,12 @@
 //! # leo-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper
-//! (`fig1` … `fig6`, `feasibility`; `fig6` also writes Fig 7, whose
-//! latencies come from the same sessions), plus Criterion
-//! micro-benchmarks and ablation benches. See DESIGN.md §3 for the
-//! experiment index and EXPERIMENTS.md for paper-vs-measured results.
+//! The experiment harness: one binary per table/figure of the paper, or
+//! per pair of figures read off one run (`fig1`, `fig3`, `fig4`, `fig6`,
+//! `feasibility`; `fig1` also writes Fig 2 from the same sweep, `fig4`
+//! writes Fig 5 from the same coverage mask, and `fig6` writes Fig 7
+//! from the same sessions), plus Criterion micro-benchmarks and
+//! ablation benches. See DESIGN.md §3 for the experiment index and
+//! EXPERIMENTS.md for paper-vs-measured results.
 //!
 //! Every binary prints gnuplot-ready columns to stdout and writes the
 //! same series as JSON under `results/`.
@@ -14,28 +16,9 @@
 
 use leo_geo::Geodetic;
 use leo_net::routing::GroundEndpoint;
-use serde::Serialize;
-use std::path::Path;
 
 pub mod cli;
 pub mod watchdog;
-
-/// Writes `data` as pretty JSON to `dir/filename` (creating the
-/// directory), reporting where it went — or why it couldn't — on stderr.
-pub fn write_json<T: Serialize>(dir: &Path, filename: &str, data: &T) {
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(filename);
-    match serde_json::to_string_pretty(data) {
-        Ok(json) => match std::fs::write(&path, json) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-        },
-        Err(e) => eprintln!("warning: cannot serialize {filename}: {e}"),
-    }
-}
 
 /// The `LEO_QUICK` decision as a pure function of the variable's value
 /// (`None` = unset): anything but `0` or the empty string enables quick

@@ -27,6 +27,14 @@
 //!   variant for single-target queries and a path variant that keeps
 //!   predecessors.
 //!
+//! Three loops settle nodes. Delay, bulk and multi-source queries all go
+//! through one private `settle`, the only place that picks a queue: the
+//! monotone bucket loop (the hot path) when the smallest edge weight
+//! allows it, else the one binary-heap loop. That heap loop also runs the
+//! arg-min frontier, carrying a source label per node. The path query
+//! keeps its own heap loop, which pops delay ties in the reference
+//! graph's order.
+//!
 //! Delays are **bit-identical** to the brute-force
 //! `build_graph` + Dijkstra path: the same edge set, the same weights
 //! (`distance_m / c`, computed the same way), and the same left-to-right
@@ -374,15 +382,8 @@ pub struct DijkstraArena {
     preds: Vec<u32>,
     /// The path search's heap, in the reference graph's order.
     path_heap: BinaryHeap<PathItem>,
-    /// Monotone bucket queue: `(node, tentative delay)` by
-    /// `delay / width` bucket. With the width at most the smallest edge
-    /// weight, every pop from the lowest non-empty bucket is final, so
-    /// this settles in a valid label-setting order with O(1) queue ops.
-    buckets: Vec<Vec<(u32, f64)>>,
-    /// Fallback min-heap of `delay bits << 32 | node` — non-negative
-    /// finite `f64` bit patterns order like the floats themselves, so one
-    /// integer compare replaces `total_cmp` plus a tie-break.
-    heap: BinaryHeap<Reverse<u128>>,
+    /// The shared searches' queues.
+    queues: Queues,
     /// Per-node winning-source labels for the arg-min settle
     /// ([`RoutingEngine::multi_source_ground_frontier_into`]); resized
     /// and reset per query, reused across queries.
@@ -394,13 +395,20 @@ impl DijkstraArena {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    fn clear_queues(&mut self) {
-        self.heap.clear();
-        for b in &mut self.buckets {
-            b.clear();
-        }
-    }
+/// The two priority queues a shared search settles from.
+#[derive(Debug, Default)]
+struct Queues {
+    /// Monotone bucket queue: `(node, tentative delay)` by
+    /// `delay / width` bucket. With the width at most the smallest edge
+    /// weight, every pop from the lowest non-empty bucket is final, so
+    /// this settles in a valid label-setting order with O(1) queue ops.
+    buckets: Vec<Vec<(u32, f64)>>,
+    /// Fallback min-heap of `delay bits << 32 | node` — non-negative
+    /// finite `f64` bit patterns order like the floats themselves, so one
+    /// integer compare replaces `total_cmp` plus a tie-break.
+    heap: BinaryHeap<Reverse<u128>>,
 }
 
 /// Local Dijkstra work tallies — plain register increments on the hot
@@ -745,15 +753,9 @@ impl RoutingEngine {
         (self.num_sats + g) as u32
     }
 
-    /// Dijkstra core. With `target`, settles nodes until the target pops
-    /// and returns its delay (early exit); without, settles the whole
-    /// reachable component and returns `None`.
-    ///
-    /// Dispatches to the monotone bucket queue when the smallest edge
-    /// weight allows it, else to the binary heap. Both settle nodes in a
-    /// valid label-setting order over the same weights, so each node's
-    /// final distance is the minimum of the same relaxation set computed
-    /// with the same arithmetic — the results are bit-identical.
+    /// Dijkstra from node `src`: with `target`, settles nodes until the
+    /// target pops and returns its delay (early exit); without, settles
+    /// the whole reachable component and returns `None`.
     fn run(
         &self,
         weights: &IslWeights,
@@ -764,26 +766,48 @@ impl RoutingEngine {
     ) -> Option<f64> {
         let n = self.num_sats + links.map_or(0, GroundLinks::num_grounds);
         arena.scratch.begin(n);
-        arena.clear_queues();
-        let DijkstraArena {
-            scratch,
-            buckets,
-            heap,
-            ..
-        } = arena;
-        scratch.set(src, 0.0);
+        let (scratch, queues) = (&mut arena.scratch, &mut arena.queues);
+        self.settle(weights, links, [src], target, scratch, queues)
+    }
+
+    /// Seeds every node of `sources` at distance zero and settles from
+    /// them, with or without a `target` as in [`RoutingEngine::run`].
+    ///
+    /// The one place a search picks its queue: the monotone bucket queue
+    /// when the smallest edge weight allows it, else the binary heap.
+    /// Both settle nodes in a valid label-setting order over the same
+    /// weights, so each node's final distance is the minimum of the same
+    /// relaxation set computed with the same arithmetic — the results are
+    /// bit-identical.
+    fn settle<S: DistStore>(
+        &self,
+        weights: &IslWeights,
+        links: Option<&GroundLinks>,
+        sources: impl IntoIterator<Item = u32>,
+        target: Option<u32>,
+        store: &mut S,
+        queues: &mut Queues,
+    ) -> Option<f64> {
         let wmin = weights
             .min_finite
             .min(links.map_or(f64::INFINITY, |l| l.min_up));
         if wmin.is_finite() && wmin > MIN_BUCKET_WIDTH_S {
             leo_obs::counter!("engine.dijkstra.bucket_queries").incr();
-            // Distance zero lands in bucket 0 whatever the bucket width.
-            bucket_push(buckets, src, 0.0, 0.0);
-            self.search_buckets(weights, links, target, scratch, buckets, wmin)
+            queues.buckets.iter_mut().for_each(Vec::clear);
+            for s in sources {
+                store.set(s, 0.0);
+                // Distance zero lands in bucket 0 whatever the bucket width.
+                bucket_push(&mut queues.buckets, s, 0.0, 0.0);
+            }
+            self.search_buckets(weights, links, target, store, &mut queues.buckets, wmin)
         } else {
             leo_obs::counter!("engine.dijkstra.heap_queries").incr();
-            heap.push(Reverse(heap_key(0.0, src)));
-            self.search_heap(weights, links, target, scratch, heap)
+            queues.heap.clear();
+            for s in sources {
+                store.set(s, 0.0);
+                queues.heap.push(Reverse(heap_key(0.0, s)));
+            }
+            self.search_heap(weights, links, target, store, &mut queues.heap, None)
         }
     }
 
@@ -862,9 +886,18 @@ impl RoutingEngine {
         }
     }
 
-    /// Classic lazy-deletion binary-heap Dijkstra — the fallback for
-    /// degenerate weights (sub-[`MIN_BUCKET_WIDTH_S`] or all-occluded
-    /// topologies, where the bucket count would be unbounded).
+    /// Lazy-deletion binary-heap Dijkstra — the fallback for degenerate
+    /// weights (sub-[`MIN_BUCKET_WIDTH_S`] or all-occluded topologies,
+    /// where the bucket count would be unbounded), and the arg-min
+    /// frontier's settle.
+    ///
+    /// With `labels`, each node carries the source that reaches it: a
+    /// strict improvement inherits the popped node's label, and an
+    /// equal-distance relaxation that would lower a node's label takes it
+    /// and re-queues the node so the lower label propagates. Every edge
+    /// weight is strictly positive, so all equal-distance improvements to
+    /// a node are queued before it first pops, and re-pops re-relax
+    /// idempotently. Distances relax the same way with or without labels.
     fn search_heap<S: DistStore>(
         &self,
         weights: &IslWeights,
@@ -872,6 +905,7 @@ impl RoutingEngine {
         target: Option<u32>,
         store: &mut S,
         heap: &mut BinaryHeap<Reverse<u128>>,
+        mut labels: Option<&mut [u32]>,
     ) -> Option<f64> {
         let mut tally = SearchTally::default();
         while let Some(Reverse(key)) = heap.pop() {
@@ -884,38 +918,39 @@ impl RoutingEngine {
             if target == Some(u) {
                 return Some(d);
             }
+            let label = labels.as_ref().map_or(u32::MAX, |l| l[u as usize]);
+            let mut relax = |v: u32, nd: f64| {
+                let dv = store.dist_of(v);
+                if nd < dv {
+                    store.set(v, nd);
+                    tally.relaxations += 1;
+                    if let Some(l) = labels.as_deref_mut() {
+                        l[v as usize] = label;
+                    }
+                    heap.push(Reverse(heap_key(nd, v)));
+                } else if nd == dv {
+                    if let Some(l) = labels.as_deref_mut().filter(|l| label < l[v as usize]) {
+                        l[v as usize] = label;
+                        heap.push(Reverse(heap_key(nd, v)));
+                    }
+                }
+            };
             if (u as usize) < self.num_sats {
                 let (lo, hi) = (
                     self.offsets[u as usize] as usize,
                     self.offsets[u as usize + 1] as usize,
                 );
                 for (&v, &w) in self.targets[lo..hi].iter().zip(&weights.slots[lo..hi]) {
-                    let nd = d + w;
-                    if nd < store.dist_of(v) {
-                        store.set(v, nd);
-                        tally.relaxations += 1;
-                        heap.push(Reverse(heap_key(nd, v)));
-                    }
+                    relax(v, d + w);
                 }
                 if let Some(gl) = links {
                     for &(g, w) in gl.down_of(u as usize) {
-                        let v = self.ground_node(g as usize);
-                        let nd = d + w;
-                        if nd < store.dist_of(v) {
-                            store.set(v, nd);
-                            tally.relaxations += 1;
-                            heap.push(Reverse(heap_key(nd, v)));
-                        }
+                        relax(self.ground_node(g as usize), d + w);
                     }
                 }
             } else if let Some(gl) = links {
                 for &(s, w) in gl.up_of(u as usize - self.num_sats) {
-                    let nd = d + w;
-                    if nd < store.dist_of(s) {
-                        store.set(s, nd);
-                        tally.relaxations += 1;
-                        heap.push(Reverse(heap_key(nd, s)));
-                    }
+                    relax(s, d + w);
                 }
             }
         }
@@ -1051,27 +1086,16 @@ impl RoutingEngine {
         let n = self.num_sats + links.num_grounds();
         out.clear();
         out.resize(n, f64::INFINITY);
-        arena.clear_queues();
+        let src = [self.ground_node(src)];
         let mut store = SliceStore(out);
-        let src = self.ground_node(src);
-        store.set(src, 0.0);
-        let wmin = weights.min_finite.min(links.min_up);
-        if wmin.is_finite() && wmin > MIN_BUCKET_WIDTH_S {
-            leo_obs::counter!("engine.dijkstra.bucket_queries").incr();
-            bucket_push(&mut arena.buckets, src, 0.0, 0.0);
-            self.search_buckets(
-                weights,
-                Some(links),
-                None,
-                &mut store,
-                &mut arena.buckets,
-                wmin,
-            );
-        } else {
-            leo_obs::counter!("engine.dijkstra.heap_queries").incr();
-            arena.heap.push(Reverse(heap_key(0.0, src)));
-            self.search_heap(weights, Some(links), None, &mut store, &mut arena.heap);
-        }
+        self.settle(
+            weights,
+            Some(links),
+            src,
+            None,
+            &mut store,
+            &mut arena.queues,
+        );
         out.truncate(self.num_sats);
     }
 
@@ -1118,31 +1142,16 @@ impl RoutingEngine {
         let n = self.num_sats + links.num_grounds();
         out.clear();
         out.resize(n, f64::INFINITY);
-        arena.clear_queues();
+        let seeds = sources.iter().map(|s| s.0);
         let mut store = SliceStore(out);
-        let wmin = weights.min_finite.min(links.min_up);
-        if wmin.is_finite() && wmin > MIN_BUCKET_WIDTH_S {
-            leo_obs::counter!("engine.dijkstra.bucket_queries").incr();
-            for &s in sources {
-                store.set(s.0, 0.0);
-                bucket_push(&mut arena.buckets, s.0, 0.0, 0.0);
-            }
-            self.search_buckets(
-                weights,
-                Some(links),
-                None,
-                &mut store,
-                &mut arena.buckets,
-                wmin,
-            );
-        } else {
-            leo_obs::counter!("engine.dijkstra.heap_queries").incr();
-            for &s in sources {
-                store.set(s.0, 0.0);
-                arena.heap.push(Reverse(heap_key(0.0, s.0)));
-            }
-            self.search_heap(weights, Some(links), None, &mut store, &mut arena.heap);
-        }
+        self.settle(
+            weights,
+            Some(links),
+            seeds,
+            None,
+            &mut store,
+            &mut arena.queues,
+        );
         // Ground slots live after the satellites; move them to the front.
         out.copy_within(self.num_sats.., 0);
         out.truncate(links.num_grounds());
@@ -1178,92 +1187,29 @@ impl RoutingEngine {
     ) {
         debug_assert_eq!(links.num_sats, self.num_sats);
         leo_obs::counter!("engine.frontier.argmin_settles").incr();
+        leo_obs::counter!("engine.dijkstra.heap_queries").incr();
         let n = self.num_sats + links.num_grounds();
         delays.clear();
         delays.resize(n, f64::INFINITY);
-        arena.clear_queues();
-        arena.labels.clear();
-        arena.labels.resize(n, u32::MAX);
-        let mut store = SliceStore(delays);
-        leo_obs::counter!("engine.dijkstra.heap_queries").incr();
+        let DijkstraArena { queues, labels, .. } = arena;
+        labels.clear();
+        labels.resize(n, u32::MAX);
+        queues.heap.clear();
         for &s in sources {
-            store.set(s.0, 0.0);
-            arena.labels[s.0 as usize] = arena.labels[s.0 as usize].min(s.0);
-            arena.heap.push(Reverse(heap_key(0.0, s.0)));
+            delays[s.0 as usize] = 0.0;
+            labels[s.0 as usize] = s.0;
+            queues.heap.push(Reverse(heap_key(0.0, s.0)));
         }
-        self.search_heap_argmin(
-            weights,
-            links,
-            &mut store,
-            &mut arena.heap,
-            &mut arena.labels,
-        );
+        let mut store = SliceStore(delays);
+        let heap = &mut queues.heap;
+        self.search_heap(weights, Some(links), None, &mut store, heap, Some(labels));
         winners.clear();
         winners.extend((0..links.num_grounds()).map(|g| {
             let node = self.ground_node(g) as usize;
-            (delays[node].is_finite()).then(|| SatId(arena.labels[node]))
+            (delays[node].is_finite()).then(|| SatId(labels[node]))
         }));
         delays.copy_within(self.num_sats.., 0);
         delays.truncate(links.num_grounds());
-    }
-
-    /// Heap settle carrying per-node source labels. Distances relax
-    /// exactly as in [`RoutingEngine::search_heap`]; additionally, an
-    /// equal-distance relaxation that would lower a node's label updates
-    /// the label and re-pushes the node so the improvement propagates.
-    /// Every edge weight is strictly positive, so all equal-distance
-    /// improvements to a node are enqueued before the node first pops,
-    /// and re-pops re-relax idempotently.
-    fn search_heap_argmin<S: DistStore>(
-        &self,
-        weights: &IslWeights,
-        links: &GroundLinks,
-        store: &mut S,
-        heap: &mut BinaryHeap<Reverse<u128>>,
-        labels: &mut [u32],
-    ) {
-        let mut tally = SearchTally::default();
-        while let Some(Reverse(key)) = heap.pop() {
-            let u = key as u32;
-            let d = f64::from_bits((key >> 32) as u64);
-            if d > store.dist_of(u) {
-                continue; // stale heap entry
-            }
-            tally.pops += 1;
-            let label = labels[u as usize];
-            let mut relax = |v: u32,
-                             nd: f64,
-                             store: &mut S,
-                             heap: &mut BinaryHeap<Reverse<u128>>,
-                             tally: &mut SearchTally| {
-                let dv = store.dist_of(v);
-                if nd < dv {
-                    store.set(v, nd);
-                    labels[v as usize] = label;
-                    tally.relaxations += 1;
-                    heap.push(Reverse(heap_key(nd, v)));
-                } else if nd == dv && label < labels[v as usize] {
-                    labels[v as usize] = label;
-                    heap.push(Reverse(heap_key(nd, v)));
-                }
-            };
-            if (u as usize) < self.num_sats {
-                let (lo, hi) = (
-                    self.offsets[u as usize] as usize,
-                    self.offsets[u as usize + 1] as usize,
-                );
-                for (&v, &w) in self.targets[lo..hi].iter().zip(&weights.slots[lo..hi]) {
-                    relax(v, d + w, store, heap, &mut tally);
-                }
-                for &(g, w) in links.down_of(u as usize) {
-                    relax(self.ground_node(g as usize), d + w, store, heap, &mut tally);
-                }
-            } else {
-                for &(s, w) in links.up_of(u as usize - self.num_sats) {
-                    relax(s, d + w, store, heap, &mut tally);
-                }
-            }
-        }
     }
 }
 
