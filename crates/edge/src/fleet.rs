@@ -167,8 +167,14 @@ impl<'a> EdgeEngine<'a> {
             .fold(self.config.qos.latency_bound_ms, f64::max)
     }
 
-    /// Runs the scenario tick by tick.
+    /// Runs the scenario tick by tick. The run records into the
+    /// `edge.run_s` span, and each tick's parts into child spans:
+    /// `edge.view_s`, `edge.bands_s` (band fan-out and gather),
+    /// `edge.filter_s` (head cross-check and bound filters),
+    /// `edge.placement_s`, `edge.replicas_s` and `edge.fold_s` (demand
+    /// and checksum fold, with its gauges).
     pub fn run(&self) -> EdgeReport {
+        let _span = leo_obs::span!("edge.run_s");
         let endpoints = self.scenario.endpoints();
         let num_funcs = self.functions.len();
         let mut replicas = ReplicaSets::new(endpoints.len());
@@ -181,47 +187,60 @@ impl<'a> EdgeEngine<'a> {
         let banded = leo_net::BandedGroundSets::build(&cells, CELL_BAND_DEG);
         let mut ticks: Vec<TickStats> = Vec::new();
         for (tick_i, t) in self.scenario.ticks().into_iter().enumerate() {
-            let view = self.service.view(t);
+            let view = leo_obs::histogram!("edge.view_s").time(|| self.service.view(t));
             // Parallel fan-out over latitude bands: per-cell
             // visible-server lists, sorted nearest-first with id
             // tie-breaks. Order-preserving, and each cell belongs to
             // exactly one band, so thread count never reorders the
             // fold below.
-            let band_ids: Vec<usize> = (0..banded.num_bands()).collect();
-            let per_band = leo_sim::parallel_map(band_ids, self.config.threads, |&b| {
-                view.frontier_visible_lists(&banded.bands()[b])
-            });
-            let mut all: Vec<Vec<VisibleSat>> = vec![Vec::new(); endpoints.len()];
-            for band in per_band {
-                for (cell, list) in band {
-                    all[cell as usize] = list;
+            let all = leo_obs::histogram!("edge.bands_s").time(|| {
+                let band_ids: Vec<usize> = (0..banded.num_bands()).collect();
+                let per_band = leo_sim::parallel_map(band_ids, self.config.threads, |&b| {
+                    view.frontier_visible_lists(&banded.bands()[b])
+                });
+                let mut all: Vec<Vec<VisibleSat>> = vec![Vec::new(); endpoints.len()];
+                for band in per_band {
+                    for (cell, list) in band {
+                        all[cell as usize] = list;
+                    }
                 }
-            }
-            // One rotating cell per tick re-runs the demoted per-cell
-            // scan through the service's own nearest-server answer —
-            // the cross-check tying this crate to the serving layer
-            // without re-scanning the whole fleet's visibility.
-            if !endpoints.is_empty() {
-                let probe = tick_i % endpoints.len();
-                let near = self.service.nearest_server_view(&view, &endpoints[probe]);
-                assert_eq!(
-                    all[probe].first().map(|c| (c.id, c.range_m.to_bits())),
-                    near.map(|v| (v.id, v.range_m.to_bits())),
-                    "candidate head disagrees with nearest_server_view (cell {probe})"
+                all
+            });
+            let (qos_cands, place_cands) = leo_obs::histogram!("edge.filter_s").time(|| {
+                // One rotating cell per tick re-runs the demoted per-cell
+                // scan through the service's own nearest-server answer —
+                // the cross-check tying this crate to the serving layer
+                // without re-scanning the whole fleet's visibility.
+                if !endpoints.is_empty() {
+                    let probe = tick_i % endpoints.len();
+                    let near = self.service.nearest_server_view(&view, &endpoints[probe]);
+                    assert_eq!(
+                        all[probe].first().map(|c| (c.id, c.range_m.to_bits())),
+                        near.map(|v| (v.id, v.range_m.to_bits())),
+                        "candidate head disagrees with nearest_server_view (cell {probe})"
+                    );
+                }
+                let cands = (
+                    filter_bound(&all, self.config.qos.latency_bound_ms),
+                    filter_bound(&all, bound_ms),
                 );
-            }
-            let qos_cands = filter_bound(&all, self.config.qos.latency_bound_ms);
-            let place_cands = filter_bound(&all, bound_ms);
-            drop(all);
+                drop(all);
+                cands
+            });
 
             // Sequential fold, deterministic in cell order. Placement
             // sees *last* tick's replica sets — a migration is warm only
             // when the state was replicated before the host moved, so
             // same-tick repairs can't retroactively pre-warm it.
-            let mut pool = CapacityPool::new(self.service, t, self.config.slots_per_server);
-            let place_stats = placement.tick(&place_cands, &self.functions, &mut pool, &replicas);
-            let (_, repair_stats) = replicas.maintain(&qos_cands, &self.config.qos);
+            let (pool, place_stats) = leo_obs::histogram!("edge.placement_s").time(|| {
+                let mut pool = CapacityPool::new(self.service, t, self.config.slots_per_server);
+                let stats = placement.tick(&place_cands, &self.functions, &mut pool, &replicas);
+                (pool, stats)
+            });
+            let (_, repair_stats) = leo_obs::histogram!("edge.replicas_s")
+                .time(|| replicas.maintain(&qos_cands, &self.config.qos));
 
+            let _fold = leo_obs::span!("edge.fold_s");
             let mut demand = 0u64;
             let mut served = 0u64;
             let mut checksum = FNV_OFFSET;

@@ -21,9 +21,14 @@
 //!   longitude wedge are conservative prunes — provable supersets of
 //!   every pair the per-point scan would accept (the wedge bound is
 //!   derived below; every cut carries an explicit epsilon margin).
-//! - Every surviving pair runs the *exact same* slant-range and
-//!   elevation tests, on the same expressions, as
-//!   [`VisibilityIndex::for_each_visible`].
+//! - Every surviving pair runs the same private kernel as
+//!   [`VisibilityIndex::for_each_visible`]: the exact range, elevation
+//!   and ground-fade test, fed the pair's difference vector, its norm
+//!   and the point's up vector (the normalised ground point). The up
+//!   vectors are filled into a buffer at the top of each pass and
+//!   dropped when it ends (≤ 24 B per point of one shard), not stored
+//!   in [`GroundSet`]: a persistent field would add 24 B for each of
+//!   `serve`'s 1.2 M users (~27 MB, +16.7 % peak memory).
 //! - The arg-min update uses the serving layer's exact comparison
 //!   (smallest `range_m`, ties to the lowest `SatId`), which is a total
 //!   preference independent of scan order.
@@ -38,12 +43,13 @@
 //! longitude wedge around the sub-satellite point. Points are kept
 //! longitude-sorted, so a wedge is one or two contiguous slices.
 
-use crate::fault::{FaultPlan, GroundFade};
-use crate::index::{geocentric_latitude, VisibilityIndex};
+use crate::fault::FaultPlan;
+use crate::index::{geocentric_latitude, Access, VisibilityIndex};
 use crate::visibility::VisibleSat;
 use leo_constellation::SatId;
-use leo_geo::{look, Ecef};
+use leo_geo::{Ecef, Vec3};
 use std::f64::consts::{FRAC_PI_2, PI};
+use std::ops::Range;
 
 /// Angular margin added to every wedge half-width, radians. Orders of
 /// magnitude above the floating-point error of the wedge computation
@@ -56,6 +62,11 @@ const COS_EPS: f64 = 1e-12;
 /// exceeds the slant-range bound by ≥5e-10 relative — far beyond one
 /// ulp — so the exact test it skips could only have rejected it too.
 const RANGE2_SLACK: f64 = 1e-9;
+/// Points per block of the squared-range prefilter. A block's squared
+/// ranges fill a stack buffer in one branch-free loop over the axis
+/// slices, which the compiler vectorises; then its survivors run the
+/// exact test one by one.
+const PREFILTER_BLOCK: usize = 64;
 
 /// A set of ground points prepared for satellite-major passes: sorted
 /// by longitude, with the latitude/radius envelopes the wedge bound
@@ -63,11 +74,15 @@ const RANGE2_SLACK: f64 = 1e-9;
 /// snapshots); all per-snapshot work happens in the settle functions.
 #[derive(Debug, Clone)]
 pub struct GroundSet {
-    /// Point positions in ascending-longitude order.
-    ecef: Vec<Ecef>,
-    /// Longitudes (radians, `[-π, π]`) of `ecef`, ascending.
+    /// Point positions in ascending-longitude order, one slice per axis
+    /// (the same bytes as a `Vec<Ecef>`), so the prefilter reads
+    /// contiguous lanes.
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    zs: Vec<f64>,
+    /// Longitudes (radians, `[-π, π]`) of the points, ascending.
     lon: Vec<f64>,
-    /// `ecef[j]` is the caller's point `orig[j]`.
+    /// Point `j` is the caller's point `orig[j]`.
     orig: Vec<u32>,
     /// Geocentric-latitude envelope of the set, radians.
     lat_lo: f64,
@@ -105,8 +120,11 @@ impl GroundSet {
             r_lo = r_lo.min(r);
             r_hi = r_hi.max(r);
         }
+        let axis = |f: fn(&Ecef) -> f64| orig.iter().map(|&i| f(&points[i as usize])).collect();
         GroundSet {
-            ecef: orig.iter().map(|&i| points[i as usize]).collect(),
+            xs: axis(|p| p.0.x),
+            ys: axis(|p| p.0.y),
+            zs: axis(|p| p.0.z),
             lon: orig.iter().map(|&i| lons[i as usize]).collect(),
             orig,
             lat_lo,
@@ -119,25 +137,29 @@ impl GroundSet {
 
     /// Number of points in the set.
     pub fn len(&self) -> usize {
-        self.ecef.len()
+        self.xs.len()
     }
 
     /// True when the set holds no points.
     pub fn is_empty(&self) -> bool {
-        self.ecef.is_empty()
+        self.xs.is_empty()
     }
 
-    /// Visits every point whose longitude lies within `half` radians of
-    /// `center`, handling the ±π wrap as up to two contiguous slices.
-    fn for_each_in_wedge(&self, center: f64, half: f64, mut f: impl FnMut(usize)) {
+    /// Point `j` of the longitude order.
+    fn point(&self, j: usize) -> Vec3 {
+        Vec3::new(self.xs[j], self.ys[j], self.zs[j])
+    }
+
+    /// Calls `f` with each index range of the points whose longitude
+    /// lies within `half` radians of `center`: one contiguous slice, or
+    /// two across the ±π wrap.
+    fn for_each_in_wedge(&self, center: f64, half: f64, mut f: impl FnMut(Range<usize>)) {
         let n = self.lon.len();
         if n == 0 {
             return;
         }
         if half >= PI {
-            for j in 0..n {
-                f(j);
-            }
+            f(0..n);
             return;
         }
         let lo = center - half;
@@ -145,23 +167,13 @@ impl GroundSet {
         let lower = |x: f64| self.lon.partition_point(|&l| l < x);
         let upper = |x: f64| self.lon.partition_point(|&l| l <= x);
         if lo < -PI {
-            for j in lower(lo + 2.0 * PI)..n {
-                f(j);
-            }
-            for j in 0..upper(hi) {
-                f(j);
-            }
+            f(lower(lo + 2.0 * PI)..n);
+            f(0..upper(hi));
         } else if hi > PI {
-            for j in lower(lo)..n {
-                f(j);
-            }
-            for j in 0..upper(hi - 2.0 * PI) {
-                f(j);
-            }
+            f(lower(lo)..n);
+            f(0..upper(hi - 2.0 * PI));
         } else {
-            for j in lower(lo)..upper(hi) {
-                f(j);
-            }
+            f(lower(lo)..upper(hi));
         }
     }
 }
@@ -259,33 +271,46 @@ fn for_each_visible_pair(
     if set.is_empty() {
         return;
     }
-    // Hoisted out of the pair loop, so a plan without a fade (the empty
-    // plan included) costs it one predictable branch.
-    let fades = plan.ground_fade() != GroundFade::Clear;
+    // Each point's up vector, once per pass instead of once per pair.
+    let up: Vec<Vec3> = (0..set.len()).map(|j| set.point(j).normalized()).collect();
+    let mut range2 = [0.0f64; PREFILTER_BLOCK];
     let mut tally = PassTally::default();
-    for sh in index.shell_windows(set.lat_lo, set.lat_hi) {
-        let max_r2s = sh.max_range_m * sh.max_range_m * (1.0 + RANGE2_SLACK);
+    for sh in index.shell_windows(set.lat_lo, set.lat_hi, plan.ground_fade()) {
+        let max_range_m = sh.test.max_range_m;
+        let max_r2s = max_range_m * max_range_m * (1.0 + RANGE2_SLACK);
         for &(id, pos) in sh.entries {
             if plan.sat_dead(id) {
                 continue;
             }
             tally.candidates += 1;
-            let half = wedge_half_width(set, pos, sh.max_range_m);
-            set.for_each_in_wedge(pos.0.y.atan2(pos.0.x), half, |j| {
-                let ge = set.ecef[j];
-                tally.pairs_tested += 1;
-                if (ge.0 - pos.0).norm_squared() > max_r2s {
-                    return;
-                }
-                tally.pairs_exact += 1;
-                let range = ge.distance_m(pos);
-                if range <= sh.max_range_m && look::is_visible_spherical(ge, pos, sh.min_elevation)
-                {
-                    if fades && plan.access_link_masked(ge, pos) {
-                        tally.masked_links += 1;
-                        return;
+            let half = wedge_half_width(set, pos, max_range_m);
+            set.for_each_in_wedge(pos.0.y.atan2(pos.0.x), half, |slice| {
+                tally.pairs_tested += slice.len() as u64;
+                for start in slice.clone().step_by(PREFILTER_BLOCK) {
+                    let end = slice.end.min(start + PREFILTER_BLOCK);
+                    let block = &mut range2[..end - start];
+                    let lanes = set.xs[start..end]
+                        .iter()
+                        .zip(&set.ys[start..end])
+                        .zip(&set.zs[start..end]);
+                    for (r2, ((x, y), z)) in block.iter_mut().zip(lanes) {
+                        // `Vec3::norm_squared` of `pos − point`, term
+                        // for term, so the root below is `d.norm()`.
+                        let (dx, dy, dz) = (pos.0.x - x, pos.0.y - y, pos.0.z - z);
+                        *r2 = dx * dx + dy * dy + dz * dz;
                     }
-                    visit(j, VisibleSat { id, range_m: range });
+                    for (j, &r2) in (start..end).zip(block.iter()) {
+                        if r2 > max_r2s {
+                            continue;
+                        }
+                        tally.pairs_exact += 1;
+                        let range = r2.sqrt();
+                        match sh.test.classify(pos.0 - set.point(j), range, up[j]) {
+                            Access::Open => visit(j, VisibleSat { id, range_m: range }),
+                            Access::Faded => tally.masked_links += 1,
+                            Access::Hidden => {}
+                        }
+                    }
                 }
             });
         }
@@ -408,6 +433,7 @@ impl BandSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::GroundFade;
     use leo_constellation::presets;
     use leo_geo::{Angle, Geodetic};
 

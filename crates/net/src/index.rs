@@ -14,19 +14,105 @@
 //! central angle `λ` ([`look::coverage_central_angle`]), and the central
 //! angle is never smaller than the latitude difference, so
 //! `|φ_s − φ_g| > λ` proves invisibility. Candidates that survive the
-//! band filter go through the *same* slant-range and elevation tests as
-//! the brute-force scan, so the result is bit-for-bit identical (a
-//! property test in `tests/` pins this).
+//! band filter go through `AccessTest`, the one exact range, elevation
+//! and ground-fade kernel this scan shares with the settled frontier
+//! (`crate::frontier`). The kernel runs the float operations of
+//! [`look::is_visible_spherical`] on values hoisted out of the pair
+//! loop: the query point's up vector once per query, the mask's sine
+//! once per shell, the slant range once per pair. The result is
+//! therefore bit-for-bit identical to the brute-force scan
+//! ([`crate::visibility::visible_sats`]), which keeps calling
+//! [`look::is_visible_spherical`] as the oracle: property tests in
+//! `tests/` pin the equality, and a unit test pins the kernel against
+//! the oracle's expression at planted boundary cases.
 
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, GroundFade};
 use crate::visibility::VisibleSat;
 use leo_constellation::{Constellation, SatId, Snapshot};
 use leo_geo::look;
-use leo_geo::Ecef;
+use leo_geo::{Ecef, Vec3};
 
 /// Small angular guard (radians) absorbing floating-point error in the
 /// latitude computations; ~0.6 m on the ground, far below one band.
 const LAT_EPS_RAD: f64 = 1e-7;
+
+/// What the exact access test made of one ground–satellite pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Access {
+    /// Beyond the shell's slant range or below its elevation mask.
+    Hidden,
+    /// Geometrically servable, but the plan's ground fade closes the link.
+    Faded,
+    /// Servable.
+    Open,
+}
+
+/// The ground fade with its elevation's sine hoisted out of the pair
+/// loop.
+#[derive(Debug, Clone, Copy)]
+enum FadeSine {
+    Clear,
+    Above(f64),
+    Outage,
+}
+
+/// The exact per-pair access test of one shell under one plan's ground
+/// fade: the one kernel behind [`VisibilityIndex::for_each_visible`] and
+/// the frontier's satellite-major pass.
+///
+/// [`AccessTest::classify`] takes what the scans already hold — the
+/// satellite-minus-ground vector `d`, its norm and the ground point's
+/// up vector (`ground.normalized()`) — and evaluates
+/// `range <= max_range_m && look::is_visible_spherical(ground, sat, el)`
+/// and then `!plan.access_link_masked(ground, sat)` with the same float
+/// operations on the same values, so every result bit matches the
+/// brute-force scan. Only the sines are precomputed, and `Angle::sin`
+/// is a pure function of the angle.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AccessTest {
+    /// Exact distance bound: elevation ≥ ε ⟺ range ≤ this (circular shell).
+    pub max_range_m: f64,
+    /// Sine of the shell's minimum elevation.
+    sin_min_el: f64,
+    fade: FadeSine,
+}
+
+impl AccessTest {
+    /// The test for a shell with this slant-range bound and elevation
+    /// mask sine, under `fade`.
+    pub(crate) fn new(max_range_m: f64, sin_min_el: f64, fade: GroundFade) -> AccessTest {
+        AccessTest {
+            max_range_m,
+            sin_min_el,
+            fade: match fade {
+                GroundFade::Clear => FadeSine::Clear,
+                GroundFade::MinElevation(e) => FadeSine::Above(e.sin()),
+                GroundFade::Outage => FadeSine::Outage,
+            },
+        }
+    }
+
+    /// Classifies the pair with satellite-minus-ground vector `d`,
+    /// `range = d.norm()` and ground up vector `up`.
+    #[inline]
+    pub(crate) fn classify(&self, d: Vec3, range: f64, up: Vec3) -> Access {
+        // `is_visible_spherical` rejects a zero range before its dot test.
+        if range <= self.max_range_m && range != 0.0 {
+            let height = d.dot(up);
+            if height >= range * self.sin_min_el {
+                // The range is non-zero, so the fade's
+                // `is_visible_spherical` is exactly its dot test at the
+                // fade elevation.
+                return match self.fade {
+                    FadeSine::Clear => Access::Open,
+                    FadeSine::Above(sin_e) if height >= range * sin_e => Access::Open,
+                    FadeSine::Above(_) | FadeSine::Outage => Access::Faded,
+                };
+            }
+        }
+        Access::Hidden
+    }
+}
 
 /// One shell's latitude-banded satellite bucket.
 #[derive(Debug, Clone)]
@@ -34,7 +120,7 @@ struct ShellBands {
     /// Exact distance bound: elevation ≥ ε ⟺ range ≤ this (circular shell).
     max_range_m: f64,
     /// The shell's minimum-elevation sine, for the dot-product test.
-    min_elevation: leo_geo::Angle,
+    sin_min_el: f64,
     /// Coverage central angle λ of the shell, radians.
     central_angle_rad: f64,
     /// Band width, radians. Bands partition `[-π/2, π/2]`.
@@ -50,6 +136,10 @@ impl ShellBands {
         let n = self.band_offsets.len() - 1;
         let b = ((lat_rad + std::f64::consts::FRAC_PI_2) / self.band_rad) as usize;
         b.min(n - 1)
+    }
+
+    fn access_test(&self, fade: GroundFade) -> AccessTest {
+        AccessTest::new(self.max_range_m, self.sin_min_el, fade)
     }
 }
 
@@ -104,7 +194,7 @@ impl VisibilityIndex {
                 let n_bands = (std::f64::consts::PI / target).ceil().clamp(1.0, 4096.0) as usize;
                 ShellBands {
                     max_range_m: look::max_slant_range_m(s.altitude_m, s.min_elevation),
-                    min_elevation: s.min_elevation,
+                    sin_min_el: s.min_elevation.sin(),
                     central_angle_rad: central.radians(),
                     band_rad: std::f64::consts::PI / n_bands as f64,
                     band_offsets: vec![0; n_bands + 1],
@@ -176,10 +266,12 @@ impl VisibilityIndex {
     /// *within a band* (use [`Self::query`] when global order matters).
     /// Avoids the `Vec` when the caller only aggregates.
     ///
-    /// The plan skips satellites whose server is dead and those whose
-    /// access link its ground fade cannot close. Under a non-empty plan,
-    /// candidates that are geometrically servable at the shell elevation
-    /// but masked are tallied in the `fault.masked_access_links` counter.
+    /// The plan skips satellites whose server is dead, before any
+    /// geometry, and those whose access link its ground fade cannot
+    /// close. Under a non-empty plan, live candidates that are
+    /// geometrically servable at the shell elevation but faded are
+    /// tallied in the `fault.masked_access_links` counter — the
+    /// frontier's meaning of the counter too.
     pub fn for_each_visible<F: FnMut(VisibleSat)>(
         &self,
         ground_ecef: Ecef,
@@ -187,8 +279,10 @@ impl VisibilityIndex {
         mut f: F,
     ) {
         let glat = geocentric_latitude(ground_ecef);
+        let up = ground_ecef.0.normalized();
         let (mut scanned, mut returned, mut masked) = (0u64, 0u64, 0u64);
         for sh in &self.shells {
+            let test = sh.access_test(plan.ground_fade());
             let reach = sh.central_angle_rad + LAT_EPS_RAD;
             let lo = sh.band_of((glat - reach).max(-std::f64::consts::FRAC_PI_2));
             let hi = sh.band_of((glat + reach).min(std::f64::consts::FRAC_PI_2));
@@ -196,16 +290,18 @@ impl VisibilityIndex {
             let end = sh.band_offsets[hi + 1] as usize;
             scanned += (end - start) as u64;
             for &(id, pos) in &sh.entries[start..end] {
-                let range = ground_ecef.distance_m(pos);
-                if range <= sh.max_range_m
-                    && look::is_visible_spherical(ground_ecef, pos, sh.min_elevation)
-                {
-                    if plan.sat_dead(id) || plan.access_link_masked(ground_ecef, pos) {
-                        masked += 1;
-                    } else {
+                if plan.sat_dead(id) {
+                    continue;
+                }
+                let d = pos.0 - ground_ecef.0;
+                let range = d.norm();
+                match test.classify(d, range, up) {
+                    Access::Open => {
                         returned += 1;
                         f(VisibleSat { id, range_m: range });
                     }
+                    Access::Faded => masked += 1,
+                    Access::Hidden => {}
                 }
             }
         }
@@ -223,8 +319,13 @@ impl VisibilityIndex {
     /// windows [`Self::for_each_visible`] would scan per point
     /// (`band_of` is monotone in latitude, so taking the interval's
     /// endpoints covers every point between them), carrying the shell's
-    /// exact range/elevation test parameters.
-    pub(crate) fn shell_windows(&self, lat_lo: f64, lat_hi: f64) -> Vec<ShellWindow<'_>> {
+    /// exact access test under `fade`.
+    pub(crate) fn shell_windows(
+        &self,
+        lat_lo: f64,
+        lat_hi: f64,
+        fade: GroundFade,
+    ) -> Vec<ShellWindow<'_>> {
         debug_assert!(lat_lo <= lat_hi, "empty latitude interval");
         self.shells
             .iter()
@@ -233,8 +334,7 @@ impl VisibilityIndex {
                 let lo = sh.band_of((lat_lo - reach).max(-std::f64::consts::FRAC_PI_2));
                 let hi = sh.band_of((lat_hi + reach).min(std::f64::consts::FRAC_PI_2));
                 ShellWindow {
-                    max_range_m: sh.max_range_m,
-                    min_elevation: sh.min_elevation,
+                    test: sh.access_test(fade),
                     entries: &sh.entries
                         [sh.band_offsets[lo] as usize..sh.band_offsets[hi + 1] as usize],
                 }
@@ -265,11 +365,10 @@ impl VisibilityIndex {
 }
 
 /// One shell's candidate slice for a latitude interval, with the exact
-/// per-pair test parameters [`VisibilityIndex::for_each_visible`] uses.
+/// per-pair test [`VisibilityIndex::for_each_visible`] uses.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ShellWindow<'a> {
-    pub max_range_m: f64,
-    pub min_elevation: leo_geo::Angle,
+    pub test: AccessTest,
     /// `(id, position)` candidates, id-sorted within each latitude band.
     pub entries: &'a [(SatId, Ecef)],
 }
@@ -288,7 +387,7 @@ mod tests {
     use super::*;
     use crate::visibility::{coverage_mask, visible_sats};
     use leo_constellation::presets;
-    use leo_geo::Geodetic;
+    use leo_geo::{Angle, Geodetic};
 
     fn grounds() -> Vec<Ecef> {
         [
@@ -416,6 +515,237 @@ mod tests {
         let masked = index.query(ge, &plan);
         let expect: Vec<_> = plain[1..].to_vec();
         assert_eq!(masked, expect);
+    }
+
+    /// The oracle's verdict on one pair: the brute-force scan's range and
+    /// elevation test, then the plan's fade, with its slant range.
+    fn oracle(ge: Ecef, pos: Ecef, max_range_m: f64, el: Angle, fade: GroundFade) -> (Access, u64) {
+        let range = ge.distance_m(pos);
+        let mut plan = FaultPlan::empty();
+        plan.set_ground_fade(fade);
+        let access = if range <= max_range_m && look::is_visible_spherical(ge, pos, el) {
+            if plan.access_link_masked(ge, pos) {
+                Access::Faded
+            } else {
+                Access::Open
+            }
+        } else {
+            Access::Hidden
+        };
+        (access, range.to_bits())
+    }
+
+    /// The kernel's verdict, fed as both scans feed it (the frontier
+    /// takes the root of the squared norm it prefilters on, which is
+    /// `d.norm()` bit for bit).
+    fn kernel(ge: Ecef, pos: Ecef, max_range_m: f64, el: Angle, fade: GroundFade) -> (Access, u64) {
+        let d = pos.0 - ge.0;
+        let range = d.norm_squared().sqrt();
+        assert_eq!(range.to_bits(), d.norm().to_bits());
+        let test = AccessTest::new(max_range_m, el.sin(), fade);
+        (test.classify(d, range, ge.0.normalized()), range.to_bits())
+    }
+
+    /// A satellite `range_m` from `ge` at elevation `el_rad` (any real
+    /// value: past 90° it leans over the zenith to the other side).
+    fn plant(ge: Ecef, el_rad: f64, range_m: f64) -> Ecef {
+        let up = ge.0.normalized();
+        let east = Vec3::Z.cross(up);
+        let east = if east.norm() < 1e-9 {
+            Vec3::X
+        } else {
+            east.normalized()
+        };
+        let north = up.cross(east);
+        let horizontal = (north + east).normalized();
+        Ecef(ge.0 + (horizontal * el_rad.cos() + up * el_rad.sin()) * range_m)
+    }
+
+    /// `x` moved `k` units in the last place (zero stays zero).
+    fn ulps(x: f64, k: i64) -> f64 {
+        if x == 0.0 {
+            return x;
+        }
+        f64::from_bits((x.to_bits() as i64 + k) as u64)
+    }
+
+    const MASKS_DEG: [f64; 4] = [0.0, 25.0, 89.9, 90.0];
+
+    /// Both poles (as geodetic conversions and as exact axis points),
+    /// both sides of the antimeridian, and an ordinary site.
+    fn boundary_grounds() -> Vec<Ecef> {
+        [
+            (90.0, 0.0),
+            (-90.0, 0.0),
+            (10.0, 180.0),
+            (10.0, -180.0),
+            (-35.0, 179.9999),
+            (-35.0, -179.9999),
+            (6.52, 3.38),
+        ]
+        .iter()
+        .map(|&(lat, lon)| Geodetic::ground(lat, lon).to_ecef_spherical())
+        .chain([Ecef::new(0.0, 0.0, 6_371e3), Ecef::new(0.0, 0.0, -6_371e3)])
+        .collect()
+    }
+
+    /// Satellites `range_m` from `ge` on both sides of elevation `mask`:
+    /// the planted elevation is bisected down to the last bit where the
+    /// oracle's verdict flips, and each side is also moved `-nudge..=nudge`
+    /// ulps along every axis. Empty when no flip lies within a
+    /// milliradian (a 90° mask away from the poles).
+    fn straddle(ge: Ecef, mask: Angle, range_m: f64, nudge: i64) -> Vec<Ecef> {
+        let visible = |t: f64| {
+            let pos = plant(ge, mask.radians() + t, range_m);
+            oracle(ge, pos, f64::INFINITY, mask, GroundFade::Clear).0 == Access::Open
+        };
+        let (mut lo, mut hi) = (-1e-3, if mask.degrees() >= 90.0 { 0.0 } else { 1e-3 });
+        if visible(lo) || !visible(hi) {
+            return Vec::new();
+        }
+        loop {
+            let mid = 0.5 * (lo + hi);
+            if mid == lo || mid == hi {
+                break;
+            }
+            if visible(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        let mut out = Vec::new();
+        for t in [lo, hi] {
+            let pos = plant(ge, mask.radians() + t, range_m);
+            for k in -nudge..=nudge {
+                out.push(Ecef::new(ulps(pos.0.x, k), pos.0.y, pos.0.z));
+                out.push(Ecef::new(pos.0.x, ulps(pos.0.y, k), pos.0.z));
+                out.push(Ecef::new(pos.0.x, pos.0.y, ulps(pos.0.z, k)));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn access_kernel_matches_the_oracle_at_planted_boundaries() {
+        let masks = MASKS_DEG.map(Angle::from_degrees);
+        let mut fades = vec![GroundFade::Clear, GroundFade::Outage];
+        fades.extend(masks.iter().map(|&m| GroundFade::MinElevation(m)));
+        let check = |ge: Ecef, pos: Ecef, max_range_m: f64| {
+            for &el in &masks {
+                for &fade in &fades {
+                    assert_eq!(
+                        kernel(ge, pos, max_range_m, el, fade),
+                        oracle(ge, pos, max_range_m, el, fade),
+                        "ground {ge:?}, satellite {pos:?}, mask {el:?}, {fade:?}"
+                    );
+                }
+            }
+        };
+        let far = 1e9;
+        let mut straddled = [false; 4];
+        for ge in boundary_grounds() {
+            for (m, &mask) in masks.iter().enumerate() {
+                check(ge, plant(ge, mask.radians(), 800e3), far);
+                let sats = straddle(ge, mask, 800e3, 3);
+                straddled[m] |= !sats.is_empty();
+                for pos in sats {
+                    check(ge, pos, far);
+                }
+            }
+            // A satellite at exactly the range bound passes; a bound one
+            // ulp shorter rejects it.
+            let pos = plant(ge, 60f64.to_radians(), 1_000e3);
+            let range = ge.distance_m(pos);
+            for max_range_m in [ulps(range, -1), range, ulps(range, 1)] {
+                check(ge, pos, max_range_m);
+            }
+            assert_eq!(
+                kernel(ge, pos, range, masks[1], GroundFade::Clear).0,
+                Access::Open
+            );
+            assert_eq!(
+                kernel(ge, pos, ulps(range, -1), masks[1], GroundFade::Clear).0,
+                Access::Hidden
+            );
+            // Zero range: the satellite sits on the ground point.
+            check(ge, ge, far);
+            assert_eq!(
+                kernel(ge, ge, far, masks[0], GroundFade::Clear).0,
+                Access::Hidden
+            );
+        }
+        assert_eq!(straddled, [true; 4], "every mask's boundary was planted");
+    }
+
+    #[test]
+    fn planted_boundary_satellites_agree_on_every_path() {
+        // The kernel test's boundary satellites, planted into a snapshot
+        // of a shell with each mask (a shell mask stays below 90°, so the
+        // 90° boundary is planted for the fade): the index scan and the
+        // frontier pass (one set per point, so each point gets its own
+        // wedge, and one set of all points) must return the brute-force
+        // scan.
+        let zenith = Angle::from_degrees(90.0);
+        for mask in MASKS_DEG[..3].iter().map(|&m| Angle::from_degrees(m)) {
+            let c = Constellation::from_shells(
+                "planted",
+                vec![leo_constellation::ShellSpec {
+                    name: "shell".into(),
+                    altitude_m: 550e3,
+                    inclination: Angle::from_degrees(53.0),
+                    num_planes: 24,
+                    sats_per_plane: 24,
+                    phase_factor: 1,
+                    pattern: leo_constellation::WalkerPattern::Delta,
+                    min_elevation: mask,
+                }],
+            );
+            let mut snap = c.snapshot(0.0);
+            let range_m = 0.9 * look::max_slant_range_m(550e3, mask);
+            let grounds = boundary_grounds();
+            let planted: Vec<Ecef> = grounds
+                .iter()
+                .flat_map(|&ge| {
+                    let mut sats = straddle(ge, mask, range_m, 1);
+                    sats.extend(straddle(ge, zenith, range_m, 1));
+                    sats
+                })
+                .collect();
+            assert!(!planted.is_empty() && planted.len() <= snap.len());
+            snap.positions[..planted.len()].copy_from_slice(&planted);
+            let index = VisibilityIndex::build(&c, &snap);
+            let fades = [
+                GroundFade::Clear,
+                GroundFade::MinElevation(mask),
+                GroundFade::MinElevation(zenith),
+                GroundFade::Outage,
+            ];
+            for fade in fades {
+                let mut plan = FaultPlan::empty();
+                plan.set_ground_fade(fade);
+                let lists_of = |pts: &[Ecef]| {
+                    let mut lists = Vec::new();
+                    crate::frontier::settle_visible_lists(
+                        &index,
+                        &crate::frontier::GroundSet::build(pts),
+                        &plan,
+                        &mut lists,
+                    );
+                    lists
+                };
+                let together = lists_of(&grounds);
+                for (j, &ge) in grounds.iter().enumerate() {
+                    let want = visible_sats(&c, &snap, ge, &plan);
+                    assert_eq!(index.query(ge, &plan), want, "{mask:?}, {fade:?}, {ge:?}");
+                    let mut nearest_first = want;
+                    nearest_first
+                        .sort_by(|a, b| a.range_m.total_cmp(&b.range_m).then(a.id.cmp(&b.id)));
+                    assert_eq!(lists_of(&[ge])[0], nearest_first, "{mask:?}, {fade:?}");
+                    assert_eq!(together[j], nearest_first, "{mask:?}, {fade:?}");
+                }
+            }
+        }
     }
 
     #[test]
