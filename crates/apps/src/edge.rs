@@ -30,7 +30,7 @@ pub const STARLINK_FULL_SCALE: f64 = 40_000.0;
 
 /// Latency to the nearest terrestrial edge site over fiber, milliseconds
 /// (RTT): great-circle distance × stretch at fiber speed.
-pub fn terrestrial_edge_rtt_ms(user: Geodetic, sites: &[Geodetic]) -> Option<f64> {
+fn terrestrial_edge_rtt_ms(user: Geodetic, sites: &[Geodetic]) -> Option<f64> {
     sites
         .iter()
         .map(|&s| great_circle_distance_m(user, s))
@@ -78,70 +78,6 @@ pub fn compare_edge(
 /// one-server-per-satellite constellation is than Akamai.
 pub fn cdn_scale_ratio(constellation_servers: f64) -> f64 {
     AKAMAI_SERVERS_2020 / constellation_servers
-}
-
-/// Data-movement comparison against physically shipping a ruggedized
-/// edge box (§1: Amazon Snowcone "provides cloud synchronization by
-/// shipping it back and forth. In-orbit compute would alleviate the long
-/// delays for such data movement, especially from regions with poor
-/// transport connectivity").
-pub mod data_movement {
-    /// Days to ship an edge box one way from a well-connected region.
-    pub const SHIPPING_DAYS_CONNECTED: f64 = 3.0;
-    /// Days one way from a poorly connected region (the paper's target
-    /// setting).
-    pub const SHIPPING_DAYS_REMOTE: f64 = 14.0;
-
-    /// Hours to synchronize `bytes` by round-trip shipping.
-    pub fn shipping_sync_hours(bytes: f64, one_way_days: f64) -> f64 {
-        let _ = bytes; // shipping time is size-independent below ~8 TB
-        2.0 * one_way_days * 24.0
-    }
-
-    /// Hours to synchronize `bytes` over a satellite uplink of
-    /// `uplink_bps`.
-    pub fn satellite_sync_hours(bytes: f64, uplink_bps: f64) -> f64 {
-        assert!(uplink_bps > 0.0);
-        bytes * 8.0 / uplink_bps / 3600.0
-    }
-
-    /// The data size (bytes) below which the satellite path wins against
-    /// shipping — the "sneakernet crossover".
-    pub fn crossover_bytes(uplink_bps: f64, one_way_days: f64) -> f64 {
-        shipping_sync_hours(0.0, one_way_days) * 3600.0 * uplink_bps / 8.0
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn snowcone_class_data_prefers_the_satellite() {
-            // 8 TB (a Snowcone's capacity) at 100 Mbps up: ~7.4 days of
-            // transfer — still faster than 28 days of remote shipping.
-            let sat = satellite_sync_hours(8e12, 100e6);
-            let ship = shipping_sync_hours(8e12, SHIPPING_DAYS_REMOTE);
-            assert!((170.0..190.0).contains(&sat), "{sat} h");
-            assert!(sat < ship);
-        }
-
-        #[test]
-        fn shipping_wins_for_petabytes_from_connected_regions() {
-            let sat = satellite_sync_hours(1e15, 100e6);
-            let ship = shipping_sync_hours(1e15, SHIPPING_DAYS_CONNECTED);
-            assert!(ship < sat);
-        }
-
-        #[test]
-        fn crossover_matches_the_definition() {
-            let x = crossover_bytes(100e6, SHIPPING_DAYS_REMOTE);
-            let at_crossover = satellite_sync_hours(x, 100e6);
-            let ship = shipping_sync_hours(x, SHIPPING_DAYS_REMOTE);
-            assert!((at_crossover - ship).abs() < 1e-9);
-            // ~30 TB for 100 Mbps / 14-day shipping.
-            assert!((25e12..40e12).contains(&x), "{x}");
-        }
-    }
 }
 
 #[cfg(test)]

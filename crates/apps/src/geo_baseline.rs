@@ -22,7 +22,7 @@ pub struct GeoSatellite {
 impl GeoSatellite {
     /// Slant range to a ground point, meters (law of cosines on the
     /// Earth-center triangle).
-    pub fn slant_range_m(&self, ground: Geodetic) -> f64 {
+    fn slant_range_m(&self, ground: Geodetic) -> f64 {
         let r = EARTH_RADIUS_MEAN_M;
         let rs = r + GEO_ALTITUDE_M;
         let dlon = Angle::from_degrees(self.longitude_deg) - ground.lon;
@@ -30,30 +30,6 @@ impl GeoSatellite {
         // (equatorial) point.
         let cos_central = ground.lat.cos() * dlon.cos();
         (r * r + rs * rs - 2.0 * r * rs * cos_central).sqrt()
-    }
-
-    /// Elevation of the satellite above the ground point's horizon.
-    pub fn elevation(&self, ground: Geodetic) -> Angle {
-        let r = EARTH_RADIUS_MEAN_M;
-        let d = self.slant_range_m(ground);
-        let rs = r + GEO_ALTITUDE_M;
-        // sin(el) = (rs·cosΨ − r)/d where cosΨ as above.
-        let dlon = Angle::from_degrees(self.longitude_deg) - ground.lon;
-        let cos_central = ground.lat.cos() * dlon.cos();
-        Angle::from_radians(((rs * cos_central - r) / d).asin())
-    }
-
-    /// True when visible above `min_elevation`.
-    pub fn visible_from(&self, ground: Geodetic, min_elevation: Angle) -> bool {
-        self.elevation(ground) >= min_elevation
-    }
-
-    /// One-hop (bent-pipe) RTT through this satellite between two ground
-    /// points, milliseconds: up from `a`, down to `b`, and back.
-    pub fn bent_pipe_rtt_ms(&self, a: Geodetic, b: Geodetic) -> f64 {
-        let up = self.slant_range_m(a);
-        let down = self.slant_range_m(b);
-        2.0 * (up + down) / SPEED_OF_LIGHT_M_S * 1e3
     }
 
     /// RTT from one ground point to a server *on* the satellite, ms.
@@ -117,34 +93,6 @@ mod tests {
         let high = sat.slant_range_m(Geodetic::ground(70.0, 0.0));
         assert!(eq < mid && mid < high);
         assert!((eq - GEO_ALTITUDE_M).abs() < 1e3);
-    }
-
-    #[test]
-    fn geo_is_invisible_from_the_poles() {
-        let sat = GeoSatellite { longitude_deg: 0.0 };
-        assert!(!sat.visible_from(Geodetic::ground(85.0, 0.0), Angle::from_degrees(5.0)));
-        assert!(sat.visible_from(Geodetic::ground(40.0, 0.0), Angle::from_degrees(5.0)));
-    }
-
-    #[test]
-    fn elevation_at_subpoint_is_ninety_degrees() {
-        let sat = GeoSatellite {
-            longitude_deg: 30.0,
-        };
-        let el = sat.elevation(Geodetic::ground(0.0, 30.0));
-        assert!((el.degrees() - 90.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn bent_pipe_broadcast_rtt_is_half_a_second_scale() {
-        let sat = GeoSatellite {
-            longitude_deg: -20.0,
-        };
-        let rtt = sat.bent_pipe_rtt_ms(
-            Geodetic::ground(51.5, -0.13), // London uplink
-            Geodetic::ground(6.52, 3.38),  // Lagos viewer
-        );
-        assert!((450.0..520.0).contains(&rtt), "{rtt}");
     }
 
     #[test]

@@ -1,15 +1,8 @@
-//! Multi-user interactive applications (§3.2): QoE thresholds and
-//! latency fairness.
+//! Multi-user interactive applications (§3.2): QoE thresholds.
 //!
-//! The paper argues two latency properties matter for "meetup server"
-//! workloads: the group's worst-case latency must clear an
-//! application-specific threshold, and — for competitive settings —
-//! per-user latencies should be *uniform* ("no user has a significant
-//! disadvantage compared to others").
+//! The paper argues that for "meetup server" workloads the group's
+//! worst-case latency must clear an application-specific threshold.
 
-use leo_core::session::SessionResult;
-use leo_core::InOrbitService;
-use leo_net::routing::GroundEndpoint;
 use serde::{Deserialize, Serialize};
 
 /// Latency requirements for interactive application classes (RTT, ms).
@@ -50,86 +43,13 @@ impl AppClass {
     }
 }
 
-/// Per-user latency spread to a chosen server at one instant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FairnessReport {
-    /// Each user's RTT to the server, ms, in user order.
-    pub user_rtts_ms: Vec<f64>,
-    /// max − min spread, ms (the competitive-disadvantage measure).
-    pub spread_ms: f64,
-}
-
-/// Computes per-user RTTs and their spread to the satellite currently
-/// optimal for the group.
-pub fn fairness_at(
-    service: &InOrbitService,
-    users: &[GroundEndpoint],
-    t: f64,
-) -> Option<FairnessReport> {
-    leo_obs::counter!("apps.interactive.fairness_evals").incr();
-    let view = service.view(t);
-    let per_user = service.user_delays_view(&view, users);
-    let group = leo_core::GroupDelays::from_user_delays(&per_user);
-    let (sat, _) = group.minmax()?;
-    let user_rtts_ms: Vec<f64> = per_user
-        .iter()
-        .map(|v| 2.0 * v[sat.0 as usize] * 1e3)
-        .collect();
-    let max = user_rtts_ms.iter().copied().fold(f64::MIN, f64::max);
-    let min = user_rtts_ms.iter().copied().fold(f64::MAX, f64::min);
-    Some(FairnessReport {
-        user_rtts_ms,
-        spread_ms: max - min,
-    })
-}
-
-/// Latency-fairness trace over a whole session: the max−min per-user
-/// RTT spread at each sample time, to the *group-optimal* server of that
-/// instant. The paper's competitive-fairness requirement (§3.2) is that
-/// this spread stays small throughout, not just at one instant.
-///
-/// Samples are independent, so the sweep engine fans them across the
-/// worker pool (snapshots propagate once into the service's cache); the
-/// trace comes back in time order regardless of thread count.
-pub fn fairness_over_session(
-    service: &InOrbitService,
-    users: &[GroundEndpoint],
-    start_s: f64,
-    duration_s: f64,
-    step_s: f64,
-) -> Vec<(f64, f64)> {
-    assert!(step_s > 0.0 && duration_s > 0.0);
-    let _span = leo_obs::span!("apps.interactive.fairness_session_s");
-    let steps = (duration_s / step_s).round() as usize;
-    let times: Vec<f64> = (0..=steps).map(|i| start_s + i as f64 * step_s).collect();
-    leo_sim::parallel_map(times, leo_sim::default_threads(), |&t| {
-        fairness_at(service, users, t).map(|rep| (t, rep.spread_ms))
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// Fraction of session time the group RTT met an application class's
-/// requirement.
-pub fn qoe_fraction(session: &SessionResult, class: AppClass) -> f64 {
-    if session.rtt_samples.is_empty() {
-        return 0.0;
-    }
-    let ok = session
-        .rtt_samples
-        .iter()
-        .filter(|&&(_, rtt)| rtt <= class.max_rtt_ms())
-        .count();
-    ok as f64 / session.rtt_samples.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use leo_constellation::presets;
-    use leo_core::{Policy, SessionConfig};
+    use leo_core::{InOrbitService, Policy, SessionConfig};
     use leo_geo::Geodetic;
+    use leo_net::routing::GroundEndpoint;
 
     fn west_africa() -> Vec<GroundEndpoint> {
         vec![
@@ -157,55 +77,16 @@ mod tests {
             tick_s: 10.0,
         };
         let r = leo_core::session::run_session(&service, &west_africa(), Policy::MinMax, &cfg);
-        assert!(qoe_fraction(&r, AppClass::Haptic) > 0.9);
-        assert!(qoe_fraction(&r, AppClass::Gaming) == 1.0);
-    }
-
-    #[test]
-    fn fairness_spread_is_small_for_a_compact_group() {
-        let service = InOrbitService::new(presets::starlink_550_only());
-        let rep = fairness_at(&service, &west_africa(), 0.0).expect("served");
-        assert_eq!(rep.user_rtts_ms.len(), 3);
-        // Users within ~1,000 km of each other: spread stays low.
-        assert!(rep.spread_ms < 8.0, "spread {}", rep.spread_ms);
-    }
-
-    #[test]
-    fn fairness_rtts_are_consistent_with_spread() {
-        let service = InOrbitService::new(presets::starlink_550_only());
-        let rep = fairness_at(&service, &west_africa(), 120.0).unwrap();
-        let max = rep.user_rtts_ms.iter().copied().fold(f64::MIN, f64::max);
-        let min = rep.user_rtts_ms.iter().copied().fold(f64::MAX, f64::min);
-        assert!((rep.spread_ms - (max - min)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fairness_stays_small_over_a_whole_session() {
-        let service = InOrbitService::new(presets::starlink_550_only());
-        let trace = fairness_over_session(&service, &west_africa(), 0.0, 600.0, 60.0);
-        assert!(trace.len() >= 10);
-        for &(t, spread) in &trace {
-            assert!(spread >= 0.0);
-            assert!(spread < 10.0, "t={t}: spread {spread} ms");
-        }
-    }
-
-    #[test]
-    fn fairness_trace_skips_unserved_instants() {
-        let service = InOrbitService::new(presets::starlink_550_only());
-        let arctic = vec![GroundEndpoint::new(0, Geodetic::ground(86.0, 0.0))];
-        let trace = fairness_over_session(&service, &arctic, 0.0, 300.0, 60.0);
-        assert!(trace.is_empty());
-    }
-
-    #[test]
-    fn qoe_of_empty_session_is_zero() {
-        let r = SessionResult {
-            policy: Policy::MinMax,
-            events: vec![],
-            rtt_samples: vec![],
-            end_s: 0.0,
+        // Fraction of the session's RTT samples within the class's budget.
+        let met = |class: AppClass| {
+            let ok = r
+                .rtt_samples
+                .iter()
+                .filter(|&&(_, rtt)| rtt <= class.max_rtt_ms())
+                .count();
+            ok as f64 / r.rtt_samples.len() as f64
         };
-        assert_eq!(qoe_fraction(&r, AppClass::Gaming), 0.0);
+        assert!(met(AppClass::Haptic) > 0.9);
+        assert!(met(AppClass::Gaming) == 1.0);
     }
 }

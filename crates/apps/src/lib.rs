@@ -7,8 +7,7 @@
 //!   CDN-scale comparison ("Starlink at full scale would be only 7×
 //!   smaller than Akamai").
 //! * [`interactive`] — multi-user interaction (§3.2): QoE thresholds for
-//!   gaming / AR / haptics, per-user latency fairness, and session QoE
-//!   scoring on top of `leo-core` sessions.
+//!   gaming / AR / haptics.
 //! * [`spacenative`] — processing space-native data (§3.3): the
 //!   "invisible satellites" analysis behind Figs 4–5, and the
 //!   sensing-vs-downlink pipeline model showing how in-orbit

@@ -50,7 +50,7 @@ pub enum Feasibility {
 
 /// Best terrestrial option for a group: the minimum over candidate sites
 /// of the worst player RTT, over fiber at the standard path stretch.
-pub fn best_terrestrial_rtt_ms(players: &[&Player], sites: &[Geodetic]) -> Option<f64> {
+fn best_terrestrial_rtt_ms(players: &[&Player], sites: &[Geodetic]) -> Option<f64> {
     sites
         .iter()
         .map(|&site| {
@@ -68,7 +68,7 @@ pub fn best_terrestrial_rtt_ms(players: &[&Player], sites: &[Geodetic]) -> Optio
 }
 
 /// Best in-orbit option for a group at time `t` (direct model), ms.
-pub fn best_orbit_rtt_ms(service: &InOrbitService, players: &[&Player], t: f64) -> Option<f64> {
+fn best_orbit_rtt_ms(service: &InOrbitService, players: &[&Player], t: f64) -> Option<f64> {
     let endpoints: Vec<GroundEndpoint> = players
         .iter()
         .enumerate()
@@ -112,19 +112,6 @@ impl Census {
     /// Total pairs classified.
     pub fn total(&self) -> usize {
         self.terrestrial + self.orbit_only + self.infeasible
-    }
-
-    /// Relative increase in feasible pairs from adding in-orbit compute.
-    pub fn orbit_gain(&self) -> f64 {
-        if self.terrestrial == 0 {
-            if self.orbit_only == 0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            self.orbit_only as f64 / self.terrestrial as f64
-        }
     }
 }
 
@@ -230,11 +217,5 @@ mod tests {
         assert_eq!(census.total(), 15);
         assert!(census.orbit_only > 0, "orbit adds nothing?");
         assert!(census.terrestrial > 0, "SA pair should be terrestrial");
-        assert!(census.orbit_gain() > 0.0);
-    }
-
-    #[test]
-    fn empty_census_gain_is_zero() {
-        assert_eq!(Census::default().orbit_gain(), 0.0);
     }
 }

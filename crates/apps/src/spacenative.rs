@@ -144,16 +144,6 @@ impl SensingPipeline {
     pub fn daily_sensed_bits(&self) -> f64 {
         self.sensor_rate_bps * self.sensing_duty_cycle() * 86_400.0
     }
-
-    /// How much in-orbit processing multiplies sensing time relative to
-    /// the unprocessed pipeline (capped by reaching 100 % duty).
-    pub fn sensing_gain(&self) -> f64 {
-        let raw = SensingPipeline {
-            reduction_factor: 1.0,
-            ..*self
-        };
-        self.sensing_duty_cycle() / raw.sensing_duty_cycle()
-    }
 }
 
 /// Cooperative processing: offloading a sensing backlog to `helpers` idle
@@ -288,12 +278,11 @@ mod tests {
             downlink_rate_bps: 2e9,
             reduction_factor: 2.0,
         };
+        // Twice the raw 25 % duty cycle.
         assert!((p.sensing_duty_cycle() - 0.5).abs() < 1e-12);
-        assert!((p.sensing_gain() - 2.0).abs() < 1e-12);
-        // ×10 reduction saturates at 100 % duty (gain capped at 4).
+        // ×10 reduction saturates at 100 % duty (4× the raw duty).
         p.reduction_factor = 10.0;
         assert_eq!(p.sensing_duty_cycle(), 1.0);
-        assert!((p.sensing_gain() - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -120,12 +120,13 @@ fn main() {
     });
 
     print_summary(&report, &outage_report);
+    let sweep_ticks = report.ticks.len() as u64;
     run.write_results(&EdgeResults {
         sweep: report,
         outage_sweep: outage_report,
     });
     let manifest = run.finish();
-    if let Some(rate) = manifest.rate_per_sec("edge.ticks", "sweep") {
+    if let Some(rate) = manifest.phase_rate(sweep_ticks, "sweep") {
         println!("# throughput: {rate:.1} ticks/sec over the sweep phase");
     }
     if !manifest.series().is_empty() {

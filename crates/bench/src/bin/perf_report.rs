@@ -46,6 +46,12 @@ const USAGE: &str = "usage: perf_report A.meta.json [B.meta.json] [--min-qps-rat
      every flag compares baseline A with candidate B, so it needs both manifests";
 
 /// The throughput gate's work counter and the phase it is timed over.
+///
+/// The counter is whole-run, so it also counts the check phases'
+/// queries: a quick candidate's counter is 1.6× its sweep's queries, the
+/// full committed baseline's 1.039×. The 0.85 floor therefore trips only
+/// once the quick sweep's true rate falls below about 55 % of the
+/// baseline's (see [`RunManifest::rate_per_sec`]).
 const QPS_COUNTER: &str = "serve.queries";
 const QPS_PHASE: &str = "sweep";
 

@@ -19,10 +19,12 @@
 //!   a plain service, and the masked delta path holds under a real
 //!   outage schedule.
 //!
-//! `results/serve.json` holds only thread-count-invariant rows; the
-//! queries/sec headline lives in `results/serve.meta.json` (counter
-//! `serve.queries` over the `sweep` phase — run with `LEO_OBS=1`) and
-//! is what the CI perf gate diffs, alongside the `engine.frontier.*` /
+//! `results/serve.json` holds only thread-count-invariant rows. The
+//! printed queries/sec headline is the sweep report's `total_queries`
+//! over the `sweep` phase's wall time in `results/serve.meta.json`, at
+//! every `LEO_OBS` level. The CI perf gate diffs the manifest's
+//! `serve.queries` counter over the same phase (recorded at
+//! `LEO_OBS=metrics` and above), alongside the `engine.frontier.*` /
 //! `serve.frontier_*` work counters. The validation cadence is recorded
 //! in the manifest as counter `serve.frontier_validate_every`.
 //! Run: `cargo run -p leo-bench --release --bin serve_bench`
@@ -147,12 +149,13 @@ fn main() {
     println!("# masked delta-refresh bit-identical to full masked refresh");
 
     print_summary(&report, &fault_report);
+    let sweep_queries = report.total_queries;
     run.write_results(&ServeResults {
         sweep: report,
         fault_sweep: fault_report,
     });
     let manifest = run.finish();
-    if let Some(qps) = manifest.rate_per_sec("serve.queries", "sweep") {
+    if let Some(qps) = manifest.phase_rate(sweep_queries, "sweep") {
         println!("# throughput: {qps:.0} queries/sec over the sweep phase");
     }
     if !manifest.series().is_empty() {

@@ -286,14 +286,13 @@ pub fn azure_regions() -> &'static [AzureRegion] {
     REGIONS
 }
 
-/// Looks a region up by its official name.
-pub fn region_by_name(name: &str) -> Option<&'static AzureRegion> {
-    azure_regions().iter().find(|r| r.name == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn region_by_name(name: &str) -> Option<&'static AzureRegion> {
+        azure_regions().iter().find(|r| r.name == name)
+    }
 
     #[test]
     fn paper_scenario_regions_exist() {

@@ -1,7 +1,7 @@
 //! The [`WorldCities`] ranked dataset.
 
 use crate::city::City;
-use crate::data::{RAW_CITIES, REAL_CITY_COUNT};
+use crate::data::RAW_CITIES;
 use crate::synth;
 use leo_geo::Geodetic;
 
@@ -52,11 +52,6 @@ impl WorldCities {
         ds
     }
 
-    /// Number of real (non-synthesized) records available.
-    pub fn real_count() -> usize {
-        REAL_CITY_COUNT
-    }
-
     /// All cities, descending population.
     pub fn all(&self) -> &[City] {
         &self.cities
@@ -84,14 +79,6 @@ impl WorldCities {
     /// Ground positions of the `n` largest cities.
     pub fn top_n_geodetic(&self, n: usize) -> Vec<Geodetic> {
         self.top_n(n).iter().map(City::geodetic).collect()
-    }
-
-    /// Cities within a latitude band (inclusive), descending population.
-    pub fn in_latitude_band(&self, min_lat_deg: f64, max_lat_deg: f64) -> Vec<&City> {
-        self.cities
-            .iter()
-            .filter(|c| (min_lat_deg..=max_lat_deg).contains(&c.lat_deg))
-            .collect()
     }
 }
 
@@ -156,15 +143,6 @@ mod tests {
         ] {
             assert!(ds.by_name(name).is_some(), "missing {name}");
         }
-    }
-
-    #[test]
-    fn latitude_band_filter_respects_bounds() {
-        let ds = WorldCities::load();
-        for c in ds.in_latitude_band(-10.0, 10.0) {
-            assert!((-10.0..=10.0).contains(&c.lat_deg));
-        }
-        assert!(!ds.in_latitude_band(-10.0, 10.0).is_empty());
     }
 
     #[test]

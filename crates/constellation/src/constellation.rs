@@ -3,7 +3,6 @@
 use crate::shell::ShellSpec;
 use leo_geo::coords::{Ecef, Eci};
 use leo_geo::{Angle, Epoch, Geodetic};
-use leo_orbit::propagate::ForceModel;
 use leo_orbit::{Propagator, Tle};
 use serde::{Deserialize, Serialize};
 
@@ -89,16 +88,7 @@ impl Constellation {
     /// construction; custom shells should be checked with
     /// [`ShellSpec::validate`] first.
     pub fn from_shells(name: &str, shells: Vec<ShellSpec>) -> Self {
-        Self::from_shells_at(name, shells, Epoch::J2000, ForceModel::TwoBodyJ2)
-    }
-
-    /// Generates a constellation at a specific epoch and force model.
-    pub fn from_shells_at(
-        name: &str,
-        shells: Vec<ShellSpec>,
-        epoch: Epoch,
-        model: ForceModel,
-    ) -> Self {
+        let epoch = Epoch::J2000;
         let mut satellites = Vec::new();
         let mut shell_offsets = Vec::with_capacity(shells.len() + 1);
         for (shell_idx, spec) in shells.iter().enumerate() {
@@ -112,11 +102,7 @@ impl Constellation {
                     shell: shell_idx as u32,
                     plane,
                     slot,
-                    propagator: Propagator::with_force_model(
-                        spec.elements(plane, slot),
-                        epoch,
-                        model,
-                    ),
+                    propagator: Propagator::new(spec.elements(plane, slot), epoch),
                 });
             }
         }

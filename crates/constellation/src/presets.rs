@@ -70,18 +70,6 @@ pub fn starlink_phase1() -> Constellation {
     Constellation::from_shells("Starlink Phase I", starlink_phase1_shells())
 }
 
-/// Starlink Phase I with a uniform custom minimum-elevation mask.
-pub fn starlink_phase1_with_elevation(min_el_deg: f64) -> Constellation {
-    let shells = starlink_phase1_shells()
-        .into_iter()
-        .map(|mut s| {
-            s.min_elevation = Angle::from_degrees(min_el_deg);
-            s
-        })
-        .collect();
-    Constellation::from_shells("Starlink Phase I (custom mask)", shells)
-}
-
 /// Starlink Phase I under the conservative 40° elevation mask used by
 /// the authors' earlier topology work (CoNEXT '19) — the mask that
 /// reproduces the paper's §3.2/§5 numbers (16 ms West-Africa meetup RTT,
@@ -108,7 +96,7 @@ pub fn starlink_550_only() -> Constellation {
 }
 
 /// The three shells of Kuiper (3,236 satellites).
-pub fn kuiper_shells() -> Vec<ShellSpec> {
+fn kuiper_shells() -> Vec<ShellSpec> {
     let e = KUIPER_MIN_ELEVATION_DEG;
     vec![
         shell("kuiper-630", 630.0, 51.9, 34, 34, 17, e),

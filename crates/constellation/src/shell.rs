@@ -19,7 +19,7 @@ pub enum WalkerPattern {
 
 impl WalkerPattern {
     /// The RAAN span over which planes are distributed, degrees.
-    pub fn raan_span_deg(self) -> f64 {
+    fn raan_span_deg(self) -> f64 {
         match self {
             WalkerPattern::Delta => 360.0,
             WalkerPattern::Star => 180.0,

@@ -78,7 +78,7 @@ impl<'a> CapacityPool<'a> {
     }
 
     /// Free slots on one server.
-    pub fn free_slots(&self, server: SatId) -> u32 {
+    fn free_slots(&self, server: SatId) -> u32 {
         self.slots_per_server - self.used.get(&server).copied().unwrap_or(0)
     }
 

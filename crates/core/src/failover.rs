@@ -34,7 +34,7 @@ impl FailureModel {
     /// The deterministic failure time of a satellite's server, in
     /// seconds after the epoch (`INFINITY` effectively, when the draw
     /// lands beyond any simulated horizon).
-    pub fn failure_time_s(&self, sat: SatId) -> f64 {
+    fn failure_time_s(&self, sat: SatId) -> f64 {
         if self.annual_failure_rate <= 0.0 {
             return f64::INFINITY;
         }

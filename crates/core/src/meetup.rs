@@ -49,7 +49,7 @@ impl MeetupComparison {
 
 /// Group RTT (max over users) to one terrestrial site through the
 /// constellation at time `t`, or `None` when some user cannot reach it.
-pub fn hybrid_group_rtt_ms(
+fn hybrid_group_rtt_ms(
     service: &InOrbitService,
     users: &[GroundEndpoint],
     site: &TerrestrialSite,

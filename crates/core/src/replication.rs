@@ -152,13 +152,13 @@ impl ReplicationPlan {
 
     /// Critical-path data volume at each hand-off *with* the plan:
     /// session state only.
-    pub fn critical_path_bytes(&self) -> f64 {
+    fn critical_path_bytes(&self) -> f64 {
         self.sizes.session_bytes
     }
 
     /// Critical-path volume *without* the plan: everything moves at
     /// hand-off time.
-    pub fn unplanned_critical_path_bytes(&self) -> f64 {
+    fn unplanned_critical_path_bytes(&self) -> f64 {
         self.sizes.session_bytes + self.sizes.generic_bytes
     }
 

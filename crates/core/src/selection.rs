@@ -188,7 +188,7 @@ impl Policy {
 /// Panics unless the lookahead step is finite and positive and the
 /// horizon finite and non-negative: a zero step never advances, and a
 /// NaN horizon yields NaN lifetimes.
-pub fn candidate_lifetimes(
+fn candidate_lifetimes(
     service: &InOrbitService,
     users: &[GroundEndpoint],
     t0: f64,
@@ -231,7 +231,7 @@ pub fn candidate_lifetimes(
 /// of the candidate *set*, independent of the order candidates arrive in
 /// — lookahead sampling quantizes lifetimes to the step size, so exact
 /// ties are the common case, not a corner one.
-pub fn rank_by_lifetime(
+fn rank_by_lifetime(
     candidates: &[(SatId, f64)],
     lifetimes: &[f64],
     pool: usize,
@@ -272,7 +272,8 @@ pub fn rank_by_lifetime(
 /// # Panics
 /// Panics unless the latency slack is finite and non-negative (a NaN or
 /// negative slack would empty step 1 and silently degrade to MinMax),
-/// and on the lookahead parameters [`candidate_lifetimes`] rejects.
+/// and unless the lookahead step is finite and positive and the horizon
+/// finite and non-negative.
 pub fn sticky_select(
     service: &InOrbitService,
     users: &[GroundEndpoint],

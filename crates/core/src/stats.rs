@@ -9,7 +9,6 @@ use serde::{Deserialize, Serialize};
 ///
 /// let cdf = Cdf::new(vec![20.0, 164.0, 80.0, 40.0, 320.0]);
 /// assert_eq!(cdf.median(), Some(80.0));
-/// assert_eq!(cdf.fraction_at_or_below(100.0), 0.6);
 /// assert_eq!(cdf.quantile(1.0), Some(320.0));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -41,14 +40,6 @@ impl Cdf {
     /// The sorted samples.
     pub fn samples(&self) -> &[f64] {
         &self.sorted
-    }
-
-    /// Empirical CDF value `P(X ≤ x)`.
-    pub fn fraction_at_or_below(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        self.sorted.partition_point(|&v| v <= x) as f64 / self.sorted.len() as f64
     }
 
     /// The `q`-quantile by nearest-rank; `None` when empty or `q` is NaN.
@@ -140,20 +131,11 @@ mod tests {
     }
 
     #[test]
-    fn fraction_matches_hand_count() {
-        let cdf = Cdf::new(vec![1.0, 2.0, 2.0, 10.0]);
-        assert_eq!(cdf.fraction_at_or_below(0.5), 0.0);
-        assert_eq!(cdf.fraction_at_or_below(2.0), 0.75);
-        assert_eq!(cdf.fraction_at_or_below(100.0), 1.0);
-    }
-
-    #[test]
     fn empty_cdf_behaves() {
         let cdf = Cdf::new(vec![]);
         assert!(cdf.is_empty());
         assert_eq!(cdf.median(), None);
         assert_eq!(cdf.mean(), None);
-        assert_eq!(cdf.fraction_at_or_below(1.0), 0.0);
         assert!(cdf.curve().is_empty());
     }
 
@@ -195,30 +177,6 @@ mod tests {
         assert_eq!(cdf.quantile(f64::NEG_INFINITY), Some(1.0));
         assert_eq!(cdf.quantile(f64::INFINITY), Some(3.0));
         assert_eq!(Cdf::new(vec![]).quantile(f64::NAN), None);
-    }
-
-    #[test]
-    fn fraction_at_exact_sample_boundaries() {
-        // P(X ≤ x) must include ties at x and flip exactly at the
-        // sample values, not between them.
-        let cdf = Cdf::new(vec![1.0, 2.0, 2.0, 3.0]);
-        assert_eq!(cdf.fraction_at_or_below(1.0), 0.25);
-        assert_eq!(cdf.fraction_at_or_below(2.0), 0.75);
-        assert_eq!(cdf.fraction_at_or_below(3.0), 1.0);
-        assert_eq!(
-            cdf.fraction_at_or_below(f64::from_bits(2.0f64.to_bits() - 1)),
-            0.25,
-            "one ulp below a tie pair excludes both"
-        );
-        assert_eq!(cdf.fraction_at_or_below(f64::NEG_INFINITY), 0.0);
-        assert_eq!(cdf.fraction_at_or_below(f64::INFINITY), 1.0);
-    }
-
-    #[test]
-    fn single_sample_fraction_flips_at_the_sample() {
-        let cdf = Cdf::new(vec![5.0]);
-        assert_eq!(cdf.fraction_at_or_below(4.999), 0.0);
-        assert_eq!(cdf.fraction_at_or_below(5.0), 1.0);
     }
 
     #[test]
@@ -275,18 +233,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_cdf_is_monotone(samples in proptest::collection::vec(-1e6..1e6f64, 1..100)) {
-            let cdf = Cdf::new(samples);
-            let mut prev = 0.0;
-            for x in (-10..=10).map(|i| i as f64 * 1e5) {
-                let f = cdf.fraction_at_or_below(x);
-                prop_assert!(f >= prev);
-                prop_assert!((0.0..=1.0).contains(&f));
-                prev = f;
-            }
-        }
-
         #[test]
         fn prop_quantile_is_monotone(samples in proptest::collection::vec(-1e6..1e6f64, 1..100)) {
             let cdf = Cdf::new(samples);

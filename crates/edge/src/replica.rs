@@ -53,13 +53,6 @@ pub enum CoverageReport {
     },
 }
 
-impl CoverageReport {
-    /// True when the spec is fully met.
-    pub fn is_satisfied(&self) -> bool {
-        matches!(self, CoverageReport::Satisfied)
-    }
-}
-
 /// What one maintenance pass did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct MaintainStats {
@@ -241,13 +234,13 @@ mod tests {
         let mut sets = ReplicaSets::new(1);
         let round1 = vec![vec![vis(1, 100.0), vis(2, 200.0), vis(3, 300.0)]];
         let (reports, stats) = sets.maintain(&round1, &qos);
-        assert!(reports[0].is_satisfied());
+        assert!(matches!(reports[0], CoverageReport::Satisfied));
         assert_eq!(stats.initial_placements, 2);
         assert_eq!(stats.repairs, 0);
         // Satellite 1 sets; the repair draws the next-nearest newcomer.
         let round2 = vec![vec![vis(2, 150.0), vis(3, 250.0)]];
         let (reports, stats) = sets.maintain(&round2, &qos);
-        assert!(reports[0].is_satisfied());
+        assert!(matches!(reports[0], CoverageReport::Satisfied));
         assert_eq!(stats.initial_placements, 0);
         assert_eq!(stats.repairs, 1);
         assert_eq!(sets.of(0), &[SatId(2), SatId(3)]);

@@ -203,7 +203,7 @@ impl Scenario {
     /// The diurnal factor for a cell at absolute time `t`: peaks at
     /// `peak_local_hour` in the cell's local solar time, troughs twelve
     /// hours away. Always positive for amplitudes below one.
-    pub fn diurnal_factor(&self, cell: &DemandCell, t: f64) -> f64 {
+    fn diurnal_factor(&self, cell: &DemandCell, t: f64) -> f64 {
         let local_hour = (t / 3600.0 + cell.lon_deg / 15.0).rem_euclid(24.0);
         let phase = (local_hour - self.config.peak_local_hour) / 24.0 * std::f64::consts::TAU;
         1.0 + self.config.diurnal_amplitude * phase.cos()
@@ -211,7 +211,7 @@ impl Scenario {
 
     /// The flash-crowd multiplier at a cell at absolute time `t` (1.0
     /// when no spike is live; concurrent spikes on one cell compound).
-    pub fn flash_factor(&self, cell_index: u32, t: f64) -> f64 {
+    fn flash_factor(&self, cell_index: u32, t: f64) -> f64 {
         let rel = t - self.config.start_s;
         self.crowds
             .iter()

@@ -9,10 +9,12 @@
 //! * [`power`] — solar/battery/eclipse power model and the server's draw
 //!   as a fraction of the bus budget (paper: 15 % at 225 W, 23 % at
 //!   350 W), plus radiator sizing for the added heat.
-//! * [`reliability`] — life-cycle model: server failures with no repair,
-//!   fleet replenishment, surviving capacity over time (paper: "even with
-//!   a substantial fraction of servers failing, a large LEO constellation
-//!   could continue to provide valuable in-orbit computing resources").
+//! * [`reliability`] — life-cycle model: servers fail at a constant rate
+//!   with no repair, satellites are replaced at end of life, and the
+//!   steady-state fraction with a working server follows in closed form
+//!   (paper: "even with a substantial fraction of servers failing, a large
+//!   LEO constellation could continue to provide valuable in-orbit
+//!   computing resources").
 //! * [`cost`] — launch cost per server and the 3-year TCO ratio against a
 //!   terrestrial data-center server (paper: ~42,000 USD launch, ~3×).
 //!
@@ -22,13 +24,10 @@
 #![warn(missing_docs)]
 
 pub mod cost;
-pub mod fleet;
 pub mod hardware;
 pub mod mass;
 pub mod power;
-pub mod radiation;
 pub mod reliability;
-pub mod simulation;
 
 pub use hardware::{SatelliteBus, ServerSpec};
 pub use mass::MassBudget;

@@ -13,8 +13,8 @@
 //! are never repaired in orbit; satellites retire at their design life
 //! and are replaced by fresh ones (steady-state replenishment). The
 //! steady-state fraction of satellites with a *working* server follows in
-//! closed form, and a small deterministic fleet simulation cross-checks
-//! it.
+//! closed form; a test cross-checks it against a deterministic fleet
+//! simulation.
 
 use serde::{Deserialize, Serialize};
 
@@ -30,11 +30,6 @@ pub struct ReliabilityParams {
 }
 
 impl ReliabilityParams {
-    /// Probability a server is still alive `t` years after launch.
-    pub fn survival(&self, t_years: f64) -> f64 {
-        (-self.annual_failure_rate * t_years).exp()
-    }
-
     /// Steady-state fraction of the fleet with a working server, under
     /// uniform-age replenishment: the fleet's ages are uniform on
     /// `[0, L]`, so the working fraction is `∫₀ᴸ e^{−λt} dt / L
@@ -46,20 +41,6 @@ impl ReliabilityParams {
         } else {
             (1.0 - (-x).exp()) / x
         }
-    }
-
-    /// Deterministic fleet simulation cross-check: a fleet of `n`
-    /// satellites with ages spread uniformly, each alive with its
-    /// survival probability; returns the expected working fraction.
-    pub fn simulate_fleet_fraction(&self, n: usize) -> f64 {
-        assert!(n > 0);
-        let mut total = 0.0;
-        for i in 0..n {
-            // Satellite i's age is uniformly placed in [0, L).
-            let age = (i as f64 + 0.5) / n as f64 * self.satellite_life_years;
-            total += self.survival(age);
-        }
-        total / n as f64
     }
 
     /// Working servers in a constellation of `fleet_size` satellites at
@@ -82,13 +63,6 @@ mod tests {
     }
 
     #[test]
-    fn survival_decays_exponentially() {
-        let p = starlink(0.10);
-        assert_eq!(p.survival(0.0), 1.0);
-        assert!((p.survival(5.0) - (-0.5f64).exp()).abs() < 1e-12);
-    }
-
-    #[test]
     fn zero_failure_rate_keeps_the_whole_fleet() {
         let p = starlink(0.0);
         assert_eq!(p.steady_state_working_fraction(), 1.0);
@@ -102,12 +76,26 @@ mod tests {
         assert!((f - 0.787).abs() < 0.005, "{f}");
     }
 
+    /// Deterministic fleet simulation: a fleet of `n` satellites with ages
+    /// spread uniformly, each alive with its survival probability
+    /// `e^{−λ·age}`; returns the expected working fraction.
+    fn simulate_fleet_fraction(p: &ReliabilityParams, n: usize) -> f64 {
+        assert!(n > 0);
+        let mut total = 0.0;
+        for i in 0..n {
+            // Satellite i's age is uniformly placed in [0, L).
+            let age = (i as f64 + 0.5) / n as f64 * p.satellite_life_years;
+            total += (-p.annual_failure_rate * age).exp();
+        }
+        total / n as f64
+    }
+
     #[test]
     fn closed_form_matches_the_fleet_simulation() {
         for rate in [0.02, 0.05, 0.10, 0.20] {
             let p = starlink(rate);
             let closed = p.steady_state_working_fraction();
-            let sim = p.simulate_fleet_fraction(100_000);
+            let sim = simulate_fleet_fraction(&p, 100_000);
             assert!(
                 (closed - sim).abs() < 1e-4,
                 "rate {rate}: closed {closed} vs sim {sim}"

@@ -61,11 +61,6 @@ impl Angle {
         self.0.cos()
     }
 
-    /// Tangent.
-    pub fn tan(self) -> f64 {
-        self.0.tan()
-    }
-
     /// Simultaneous sine and cosine.
     pub fn sin_cos(self) -> (f64, f64) {
         self.0.sin_cos()

@@ -3,20 +3,11 @@
 //! Sources: WGS-84 defining parameters (NIMA TR8350.2), IERS conventions,
 //! and CODATA for the speed of light. The paper's own calculations use a
 //! spherical Earth of radius 6371 km; [`EARTH_RADIUS_MEAN_M`] reproduces
-//! that choice while the ellipsoidal constants support exact geodetic
-//! conversion.
+//! that choice. The WGS-84 semi-major axis is the reference radius of the
+//! J2 term.
 
 /// WGS-84 semi-major axis (equatorial radius), meters.
 pub const WGS84_A_M: f64 = 6_378_137.0;
-
-/// WGS-84 flattening, dimensionless.
-pub const WGS84_F: f64 = 1.0 / 298.257_223_563;
-
-/// WGS-84 semi-minor axis (polar radius), meters.
-pub const WGS84_B_M: f64 = WGS84_A_M * (1.0 - WGS84_F);
-
-/// WGS-84 first eccentricity squared.
-pub const WGS84_E2: f64 = WGS84_F * (2.0 - WGS84_F);
 
 /// Mean Earth radius (IUGG arithmetic mean radius), meters.
 ///
@@ -47,32 +38,15 @@ pub const SOLAR_DAY_S: f64 = 86_400.0;
 /// as the reference for "GEO-like stationarity".
 pub const GEO_ALTITUDE_M: f64 = 35_786_000.0;
 
-/// Inner Van Allen belt lower boundary altitude, meters.
-///
-/// §4 of the paper: orbits below ~643 km sit under the inner belt, where
-/// commodity (software-hardened) compute hardware is plausible.
-pub const VAN_ALLEN_INNER_ALTITUDE_M: f64 = 643_000.0;
-
-/// Astronomical unit, meters (used by the solar ephemeris).
-pub const AU_M: f64 = 1.495_978_707e11;
-
-/// Mean solar irradiance at 1 AU ("solar constant"), W/m².
-pub const SOLAR_CONSTANT_W_M2: f64 = 1361.0;
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn wgs84_derived_quantities_are_consistent() {
-        assert!((WGS84_B_M - 6_356_752.314_245).abs() < 1e-3);
-        assert!((WGS84_E2 - 6.694_379_990_14e-3).abs() < 1e-12);
-    }
-
-    #[test]
     #[allow(clippy::assertions_on_constants)]
     fn mean_radius_lies_between_polar_and_equatorial() {
-        assert!(WGS84_B_M < EARTH_RADIUS_MEAN_M);
+        // WGS-84 polar radius: b = a(1 − f) ≈ 6,356,752 m.
+        assert!(6_356_752.3 < EARTH_RADIUS_MEAN_M);
         assert!(EARTH_RADIUS_MEAN_M < WGS84_A_M);
     }
 

@@ -11,13 +11,12 @@
 //! * **ENU** — local east-north-up frame at a ground point; used to derive
 //!   look angles (elevation / azimuth).
 //!
-//! Two Earth surface models are supported. The WGS-84 ellipsoid gives exact
-//! geodesy; the spherical model (mean radius 6371 km) reproduces the
-//! paper's own latency arithmetic. Each conversion names its model
-//! explicitly — there is no "default Earth".
+//! Conversions use the spherical Earth model (mean radius 6371 km), which
+//! reproduces the paper's own latency arithmetic; each names its model
+//! explicitly.
 
 use crate::angle::Angle;
-use crate::consts::{EARTH_RADIUS_MEAN_M, WGS84_A_M, WGS84_E2};
+use crate::consts::EARTH_RADIUS_MEAN_M;
 use crate::vec3::Vec3;
 use serde::{Deserialize, Serialize};
 
@@ -46,18 +45,6 @@ impl Geodetic {
     /// A sea-level ground point from degrees.
     pub fn ground(lat_deg: f64, lon_deg: f64) -> Self {
         Self::from_degrees(lat_deg, lon_deg, 0.0)
-    }
-
-    /// Converts to ECEF on the WGS-84 ellipsoid.
-    pub fn to_ecef_wgs84(self) -> Ecef {
-        let (slat, clat) = self.lat.sin_cos();
-        let (slon, clon) = self.lon.sin_cos();
-        let n = WGS84_A_M / (1.0 - WGS84_E2 * slat * slat).sqrt();
-        Ecef(Vec3::new(
-            (n + self.alt_m) * clat * clon,
-            (n + self.alt_m) * clat * slon,
-            (n * (1.0 - WGS84_E2) + self.alt_m) * slat,
-        ))
     }
 
     /// Converts to ECEF on a spherical Earth of mean radius (the paper's
@@ -99,53 +86,6 @@ impl Ecef {
         self.0.distance(other.0)
     }
 
-    /// Converts to geodetic coordinates on the WGS-84 ellipsoid.
-    ///
-    /// Uses Bowring's closed-form first approximation refined by two
-    /// fixed-point iterations; sub-millimeter accurate for LEO altitudes.
-    pub fn to_geodetic_wgs84(self) -> Geodetic {
-        let v = self.0;
-        let p = (v.x * v.x + v.y * v.y).sqrt();
-        let lon = v.y.atan2(v.x);
-        if p < 1e-9 {
-            // On the polar axis.
-            let lat = if v.z >= 0.0 {
-                std::f64::consts::FRAC_PI_2
-            } else {
-                -std::f64::consts::FRAC_PI_2
-            };
-            let b = crate::consts::WGS84_B_M;
-            return Geodetic {
-                lat: Angle::from_radians(lat),
-                lon: Angle::from_radians(lon),
-                alt_m: v.z.abs() - b,
-            };
-        }
-        let mut lat = (v.z / (p * (1.0 - WGS84_E2))).atan();
-        let mut alt = 0.0;
-        for _ in 0..10 {
-            let slat = lat.sin();
-            let n = WGS84_A_M / (1.0 - WGS84_E2 * slat * slat).sqrt();
-            // Near the poles p/cos(lat) is ill-conditioned; use the z form.
-            alt = if lat.abs() < std::f64::consts::FRAC_PI_4 {
-                p / lat.cos() - n
-            } else {
-                v.z / slat - n * (1.0 - WGS84_E2)
-            };
-            let new_lat = (v.z / (p * (1.0 - WGS84_E2 * n / (n + alt)))).atan();
-            let done = (new_lat - lat).abs() < 1e-14;
-            lat = new_lat;
-            if done {
-                break;
-            }
-        }
-        Geodetic {
-            lat: Angle::from_radians(lat),
-            lon: Angle::from_radians(lon),
-            alt_m: alt,
-        }
-    }
-
     /// Converts to geodetic coordinates on the spherical Earth model.
     pub fn to_geodetic_spherical(self) -> Geodetic {
         let v = self.0;
@@ -156,11 +96,6 @@ impl Ecef {
             lon: Angle::from_radians(v.y.atan2(v.x)),
             alt_m: r - EARTH_RADIUS_MEAN_M,
         }
-    }
-
-    /// Rotates into the inertial frame given the current GMST.
-    pub fn to_eci(self, gmst: Angle) -> Eci {
-        Eci(self.0.rotate_z(gmst.radians()))
     }
 }
 
@@ -226,42 +161,13 @@ mod tests {
         let e = Geodetic::ground(0.0, 0.0).to_ecef_spherical();
         assert!((e.0.x - EARTH_RADIUS_MEAN_M).abs() < 1e-6);
         assert!(e.0.y.abs() < 1e-6 && e.0.z.abs() < 1e-6);
-
-        let w = Geodetic::ground(0.0, 0.0).to_ecef_wgs84();
-        assert!((w.0.x - WGS84_A_M).abs() < 1e-6);
-    }
-
-    #[test]
-    fn north_pole_maps_to_z_axis() {
-        let e = Geodetic::ground(90.0, 0.0).to_ecef_wgs84();
-        assert!(e.0.x.abs() < 1e-6 && e.0.y.abs() < 1e-6);
-        assert!((e.0.z - crate::consts::WGS84_B_M).abs() < 1e-3);
-    }
-
-    #[test]
-    fn wgs84_round_trip_for_leo_altitudes() {
-        for &(lat, lon, alt) in &[
-            (47.3769, 8.5417, 0.0),      // Zürich
-            (-33.8688, 151.2093, 550e3), // over Sydney at Starlink altitude
-            (89.9, -120.0, 1325e3),
-            (-0.0001, 179.9999, 35_786e3),
-        ] {
-            let g = Geodetic::from_degrees(lat, lon, alt);
-            let back = g.to_ecef_wgs84().to_geodetic_wgs84();
-            assert!((back.lat.degrees() - lat).abs() < 1e-8, "lat {lat}");
-            assert!(
-                (back.lon.normalized_signed().degrees() - lon).abs() < 1e-8,
-                "lon {lon}"
-            );
-            assert!((back.alt_m - alt).abs() < 1e-3, "alt {alt}");
-        }
     }
 
     #[test]
     fn eci_ecef_round_trip() {
         let gmst = Angle::from_degrees(123.456);
         let p = Ecef::new(1.0e6, -2.0e6, 3.0e6);
-        let back = p.to_eci(gmst).to_ecef(gmst);
+        let back = Eci(p.0.rotate_z(gmst.radians())).to_ecef(gmst);
         assert!(p.0.distance(back.0) < 1e-6);
     }
 
@@ -310,26 +216,14 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_wgs84_round_trip(
-            lat in -89.9..89.9f64,
-            lon in -179.9..179.9f64,
-            alt in 0.0..2_000_000.0f64,
-        ) {
-            let g = Geodetic::from_degrees(lat, lon, alt);
-            let back = g.to_ecef_wgs84().to_geodetic_wgs84();
-            prop_assert!((back.lat.degrees() - lat).abs() < 1e-7);
-            prop_assert!((back.lon.normalized_signed().degrees() - lon).abs() < 1e-7);
-            prop_assert!((back.alt_m - alt).abs() < 1e-2);
-        }
-
-        #[test]
         fn prop_eci_ecef_round_trip(
             x in -1e7..1e7f64, y in -1e7..1e7f64, z in -1e7..1e7f64,
             g in 0.0..360.0f64,
         ) {
             let gmst = Angle::from_degrees(g);
             let p = Ecef::new(x, y, z);
-            prop_assert!(p.0.distance(p.to_eci(gmst).to_ecef(gmst).0) < 1e-5);
+            let eci = Eci(p.0.rotate_z(gmst.radians()));
+            prop_assert!(p.0.distance(eci.to_ecef(gmst).0) < 1e-5);
         }
 
         #[test]

@@ -6,8 +6,9 @@
 //! This crate is the lowest-level substrate of the in-orbit computing
 //! reproduction. It provides:
 //!
-//! * Physical constants ([`consts`]): WGS-84 ellipsoid, gravitational
-//!   parameter, speed of light, J2 coefficient.
+//! * Physical constants ([`consts`]): mean Earth radius, WGS-84
+//!   equatorial radius, gravitational parameter, speed of light, J2
+//!   coefficient.
 //! * A small 3-vector type ([`Vec3`]) used by every higher layer.
 //! * Angles with explicit units ([`Angle`]) and normalization helpers.
 //! * Time handling ([`Epoch`], [`gmst`]) sufficient for Earth rotation.
@@ -16,10 +17,10 @@
 //!   Earth-centered inertial (ECI), plus the east-north-up (ENU) frame used
 //!   for look angles.
 //! * Ground-to-satellite geometry ([`look`]): elevation, azimuth, slant
-//!   range, maximum slant range for a minimum elevation, coverage radius.
+//!   range, maximum slant range for a minimum elevation, coverage angle.
 //! * Great-circle geometry ([`spherical`]).
-//! * A low-precision solar ephemeris and Earth-shadow (eclipse) test
-//!   ([`sun`]) used by the power feasibility model.
+//! * The closed-form eclipse fraction of a circular orbit ([`sun`]) used
+//!   by the power feasibility model.
 //! * An equirectangular projection and ASCII map renderer ([`projection`])
 //!   used to regenerate Fig. 5 of the paper.
 //!

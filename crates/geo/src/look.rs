@@ -40,7 +40,7 @@ impl LookAngles {
     }
 
     /// One-way propagation delay over the slant range, seconds.
-    pub fn propagation_delay_s(&self) -> f64 {
+    fn propagation_delay_s(&self) -> f64 {
         self.range_m / SPEED_OF_LIGHT_M_S
     }
 
@@ -74,16 +74,6 @@ pub fn coverage_central_angle(altitude_m: f64, min_elevation: Angle) -> Angle {
     // central angle λ = π/2 − ε − η.
     let eta = (r * min_elevation.cos() / rh).asin();
     Angle::from_radians(std::f64::consts::FRAC_PI_2 - min_elevation.radians() - eta)
-}
-
-/// Ground radius of the coverage footprint (along the surface), meters.
-pub fn coverage_ground_radius_m(altitude_m: f64, min_elevation: Angle) -> f64 {
-    coverage_central_angle(altitude_m, min_elevation).radians() * EARTH_RADIUS_MEAN_M
-}
-
-/// Round-trip propagation time over a straight-line distance, milliseconds.
-pub fn rtt_ms_for_distance(distance_m: f64) -> f64 {
-    2.0 * distance_m / SPEED_OF_LIGHT_M_S * 1e3
 }
 
 /// Quick visibility predicate on the spherical Earth model: true when the
@@ -168,15 +158,15 @@ mod tests {
         // is within 16 ms RTT. The worst case is the 1325 km shell at the
         // minimum elevation.
         let d = max_slant_range_m(1325e3, Angle::from_degrees(25.0));
-        let rtt = rtt_ms_for_distance(d);
+        let rtt = 2.0 * d / SPEED_OF_LIGHT_M_S * 1e3;
         assert!(rtt < 16.5, "rtt {rtt}");
         assert!(rtt > 14.0, "rtt {rtt}");
     }
 
     #[test]
     fn coverage_radius_shrinks_with_higher_min_elevation() {
-        let lo = coverage_ground_radius_m(550e3, Angle::from_degrees(25.0));
-        let hi = coverage_ground_radius_m(550e3, Angle::from_degrees(40.0));
+        let lo = coverage_central_angle(550e3, Angle::from_degrees(25.0));
+        let hi = coverage_central_angle(550e3, Angle::from_degrees(40.0));
         assert!(lo > hi);
     }
 

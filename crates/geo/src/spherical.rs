@@ -5,7 +5,7 @@ use crate::consts::EARTH_RADIUS_MEAN_M;
 use crate::coords::Geodetic;
 
 /// Central angle between two ground points (haversine formula), radians.
-pub fn central_angle(a: Geodetic, b: Geodetic) -> Angle {
+fn central_angle(a: Geodetic, b: Geodetic) -> Angle {
     let dlat = (b.lat - a.lat).radians();
     let dlon = (b.lon - a.lon).radians();
     let h = (dlat / 2.0).sin().powi(2) + a.lat.cos() * b.lat.cos() * (dlon / 2.0).sin().powi(2);
@@ -15,14 +15,6 @@ pub fn central_angle(a: Geodetic, b: Geodetic) -> Angle {
 /// Great-circle surface distance between two ground points, meters.
 pub fn great_circle_distance_m(a: Geodetic, b: Geodetic) -> f64 {
     central_angle(a, b).radians() * EARTH_RADIUS_MEAN_M
-}
-
-/// Initial bearing (forward azimuth) from `a` to `b`, clockwise from north.
-pub fn initial_bearing(a: Geodetic, b: Geodetic) -> Angle {
-    let dlon = (b.lon - a.lon).radians();
-    let y = dlon.sin() * b.lat.cos();
-    let x = a.lat.cos() * b.lat.sin() - a.lat.sin() * b.lat.cos() * dlon.cos();
-    Angle::from_radians(y.atan2(x)).normalized()
 }
 
 /// The point a fraction `t ∈ [0,1]` of the way along the great circle from
@@ -69,20 +61,6 @@ mod tests {
         let nyc = Geodetic::ground(40.7128, -74.0060);
         let d = great_circle_distance_m(zrh, nyc) / 1e3;
         assert!((d - 6320.0).abs() < 50.0, "{d}");
-    }
-
-    #[test]
-    fn bearing_due_east_along_equator() {
-        let a = Geodetic::ground(0.0, 0.0);
-        let b = Geodetic::ground(0.0, 10.0);
-        assert!((initial_bearing(a, b).degrees() - 90.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bearing_due_north() {
-        let a = Geodetic::ground(0.0, 0.0);
-        let b = Geodetic::ground(10.0, 0.0);
-        assert!(initial_bearing(a, b).degrees().abs() < 1e-9);
     }
 
     #[test]

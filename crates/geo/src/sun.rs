@@ -1,56 +1,13 @@
-//! Low-precision solar ephemeris and Earth-shadow (eclipse) geometry.
+//! Earth-shadow (eclipse) geometry.
 //!
 //! The feasibility analysis in §4 of the paper notes that "satellites use
 //! batteries for continuous operation, given that substantial orbital time
 //! is spent in the Earth's shadow". The power model in `leo-feasibility`
-//! needs the eclipse fraction of an orbit, which requires (a) the direction
-//! of the Sun and (b) a shadow test. The Astronomical Almanac low-precision
-//! formula used here is accurate to ~0.01°, vastly better than required.
+//! needs the eclipse fraction of an orbit, which [`eclipse_fraction`] gives
+//! in closed form for a cylindrical shadow.
 
 use crate::angle::Angle;
-use crate::consts::{AU_M, EARTH_RADIUS_MEAN_M};
-use crate::coords::Eci;
-use crate::time::Epoch;
-use crate::vec3::Vec3;
-
-/// Unit vector from the Earth's center toward the Sun in the ECI frame at
-/// `seconds` after `epoch`.
-pub fn sun_direction_eci(epoch: Epoch, seconds: f64) -> Vec3 {
-    let d = epoch.days_since_j2000(seconds);
-    // Mean longitude and mean anomaly of the Sun, degrees.
-    let l = 280.460 + 0.985_647_4 * d;
-    let g = Angle::from_degrees(357.528 + 0.985_600_3 * d);
-    // Ecliptic longitude with equation-of-center correction.
-    let lambda = Angle::from_degrees(l + 1.915 * g.sin() + 0.020 * (g * 2.0).sin());
-    // Obliquity of the ecliptic.
-    let eps = Angle::from_degrees(23.439 - 0.000_000_4 * d);
-    let (sl, cl) = lambda.sin_cos();
-    let (se, ce) = eps.sin_cos();
-    Vec3::new(cl, ce * sl, se * sl).normalized()
-}
-
-/// Position of the Sun in ECI, meters (direction × 1 AU; the Sun–Earth
-/// distance variation of ±1.7 % is irrelevant for shadow geometry).
-pub fn sun_position_eci(epoch: Epoch, seconds: f64) -> Eci {
-    Eci(sun_direction_eci(epoch, seconds) * AU_M)
-}
-
-/// True when a satellite at ECI position `sat` is inside the Earth's
-/// (cylindrical) shadow given the Sun direction.
-///
-/// The cylindrical model ignores penumbra; for LEO power budgeting the
-/// penumbral transit lasts seconds and is negligible.
-pub fn in_earth_shadow(sat: Eci, sun_dir: Vec3) -> bool {
-    let r = sat.0;
-    // Must be on the anti-sun side…
-    let along = r.dot(sun_dir);
-    if along >= 0.0 {
-        return false;
-    }
-    // …and within one Earth radius of the shadow axis.
-    let perp = (r - sun_dir * along).norm();
-    perp < EARTH_RADIUS_MEAN_M
-}
+use crate::consts::EARTH_RADIUS_MEAN_M;
 
 /// Fraction of a circular orbit spent in the Earth's shadow, for a
 /// satellite at `altitude_m` whose orbit plane makes angle `beta` with the
@@ -76,35 +33,25 @@ pub fn eclipse_fraction(altitude_m: f64, beta: Angle) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coords::Eci;
+    use crate::vec3::Vec3;
     use proptest::prelude::*;
 
-    #[test]
-    fn sun_direction_is_unit_length() {
-        let s = sun_direction_eci(Epoch::J2000, 0.0);
-        assert!((s.norm() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sun_near_vernal_equinox_points_along_x() {
-        // Around March 20 the Sun crosses the vernal equinox: ecliptic
-        // longitude ≈ 0 so the ECI direction is close to +X.
-        let e = Epoch::from_calendar(2020, 3, 20, 12, 0, 0.0);
-        let s = sun_direction_eci(e, 0.0);
-        assert!(s.x > 0.999, "sun at equinox: {s:?}");
-        assert!(s.y.abs() < 0.05 && s.z.abs() < 0.05);
-    }
-
-    #[test]
-    fn sun_declination_at_solstices() {
-        // June solstice: declination ≈ +23.44°; December: ≈ −23.44°.
-        let jun = Epoch::from_calendar(2020, 6, 20, 12, 0, 0.0);
-        let dec = Epoch::from_calendar(2020, 12, 21, 12, 0, 0.0);
-        let sj = sun_direction_eci(jun, 0.0);
-        let sd = sun_direction_eci(dec, 0.0);
-        let decl_j = sj.z.asin().to_degrees();
-        let decl_d = sd.z.asin().to_degrees();
-        assert!((decl_j - 23.44).abs() < 0.2, "{decl_j}");
-        assert!((decl_d + 23.44).abs() < 0.2, "{decl_d}");
+    /// True when a satellite at ECI position `sat` is inside the Earth's
+    /// (cylindrical) shadow given the Sun direction.
+    ///
+    /// The cylindrical model ignores penumbra; for LEO power budgeting the
+    /// penumbral transit lasts seconds and is negligible.
+    fn in_earth_shadow(sat: Eci, sun_dir: Vec3) -> bool {
+        let r = sat.0;
+        // Must be on the anti-sun side…
+        let along = r.dot(sun_dir);
+        if along >= 0.0 {
+            return false;
+        }
+        // …and within one Earth radius of the shadow axis.
+        let perp = (r - sun_dir * along).norm();
+        perp < EARTH_RADIUS_MEAN_M
     }
 
     #[test]
@@ -186,12 +133,6 @@ mod tests {
         fn prop_eclipse_fraction_bounded(alt in 300e3..2000e3f64, b in 0.0..90.0f64) {
             let f = eclipse_fraction(alt, Angle::from_degrees(b));
             prop_assert!((0.0..0.5).contains(&f));
-        }
-
-        #[test]
-        fn prop_sun_direction_always_unit(d in 0.0..20000.0f64) {
-            let s = sun_direction_eci(Epoch::J2000, d * 86400.0);
-            prop_assert!((s.norm() - 1.0).abs() < 1e-9);
         }
     }
 }

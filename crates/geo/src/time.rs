@@ -62,18 +62,13 @@ impl Epoch {
     }
 
     /// The Julian date `seconds` after this epoch.
-    pub fn julian_date_at(self, seconds: f64) -> f64 {
+    fn julian_date_at(self, seconds: f64) -> f64 {
         self.jd + seconds / crate::consts::SOLAR_DAY_S
     }
 
     /// Days elapsed since J2000.0 at `seconds` after this epoch.
-    pub fn days_since_j2000(self, seconds: f64) -> f64 {
+    fn days_since_j2000(self, seconds: f64) -> f64 {
         self.julian_date_at(seconds) - JD_J2000
-    }
-
-    /// Julian centuries elapsed since J2000.0 at `seconds` after this epoch.
-    pub fn centuries_since_j2000(self, seconds: f64) -> f64 {
-        self.days_since_j2000(seconds) / 36_525.0
     }
 }
 

@@ -91,20 +91,6 @@ impl Vec3 {
         }
     }
 
-    /// Angle between two vectors, radians, in `[0, π]`.
-    pub fn angle_to(self, other: Vec3) -> f64 {
-        // atan2 of the cross/dot is numerically stable near 0 and π,
-        // unlike acos of the normalized dot product.
-        let cross = self.cross(other).norm();
-        let dot = self.dot(other);
-        cross.atan2(dot)
-    }
-
-    /// Component-wise linear interpolation: `self + t * (other - self)`.
-    pub fn lerp(self, other: Vec3, t: f64) -> Vec3 {
-        self + (other - self) * t
-    }
-
     /// Rotates the vector about the +z axis by `angle` radians
     /// (counter-clockwise looking down +z).
     pub fn rotate_z(self, angle: f64) -> Vec3 {
@@ -190,7 +176,7 @@ impl Neg for Vec3 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::f64::consts::{FRAC_PI_2, PI};
+    use std::f64::consts::FRAC_PI_2;
 
     #[test]
     fn dot_and_cross_of_basis_vectors() {
@@ -211,18 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn angle_between_orthogonal_vectors_is_right() {
-        let a = Vec3::X.angle_to(Vec3::Y);
-        assert!((a - FRAC_PI_2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn angle_between_antiparallel_vectors_is_pi() {
-        let a = Vec3::X.angle_to(-Vec3::X);
-        assert!((a - PI).abs() < 1e-12);
-    }
-
-    #[test]
     fn rotate_z_quarter_turn_maps_x_to_y() {
         let v = Vec3::X.rotate_z(FRAC_PI_2);
         assert!(v.distance(Vec3::Y) < 1e-12);
@@ -232,15 +206,6 @@ mod tests {
     fn rotate_x_quarter_turn_maps_y_to_z() {
         let v = Vec3::Y.rotate_x(FRAC_PI_2);
         assert!(v.distance(Vec3::Z) < 1e-12);
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = Vec3::new(1.0, 2.0, 3.0);
-        let b = Vec3::new(3.0, 6.0, 9.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Vec3::new(2.0, 4.0, 6.0));
     }
 
     fn arb_vec3() -> impl Strategy<Value = Vec3> {
@@ -271,12 +236,6 @@ mod tests {
         #[test]
         fn triangle_inequality(a in arb_vec3(), b in arb_vec3()) {
             prop_assert!((a + b).norm() <= a.norm() + b.norm() + 1e-6);
-        }
-
-        #[test]
-        fn angle_is_symmetric(a in arb_vec3(), b in arb_vec3()) {
-            prop_assume!(a.norm() > 1.0 && b.norm() > 1.0);
-            prop_assert!((a.angle_to(b) - b.angle_to(a)).abs() < 1e-12);
         }
     }
 }

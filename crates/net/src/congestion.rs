@@ -317,7 +317,7 @@ impl Link {
     }
 
     /// Serialization time of `bits` on this link, seconds.
-    pub fn serialization_s(&self, bits: f64) -> f64 {
+    fn serialization_s(&self, bits: f64) -> f64 {
         bits / self.rate_bps
     }
 }
@@ -784,15 +784,16 @@ impl CongestionNetwork {
     /// Processes every event with timestamp `<= horizon_s`, then advances
     /// the clock to the horizon. Returns `true` if every windowed flow has
     /// completed.
-    pub fn run_until(&mut self, horizon_s: f64) -> bool {
+    fn run_until(&mut self, horizon_s: f64) -> bool {
         assert!(!horizon_s.is_nan(), "horizon must not be NaN");
         self.drive(horizon_s, false)
     }
 
-    /// Like [`run_until`](Self::run_until), but stops as soon as the last
-    /// windowed flow completes, leaving cross-traffic events unprocessed.
-    /// Use this to time transfers without paying for background traffic
-    /// that outlives them.
+    /// Processes every event with timestamp `<= horizon_s`, but stops as
+    /// soon as the last windowed flow completes, leaving cross-traffic
+    /// events unprocessed. Returns `true` if every windowed flow has
+    /// completed. Use this to time transfers without paying for background
+    /// traffic that outlives them.
     pub fn run_while_incomplete(&mut self, horizon_s: f64) -> bool {
         assert!(!horizon_s.is_nan(), "horizon must not be NaN");
         self.drive(horizon_s, true)
@@ -827,16 +828,6 @@ impl CongestionNetwork {
         if horizon_s.is_finite() && horizon_s > self.now_s {
             self.now_s = horizon_s;
         }
-        self.incomplete_wins == 0
-    }
-
-    /// Current simulated time.
-    pub fn now_s(&self) -> f64 {
-        self.now_s
-    }
-
-    /// True once every windowed flow has delivered all its packets.
-    pub fn all_complete(&self) -> bool {
         self.incomplete_wins == 0
     }
 
@@ -2211,7 +2202,7 @@ mod tests {
             net.run_until(horizon);
             prop_assert_eq!(net.cbr_stats(at).emitted, 1);
             prop_assert_eq!(net.cbr_stats(after).emitted, 0);
-            prop_assert_eq!(net.now_s().to_bits(), bits);
+            prop_assert_eq!(net.now_s.to_bits(), bits);
         }
     }
 }

@@ -45,7 +45,7 @@
 
 use crate::fault::FaultPlan;
 use crate::index::VisibilityIndex;
-use crate::isl::{line_of_sight_clear, IslTopology};
+use crate::isl::{line_of_sight_clear, IslTopology, GRAZING_ALTITUDE_M};
 use crate::routing::GroundEndpoint;
 use crate::visibility::visible_sats;
 use leo_constellation::{Constellation, SatId, Snapshot};
@@ -72,7 +72,6 @@ pub struct RoutingEngine {
     /// `edge_of_slot`, so a delta refresh can scatter one changed weight
     /// without re-walking the whole slot array.
     slots_of_edge: Vec<[u32; 2]>,
-    grazing_altitude_m: f64,
 }
 
 /// Per-snapshot edge weights (one-way delay, seconds) for a compiled
@@ -166,11 +165,6 @@ impl IslWeights {
         self.delays.iter().filter(|d| d.is_finite()).count()
     }
 
-    /// Smallest finite edge weight (seconds), `INFINITY` when none.
-    pub fn min_finite_s(&self) -> f64 {
-        self.min_finite
-    }
-
     /// True when `other` holds bit-for-bit the same weights: every edge
     /// delay, every directed slot, and `min_finite` compare equal as bit
     /// patterns (so `INFINITY == INFINITY`, unlike `f64` equality on
@@ -216,7 +210,7 @@ pub struct GroundLinks {
 
 impl GroundLinks {
     /// Number of attached ground endpoints.
-    pub fn num_grounds(&self) -> usize {
+    fn num_grounds(&self) -> usize {
         self.up_offsets.len() - 1
     }
 
@@ -487,7 +481,6 @@ impl RoutingEngine {
             edge_of_slot,
             edge_ends,
             slots_of_edge,
-            grazing_altitude_m: topology.grazing_altitude_m(),
         }
     }
 
@@ -558,7 +551,7 @@ impl RoutingEngine {
     fn edge_weight(&self, snapshot: &Snapshot, a: u32, b: u32) -> f64 {
         let pa = snapshot.position(SatId(a));
         let pb = snapshot.position(SatId(b));
-        if line_of_sight_clear(pa, pb, self.grazing_altitude_m) {
+        if line_of_sight_clear(pa, pb, GRAZING_ALTITUDE_M) {
             pa.distance_m(pb) / SPEED_OF_LIGHT_M_S
         } else {
             f64::INFINITY

@@ -359,7 +359,6 @@ fn wedge_half_width(set: &GroundSet, pos: Ecef, max_range_m: f64) -> f64 {
 #[derive(Debug, Clone)]
 pub struct BandedGroundSets {
     bands: Vec<BandSet>,
-    num_points: usize,
 }
 
 /// One latitude band's point set plus the caller-order indices of its
@@ -394,20 +393,12 @@ impl BandedGroundSets {
                 }
             })
             .collect();
-        BandedGroundSets {
-            bands,
-            num_points: points.len(),
-        }
+        BandedGroundSets { bands }
     }
 
     /// Number of latitude bands (parallelism units).
     pub fn num_bands(&self) -> usize {
         self.bands.len()
-    }
-
-    /// Total points across all bands.
-    pub fn num_points(&self) -> usize {
-        self.num_points
     }
 
     /// The bands, for fanning across a worker pool.
@@ -631,7 +622,6 @@ mod tests {
         let index = VisibilityIndex::build(&c, &snap);
         let pts = grounds(300);
         let banded = BandedGroundSets::build(&pts, 4.0);
-        assert_eq!(banded.num_points(), pts.len());
         let mut seen = vec![false; pts.len()];
         let mut assembled: Vec<Vec<VisibleSat>> = vec![Vec::new(); pts.len()];
         for band in banded.bands() {

@@ -69,9 +69,6 @@ pub struct NetworkGraph {
     index: std::collections::HashMap<NodeId, usize>,
     /// adjacency: `(neighbor_index, delay_s)`.
     adj: Vec<Vec<(usize, f64)>>,
-    /// Running undirected-edge count, maintained by `add_edge` so
-    /// `edge_count` is O(1) instead of an O(E) sum over the adjacency.
-    num_edges: usize,
 }
 
 impl NetworkGraph {
@@ -97,7 +94,7 @@ impl NetworkGraph {
     /// # Panics
     /// Panics on negative or non-finite delays — those would corrupt
     /// Dijkstra's invariant.
-    pub fn add_edge(&mut self, a: NodeId, b: NodeId, delay_s: f64) {
+    fn add_edge(&mut self, a: NodeId, b: NodeId, delay_s: f64) {
         assert!(
             delay_s.is_finite() && delay_s >= 0.0,
             "invalid edge delay {delay_s}"
@@ -106,22 +103,11 @@ impl NetworkGraph {
         let ib = self.add_node(b);
         self.adj[ia].push((ib, delay_s));
         self.adj[ib].push((ia, delay_s));
-        self.num_edges += 1;
     }
 
     /// Adds an undirected edge weighted by distance at light speed.
     pub fn add_edge_distance(&mut self, a: NodeId, b: NodeId, distance_m: f64) {
         self.add_edge(a, b, distance_m / leo_geo::consts::SPEED_OF_LIGHT_M_S);
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of undirected edges.
-    pub fn edge_count(&self) -> usize {
-        self.num_edges
     }
 
     /// True when the node is present.
@@ -283,21 +269,6 @@ mod tests {
     fn negative_delays_are_rejected() {
         let mut net = NetworkGraph::new();
         net.add_edge(g(0), g(1), -1.0);
-    }
-
-    #[test]
-    fn edge_count_tracks_additions_in_constant_time() {
-        let mut net = NetworkGraph::new();
-        assert_eq!(net.edge_count(), 0);
-        net.add_edge(g(0), g(1), 1.0);
-        net.add_edge(g(1), s(0), 2.0);
-        net.add_edge(g(0), g(1), 3.0); // parallel edges count separately
-        assert_eq!(net.edge_count(), 3);
-        assert_eq!(
-            net.edge_count(),
-            net.adj.iter().map(Vec::len).sum::<usize>() / 2,
-            "counter must agree with the adjacency sum"
-        );
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! not assumed.
 //!
 //! Links are only usable when the straight-line path clears the Earth's
-//! atmosphere; [`line_of_sight_clear`] enforces a configurable grazing
-//! altitude.
+//! atmosphere; [`line_of_sight_clear`] enforces a grazing altitude, and
+//! every topology here uses [`GRAZING_ALTITUDE_M`].
 
 use leo_constellation::{Constellation, SatId, Snapshot};
 use leo_geo::consts::EARTH_RADIUS_MEAN_M;
@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// Minimum altitude (meters) an ISL ray must keep above the surface; laser
 /// links grazing the thick atmosphere are unusable. 80 km is the common
 /// assumption (top of the mesosphere).
-pub const DEFAULT_GRAZING_ALTITUDE_M: f64 = 80_000.0;
+pub const GRAZING_ALTITUDE_M: f64 = 80_000.0;
 
 /// True when the straight line between two ECEF points stays at least
 /// `grazing_altitude_m` above the (spherical) Earth surface.
@@ -63,15 +63,9 @@ pub struct IslTopology {
     edges: Vec<IslEdge>,
     /// Adjacency: neighbor satellite ids, indexed by `SatId.0`.
     neighbors: Vec<Vec<SatId>>,
-    grazing_altitude_m: f64,
 }
 
 impl IslTopology {
-    /// Builds the +Grid topology for every shell of the constellation.
-    pub fn plus_grid(constellation: &Constellation) -> Self {
-        Self::plus_grid_with_grazing(constellation, DEFAULT_GRAZING_ALTITUDE_M)
-    }
-
     /// Intra-plane rings only (no cross-plane lasers) — the ablation
     /// baseline for the topology comparison in DESIGN.md §6. Cheaper
     /// terminals, but cross-plane traffic must ride the ground segment.
@@ -98,11 +92,7 @@ impl IslTopology {
             neighbors[e.a.0 as usize].push(e.b);
             neighbors[e.b.0 as usize].push(e.a);
         }
-        IslTopology {
-            edges,
-            neighbors,
-            grazing_altitude_m: DEFAULT_GRAZING_ALTITUDE_M,
-        }
+        IslTopology { edges, neighbors }
     }
 
     /// No inter-satellite links at all — bent-pipe operation, every
@@ -111,12 +101,11 @@ impl IslTopology {
         IslTopology {
             edges: Vec::new(),
             neighbors: vec![Vec::new(); constellation.num_satellites()],
-            grazing_altitude_m: DEFAULT_GRAZING_ALTITUDE_M,
         }
     }
 
-    /// +Grid with an explicit grazing altitude for the line-of-sight rule.
-    pub fn plus_grid_with_grazing(constellation: &Constellation, grazing_altitude_m: f64) -> Self {
+    /// Builds the +Grid topology for every shell of the constellation.
+    pub fn plus_grid(constellation: &Constellation) -> Self {
         // Within a shell every satellite shares the same semi-major axis,
         // eccentricity, and inclination, so the shell's relative geometry
         // is rigid over time: the nearest adjacent-plane neighbor at the
@@ -170,11 +159,7 @@ impl IslTopology {
             neighbors[e.a.0 as usize].push(e.b);
             neighbors[e.b.0 as usize].push(e.a);
         }
-        IslTopology {
-            edges,
-            neighbors,
-            grazing_altitude_m,
-        }
+        IslTopology { edges, neighbors }
     }
 
     /// All undirected edges.
@@ -187,11 +172,6 @@ impl IslTopology {
         &self.neighbors[id.0 as usize]
     }
 
-    /// The grazing altitude used for the line-of-sight rule.
-    pub fn grazing_altitude_m(&self) -> f64 {
-        self.grazing_altitude_m
-    }
-
     /// Edge lengths at a snapshot, skipping edges whose line of sight is
     /// blocked by the Earth. Returns `(edge, length_m)` pairs.
     pub fn active_edges(&self, snapshot: &Snapshot) -> Vec<(IslEdge, f64)> {
@@ -200,7 +180,7 @@ impl IslTopology {
             .filter_map(|&e| {
                 let pa = snapshot.position(e.a);
                 let pb = snapshot.position(e.b);
-                line_of_sight_clear(pa, pb, self.grazing_altitude_m).then(|| (e, pa.distance_m(pb)))
+                line_of_sight_clear(pa, pb, GRAZING_ALTITUDE_M).then(|| (e, pa.distance_m(pb)))
             })
             .collect()
     }
@@ -216,14 +196,14 @@ mod tests {
     fn line_of_sight_between_opposite_sides_is_blocked() {
         let a = Geodetic::from_degrees(0.0, 0.0, 550e3).to_ecef_spherical();
         let b = Geodetic::from_degrees(0.0, 180.0, 550e3).to_ecef_spherical();
-        assert!(!line_of_sight_clear(a, b, DEFAULT_GRAZING_ALTITUDE_M));
+        assert!(!line_of_sight_clear(a, b, GRAZING_ALTITUDE_M));
     }
 
     #[test]
     fn line_of_sight_between_neighbors_is_clear() {
         let a = Geodetic::from_degrees(0.0, 0.0, 550e3).to_ecef_spherical();
         let b = Geodetic::from_degrees(0.0, 20.0, 550e3).to_ecef_spherical();
-        assert!(line_of_sight_clear(a, b, DEFAULT_GRAZING_ALTITUDE_M));
+        assert!(line_of_sight_clear(a, b, GRAZING_ALTITUDE_M));
     }
 
     #[test]

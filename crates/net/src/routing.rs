@@ -82,12 +82,6 @@ pub fn ground_to_ground(
     graph.shortest_path(a.node(), b.node())
 }
 
-/// Shortest path from a ground endpoint to a specific satellite (possibly
-/// relayed over ISLs when the satellite is not directly visible).
-pub fn ground_to_sat(graph: &NetworkGraph, a: &GroundEndpoint, sat: SatId) -> Option<Path> {
-    graph.shortest_path(a.node(), NodeId::Sat(sat))
-}
-
 /// Shortest path between two satellites over the ISL mesh.
 pub fn sat_to_sat(graph: &NetworkGraph, a: SatId, b: SatId) -> Option<Path> {
     graph.shortest_path(NodeId::Sat(a), NodeId::Sat(b))
@@ -209,7 +203,9 @@ mod tests {
         let graph = build_graph(&c, &topo, &snap, &[a]);
         let delays = delays_to_all_sats(&graph, &c, &a);
         for sat_idx in [0usize, 100, 777, 1500] {
-            let p = ground_to_sat(&graph, &a, SatId(sat_idx as u32)).unwrap();
+            let p = graph
+                .shortest_path(a.node(), NodeId::Sat(SatId(sat_idx as u32)))
+                .unwrap();
             assert!((p.delay_s - delays[sat_idx]).abs() < 1e-12);
         }
     }

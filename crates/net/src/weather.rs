@@ -75,14 +75,14 @@ impl RainClimate {
 /// Simple geometric model: the rain layer is `RAIN_HEIGHT_M` thick, so
 /// the path through it is `h / sin ε`, capped at the horizontal extent
 /// typical of rain cells (~20 km) for very low elevations.
-pub fn rain_slant_length_m(elevation: Angle) -> f64 {
+fn rain_slant_length_m(elevation: Angle) -> f64 {
     let s = elevation.sin().max(0.05);
     (RAIN_HEIGHT_M / s).min(20_000.0 * 4.0)
 }
 
 /// Rain attenuation in dB for a link at `elevation` under rain rate
 /// `rain_rate_mm_h`.
-pub fn rain_attenuation_db(elevation: Angle, rain_rate_mm_h: f64) -> f64 {
+fn rain_attenuation_db(elevation: Angle, rain_rate_mm_h: f64) -> f64 {
     if rain_rate_mm_h <= 0.0 {
         return 0.0;
     }
@@ -114,7 +114,7 @@ impl LinkBudget {
 
     /// True when the link survives the given rain rate at the given
     /// elevation.
-    pub fn link_up(&self, elevation: Angle, rain_rate_mm_h: f64) -> bool {
+    fn link_up(&self, elevation: Angle, rain_rate_mm_h: f64) -> bool {
         rain_attenuation_db(elevation, rain_rate_mm_h) <= self.fade_margin_db
     }
 

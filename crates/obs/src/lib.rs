@@ -39,7 +39,7 @@
 //! [`TimeSeries`] gauges carry the same contract over orbital time: work
 //! series are sampled from sequential fold loops only (one point per
 //! snapshot/tick, deterministic order), while wall-clock series are
-//! flagged [`TimeSeries::is_timing`] and gated like spans.
+//! registered as timing series and gated like spans.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -67,31 +67,26 @@ pub enum Level {
     Trace = 3,
 }
 
-impl Level {
-    /// Numeric form, as written in run manifests.
-    pub fn as_u8(self) -> u8 {
-        self as u8
-    }
-}
-
 /// Sentinel meaning "not yet read from the environment".
 const LEVEL_UNSET: u8 = u8::MAX;
 
 static LEVEL: AtomicU8 = AtomicU8::new(LEVEL_UNSET);
+
+/// The level [`level_from_checked`] decides, without the spelling check.
+fn level_from(value: Option<&str>) -> Level {
+    level_from_checked(value).0
+}
 
 /// The `LEO_OBS` decision as a pure function of the variable's value
 /// (`None` = unset): `1`/`metrics` → [`Level::Metrics`], `2`/`full` →
 /// [`Level::Full`], `3`/`trace` → [`Level::Trace`], anything else
 /// (including unset, empty, and `0`) → [`Level::Off`]. Split out so
 /// tests never mutate the process environment.
-pub fn level_from(value: Option<&str>) -> Level {
-    level_from_checked(value).0
-}
-
-/// [`level_from`] plus whether the value was a *documented* spelling
-/// (unset, empty, `0`/`off`, `1`/`metrics`, `2`/`full`, `3`/`trace`).
-/// A typo'd `LEO_OBS=ful` still falls back to [`Level::Off`], but the
-/// `false` lets callers surface it (the run manifests record it under
+///
+/// The flag says whether the value was a *documented* spelling (unset,
+/// empty, `0`/`off`, `1`/`metrics`, `2`/`full`, `3`/`trace`). A typo'd
+/// `LEO_OBS=ful` still falls back to [`Level::Off`], but the `false` lets
+/// callers surface it (the run manifests record it under
 /// `config_warnings`).
 pub fn level_from_checked(value: Option<&str>) -> (Level, bool) {
     match value.map(str::trim) {
@@ -381,7 +376,9 @@ impl HistShard {
 /// extremes, which each shard tracks alongside the sum.
 pub struct Histogram {
     name: &'static str,
-    shards: Vec<HistShard>,
+    /// Allocated by the first recorded sample, so a call site that never
+    /// records (spans off, metrics off) holds no bucket storage.
+    shards: OnceLock<Vec<HistShard>>,
 }
 
 impl Histogram {
@@ -393,7 +390,7 @@ impl Histogram {
         }
         let h: &'static Histogram = Box::leak(Box::new(Histogram {
             name,
-            shards: (0..NUM_SHARDS).map(|_| HistShard::new()).collect(),
+            shards: OnceLock::new(),
         }));
         list.push(h);
         h
@@ -410,7 +407,10 @@ impl Histogram {
     #[inline]
     pub fn record(&self, v: f64) {
         if metrics_enabled() {
-            let shard = &self.shards[shard_index()];
+            let shards = self
+                .shards
+                .get_or_init(|| (0..NUM_SHARDS).map(|_| HistShard::new()).collect());
+            let shard = &shards[shard_index()];
             shard.buckets[slot_of(v)].fetch_add(1, Ordering::Relaxed);
             shard.add_sum(v);
             shard.add_extremes(v);
@@ -436,11 +436,12 @@ impl Histogram {
         f()
     }
 
-    /// Folds the shards into an immutable dump.
+    /// Folds the shards into an immutable dump (the empty dump before the
+    /// first recorded sample).
     pub fn dump(&self) -> HistogramDump {
         let mut folded = vec![0u64; SLOTS];
         let (mut sum, mut min, mut max) = (0.0, f64::INFINITY, 0.0f64);
-        for shard in &self.shards {
+        for shard in self.shards.get().into_iter().flatten() {
             for (acc, b) in folded.iter_mut().zip(&shard.buckets) {
                 *acc += b.load(Ordering::Relaxed);
             }
@@ -472,7 +473,7 @@ impl Histogram {
     }
 
     fn reset(&self) {
-        for shard in &self.shards {
+        for shard in self.shards.get().into_iter().flatten() {
             shard.reset();
         }
     }
@@ -771,12 +772,6 @@ impl TimeSeries {
         self.name
     }
 
-    /// True when this series records wall-clock readings (gated like
-    /// spans, excluded from determinism checks).
-    pub fn is_timing(&self) -> bool {
-        self.timing
-    }
-
     /// Appends one `(x, value)` point when the series' gate is open
     /// ([`metrics_enabled`] for work series, [`spans_enabled`] for
     /// timing series); a load + branch otherwise.
@@ -811,7 +806,8 @@ impl TimeSeries {
 pub struct TimeSeriesDump {
     /// Registered series name.
     pub name: String,
-    /// True for wall-clock series (see [`TimeSeries::is_timing`]).
+    /// True for wall-clock series (gated like spans, excluded from
+    /// determinism checks).
     pub timing: bool,
     /// `(x, value)` points in the order sampled.
     pub points: Vec<(f64, f64)>,
@@ -1262,6 +1258,30 @@ mod tests {
             assert_eq!(h.dump().count, 1, "trace level must keep spans on");
             let _ = take_trace();
         });
+    }
+
+    #[test]
+    fn a_histogram_that_never_records_holds_no_buckets() {
+        let h = Histogram::register("test.lazy.off");
+        with_level(Level::Off, || {
+            h.record(1.0);
+            h.time(|| std::hint::black_box(1 + 1));
+            h.reset();
+        });
+        assert!(
+            h.shards.get().is_none(),
+            "buckets allocated without a sample"
+        );
+        let empty = HistogramDump {
+            name: "test.lazy.off".to_string(),
+            count: 0,
+            sum: 0.0,
+            min: f64::INFINITY,
+            max: 0.0,
+            buckets: Vec::new(),
+        };
+        assert_eq!(h.dump(), empty);
+        assert_eq!(h.dump().sum.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl KeplerianElements {
         self.semi_major_axis_m * (1.0 - self.eccentricity) - EARTH_RADIUS_MEAN_M
     }
 
-    /// Altitude of apogee above the mean-radius sphere, meters.
-    pub fn apogee_altitude_m(&self) -> f64 {
-        self.semi_major_axis_m * (1.0 + self.eccentricity) - EARTH_RADIUS_MEAN_M
-    }
-
     /// Semi-latus rectum `p = a(1−e²)`, meters.
     pub fn semi_latus_rectum_m(&self) -> f64 {
         self.semi_major_axis_m * (1.0 - self.eccentricity * self.eccentricity)
@@ -168,7 +163,6 @@ mod tests {
     fn circular_orbit_has_equal_apsides() {
         let e = starlink_550();
         assert!((e.perigee_altitude_m() - 550e3).abs() < 1e-6);
-        assert!((e.apogee_altitude_m() - 550e3).abs() < 1e-6);
     }
 
     #[test]

@@ -1,19 +1,15 @@
-//! Numerical orbit propagation (RK4) with a full J2 gravity field.
+//! Numerical orbit propagation (RK4) with a full J2 gravity field: the
+//! test oracle for the analytic propagator, compiled only under
+//! `cfg(test)`.
 //!
 //! The analytic propagator ([`crate::propagate`]) applies J2 only as
 //! secular drift rates — exactly what SGP4 does for near-circular
 //! orbits, and all the paper's experiments need. This module provides an
 //! independent *numerical* integrator (fixed-step Runge–Kutta 4 with the
 //! full J2 acceleration, including the short-period terms the analytic
-//! model averages away) for two purposes:
-//!
-//! 1. **Validation** — cross-checking that the analytic propagator stays
-//!    within the short-period J2 oscillation amplitude (~km) of truth
-//!    over the paper's horizons (see the tests below and the
-//!    `ablation_elevation` bench).
-//! 2. **Extensibility** — a drop-in path for force models the analytic
-//!    form can't express (drag, third-body), should downstream users
-//!    need them.
+//! model averages away). The tests below use it to check that the
+//! analytic propagator stays within the short-period J2 oscillation
+//! amplitude (~km) of truth over the paper's horizons.
 
 use crate::propagate::StateVector;
 use leo_geo::consts::{EARTH_J2, EARTH_MU_M3_S2, WGS84_A_M};

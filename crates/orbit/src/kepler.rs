@@ -54,19 +54,6 @@ pub fn true_anomaly_from_eccentric(eccentric: Angle, eccentricity: f64) -> Angle
     Angle::from_radians((beta * s).atan2(c - e))
 }
 
-/// Eccentric anomaly from true anomaly.
-pub fn eccentric_from_true_anomaly(true_anomaly: Angle, eccentricity: f64) -> Angle {
-    let e = eccentricity;
-    let (s, c) = true_anomaly.sin_cos();
-    let beta = (1.0 - e * e).sqrt();
-    Angle::from_radians((beta * s).atan2(c + e))
-}
-
-/// Mean anomaly from eccentric anomaly (Kepler's equation, forward).
-pub fn mean_from_eccentric(eccentric: Angle, eccentricity: f64) -> Angle {
-    Angle::from_radians(eccentric.radians() - eccentricity * eccentric.sin())
-}
-
 /// Radius (distance from focus) at an eccentric anomaly for a given
 /// semi-major axis: `r = a (1 − e·cos E)`.
 pub fn radius_at_eccentric(semi_major_axis_m: f64, eccentric: Angle, eccentricity: f64) -> f64 {
@@ -127,7 +114,8 @@ mod tests {
         ) {
             let ma = Angle::from_radians(m);
             let ea = solve_kepler(ma, e);
-            let back = mean_from_eccentric(ea, e);
+            // Kepler's equation, forward: M = E − e·sin E.
+            let back = Angle::from_radians(ea.radians() - e * ea.sin());
             let diff = (back - ma).normalized_signed().radians().abs();
             prop_assert!(diff < 1e-9, "residual {diff}");
         }
@@ -138,7 +126,8 @@ mod tests {
             e in 0.0..0.95f64,
         ) {
             let t = Angle::from_radians(nu);
-            let ea = eccentric_from_true_anomaly(t, e);
+            let beta = (1.0 - e * e).sqrt();
+            let ea = Angle::from_radians((beta * t.sin()).atan2(t.cos() + e));
             let back = true_anomaly_from_eccentric(ea, e);
             prop_assert!((back - t).normalized_signed().radians().abs() < 1e-9);
         }

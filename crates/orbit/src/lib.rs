@@ -26,7 +26,8 @@
 #![warn(missing_docs)]
 
 pub mod elements;
-pub mod integrator;
+#[cfg(test)]
+mod integrator;
 pub mod kepler;
 pub mod propagate;
 pub mod tle;

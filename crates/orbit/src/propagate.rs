@@ -39,7 +39,7 @@ pub struct J2Rates {
 
 impl J2Rates {
     /// Computes the secular J2 rates for the given elements.
-    pub fn for_elements(e: &KeplerianElements) -> J2Rates {
+    fn for_elements(e: &KeplerianElements) -> J2Rates {
         let n = e.mean_motion_rad_s();
         let p = e.semi_latus_rectum_m();
         let k = 1.5 * EARTH_J2 * (WGS84_A_M / p).powi(2) * n;

@@ -111,7 +111,7 @@ impl std::error::Error for TleError {}
 
 /// Modulo-10 checksum of the first 68 columns: digits count as themselves,
 /// `-` counts as 1, everything else as 0.
-pub fn line_checksum(line: &str) -> u8 {
+fn line_checksum(line: &str) -> u8 {
     let mut sum: u32 = 0;
     for c in line.chars().take(68) {
         match c {

@@ -88,11 +88,6 @@ impl ShardedUsers {
         &self.users[self.shards[i].clone()]
     }
 
-    /// The half-open user range of shard `i`.
-    pub fn shard_range(&self, i: usize) -> Range<usize> {
-        self.shards[i].clone()
-    }
-
     /// All users in shard order (`users()[i].index == i`).
     pub fn users(&self) -> &[GroundEndpoint] {
         &self.users
@@ -122,7 +117,7 @@ mod tests {
         // Contiguous, in order, no overlap.
         let mut next = 0;
         for i in 0..s.num_shards() {
-            let r = s.shard_range(i);
+            let r = s.shards[i].clone();
             assert_eq!(r.start, next);
             assert!(r.end > r.start);
             next = r.end;
@@ -162,7 +157,7 @@ mod tests {
         assert_eq!(a.users(), b.users());
         assert_eq!(a.num_shards(), b.num_shards());
         for i in 0..a.num_shards() {
-            assert_eq!(a.shard_range(i), b.shard_range(i));
+            assert_eq!(a.shards[i], b.shards[i]);
         }
     }
 }

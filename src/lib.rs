@@ -9,7 +9,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`geo`] | `leo-geo` | Earth model, frames, look angles, sun/eclipse |
+//! | [`geo`] | `leo-geo` | Earth model, frames, look angles, eclipse |
 //! | [`orbit`] | `leo-orbit` | Kepler + J2 propagation, TLE I/O |
 //! | [`constellation`] | `leo-constellation` | Walker shells, Starlink/Kuiper presets |
 //! | [`cities`] | `leo-cities` | World cities, Azure regions |

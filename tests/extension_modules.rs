@@ -6,7 +6,6 @@ use in_orbit::apps::interactive::AppClass;
 use in_orbit::apps::matchmaking::{classify_group, Feasibility, Player};
 use in_orbit::core::capacity::{CapacityPool, PlacementOutcome, PlacementRequest};
 use in_orbit::core::replication::{predict_servers, ReplicationPlan, StateSizes};
-use in_orbit::feasibility::simulation::{simulate_power, Battery, LoadProfile, PowerSimConfig};
 use in_orbit::net::congestion::Link;
 use in_orbit::net::handover::{handover_schedule, predict_passes};
 
@@ -125,30 +124,4 @@ fn matchmaking_census_and_meetup_comparison_agree() {
     let delays = GroupDelays::direct(&service, &users, 0.0);
     let (_, d) = delays.minmax().expect("orbit-only implies servable");
     assert!(2.0 * d * 1e3 <= AppClass::ArVr.max_rtt_ms());
-}
-
-#[test]
-fn power_simulation_confirms_the_static_budget() {
-    // §4's static 15 % figure, checked dynamically: the DL325 load
-    // survives whole orbits through real eclipse geometry.
-    let c = starlink_550_only();
-    let sat = &c.satellites()[0];
-    let config = PowerSimConfig {
-        array_w: 2_400.0,
-        battery: Battery::starlink_class(),
-        load: LoadProfile {
-            bus_w: 1_000.0,
-            server_w: 225.0,
-            spike_w: 0.0,
-            spike_period_s: 0.0,
-            spike_duration_s: 0.0,
-        },
-        step_s: 20.0,
-        duration_s: 3.0 * 5_739.0,
-        initial_soc: 0.8,
-    };
-    let prop = sat.propagator;
-    let result = simulate_power(&config, c.epoch(), |t| prop.position_eci(t).0);
-    assert!(result.survives(), "brownout {} s", result.brownout_s);
-    assert!(result.min_soc > 0.1);
 }

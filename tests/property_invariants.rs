@@ -119,14 +119,4 @@ proptest! {
             prop_assert!(g.delay_s(SatId(sat as u32)) >= best - 1e-15);
         }
     }
-
-    /// Eclipse fraction and sun geometry stay physical across a year.
-    #[test]
-    fn sun_and_eclipse_stay_physical(day in 0.0..366.0f64) {
-        let epoch = Epoch::from_calendar(2020, 1, 1, 0, 0, 0.0);
-        let sun = in_orbit::geo::sun::sun_direction_eci(epoch, day * 86_400.0);
-        prop_assert!((sun.norm() - 1.0).abs() < 1e-9);
-        let decl = sun.z.asin().to_degrees();
-        prop_assert!(decl.abs() < 23.6, "declination {decl}");
-    }
 }
