@@ -108,13 +108,6 @@ pub struct Census {
     pub infeasible: usize,
 }
 
-impl Census {
-    /// Total pairs classified.
-    pub fn total(&self) -> usize {
-        self.terrestrial + self.orbit_only + self.infeasible
-    }
-}
-
 /// Classifies all pairs of `players`.
 pub fn pairwise_census(
     service: &InOrbitService,
@@ -214,7 +207,10 @@ mod tests {
             Player::new("cape town", -33.92, 18.42),
         ];
         let census = pairwise_census(&s, &players, &azure_sites(), AppClass::ArVr, 0.0);
-        assert_eq!(census.total(), 15);
+        assert_eq!(
+            census.terrestrial + census.orbit_only + census.infeasible,
+            15
+        );
         assert!(census.orbit_only > 0, "orbit adds nothing?");
         assert!(census.terrestrial > 0, "SA pair should be terrestrial");
     }

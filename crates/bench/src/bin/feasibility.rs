@@ -81,6 +81,9 @@ fn main() {
         },
     ];
 
+    // The run's work, so the determinism check has something to compare.
+    leo_obs::counter!("feasibility.rows").add(rows.len() as u64);
+
     println!("# §4 feasibility: model vs paper");
     println!(
         "{:<42} {:>12} {:>12} {:>6}",

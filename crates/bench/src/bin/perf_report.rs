@@ -20,8 +20,9 @@
 //! exactly two manifests; any failed check exits nonzero.
 //!
 //! * `--min-qps-ratio R` is the serve throughput gate: each side's
-//!   `serve.queries` counter over its `sweep` phase wall clock, and
-//!   candidate/baseline may not fall below `R`.
+//!   `serve.sweep_queries` counter (the main sweep's queries) over its
+//!   `sweep` phase wall clock, and candidate/baseline may not fall below
+//!   `R`.
 //! * `--p50-tol`/`--p99-tol`/`--quantile-metric`/`--md-report` arm the
 //!   quantile watchdog (`leo_bench::watchdog::compare`): histogram
 //!   p50/p99 may grow by at most their tolerance factor.
@@ -45,14 +46,10 @@ const USAGE: &str = "usage: perf_report A.meta.json [B.meta.json] [--min-qps-rat
      [--same-work [--require NAME]...]\n\
      every flag compares baseline A with candidate B, so it needs both manifests";
 
-/// The throughput gate's work counter and the phase it is timed over.
-///
-/// The counter is whole-run, so it also counts the check phases'
-/// queries: a quick candidate's counter is 1.6× its sweep's queries, the
-/// full committed baseline's 1.039×. The 0.85 floor therefore trips only
-/// once the quick sweep's true rate falls below about 55 % of the
-/// baseline's (see [`RunManifest::rate_per_sec`]).
-const QPS_COUNTER: &str = "serve.queries";
+/// The throughput gate's work counter and the phase it is timed over:
+/// `serve_bench` records the main sweep's own query count, so the rate
+/// covers exactly the work the `sweep` phase timed.
+const QPS_COUNTER: &str = "serve.sweep_queries";
 const QPS_PHASE: &str = "sweep";
 
 /// Watchdog settings: `config` is applied only when `armed` (any
@@ -301,13 +298,13 @@ fn print_single(m: &RunManifest) {
             );
         }
     }
-    if !m.series().is_empty() {
+    if !m.timeseries.is_empty() {
         println!("\ntime series:");
         println!(
             "  {:<28} {:>8} {:>12} {:>12} {:>7}",
             "name", "points", "mean", "max", "kind"
         );
-        for s in m.series() {
+        for s in &m.timeseries {
             println!(
                 "  {:<28} {:>8} {:>12.3} {:>12.3} {:>7}",
                 s.name,

@@ -257,13 +257,12 @@ impl Run {
                 .filter(|d| d.count > 0)
                 .map(HistogramRecord::from_dump)
                 .collect(),
-            timeseries: Some(
-                obs.series
-                    .iter()
-                    .filter(|d| !d.points.is_empty())
-                    .map(TimeSeriesRecord::from_dump)
-                    .collect(),
-            ),
+            timeseries: obs
+                .series
+                .iter()
+                .filter(|d| !d.points.is_empty())
+                .map(TimeSeriesRecord::from_dump)
+                .collect(),
         }
     }
 }
@@ -391,11 +390,8 @@ pub struct RunManifest {
     pub counters: Vec<CounterRecord>,
     /// Every non-empty histogram, sorted by name.
     pub histograms: Vec<HistogramRecord>,
-    /// Every non-empty time series, sorted by name. `Option` so
-    /// manifests written before the field existed still load (a missing
-    /// key reads as `None`); use [`RunManifest::series`] to iterate
-    /// either way.
-    pub timeseries: Option<Vec<TimeSeriesRecord>>,
+    /// Every non-empty time series, sorted by name.
+    pub timeseries: Vec<TimeSeriesRecord>,
 }
 
 impl RunManifest {
@@ -422,16 +418,6 @@ impl RunManifest {
             .map(|p| p.wall_s)
     }
 
-    /// The recorded time series (empty for pre-timeseries manifests).
-    pub fn series(&self) -> &[TimeSeriesRecord] {
-        self.timeseries.as_deref().unwrap_or(&[])
-    }
-
-    /// The named time series, if recorded.
-    pub fn series_named(&self, name: &str) -> Option<&TimeSeriesRecord> {
-        self.series().iter().find(|s| s.name == name)
-    }
-
     /// `count` items over phase `phase`'s wall-clock. `None` when the
     /// phase is missing or took no measurable time. The binaries print
     /// their throughput this way, from the work their own sweep report
@@ -443,15 +429,9 @@ impl RunManifest {
 
     /// Throughput of `counter` over phase `phase`: the counter's
     /// whole-run value divided by the phase's wall-clock. `None` when
-    /// either is missing or the phase took no measurable time.
-    ///
-    /// The serve perf gate compares `serve.queries` over the `sweep`
-    /// phase this way. The counter also counts the queries of the check
-    /// phases, so the rate over-reads: a quick run counts 1.6× its
-    /// sweep's queries, a full run 1.039×. The gate compares a quick
-    /// candidate with the full committed baseline, so its 0.85 floor
-    /// trips only once the quick sweep's true rate falls below about
-    /// 55 % of the baseline's (0.85 × 1.039 / 1.6).
+    /// either is missing or the phase took no measurable time. The serve
+    /// perf gate compares `serve.sweep_queries` over the `sweep` phase
+    /// this way.
     pub fn rate_per_sec(&self, counter: &str, phase: &str) -> Option<f64> {
         self.phase_rate(self.counter(counter)?, phase)
     }
@@ -620,11 +600,11 @@ mod tests {
                 p99: 0.7,
                 max: 0.8,
             }],
-            timeseries: Some(vec![TimeSeriesRecord {
+            timeseries: vec![TimeSeriesRecord {
                 name: "serve.handoffs".into(),
                 timing: false,
                 points: vec![(0.0, 0.0), (60.0, 17.0), (120.0, 9.0)],
-            }]),
+            }],
         };
         let text = serde_json::to_string_pretty(&m).unwrap();
         let back: RunManifest = serde_json::from_str(&text).unwrap();
@@ -638,34 +618,10 @@ mod tests {
         );
         assert_eq!(back.rate_per_sec("missing", "sweep"), None);
         assert_eq!(back.rate_per_sec("engine.dijkstra.pops", "missing"), None);
-        let s = back.series_named("serve.handoffs").expect("series kept");
+        let s = &back.timeseries[0];
         assert_eq!(s.points.len(), 3);
         assert_eq!(s.max_value(), Some(17.0));
         assert!((s.mean_value().unwrap() - 26.0 / 3.0).abs() < 1e-12);
-        assert_eq!(back.series_named("missing"), None);
-    }
-
-    /// Manifests written before the `timeseries` field existed (the
-    /// committed baselines the CI perf gate diffs against) must still
-    /// load: the missing key reads as `None` and `series()` is empty.
-    #[test]
-    fn pre_timeseries_manifests_still_load() {
-        let text = r#"{
-            "name": "old",
-            "quick": false,
-            "threads": 1,
-            "config_warnings": [],
-            "obs_level": "metrics",
-            "total_s": 1.0,
-            "phases": [{"name": "sweep", "wall_s": 0.5}],
-            "counters": [{"name": "serve.queries", "value": 10}],
-            "histograms": []
-        }"#;
-        let back: RunManifest = serde_json::from_str(text).unwrap();
-        assert_eq!(back.timeseries, None);
-        assert!(back.series().is_empty());
-        assert_eq!(back.name, "old");
-        assert_eq!(back.rate_per_sec("serve.queries", "sweep"), Some(20.0));
     }
 
     /// A phase can legitimately record zero wall time (sub-resolution
@@ -695,7 +651,7 @@ mod tests {
                 value: 42,
             }],
             histograms: vec![],
-            timeseries: None,
+            timeseries: vec![],
         };
         assert_eq!(m.rate_per_sec("edge.ticks", "instant"), None);
         assert_eq!(m.rate_per_sec("edge.ticks", "negative"), None);

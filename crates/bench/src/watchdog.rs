@@ -275,7 +275,7 @@ fn counters(m: &RunManifest) -> BTreeMap<&str, u64> {
 }
 
 fn work_series(m: &RunManifest) -> BTreeMap<&str, &TimeSeriesRecord> {
-    m.series()
+    m.timeseries
         .iter()
         .filter(|s| !s.timing)
         .map(|s| (s.name.as_str(), s))
@@ -326,7 +326,7 @@ mod tests {
             phases: vec![],
             counters: vec![],
             histograms,
-            timeseries: Some(timeseries),
+            timeseries,
         }
     }
 
@@ -536,7 +536,7 @@ mod tests {
     #[test]
     fn a_changed_work_series_point_fails_and_names_it() {
         let mut b = run();
-        b.timeseries.as_mut().unwrap()[0].points[2].1 = 11.000000000000002;
+        b.timeseries[0].points[2].1 = 11.000000000000002;
         let found = offenders(&run(), &b);
         assert_eq!(found.len(), 1);
         assert!(
@@ -545,7 +545,7 @@ mod tests {
         );
         // A dropped point is a difference too.
         let mut short = run();
-        short.timeseries.as_mut().unwrap()[0].points.pop();
+        short.timeseries[0].points.pop();
         assert_eq!(
             offenders(&run(), &short),
             ["work series serve.served: 3 points vs 2"]
@@ -555,21 +555,21 @@ mod tests {
     #[test]
     fn a_work_series_on_one_side_only_fails_and_names_it() {
         let mut b = run();
-        b.timeseries.as_mut().unwrap().remove(0);
+        b.timeseries.remove(0);
         assert_eq!(
             offenders(&run(), &b),
             ["work series serve.served: 3 points vs absent"]
         );
         // Flipping the kind moves it out of the work set as well.
         let mut timing = run();
-        timing.timeseries.as_mut().unwrap()[0].timing = true;
+        timing.timeseries[0].timing = true;
         assert_eq!(offenders(&timing, &run()).len(), 1);
     }
 
     #[test]
     fn timing_series_histograms_and_phases_are_ignored() {
         let mut b = run();
-        b.timeseries.as_mut().unwrap()[1].points[0].1 = 99.0;
+        b.timeseries[1].points[0].1 = 99.0;
         b.histograms[0] = hist("sim.worker_busy_s", 50.0, 80.0);
         b.phases[0].wall_s = 7.5;
         b.total_s = 9.0;

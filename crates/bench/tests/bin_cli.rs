@@ -1,10 +1,12 @@
 //! Experiment binaries driven as processes: a run that cannot write its
-//! results fails, `feasibility` writes the committed §4 result, the
-//! throughput lines count the work the sweep timed, and `explore`
-//! rejects coordinates that cannot be a place on Earth. Only the exit
-//! code and the output reach CI.
+//! results fails, `feasibility` writes the committed §4 result and
+//! counts the same work at any thread count, the throughput lines count
+//! the work the sweep timed, and `explore` rejects coordinates that
+//! cannot be a place on Earth. Only the exit code and the output reach
+//! CI.
 
 use leo_bench::cli::RunManifest;
+use leo_bench::watchdog;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -105,6 +107,26 @@ fn a_run_into_a_writable_dir_exits_zero_with_its_results() {
         results == committed,
         "results/feasibility.json differs from a fresh run:\n{results}"
     );
+}
+
+#[test]
+fn feasibility_counts_the_same_work_at_any_thread_count() {
+    let tmp = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let manifest = |threads: &str| {
+        let dir = tmp.join(format!("feasibility_t{threads}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = Command::new(env!("CARGO_BIN_EXE_feasibility"))
+            .env_remove("LEO_QUICK")
+            .env("LEO_OBS", "metrics")
+            .env("LEO_THREADS", threads)
+            .env("LEO_OUT_DIR", &dir)
+            .output()
+            .expect("feasibility runs");
+        assert!(out.status.success(), "{}", text(&out.stderr));
+        RunManifest::load(&dir.join("feasibility.meta.json")).unwrap_or_else(|e| panic!("{e}"))
+    };
+    let report = watchdog::same_work(&manifest("1"), &manifest("2"), &[]);
+    assert!(report.offenders.is_empty(), "{:?}", report.offenders);
 }
 
 #[test]

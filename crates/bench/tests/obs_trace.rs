@@ -173,11 +173,11 @@ fn trace_export_is_valid_and_nests_per_thread() {
     // The manifest carries the timeseries section...
     assert_eq!(manifest.obs_level, "trace");
     assert!(
-        manifest.series_named("serve.served").is_some(),
+        manifest.timeseries.iter().any(|s| s.name == "serve.served"),
         "manifest lost the work series"
     );
     assert!(
-        manifest.series().iter().any(|s| s.timing),
+        manifest.timeseries.iter().any(|s| s.timing),
         "trace level should include the wall-clock series"
     );
 

@@ -5,7 +5,7 @@
 //! skipping the check. The determinism check and a missing watchdog
 //! metric must fail by exit code, which is all CI sees.
 
-use leo_bench::cli::{CounterRecord, RunManifest, TimeSeriesRecord};
+use leo_bench::cli::{CounterRecord, PhaseRecord, RunManifest, TimeSeriesRecord};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -23,7 +23,11 @@ fn stderr(out: &Output) -> String {
 /// Writes a small manifest with one counter and one work series under
 /// the test's scratch directory and returns its path.
 fn write_manifest(file: &str, queries: u64) -> String {
-    let m = RunManifest {
+    write(file, &manifest(queries))
+}
+
+fn manifest(queries: u64) -> RunManifest {
+    RunManifest {
         name: "serve".into(),
         quick: true,
         threads: 1,
@@ -36,14 +40,17 @@ fn write_manifest(file: &str, queries: u64) -> String {
             value: queries,
         }],
         histograms: vec![],
-        timeseries: Some(vec![TimeSeriesRecord {
+        timeseries: vec![TimeSeriesRecord {
             name: "serve.served".into(),
             timing: false,
             points: vec![(0.0, 5.0), (60.0, 6.0)],
-        }]),
-    };
+        }],
+    }
+}
+
+fn write(file: &str, m: &RunManifest) -> String {
     let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(file);
-    std::fs::write(&path, serde_json::to_string_pretty(&m).unwrap()).unwrap();
+    std::fs::write(&path, serde_json::to_string_pretty(m).unwrap()).unwrap();
     path.to_str().unwrap().to_string()
 }
 
@@ -108,6 +115,36 @@ fn a_missing_quantile_metric_fails_the_watchdog() {
     assert!(!out.status.success());
     assert!(
         stderr(&out).contains("no.such.histogram is missing"),
+        "{}",
+        stderr(&out)
+    );
+}
+
+#[test]
+fn the_qps_gate_counts_only_the_sweep_queries() {
+    // Both runs answer 1,000 queries in all over a one-second sweep, but
+    // the candidate's sweep answered only 500 of them: the whole-run
+    // counter says "no change", the sweep's own count says half the rate.
+    let run = |all: u64, sweep: u64| {
+        let mut m = manifest(all);
+        m.phases.push(PhaseRecord {
+            name: "sweep".into(),
+            wall_s: 1.0,
+        });
+        m.counters.push(CounterRecord {
+            name: "serve.sweep_queries".into(),
+            value: sweep,
+        });
+        m
+    };
+    let base = write("qps_base.meta.json", &run(1000, 1000));
+    let slow = write("qps_slow.meta.json", &run(1000, 500));
+    let out = perf_report(&[&base, &base, "--min-qps-ratio", "0.85"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let out = perf_report(&[&base, &slow, "--min-qps-ratio", "0.85"]);
+    assert!(!out.status.success(), "a halved sweep rate passed the gate");
+    assert!(
+        stderr(&out).contains("50.0% of baseline"),
         "{}",
         stderr(&out)
     );

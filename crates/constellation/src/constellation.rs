@@ -1,8 +1,8 @@
 //! A whole constellation: identity, propagators, and position snapshots.
 
 use crate::shell::ShellSpec;
-use leo_geo::coords::{Ecef, Eci};
-use leo_geo::{Angle, Epoch, Geodetic};
+use leo_geo::coords::Ecef;
+use leo_geo::{Angle, Epoch};
 use leo_orbit::{Propagator, Tle};
 use serde::{Deserialize, Serialize};
 
@@ -121,11 +121,6 @@ impl Constellation {
         &self.name
     }
 
-    /// Reference epoch shared by all satellites.
-    pub fn epoch(&self) -> Epoch {
-        self.epoch
-    }
-
     /// The shell specifications.
     pub fn shells(&self) -> &[ShellSpec] {
         &self.shells
@@ -179,19 +174,9 @@ impl Constellation {
         }
     }
 
-    /// ECI position of one satellite at `t`.
-    pub fn position_eci(&self, id: SatId, t: f64) -> Eci {
-        self.satellite(id).propagator.position_eci(t)
-    }
-
     /// ECEF position of one satellite at `t`.
     pub fn position_ecef(&self, id: SatId, t: f64) -> Ecef {
         self.satellite(id).propagator.position_ecef(t)
-    }
-
-    /// Geodetic sub-satellite point (spherical model) of one satellite.
-    pub fn subpoint(&self, id: SatId, t: f64) -> Geodetic {
-        self.satellite(id).propagator.subpoint(t)
     }
 
     /// Exports every satellite as a synthesized TLE (catalog numbers are

@@ -126,20 +126,6 @@ impl<'a> CapacityPool<'a> {
         }
     }
 
-    /// Releases slots previously placed on a server (e.g. on hand-off).
-    ///
-    /// # Panics
-    /// Panics when releasing more than is in use — that is a caller
-    /// accounting bug worth failing loudly on.
-    pub fn release(&mut self, server: SatId, slots: u32) {
-        let entry = self.used.get_mut(&server).expect("server has placements");
-        assert!(*entry >= slots, "releasing more slots than placed");
-        *entry -= slots;
-        if *entry == 0 {
-            self.used.remove(&server);
-        }
-    }
-
     /// Aggregate free capacity reachable from a location under an RTT
     /// bound — the "cloudlet size" overhead the paper compares against.
     pub fn reachable_free_slots(&self, location: Geodetic, max_rtt_ms: f64) -> u64 {
@@ -150,22 +136,6 @@ impl<'a> CapacityPool<'a> {
             .map(|v| self.free_slots(v.id) as u64)
             .sum()
     }
-}
-
-/// Admits a batch of requests in order, returning per-request outcomes
-/// plus the admitted fraction.
-pub fn admit_batch(
-    pool: &mut CapacityPool<'_>,
-    requests: &[PlacementRequest],
-) -> (Vec<PlacementOutcome>, f64) {
-    let outcomes: Vec<PlacementOutcome> = requests.iter().map(|r| pool.place(r)).collect();
-    let admitted = outcomes.iter().filter(|o| o.is_placed()).count();
-    let fraction = if requests.is_empty() {
-        1.0
-    } else {
-        admitted as f64 / requests.len() as f64
-    };
-    (outcomes, fraction)
 }
 
 #[cfg(test)]
@@ -234,21 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn release_frees_capacity_for_reuse() {
-        let s = service();
-        let mut pool = CapacityPool::new(&s, 0.0, 1);
-        let req = request(0.0, 0.0, 1);
-        let PlacementOutcome::Placed { server, .. } = pool.place(&req) else {
-            panic!()
-        };
-        pool.release(server, 1);
-        let PlacementOutcome::Placed { server: again, .. } = pool.place(&req) else {
-            panic!()
-        };
-        assert_eq!(server, again);
-    }
-
-    #[test]
     fn unserved_latitude_reports_no_server() {
         // The 53°-only shell cannot serve the poles.
         let s = service();
@@ -269,19 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn admit_batch_reports_the_admitted_fraction() {
-        let s = service();
-        let mut pool = CapacityPool::new(&s, 0.0, 1);
-        let req = request(10.0, 10.0, 1);
-        let visible = s.reachable_servers(req.location, 0.0).len();
-        let batch: Vec<_> = (0..visible + 5).map(|_| req).collect();
-        let (outcomes, fraction) = admit_batch(&mut pool, &batch);
-        assert_eq!(outcomes.len(), visible + 5);
-        let expect = visible as f64 / (visible + 5) as f64;
-        assert!((fraction - expect).abs() < 1e-12);
-    }
-
-    #[test]
     fn try_reserve_pins_a_specific_server_until_it_fills() {
         let s = service();
         let mut pool = CapacityPool::new(&s, 0.0, 2);
@@ -291,8 +233,6 @@ mod tests {
         assert_eq!(pool.free_slots(target), 0);
         assert!(!pool.try_reserve(target, 1), "full server must refuse");
         assert_eq!(pool.used_slots(), 2);
-        pool.release(target, 2);
-        assert!(pool.try_reserve(target, 2), "released capacity is reusable");
     }
 
     #[test]
@@ -302,17 +242,5 @@ mod tests {
         let target = s.reachable_servers(Geodetic::ground(10.0, 10.0), 0.0)[0].id;
         assert!(!pool.try_reserve(target, 5), "request exceeds the server");
         assert_eq!(pool.used_slots(), 0, "a refused reservation holds nothing");
-    }
-
-    #[test]
-    #[should_panic(expected = "releasing more slots than placed")]
-    fn over_release_is_a_loud_bug() {
-        let s = service();
-        let mut pool = CapacityPool::new(&s, 0.0, 4);
-        let req = request(10.0, 10.0, 2);
-        let PlacementOutcome::Placed { server, .. } = pool.place(&req) else {
-            panic!()
-        };
-        pool.release(server, 3);
     }
 }

@@ -268,7 +268,7 @@ pub struct MigrationOutcome {
 /// (link propagation delays from actual inter-satellite distances,
 /// capacity and queueing from the config). The view's weights carry the
 /// service's fault plan at that instant, so the route never crosses a dead
-/// satellite or a cut link, and a dead endpoint stalls the transfer until
+/// satellite, and a dead endpoint stalls the transfer until
 /// `max_segments` runs out. An independent open-loop cross-traffic flow is
 /// placed on every hop, and the windowed sender moves as much of the
 /// remaining state as the segment allows. Packets in flight when the segment ends are lost —
@@ -414,7 +414,6 @@ pub fn migrate_via_packets(
             init_cwnd,
             max_cwnd: (2.0 * bdp_packets).max(init_cwnd),
             algorithm: cfg.algorithm,
-            rto_s: None,
             base_rtt_s: Some(base_rtt_s),
             // The sender knows the route's BDP: start in congestion
             // avoidance, not slow start, or the first RTT doubles past

@@ -25,17 +25,16 @@ pub struct SnapshotView {
     engine: Arc<RoutingEngine>,
     isl: IslWeights,
     /// The outage mask at this instant: the owning service's fault
-    /// scenario at `t`, or the empty plan on a plain service. Every query
-    /// on the view passes it down.
+    /// scenario at `t`. Every query on the view passes it down.
     fault: FaultPlan,
 }
 
 impl SnapshotView {
     /// Builds a view by propagating `constellation` to `t` and refreshing
-    /// `engine`'s edge weights at that instant under the fault plan at
-    /// `t`: the scenario's plan when `faults` is given, else the empty
-    /// plan. The plan masks the refreshed ISL weights and rides along for
-    /// the view's visibility and attachment queries.
+    /// `engine`'s edge weights at that instant under `faults`' plan at
+    /// `t` ([`FaultConfig::none`] yields the empty plan). The plan masks
+    /// the refreshed ISL weights and rides along for the view's
+    /// visibility and attachment queries.
     ///
     /// # Panics
     /// Panics when `t` is not finite: such an instant propagates to NaN
@@ -44,12 +43,12 @@ impl SnapshotView {
         constellation: &Constellation,
         engine: &Arc<RoutingEngine>,
         t: f64,
-        faults: Option<&FaultConfig>,
+        faults: &FaultConfig,
     ) -> SnapshotView {
         assert!(t.is_finite(), "snapshot instant must be finite, got {t}");
         let snapshot = constellation.snapshot(t);
         let index = VisibilityIndex::build(constellation, &snapshot);
-        let fault = faults.map_or_else(FaultPlan::empty, |c| c.plan_at(t));
+        let fault = faults.plan_at(t);
         let isl = engine.refresh(&snapshot, &fault);
         SnapshotView {
             snapshot,
@@ -60,7 +59,8 @@ impl SnapshotView {
         }
     }
 
-    /// The outage mask at this instant (empty on a plain service).
+    /// The outage mask at this instant (empty on a plain service, whose
+    /// scenario is [`FaultConfig::none`]).
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.fault
     }
@@ -73,11 +73,6 @@ impl SnapshotView {
     /// The latitude-banded visibility index over this snapshot.
     pub fn index(&self) -> &VisibilityIndex {
         &self.index
-    }
-
-    /// The compiled routing engine the weights belong to.
-    pub fn engine(&self) -> &RoutingEngine {
-        &self.engine
     }
 
     /// The ISL edge weights refreshed for this instant.
@@ -104,7 +99,7 @@ impl SnapshotView {
     /// The minimum-delay ISL route between two satellites at this instant,
     /// with its hop list, or `None` when disconnected. It runs over this
     /// view's own weights, so under a fault scenario it never crosses a
-    /// dead satellite or a cut link.
+    /// dead satellite.
     pub fn sat_to_sat_path(&self, a: SatId, b: SatId) -> Option<SatPath> {
         with_thread_arena(|arena| self.engine.sat_to_sat_path(&self.isl, a, b, arena))
     }
@@ -177,7 +172,7 @@ pub struct InOrbitService {
     constellation: Constellation,
     topology: IslTopology,
     engine: Arc<RoutingEngine>,
-    faults: Option<Arc<FaultConfig>>,
+    faults: Arc<FaultConfig>,
     cache: Mutex<HashMap<u64, Arc<SnapshotView>>>,
 }
 
@@ -187,7 +182,7 @@ impl Clone for InOrbitService {
             constellation: self.constellation.clone(),
             topology: self.topology.clone(),
             engine: Arc::clone(&self.engine),
-            faults: self.faults.clone(),
+            faults: Arc::clone(&self.faults),
             // Cached views are immutable and Arc-shared; cloning the map
             // is a handful of pointer bumps.
             cache: Mutex::new(self.cache.lock().expect("cache lock").clone()),
@@ -197,37 +192,33 @@ impl Clone for InOrbitService {
 
 impl InOrbitService {
     /// Wraps a constellation, building its +Grid ISL topology and
-    /// compiling the CSR routing engine over it.
+    /// compiling the CSR routing engine over it. A plain service is the
+    /// no-fault scenario: `with_faults(constellation, FaultConfig::none())`.
     pub fn new(constellation: Constellation) -> Self {
-        Self::with_fault_option(constellation, None)
+        Self::with_faults(constellation, FaultConfig::none())
     }
 
     /// [`InOrbitService::new`] under a fault scenario: every view the
     /// service builds carries the scenario's outage mask at its instant,
     /// so routing, visibility, selection, and sessions all see dead
-    /// satellites, cut ISLs, and rain fades. A scenario with no faults
-    /// yields empty plans, the same plan a plain service's views carry,
-    /// so outputs stay byte-identical to a plain service — the property
-    /// `tests/fault_injection.rs` pins.
+    /// satellites and rain fades. An instant the scenario masks nothing
+    /// at gets the empty plan, so its answers equal the plain service's.
     pub fn with_faults(constellation: Constellation, faults: FaultConfig) -> Self {
-        Self::with_fault_option(constellation, Some(Arc::new(faults)))
-    }
-
-    fn with_fault_option(constellation: Constellation, faults: Option<Arc<FaultConfig>>) -> Self {
         let topology = IslTopology::plus_grid(&constellation);
         let engine = Arc::new(RoutingEngine::compile(&constellation, &topology));
         InOrbitService {
             constellation,
             topology,
             engine,
-            faults,
+            faults: Arc::new(faults),
             cache: Mutex::new(HashMap::new()),
         }
     }
 
-    /// The fault scenario this service runs under, if any.
-    pub fn fault_config(&self) -> Option<&FaultConfig> {
-        self.faults.as_deref()
+    /// The fault scenario this service runs under ([`FaultConfig::none`]
+    /// on a plain service).
+    pub fn fault_config(&self) -> &FaultConfig {
+        &self.faults
     }
 
     /// The compiled CSR routing engine (static topology; weights are
@@ -251,7 +242,7 @@ impl InOrbitService {
             &self.constellation,
             &self.engine,
             t,
-            self.faults.as_deref(),
+            &self.faults,
         ));
         let mut cache = self.cache.lock().expect("cache lock");
         if cache.len() >= SNAPSHOT_CACHE_CAP {
@@ -556,7 +547,6 @@ mod tests {
                 budget: LinkBudget::CONSUMER,
                 rain_rate_mm_h: 10.0,
             }),
-            ..FaultConfig::none()
         };
         let faulted = InOrbitService::with_faults(presets::starlink_550_only(), cfg);
         let plain = service();
@@ -598,24 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn faultless_fault_config_changes_nothing() {
-        let plain = service();
-        let faulted =
-            InOrbitService::with_faults(presets::starlink_550_only(), FaultConfig::none());
-        let g = Geodetic::ground(6.52, 3.38);
-        assert_eq!(
-            plain.reachable_servers(g, 60.0),
-            faulted.reachable_servers(g, 60.0)
-        );
-        let users = [GroundEndpoint::new(0, g)];
-        assert_eq!(
-            plain.user_delays_view(&plain.view(60.0), &users),
-            faulted.user_delays_view(&faulted.view(60.0), &users)
-        );
-        assert_eq!(faulted.view(60.0).fault_plan(), &FaultPlan::empty());
-    }
-
-    #[test]
     fn dead_satellite_is_excluded_from_every_query() {
         let plain = service();
         let g = Geodetic::ground(0.0, 0.0);
@@ -641,23 +613,30 @@ mod tests {
 
     #[test]
     fn total_ground_outage_masks_every_server_in_view() {
-        let mut cfg = FaultConfig::none();
-        cfg.cut_links.push((SatId(0), SatId(1)));
+        // 120 mm/h closes not even a zenith link on the consumer budget.
+        let cfg = FaultConfig {
+            rain: Some(RainFade {
+                budget: LinkBudget::CONSUMER,
+                rain_rate_mm_h: 120.0,
+            }),
+            ..FaultConfig::none()
+        };
         let s = InOrbitService::with_faults(presets::starlink_550_only(), cfg);
-        let view = s.view(0.0);
+        let plain = service();
         let g = Geodetic::ground(0.0, 0.0);
         let users = [GroundEndpoint::new(0, g)];
-        // A cut ISL is not an access fault: no server is masked for users.
-        let up = s.user_direct_delays_view(&view, &users);
-        let plain = service();
-        assert_eq!(up, plain.user_direct_delays_view(&plain.view(0.0), &users));
-        // But the cut edge itself is gone from the mesh.
-        let before = plain
-            .view(0.0)
-            .sat_to_sat_delay(None, SatId(0), SatId(1))
-            .unwrap();
-        let after = view.sat_to_sat_delay(None, SatId(0), SatId(1)).unwrap();
-        assert!(after >= before);
+        let in_view = plain.reachable_servers(g, 0.0);
+        assert!(!in_view.is_empty(), "geometry sanity");
+        assert!(s.reachable_servers(g, 0.0).is_empty());
+        let view = s.view(0.0);
+        let direct = s.user_direct_delays_view(&view, &users);
+        assert!(direct[0].iter().all(|d| d.is_infinite()));
+        assert_eq!(s.nearest_server_view(&view, &users[0]), None);
+        for v in &in_view {
+            assert!(s.fault_masked_server(&view, &users, v.id), "{}", v.id);
+        }
+        // Rain is not a death: the ISL mesh still carries traffic.
+        assert!(view.sat_to_sat_delay(None, SatId(0), SatId(1)).is_some());
     }
 
     #[test]
@@ -796,19 +775,5 @@ mod tests {
             want.sort_by(|a, b| a.range_m.total_cmp(&b.range_m).then(a.id.cmp(&b.id)));
             assert_eq!(g.expect("every user banded"), want);
         }
-    }
-
-    #[test]
-    fn empty_fault_plan_gives_identical_nearest_servers() {
-        let plain = service();
-        let faulted =
-            InOrbitService::with_faults(presets::starlink_550_only(), FaultConfig::none());
-        let users: Vec<GroundEndpoint> = (0..8)
-            .map(|i| GroundEndpoint::new(i, Geodetic::ground(i as f64 * 9.0 - 30.0, 17.0)))
-            .collect();
-        assert_eq!(
-            plain.nearest_servers_view(&plain.view(45.0), &users),
-            faulted.nearest_servers_view(&faulted.view(45.0), &users),
-        );
     }
 }

@@ -30,17 +30,6 @@ pub struct SessionConfig {
     pub tick_s: f64,
 }
 
-impl SessionConfig {
-    /// Two hours at 1 s ticks from the epoch.
-    pub fn paper() -> Self {
-        SessionConfig {
-            start_s: 0.0,
-            duration_s: 7200.0,
-            tick_s: 1.0,
-        }
-    }
-}
-
 /// One server hand-off (or the initial acquisition, with `from == None`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HandoffEvent {

@@ -80,36 +80,6 @@ impl Cdf {
     pub fn max(&self) -> Option<f64> {
         self.sorted.last().copied()
     }
-
-    /// Merges `other`'s samples into this CDF — the combined distribution
-    /// over the union of the two sample multisets. Linear: both sides are
-    /// already sorted.
-    pub fn merge(&mut self, other: &Cdf) {
-        let mut merged = Vec::with_capacity(self.sorted.len() + other.sorted.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.sorted.len() && j < other.sorted.len() {
-            if self.sorted[i].total_cmp(&other.sorted[j]).is_le() {
-                merged.push(self.sorted[i]);
-                i += 1;
-            } else {
-                merged.push(other.sorted[j]);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&self.sorted[i..]);
-        merged.extend_from_slice(&other.sorted[j..]);
-        self.sorted = merged;
-    }
-
-    /// `(x, P(X ≤ x))` pairs suitable for plotting the CDF curve.
-    pub fn curve(&self) -> Vec<(f64, f64)> {
-        let n = self.sorted.len() as f64;
-        self.sorted
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| (x, (i + 1) as f64 / n))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -136,7 +106,6 @@ mod tests {
         assert!(cdf.is_empty());
         assert_eq!(cdf.median(), None);
         assert_eq!(cdf.mean(), None);
-        assert!(cdf.curve().is_empty());
     }
 
     #[test]
@@ -165,7 +134,6 @@ mod tests {
         assert_eq!(cdf.median(), Some(42.0));
         assert_eq!(cdf.mean(), Some(42.0));
         assert_eq!(cdf.min(), cdf.max());
-        assert_eq!(cdf.curve(), vec![(42.0, 1.0)]);
     }
 
     #[test]
@@ -180,56 +148,12 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_rebuilding_from_concatenated_samples() {
-        let mut a = Cdf::new(vec![3.0, 1.0, 4.0]);
-        let b = Cdf::new(vec![2.0, 1.0, 5.0]);
-        a.merge(&b);
-        assert_eq!(a, Cdf::new(vec![3.0, 1.0, 4.0, 2.0, 1.0, 5.0]));
-        assert_eq!(a.len(), 6);
-        assert_eq!(a.median(), Some(2.0));
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity_both_ways() {
-        let mut a = Cdf::new(vec![1.0, 2.0]);
-        let before = a.clone();
-        a.merge(&Cdf::new(vec![]));
-        assert_eq!(a, before);
-        let mut empty = Cdf::new(vec![]);
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
     fn cdf_round_trips_through_json() {
         let cdf = Cdf::new(vec![20.0, 164.0, 80.0, 40.0, 320.0]);
         let text = serde_json::to_string(&cdf).unwrap();
         let back: Cdf = serde_json::from_str(&text).unwrap();
         assert_eq!(back, cdf);
         assert_eq!(back.median(), cdf.median());
-    }
-
-    proptest! {
-        #[test]
-        fn prop_merge_matches_concat_rebuild(
-            xs in proptest::collection::vec(-1e6..1e6f64, 0..40),
-            ys in proptest::collection::vec(-1e6..1e6f64, 0..40),
-        ) {
-            let mut merged = Cdf::new(xs.clone());
-            merged.merge(&Cdf::new(ys.clone()));
-            let mut concat = xs;
-            concat.extend(ys);
-            prop_assert_eq!(merged, Cdf::new(concat));
-        }
-    }
-
-    #[test]
-    fn curve_ends_at_probability_one() {
-        let cdf = Cdf::new(vec![3.0, 1.0, 2.0]);
-        let curve = cdf.curve();
-        assert_eq!(curve.len(), 3);
-        assert_eq!(curve.last().unwrap().1, 1.0);
-        assert_eq!(curve[0], (1.0, 1.0 / 3.0));
     }
 
     proptest! {

@@ -4,7 +4,7 @@
 //! `try_reserve` and `place` share.
 
 use leo_constellation::{presets, SatId};
-use leo_core::capacity::{admit_batch, CapacityPool, PlacementOutcome, PlacementRequest};
+use leo_core::capacity::{CapacityPool, PlacementOutcome, PlacementRequest};
 use leo_core::InOrbitService;
 use leo_geo::Geodetic;
 use leo_net::{FailureSchedule, FaultConfig};
@@ -77,18 +77,6 @@ fn dead_fleet_reports_no_server_in_range() {
     );
 }
 
-#[test]
-fn dead_fleet_admits_no_batch() {
-    let s = dead_service();
-    let mut pool = CapacityPool::new(&s, 0.0, 8);
-    let batch: Vec<_> = (0..5).map(|_| request(1)).collect();
-    let (outcomes, fraction) = admit_batch(&mut pool, &batch);
-    assert!(outcomes
-        .iter()
-        .all(|o| *o == PlacementOutcome::NoServerInRange));
-    assert_eq!(fraction, 0.0);
-}
-
 // ------------------------------------------------- sticky reservations
 
 #[test]
@@ -123,6 +111,5 @@ fn try_reserve_on_an_unknown_server_is_bounded_by_capacity() {
     let far = SatId(0);
     assert!(pool.try_reserve(far, 2));
     assert!(!pool.try_reserve(far, 1));
-    pool.release(far, 2);
-    assert_eq!(pool.used_slots(), 0);
+    assert_eq!(pool.used_slots(), 2);
 }

@@ -4,16 +4,16 @@
 //!
 //! 1. **No masked traversal** — every delay the masked engine reports
 //!    equals the shortest path over a reference graph from which the
-//!    masked satellites, cut ISLs, and faded access links were *removed
-//!    before* Dijkstra ran. Routing around the mask is therefore exact,
-//!    not best-effort.
+//!    masked satellites and faded access links were *removed before*
+//!    Dijkstra ran. Routing around the mask is therefore exact, not
+//!    best-effort.
 //! 2. **Empty plan = no plan** — a service carrying a fault scenario
 //!    that masks nothing produces byte-identical session results to a
-//!    service with no fault layer at all.
+//!    plain service.
 //! 3. **Fade-forced re-selection** — Sticky drops a held server whose
 //!    access link rains out, not just one that dies or sets.
-//! 4. **Fault-aware migration** — state hand-offs route around cut ISLs
-//!    and dead satellites, and stall on a dead endpoint.
+//! 4. **Fault-aware migration** — state hand-offs route around dead
+//!    satellites, and stall on a dead endpoint.
 //! 5. **Failing fleets** — a session on a fleet whose servers die is
 //!    plain `run_session` on a `with_faults` service: it never acquires a
 //!    dead server, hands off a dead one without a state transfer, and
@@ -66,33 +66,35 @@ fn reference_graph(
 
 #[test]
 fn masked_routes_equal_shortest_paths_on_the_masked_graph() {
-    // A scenario with all three fault kinds live at once: a failure
-    // schedule that has already killed a band of satellites, two cut
-    // ISLs, and a rain fade that raises the access mask.
-    let mut cfg = FaultConfig::none();
-    cfg.schedule = Some(
-        FailureModel {
-            annual_failure_rate: 4000.0,
-            seed: 17,
-        }
-        .schedule(1584),
-    );
-    cfg.cut_links.push((SatId(100), SatId(101)));
-    cfg.cut_links.push((SatId(40), SatId(62)));
-    cfg.rain = Some(RainFade {
-        budget: LinkBudget::CONSUMER,
-        rain_rate_mm_h: 10.0,
-    });
-    let service = InOrbitService::with_faults(presets::starlink_550_only(), cfg.clone());
+    // A scenario with both fault kinds live at once: a failure schedule
+    // that kills a band of satellites as it runs, two satellites dead
+    // from the start, and a rain fade that raises the access mask.
+    let drawn = FailureModel {
+        annual_failure_rate: 4000.0,
+        seed: 17,
+    }
+    .schedule(1584);
+    let mut deaths: Vec<f64> = (0..1584).map(|i| drawn.death_time_s(SatId(i))).collect();
+    deaths[101] = 0.0;
+    deaths[62] = 0.0;
+    let cfg = FaultConfig {
+        schedule: Some(FailureSchedule::from_death_times(deaths)),
+        rain: Some(RainFade {
+            budget: LinkBudget::CONSUMER,
+            rain_rate_mm_h: 10.0,
+        }),
+    };
+    let service = InOrbitService::with_faults(presets::starlink_550_only(), cfg);
     let grounds = users();
 
     for t in [0.0, 1800.0, 3600.0] {
         let view = service.view(t);
         let plan = view.fault_plan();
         // λ = 4000/yr kills ~20 % of the fleet per half hour; t = 0
-        // exercises the cuts+rain-only plan instead.
+        // routes around the two early deaths alone.
+        let dead = (0..1584).filter(|&i| plan.sat_dead(SatId(i))).count();
         assert!(
-            t == 0.0 || plan.num_dead() > 0,
+            dead > 2 || (t == 0.0 && dead == 2),
             "schedule should have killed sats by t={t}"
         );
         let reference = reference_graph(&service, view.snapshot(), &grounds, plan);
@@ -125,14 +127,19 @@ fn masked_routes_equal_shortest_paths_on_the_masked_graph() {
             }
         }
 
-        // Sat-to-sat over the masked ISL mesh, including dead endpoints.
+        // Sat-to-sat over the masked ISL mesh, including dead endpoints
+        // and routes between two neighbours of an early death.
         let isl_only = reference_graph(&service, view.snapshot(), &[], plan);
-        let probes = [
+        let mut probes = vec![
             (SatId(0), SatId(700)),
             (SatId(100), SatId(101)),
-            (SatId(40), SatId(62)),
             (SatId(3), SatId(1583)),
         ];
+        for dead in [SatId(101), SatId(62)] {
+            let around = service.topology().neighbors(dead);
+            probes.push((around[0], around[1]));
+            probes.push((around[2], around[3]));
+        }
         for (a, b) in probes {
             let engine = view.sat_to_sat_delay(None, a, b);
             let reference_d = reference
@@ -175,7 +182,7 @@ fn masked_routes_equal_shortest_paths_on_the_masked_graph() {
 }
 
 /// The masked path query against the ISL-only reference graph: the same
-/// hop list and delay bits, and no dead satellite or cut link on it.
+/// hop list and delay bits, and no dead satellite on it.
 fn assert_masked_path_matches(
     view: &SnapshotView,
     reference: &NetworkGraph,
@@ -191,10 +198,6 @@ fn assert_masked_path_matches(
             assert_eq!(sats, r.nodes, "{a}->{b}: hop lists differ");
             assert_eq!(path.delay_s.to_bits(), r.delay_s.to_bits(), "{a}->{b}");
             assert!(path.sats.iter().all(|&s| !plan.sat_dead(s)), "{a}->{b}");
-            assert!(
-                path.sats.windows(2).all(|p| !plan.link_cut(p[0], p[1])),
-                "{a}->{b} crosses a cut link"
-            );
         }
         (None, None) => {}
         (e, r) => panic!("{a}->{b}: engine {e:?} vs reference {r:?}"),
@@ -211,27 +214,34 @@ fn mig_cfg() -> MigrationNetConfig {
 }
 
 #[test]
-fn migration_routes_around_a_cut_first_hop() {
+fn migration_routes_around_a_dead_first_hop() {
     let (from, to, t) = (SatId(0), SatId(700), 60.0);
     let plain = InOrbitService::new(presets::starlink_550_only());
     let route = plain.view(t).sat_to_sat_path(from, to).expect("route");
-    let mut cfg = FaultConfig::none();
-    cfg.cut_links.push((route.sats[0], route.sats[1]));
+    let mut deaths = vec![f64::INFINITY; 1584];
+    deaths[route.sats[1].0 as usize] = 0.0;
+    let cfg = FaultConfig {
+        schedule: Some(FailureSchedule::from_death_times(deaths)),
+        ..FaultConfig::none()
+    };
     let faulted = InOrbitService::with_faults(presets::starlink_550_only(), cfg);
 
     let detour = faulted.view(t).sat_to_sat_path(from, to).expect("detour");
     assert_ne!(detour.sats, route.sats);
-    assert_ne!(detour.sats[1], route.sats[1], "the cut first hop is unused");
+    assert_ne!(
+        detour.sats[1], route.sats[1],
+        "the dead first hop is unused"
+    );
     assert!(detour.delay_s > route.delay_s);
 
     let before = migrate_via_packets(&plain, from, to, t, 10e6, &mig_cfg());
     let after = migrate_via_packets(&faulted, from, to, t, 10e6, &mig_cfg());
-    assert_eq!(before.hops, route.hops());
-    assert_eq!(after.hops, detour.hops());
+    assert_eq!(before.hops, route.sats.len() - 1);
+    assert_eq!(after.hops, detour.sats.len() - 1);
     assert_ne!(
         (after.hops, after.analytic_packet_s.to_bits()),
         (before.hops, before.analytic_packet_s.to_bits()),
-        "the faulted migration must time the detour, not the cut route"
+        "the faulted migration must time the detour, not the dead route"
     );
     assert!(
         after.duration_s.is_some(),
@@ -253,22 +263,6 @@ fn migration_to_a_dead_server_stalls() {
     assert_eq!(out.segments, mig_cfg().max_segments);
     assert_eq!(out.hops, 0, "no route was ever found");
     assert_eq!(out.transmissions, 0);
-}
-
-#[test]
-fn empty_fault_config_migrations_equal_plain_ones() {
-    let plain = InOrbitService::new(presets::starlink_550_only());
-    let faulted = InOrbitService::with_faults(presets::starlink_550_only(), FaultConfig::none());
-    for (from, to, t) in [(SatId(0), SatId(700), 60.0), (SatId(5), SatId(9), 900.0)] {
-        let cfg = MigrationNetConfig {
-            cross_load_frac: 0.5,
-            ..mig_cfg()
-        };
-        assert_eq!(
-            migrate_via_packets(&plain, from, to, t, 5e6, &cfg),
-            migrate_via_packets(&faulted, from, to, t, 5e6, &cfg),
-        );
-    }
 }
 
 #[test]
@@ -305,7 +299,7 @@ fn empty_fault_plan_sessions_are_byte_identical() {
     // A schedule where nothing ever dies: plans are empty, and every
     // query runs the one plan-taking path with them, so the output must
     // equal the plain run.
-    cfg.schedule = Some(leo_net::FailureSchedule::never(1584));
+    cfg.schedule = Some(FailureSchedule::from_death_times(vec![f64::INFINITY; 1584]));
     let faulted = InOrbitService::with_faults(presets::starlink_550_only(), cfg);
     let session = SessionConfig {
         start_s: 0.0,

@@ -54,16 +54,6 @@ pub struct EdgeConfig {
     pub threads: usize,
 }
 
-impl Default for EdgeConfig {
-    fn default() -> Self {
-        EdgeConfig {
-            slots_per_server: 8,
-            qos: QosSpec::default(),
-            threads: 1,
-        }
-    }
-}
-
 /// One tick of fleet state, fully deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TickStats {
@@ -387,7 +377,6 @@ mod tests {
             num_cells: 8,
             duration_s: 600.0,
             tick_s: 120.0,
-            flash_crowds: 1,
             ..ScenarioConfig::default()
         })
     }

@@ -4,8 +4,8 @@
 //! wants in-orbit compute, *where*, and *when*. Demand cells sit at the
 //! largest world cities (population-weighted, like the serving layer's
 //! user synthesis); each cell's invocation rate follows a diurnal curve
-//! in its own local solar time, optionally spiked by seeded flash
-//! crowds. Regional outages are not modeled here — they arrive through
+//! in its own local solar time, spiked by seeded flash crowds.
+//! Regional outages are not modeled here — they arrive through
 //! [`leo_net::fault`] on the service the engine runs against, so the
 //! demand trace itself stays identical between a faulted and a plain
 //! run (only the fleet's ability to serve it changes).
@@ -23,6 +23,25 @@ use serde::{Deserialize, Serialize};
 /// Default seed for scenario generation. Changing it reshuffles every
 /// committed edge baseline, so don't.
 pub const SCENARIO_SEED: u64 = 0xED6E_2026;
+
+/// Base invocations per tick per 100k anchor population.
+const BASE_RATE_PER_100K: f64 = 2.0;
+
+/// Diurnal swing: demand scales by `1 + amplitude·cos(...)`, so it
+/// stays positive for any amplitude below one.
+const DIURNAL_AMPLITUDE: f64 = 0.6;
+
+/// Local solar hour of peak demand.
+const PEAK_LOCAL_HOUR: f64 = 20.0;
+
+/// Number of flash crowds drawn over a scenario.
+const FLASH_CROWDS: usize = 6;
+
+/// Demand multiplier while a flash crowd is live.
+const FLASH_MULTIPLIER: f64 = 8.0;
+
+/// Flash-crowd duration, seconds.
+const FLASH_DURATION_S: f64 = 900.0;
 
 /// One demand cell: a city-anchored population center that invokes
 /// functions on the fleet.
@@ -67,48 +86,30 @@ impl FlashCrowd {
     }
 }
 
-/// Scenario knobs. The defaults are the `fig_edge` full-run shape.
+/// Scenario knobs. The defaults are the `fig_edge` full-run shape. A
+/// scenario starts at the epoch; the demand shape is fixed: 2 base
+/// invocations per tick per 100k population, a ±60 % diurnal swing
+/// peaking at 20:00 local solar time, and six flash crowds of 8× demand
+/// lasting 15 minutes each.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioConfig {
     /// Number of demand cells (the `num_cells` largest cities).
     pub num_cells: usize,
-    /// Scenario start, seconds after the epoch.
-    pub start_s: f64,
     /// Scenario duration, seconds.
     pub duration_s: f64,
     /// Tick length, seconds.
     pub tick_s: f64,
     /// Seed for flash-crowd draws.
     pub seed: u64,
-    /// Base invocations per tick per 100k anchor population.
-    pub base_rate_per_100k: f64,
-    /// Diurnal swing in `[0, 1)`: demand scales by
-    /// `1 + amplitude·cos(...)`, peaking at [`ScenarioConfig::peak_local_hour`].
-    pub diurnal_amplitude: f64,
-    /// Local solar hour of peak demand.
-    pub peak_local_hour: f64,
-    /// Number of flash crowds drawn over the scenario.
-    pub flash_crowds: usize,
-    /// Demand multiplier while a flash crowd is live.
-    pub flash_multiplier: f64,
-    /// Flash-crowd duration, seconds.
-    pub flash_duration_s: f64,
 }
 
 impl Default for ScenarioConfig {
     fn default() -> Self {
         ScenarioConfig {
             num_cells: 96,
-            start_s: 0.0,
             duration_s: 7200.0,
             tick_s: 60.0,
             seed: SCENARIO_SEED,
-            base_rate_per_100k: 2.0,
-            diurnal_amplitude: 0.6,
-            peak_local_hour: 20.0,
-            flash_crowds: 6,
-            flash_multiplier: 8.0,
-            flash_duration_s: 900.0,
         }
     }
 }
@@ -125,19 +126,14 @@ pub struct Scenario {
 
 impl Scenario {
     /// Generates the scenario: the `num_cells` largest cities become
-    /// demand cells, and `flash_crowds` spikes are drawn with a
-    /// SplitMix64 stream seeded by `config.seed`.
+    /// demand cells, and six flash crowds are drawn with a SplitMix64
+    /// stream seeded by `config.seed`.
     ///
     /// # Panics
-    /// Panics when `tick_s` or `num_cells` is not positive, or when the
-    /// diurnal amplitude leaves the demand factor non-positive.
+    /// Panics when `tick_s` or `num_cells` is not positive.
     pub fn generate(config: ScenarioConfig) -> Scenario {
         assert!(config.tick_s > 0.0, "tick must be positive");
         assert!(config.num_cells > 0, "a scenario needs demand cells");
-        assert!(
-            (0.0..1.0).contains(&config.diurnal_amplitude),
-            "diurnal amplitude must be in [0, 1)"
-        );
         let catalog = WorldCities::load_at_least(config.num_cells);
         let cells: Vec<DemandCell> = catalog
             .top_n(config.num_cells)
@@ -152,16 +148,16 @@ impl Scenario {
             })
             .collect();
         let mut rng = SplitMix64::new(config.seed);
-        let crowds: Vec<FlashCrowd> = (0..config.flash_crowds)
+        let crowds: Vec<FlashCrowd> = (0..FLASH_CROWDS)
             .map(|_| {
                 let cell = (rng.next_u64() % cells.len() as u64) as u32;
                 // Keep the whole spike inside the scenario window.
-                let latest = (config.duration_s - config.flash_duration_s).max(0.0);
+                let latest = (config.duration_s - FLASH_DURATION_S).max(0.0);
                 FlashCrowd {
                     cell,
                     start_s: rng.range(0.0, latest.max(f64::MIN_POSITIVE)),
-                    duration_s: config.flash_duration_s,
-                    multiplier: config.flash_multiplier,
+                    duration_s: FLASH_DURATION_S,
+                    multiplier: FLASH_MULTIPLIER,
                 }
             })
             .collect();
@@ -192,45 +188,41 @@ impl Scenario {
         self.cells.iter().map(DemandCell::endpoint).collect()
     }
 
-    /// The tick schedule, absolute seconds after the epoch.
+    /// The tick schedule, seconds after the epoch (the scenario start).
     pub fn ticks(&self) -> Vec<f64> {
         let n = (self.config.duration_s / self.config.tick_s).round() as usize;
-        (0..=n)
-            .map(|i| self.config.start_s + i as f64 * self.config.tick_s)
-            .collect()
+        (0..=n).map(|i| i as f64 * self.config.tick_s).collect()
     }
 
-    /// The diurnal factor for a cell at absolute time `t`: peaks at
-    /// `peak_local_hour` in the cell's local solar time, troughs twelve
-    /// hours away. Always positive for amplitudes below one.
+    /// The diurnal factor for a cell at time `t`: peaks at 20:00 in the
+    /// cell's local solar time, troughs twelve hours away.
     fn diurnal_factor(&self, cell: &DemandCell, t: f64) -> f64 {
         let local_hour = (t / 3600.0 + cell.lon_deg / 15.0).rem_euclid(24.0);
-        let phase = (local_hour - self.config.peak_local_hour) / 24.0 * std::f64::consts::TAU;
-        1.0 + self.config.diurnal_amplitude * phase.cos()
+        let phase = (local_hour - PEAK_LOCAL_HOUR) / 24.0 * std::f64::consts::TAU;
+        1.0 + DIURNAL_AMPLITUDE * phase.cos()
     }
 
-    /// The flash-crowd multiplier at a cell at absolute time `t` (1.0
-    /// when no spike is live; concurrent spikes on one cell compound).
+    /// The flash-crowd multiplier at a cell at time `t` (1.0 when no
+    /// spike is live; concurrent spikes on one cell compound).
     fn flash_factor(&self, cell_index: u32, t: f64) -> f64 {
-        let rel = t - self.config.start_s;
         self.crowds
             .iter()
-            .filter(|c| c.cell == cell_index && c.active(rel))
+            .filter(|c| c.cell == cell_index && c.active(t))
             .map(|c| c.multiplier)
             .product()
     }
 
-    /// Invocations a cell issues in the tick at absolute time `t` — the
+    /// Invocations a cell issues in the tick at time `t` — the
     /// population-scaled base rate shaped by the diurnal curve and any
     /// live flash crowd, rounded to a whole number of invocations.
     pub fn demand_at(&self, cell_index: u32, t: f64) -> u64 {
         let cell = &self.cells[cell_index as usize];
-        let base = cell.population as f64 / 1e5 * self.config.base_rate_per_100k;
+        let base = cell.population as f64 / 1e5 * BASE_RATE_PER_100K;
         let shaped = base * self.diurnal_factor(cell, t) * self.flash_factor(cell_index, t);
         shaped.round().max(0.0) as u64
     }
 
-    /// Total fleet demand in the tick at absolute time `t`.
+    /// Total fleet demand in the tick at time `t`.
     pub fn total_demand_at(&self, t: f64) -> u64 {
         (0..self.cells.len() as u32)
             .map(|i| self.demand_at(i, t))
@@ -247,7 +239,6 @@ mod tests {
             num_cells: 12,
             duration_s: 1800.0,
             tick_s: 300.0,
-            flash_crowds: 2,
             ..ScenarioConfig::default()
         }
     }
@@ -293,7 +284,7 @@ mod tests {
         let s = Scenario::generate(small());
         let cell = &s.cells()[0];
         // Absolute time putting the cell exactly at its peak local hour.
-        let peak_t = (s.config().peak_local_hour - cell.lon_deg / 15.0).rem_euclid(24.0) * 3600.0;
+        let peak_t = (PEAK_LOCAL_HOUR - cell.lon_deg / 15.0).rem_euclid(24.0) * 3600.0;
         let trough_t = peak_t + 12.0 * 3600.0;
         let peak = s.diurnal_factor(cell, peak_t);
         let trough = s.diurnal_factor(cell, trough_t);

@@ -47,8 +47,6 @@ fn small_scenario(seed: u64, cells: usize, ticks: usize) -> Scenario {
         duration_s: ticks as f64 * 120.0,
         tick_s: 120.0,
         seed,
-        flash_crowds: 2,
-        ..ScenarioConfig::default()
     })
 }
 
@@ -224,26 +222,6 @@ proptest! {
         for tick in &report.ticks {
             prop_assert!(tick.busy_sats + tick.standby_sats <= alive);
         }
-    }
-
-    /// An empty fault plan is byte-indistinguishable from no plan at
-    /// all, through the whole engine.
-    #[test]
-    fn empty_fault_plan_is_invisible(
-        seed in 0u64..1_000_000,
-        cells in 2usize..6,
-    ) {
-        let scenario = small_scenario(seed, cells, 3);
-        let plain_service = InOrbitService::new(small_constellation());
-        let empty_service =
-            InOrbitService::with_faults(small_constellation(), FaultConfig::none());
-        let plain = EdgeEngine::new(&plain_service, &scenario, funcs(), edge_config()).run();
-        let empty = EdgeEngine::new(&empty_service, &scenario, funcs(), edge_config()).run();
-        prop_assert_eq!(&plain, &empty);
-        prop_assert_eq!(
-            serde_json::to_string(&plain).unwrap(),
-            serde_json::to_string(&empty).unwrap()
-        );
     }
 }
 

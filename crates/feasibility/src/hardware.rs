@@ -47,21 +47,6 @@ impl ServerSpec {
             max_memory_gb: 2048,
         }
     }
-
-    /// A deliberately modest edge server (half the DL325's envelope) for
-    /// the lower-power alternative §4 mentions ("lower wattage servers
-    /// could be used").
-    pub fn low_power_edge() -> Self {
-        ServerSpec {
-            name: "low-power edge server".into(),
-            mass_kg: 8.0,
-            volume_m3: 0.0066,
-            typical_power_w: 110.0,
-            peak_power_w: 170.0,
-            cores: 32,
-            max_memory_gb: 512,
-        }
-    }
 }
 
 /// A satellite bus's physical envelope and power system.
@@ -117,14 +102,5 @@ mod tests {
         assert_eq!(b.mass_kg, 260.0);
         assert_eq!(b.avg_solar_power_w, 1500.0);
         assert_eq!(b.design_life_years, 5.0);
-    }
-
-    #[test]
-    fn low_power_option_draws_less_than_half_the_dl325() {
-        let big = ServerSpec::hpe_dl325_gen10();
-        let small = ServerSpec::low_power_edge();
-        assert!(small.typical_power_w < big.typical_power_w / 2.0);
-        assert!(small.peak_power_w < big.peak_power_w / 2.0);
-        assert!(small.mass_kg < big.mass_kg);
     }
 }

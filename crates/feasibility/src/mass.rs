@@ -75,12 +75,4 @@ mod tests {
         assert_eq!(without, 60);
         assert!((55..60).contains(&with), "{with}");
     }
-
-    #[test]
-    fn low_power_server_halves_the_mass_hit() {
-        let big = MassBudget::compute(&ServerSpec::hpe_dl325_gen10(), &SatelliteBus::starlink_v1());
-        let small =
-            MassBudget::compute(&ServerSpec::low_power_edge(), &SatelliteBus::starlink_v1());
-        assert!(small.mass_fraction < big.mass_fraction * 0.6);
-    }
 }

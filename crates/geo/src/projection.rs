@@ -50,16 +50,6 @@ impl AsciiMap {
         }
     }
 
-    /// Map width in characters.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Map height in characters.
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
     /// Plots a layer of points with `glyph`. Later layers overwrite earlier
     /// ones (the paper draws invisible satellites *over* the city layer).
     pub fn plot<'a>(&mut self, points: impl IntoIterator<Item = &'a Geodetic>, glyph: char) {

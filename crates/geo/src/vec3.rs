@@ -111,11 +111,6 @@ impl Vec3 {
             z: s * self.y + c * self.z,
         }
     }
-
-    /// True if all components are finite.
-    pub fn is_finite(self) -> bool {
-        self.x.is_finite() && self.y.is_finite() && self.z.is_finite()
-    }
 }
 
 impl Add for Vec3 {

@@ -126,7 +126,8 @@ pub enum CcAlgorithm {
 }
 
 /// A window-based, congestion-controlled transfer of `packets` fixed-size
-/// packets over a multi-hop route.
+/// packets over a multi-hop route. Its retransmission timeout is fixed
+/// at `max(4 × base RTT, 10 ms)`.
 #[derive(Debug, Clone)]
 pub struct WindowedFlow {
     /// Links traversed in order.
@@ -143,9 +144,6 @@ pub struct WindowedFlow {
     pub max_cwnd: f64,
     /// Congestion-control algorithm.
     pub algorithm: CcAlgorithm,
-    /// Fixed retransmission timeout, seconds. `None` derives
-    /// `max(4 × base RTT, 10 ms)` from the route at add time.
-    pub rto_s: Option<f64>,
     /// Initial smoothed-RTT estimate used for pacing before the first RTT
     /// sample. `None` derives the route's uncontended packet RTT.
     pub base_rtt_s: Option<f64>,
@@ -159,7 +157,7 @@ pub struct WindowedFlow {
 
 impl WindowedFlow {
     /// Creates a flow with default tuning (initial window 10 packets,
-    /// unbounded maximum window, derived RTO and base RTT).
+    /// unbounded maximum window, derived base RTT).
     pub fn new(
         route: Vec<CLinkId>,
         packet_bits: f64,
@@ -175,7 +173,6 @@ impl WindowedFlow {
             init_cwnd: 10.0,
             max_cwnd: f64::MAX,
             algorithm,
-            rto_s: None,
             base_rtt_s: None,
             init_ssthresh: None,
         }
@@ -690,11 +687,7 @@ impl CongestionNetwork {
             base_rtt_s.is_finite() && base_rtt_s > 0.0,
             "base RTT must be positive and finite, got {base_rtt_s}"
         );
-        let rto_s = flow.rto_s.unwrap_or_else(|| (4.0 * base_rtt_s).max(0.01));
-        assert!(
-            rto_s.is_finite() && rto_s > 0.0,
-            "retransmission timeout must be positive and finite, got {rto_s}"
-        );
+        let rto_s = (4.0 * base_rtt_s).max(0.01);
         let ssthresh = flow.init_ssthresh.unwrap_or(f64::MAX);
         assert!(
             !ssthresh.is_nan() && ssthresh >= 1.0,

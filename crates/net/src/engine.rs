@@ -357,13 +357,6 @@ pub struct SatPath {
     pub sats: Vec<SatId>,
 }
 
-impl SatPath {
-    /// Number of ISL hops on the route.
-    pub fn hops(&self) -> usize {
-        self.sats.len().saturating_sub(1)
-    }
-}
-
 /// Reusable Dijkstra scratch: stamped distance entries plus the priority
 /// queues. One arena per worker thread; a single arena serves any number
 /// of queries of any size.
@@ -489,11 +482,6 @@ impl RoutingEngine {
         self.num_sats
     }
 
-    /// Number of compiled undirected ISL edges.
-    pub fn num_edges(&self) -> usize {
-        self.edge_ends.len()
-    }
-
     /// Edge weights at `snapshot` under `plan`, freshly allocated. Prefer
     /// [`RoutingEngine::refresh_into`] when a buffer can be reused.
     pub fn refresh(&self, snapshot: &Snapshot, plan: &FaultPlan) -> IslWeights {
@@ -504,8 +492,8 @@ impl RoutingEngine {
 
     /// Rewrites `weights` in place for `snapshot` under `plan`: one-way
     /// delay per edge, `INFINITY` where the straight line dips into the
-    /// atmosphere or where the plan masks the edge (a dead endpoint or a
-    /// cut link), so no search can relax through it. Under a non-empty
+    /// atmosphere or where the plan masks the edge (a dead endpoint), so
+    /// no search can relax through it. Under a non-empty
     /// plan, masked edges that would otherwise be up are tallied in the
     /// `fault.masked_isl_edges` counter.
     pub fn refresh_into(&self, snapshot: &Snapshot, plan: &FaultPlan, weights: &mut IslWeights) {
@@ -967,7 +955,7 @@ impl RoutingEngine {
 
     /// The minimum-delay route between two satellites over the refreshed
     /// ISL mesh, or `None` when disconnected. Under masked weights the
-    /// route never touches a dead satellite or a cut link.
+    /// route never touches a dead satellite.
     ///
     /// Its own early-exit loop, so the shared searches behind delay, bulk
     /// and multi-source queries carry no predecessor writes. It settles in
@@ -1242,7 +1230,7 @@ mod tests {
     fn compiled_csr_mirrors_the_topology() {
         let (c, topo, engine) = setup();
         assert_eq!(engine.num_sats(), c.num_satellites());
-        assert_eq!(engine.num_edges(), topo.edges().len());
+        assert_eq!(engine.edge_ends.len(), topo.edges().len());
         for sat in c.satellites() {
             let i = sat.id.0 as usize;
             let mut csr: Vec<u32> =
@@ -1318,7 +1306,6 @@ mod tests {
             .unwrap();
         assert_eq!(self_path.sats, vec![SatId(4)]);
         assert_eq!(self_path.delay_s, 0.0);
-        assert_eq!(self_path.hops(), 0);
     }
 
     #[test]
@@ -1444,22 +1431,6 @@ mod tests {
     }
 
     #[test]
-    fn cut_link_masks_exactly_that_edge() {
-        let (c, _, engine) = setup();
-        let snap = c.snapshot(0.0);
-        let plain = engine.refresh(&snap, &FaultPlan::empty());
-        let (a, b) = engine.edge_ends[0];
-        let mut plan = FaultPlan::empty();
-        plan.cut_link(SatId(a), SatId(b));
-        let mut w = IslWeights::default();
-        engine.refresh_into(&snap, &plan, &mut w);
-        assert!(w.delay_s(0).is_infinite());
-        for e in 1..engine.num_edges() {
-            assert_eq!(w.delay_s(e), plain.delay_s(e), "edge {e} untouched");
-        }
-    }
-
-    #[test]
     fn masked_routes_avoid_the_dead_satellite() {
         let (c, _, engine) = setup();
         let snap = c.snapshot(0.0);
@@ -1543,7 +1514,7 @@ mod tests {
         let stats = engine.refresh_delta(&snap, &FaultPlan::empty(), &mut w);
         assert_eq!(stats.recomputed, 0, "no position bit changed");
         assert_eq!(stats.changed, 0);
-        assert_eq!(stats.skipped(), engine.num_edges());
+        assert_eq!(stats.skipped(), engine.edge_ends.len());
         assert!(w.bits_eq(&engine.refresh(&snap, &FaultPlan::empty())));
     }
 
@@ -1583,7 +1554,7 @@ mod tests {
         let (c, _, engine) = setup();
         let mut plan = FaultPlan::empty();
         plan.kill(SatId(7));
-        plan.cut_link(SatId(200), SatId(201));
+        plan.kill(SatId(200));
         let mut w = IslWeights::default();
         engine.refresh_into(&c.snapshot(0.0), &plan, &mut w);
         // Advance under the same plan, then drop it — both transitions

@@ -4,24 +4,24 @@
 //! replacement, and §6 notes weather interruptions on the ground–sat
 //! links. The routing engine and visibility index are fault-blind on
 //! their own; this module supplies the mask they consult so that dead
-//! satellites, cut ISLs, and rain-faded access links never carry
-//! traffic or enter candidate sets.
+//! satellites and rain-faded access links never carry traffic or enter
+//! candidate sets.
 //!
 //! The split mirrors the engine's compile/refresh split:
 //!
 //! * [`FaultConfig`] — the *scenario*: a deterministic per-satellite
-//!   death schedule ([`FailureSchedule`]), explicit ISL cuts, and a rain
-//!   fade on the ground segment ([`RainFade`]). Time-invariant, built
-//!   once per run.
+//!   death schedule ([`FailureSchedule`]) and a rain fade on the ground
+//!   segment ([`RainFade`]), the two fault kinds of §4–§6.
+//!   Time-invariant, built once per run; [`FaultConfig::none`] is the
+//!   no-fault scenario a plain service runs under.
 //! * [`FaultPlan`] — the *instantaneous mask* the hot paths consume:
-//!   which satellites are dead now, which links are cut, and the
-//!   minimum elevation an access link needs to close through the rain
-//!   ([`GroundFade`]). Built per snapshot by [`FaultConfig::plan_at`].
+//!   which satellites are dead now, and the minimum elevation an access
+//!   link needs to close through the rain ([`GroundFade`]). Built per
+//!   snapshot by [`FaultConfig::plan_at`].
 //!
 //! Every visibility, attachment and weight-refresh entry point takes a
 //! plan; there is no unmasked twin to call instead. A fault-free caller
-//! passes [`FaultPlan::empty`], which masks nothing, so its results are
-//! byte-identical to a fault-free run.
+//! passes [`FaultPlan::empty`], which masks nothing.
 
 use crate::weather::{LinkBudget, RainClimate};
 use leo_constellation::SatId;
@@ -38,13 +38,6 @@ pub struct FailureSchedule {
 }
 
 impl FailureSchedule {
-    /// A schedule over `num_sats` satellites where nothing ever dies.
-    pub fn never(num_sats: usize) -> FailureSchedule {
-        FailureSchedule {
-            death_time_s: vec![f64::INFINITY; num_sats],
-        }
-    }
-
     /// A schedule from explicit death times (seconds; `INFINITY` = never).
     ///
     /// # Panics
@@ -143,19 +136,7 @@ pub enum GroundFade {
 pub struct FaultPlan {
     /// `dead[sat]` — empty when no satellite is dead.
     dead: Vec<bool>,
-    num_dead: usize,
-    /// Cut ISLs as normalized `(lo, hi)` id pairs, sorted for binary
-    /// search.
-    cut: Vec<(u32, u32)>,
     fade: GroundFade,
-}
-
-fn norm_pair(a: SatId, b: SatId) -> (u32, u32) {
-    if a.0 <= b.0 {
-        (a.0, b.0)
-    } else {
-        (b.0, a.0)
-    }
 }
 
 impl FaultPlan {
@@ -166,7 +147,7 @@ impl FaultPlan {
 
     /// True when the plan masks nothing — the byte-identity fast path.
     pub fn is_empty(&self) -> bool {
-        self.num_dead == 0 && self.cut.is_empty() && self.fade == GroundFade::Clear
+        self.dead.is_empty() && self.fade == GroundFade::Clear
     }
 
     /// Marks a satellite's server dead (its ISLs and access links all
@@ -176,18 +157,7 @@ impl FaultPlan {
         if self.dead.len() <= i {
             self.dead.resize(i + 1, false);
         }
-        if !self.dead[i] {
-            self.dead[i] = true;
-            self.num_dead += 1;
-        }
-    }
-
-    /// Cuts one ISL (either endpoint order).
-    pub fn cut_link(&mut self, a: SatId, b: SatId) {
-        let pair = norm_pair(a, b);
-        if let Err(pos) = self.cut.binary_search(&pair) {
-            self.cut.insert(pos, pair);
-        }
+        self.dead[i] = true;
     }
 
     /// Imposes a ground-segment fade.
@@ -195,25 +165,15 @@ impl FaultPlan {
         self.fade = fade;
     }
 
-    /// Number of dead satellites.
-    pub fn num_dead(&self) -> usize {
-        self.num_dead
-    }
-
     /// True when the satellite's server is dead in this plan.
     pub fn sat_dead(&self, sat: SatId) -> bool {
         self.dead.get(sat.0 as usize).copied().unwrap_or(false)
     }
 
-    /// True when this specific ISL is cut (either endpoint order).
-    pub fn link_cut(&self, a: SatId, b: SatId) -> bool {
-        self.cut.binary_search(&norm_pair(a, b)).is_ok()
-    }
-
     /// True when an ISL between `a` and `b` cannot carry traffic: an
-    /// endpoint is dead, or the link itself is cut.
+    /// endpoint is dead.
     pub fn isl_edge_masked(&self, a: SatId, b: SatId) -> bool {
-        self.sat_dead(a) || self.sat_dead(b) || self.link_cut(a, b)
+        self.sat_dead(a) || self.sat_dead(b)
     }
 
     /// The ground-segment restriction in force.
@@ -240,22 +200,15 @@ impl FaultPlan {
 pub struct FaultConfig {
     /// Per-satellite server death times, if any fail.
     pub schedule: Option<FailureSchedule>,
-    /// ISLs severed for the whole scenario (debris hit, pointing loss).
-    pub cut_links: Vec<(SatId, SatId)>,
     /// Rain on the ground segment, if any.
     pub rain: Option<RainFade>,
 }
 
 impl FaultConfig {
-    /// A scenario with no faults at all. Its plans are all empty, so a
-    /// service configured with it is byte-identical to one without.
+    /// A scenario with no faults at all: every plan it yields is
+    /// [`FaultPlan::empty`]. A plain service runs under it.
     pub fn none() -> FaultConfig {
         FaultConfig::default()
-    }
-
-    /// True when no plan this config produces can ever mask anything.
-    pub fn is_none(&self) -> bool {
-        self.schedule.is_none() && self.cut_links.is_empty() && self.rain.is_none()
     }
 
     /// The outage mask at time `t`.
@@ -268,9 +221,6 @@ impl FaultConfig {
                     plan.kill(id);
                 }
             }
-        }
-        for &(a, b) in &self.cut_links {
-            plan.cut_link(a, b);
         }
         if let Some(rain) = &self.rain {
             plan.set_ground_fade(rain.ground_fade());
@@ -288,7 +238,6 @@ mod tests {
     fn empty_plan_masks_nothing() {
         let p = FaultPlan::empty();
         assert!(p.is_empty());
-        assert_eq!(p.num_dead(), 0);
         assert!(!p.sat_dead(SatId(0)));
         assert!(!p.isl_edge_masked(SatId(0), SatId(1)));
         let g = Geodetic::ground(0.0, 0.0).to_ecef_spherical();
@@ -301,22 +250,10 @@ mod tests {
         p.kill(SatId(7));
         p.kill(SatId(7)); // idempotent
         assert!(!p.is_empty());
-        assert_eq!(p.num_dead(), 1);
-        assert!(p.sat_dead(SatId(7)));
+        assert_eq!((0..10).filter(|&i| p.sat_dead(SatId(i))).count(), 1);
         assert!(p.isl_edge_masked(SatId(7), SatId(3)));
         assert!(p.isl_edge_masked(SatId(3), SatId(7)));
         assert!(!p.isl_edge_masked(SatId(3), SatId(4)));
-    }
-
-    #[test]
-    fn cut_links_are_order_independent() {
-        let mut p = FaultPlan::empty();
-        p.cut_link(SatId(9), SatId(2));
-        assert!(p.link_cut(SatId(2), SatId(9)));
-        assert!(p.link_cut(SatId(9), SatId(2)));
-        assert!(!p.link_cut(SatId(2), SatId(8)));
-        assert!(p.isl_edge_masked(SatId(2), SatId(9)));
-        assert!(!p.sat_dead(SatId(2)), "a cut is not a death");
     }
 
     #[test]
@@ -326,8 +263,6 @@ mod tests {
         assert!(!s.alive(SatId(0), 100.0), "death at exactly t");
         assert!(s.alive(SatId(1), 1e12));
         assert!(s.alive(SatId(99), 1e12), "outside the schedule = alive");
-        assert_eq!(FailureSchedule::never(3).len(), 3);
-        assert!(FailureSchedule::never(3).alive(SatId(2), f64::MAX));
     }
 
     #[test]
@@ -344,13 +279,12 @@ mod tests {
         let mid = cfg.plan_at(60.0);
         assert!(mid.sat_dead(SatId(0)) && !mid.sat_dead(SatId(2)));
         let late = cfg.plan_at(500.0);
-        assert_eq!(late.num_dead(), 2);
+        assert!(late.sat_dead(SatId(0)) && !late.sat_dead(SatId(1)) && late.sat_dead(SatId(2)));
     }
 
     #[test]
     fn none_config_yields_empty_plans_forever() {
         let cfg = FaultConfig::none();
-        assert!(cfg.is_none());
         for t in [0.0, 1e3, 1e9] {
             assert!(cfg.plan_at(t).is_empty());
         }

@@ -110,11 +110,6 @@ impl NetworkGraph {
         self.add_edge(a, b, distance_m / leo_geo::consts::SPEED_OF_LIGHT_M_S);
     }
 
-    /// True when the node is present.
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.index.contains_key(&node)
-    }
-
     /// Dijkstra from `src`: one-way delay to every reachable node, and the
     /// predecessor array for path extraction.
     fn dijkstra(&self, src: usize) -> (Vec<f64>, Vec<usize>) {

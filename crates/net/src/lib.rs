@@ -44,8 +44,8 @@
 //!   network service (§2).
 //! * [`weather`] — rain-fade link budgets and availability (§6's
 //!   unanalyzed weather question).
-//! * [`fault`] — outage masks over all of the above: dead satellites,
-//!   cut ISLs, and rain-faded access links ([`fault::FaultPlan`]). Every
+//! * [`fault`] — outage masks over all of the above: dead satellites
+//!   and rain-faded access links ([`fault::FaultPlan`]). Every
 //!   visibility query, ground attachment, frontier pass and weight
 //!   refresh takes a plan as a required argument, so no caller can skip
 //!   the mask; fault-free callers pass the empty plan, which masks

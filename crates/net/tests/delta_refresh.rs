@@ -37,18 +37,12 @@ fn compiled() -> (Constellation, RoutingEngine) {
     (c, engine)
 }
 
-/// A fault plan from arbitrary dead-satellite and cut-link picks.
-fn plan_from(dead: &[u8], cuts: &[(u8, u8)], engine: &RoutingEngine) -> FaultPlan {
+/// A fault plan from arbitrary dead-satellite picks.
+fn plan_from(dead: &[u8], engine: &RoutingEngine) -> FaultPlan {
     let n = engine.num_sats() as u32;
     let mut plan = FaultPlan::empty();
     for &d in dead {
         plan.kill(SatId(u32::from(d) % n));
-    }
-    for &(a, b) in cuts {
-        let (a, b) = (u32::from(a) % n, u32::from(b) % n);
-        if a != b {
-            plan.cut_link(SatId(a), SatId(b));
-        }
     }
     plan
 }
@@ -89,11 +83,10 @@ proptest! {
         dt in 0.0f64..600.0,
         dead0 in proptest::collection::vec(0u8..255, 0..4),
         dead1 in proptest::collection::vec(0u8..255, 0..4),
-        cuts in proptest::collection::vec((0u8..255, 0u8..255), 0..4),
     ) {
         let (c, engine) = compiled();
-        let plan0 = plan_from(&dead0, &[], &engine);
-        let plan1 = plan_from(&dead1, &cuts, &engine);
+        let plan0 = plan_from(&dead0, &engine);
+        let plan1 = plan_from(&dead1, &engine);
         let mut w = IslWeights::default();
         engine.refresh_into(&c.snapshot(t0), &plan0, &mut w);
         // Transition 1: new instant, new plan.
@@ -135,7 +128,7 @@ proptest! {
         lon in -180.0f64..180.0,
     ) {
         let (c, engine) = compiled();
-        let plan = plan_from(&dead, &[], &engine);
+        let plan = plan_from(&dead, &engine);
         let mut w = IslWeights::default();
         engine.refresh_into(&c.snapshot(t0), &plan, &mut w);
         let snap = c.snapshot(t0 + dt);

@@ -205,11 +205,6 @@ impl Counter {
         c
     }
 
-    /// The counter's registered name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Adds `n` when metrics are enabled; a load + branch otherwise.
     #[inline]
     pub fn add(&self, n: u64) {
@@ -394,11 +389,6 @@ impl Histogram {
         }));
         list.push(h);
         h
-    }
-
-    /// The histogram's registered name.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 
     /// Records one sample when metrics are enabled: one relaxed
@@ -767,11 +757,6 @@ impl TimeSeries {
         s
     }
 
-    /// The series' registered name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Appends one `(x, value)` point when the series' gate is open
     /// ([`metrics_enabled`] for work series, [`spans_enabled`] for
     /// timing series); a load + branch otherwise.
@@ -903,39 +888,6 @@ impl HistogramDump {
             })
             .or(self.buckets.last())?;
         Some(bucket.mid().max(self.min).min(self.max))
-    }
-
-    /// Adds `other`'s samples into this dump. Bucket edges come from the
-    /// shared bucketing scheme, so alignment is by `lo`.
-    ///
-    /// # Panics
-    /// Panics when the dumps are of different metrics.
-    pub fn merge(&mut self, other: &HistogramDump) {
-        assert_eq!(self.name, other.name, "merging different histograms");
-        let mut merged: Vec<Bucket> = Vec::with_capacity(self.buckets.len() + other.buckets.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.buckets.len() || j < other.buckets.len() {
-            let take_self = j >= other.buckets.len()
-                || (i < self.buckets.len() && self.buckets[i].lo <= other.buckets[j].lo);
-            let b = if take_self {
-                let b = self.buckets[i].clone();
-                i += 1;
-                b
-            } else {
-                let b = other.buckets[j].clone();
-                j += 1;
-                b
-            };
-            match merged.last_mut() {
-                Some(last) if last.lo == b.lo => last.count += b.count,
-                _ => merged.push(b),
-            }
-        }
-        self.buckets = merged;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -1191,50 +1143,6 @@ mod tests {
             assert!((800.0..1400.0).contains(&p99), "p99 {p99}");
             assert_eq!((d.min(), d.max()), (Some(1.0), Some(1000.0)));
             assert!((d.mean().unwrap() - 500.5).abs() < 1e-6);
-        });
-    }
-
-    #[test]
-    fn histogram_dump_merge_matches_combined_recording() {
-        with_level(Level::Metrics, || {
-            let a = Histogram::register("test.merge.a");
-            let b = Histogram::register("test.merge.b");
-            let both = Histogram::register("test.merge.both");
-            a.reset();
-            b.reset();
-            both.reset();
-            for i in 1..=100 {
-                let v = (i as f64) * 0.37;
-                if i % 2 == 0 {
-                    a.record(v);
-                } else {
-                    b.record(v);
-                }
-                both.record(v);
-            }
-            let mut merged = a.dump();
-            let mut other = b.dump();
-            // Rename so merge's same-metric check passes; the bucket
-            // layout is scheme-global, not per-histogram.
-            merged.name = "m".into();
-            other.name = "m".into();
-            merged.merge(&other);
-            let combined = both.dump();
-            assert_eq!(merged.count, combined.count);
-            assert_eq!((merged.min(), merged.max()), (Some(0.37), Some(37.0)));
-            assert_eq!((merged.min, merged.max), (combined.min, combined.max));
-            assert!((merged.sum - combined.sum).abs() < 1e-9);
-            let merged_counts: Vec<(u64, u64)> = merged
-                .buckets
-                .iter()
-                .map(|bk| (bk.lo.to_bits(), bk.count))
-                .collect();
-            let combined_counts: Vec<(u64, u64)> = combined
-                .buckets
-                .iter()
-                .map(|bk| (bk.lo.to_bits(), bk.count))
-                .collect();
-            assert_eq!(merged_counts, combined_counts);
         });
     }
 

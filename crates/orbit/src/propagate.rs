@@ -106,16 +106,6 @@ impl Propagator {
         &self.elements
     }
 
-    /// The reference epoch.
-    pub fn epoch(&self) -> Epoch {
-        self.epoch
-    }
-
-    /// The secular rates in effect.
-    pub fn rates(&self) -> J2Rates {
-        self.rates
-    }
-
     /// ECI state (position + velocity) at `t` seconds after the epoch.
     pub fn state_at(&self, t: f64) -> StateVector {
         let e = &self.elements;

@@ -21,7 +21,6 @@ pub struct ShardedUsers {
     /// Half-open ranges into `users`, one per shard, in south-to-north
     /// band order (sub-split where a band exceeds the shard cap).
     shards: Vec<Range<usize>>,
-    band_deg: f64,
 }
 
 impl ShardedUsers {
@@ -61,11 +60,7 @@ impl ShardedUsers {
             start = end;
         }
         leo_obs::counter!("serve.shards_built").add(shards.len() as u64);
-        ShardedUsers {
-            users,
-            shards,
-            band_deg,
-        }
+        ShardedUsers { users, shards }
     }
 
     /// Total user count across all shards.
@@ -78,11 +73,6 @@ impl ShardedUsers {
         self.shards.len()
     }
 
-    /// The band height the shards were built with, degrees.
-    pub fn band_deg(&self) -> f64 {
-        self.band_deg
-    }
-
     /// The users of shard `i`, a contiguous slice in shard order.
     pub fn shard(&self, i: usize) -> &[GroundEndpoint] {
         &self.users[self.shards[i].clone()]
@@ -91,11 +81,6 @@ impl ShardedUsers {
     /// All users in shard order (`users()[i].index == i`).
     pub fn users(&self) -> &[GroundEndpoint] {
         &self.users
-    }
-
-    /// Iterates `(shard_index, users)` pairs in shard order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &[GroundEndpoint])> + '_ {
-        (0..self.num_shards()).map(move |i| (i, self.shard(i)))
     }
 }
 

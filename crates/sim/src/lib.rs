@@ -124,16 +124,6 @@ impl<'a> SweepViews<'a> {
         self.times.is_empty()
     }
 
-    /// The sampling times, in sweep order.
-    pub fn times(&self) -> &'a [f64] {
-        self.times
-    }
-
-    /// The `i`-th instant and its view.
-    pub fn at(&self, i: usize) -> (f64, &'a SnapshotView) {
-        (self.times[i], &self.views[i])
-    }
-
     /// Iterates `(time, view)` pairs in sweep order.
     pub fn iter(&self) -> impl Iterator<Item = (f64, &'a SnapshotView)> + '_ {
         self.times
@@ -190,16 +180,6 @@ impl<'a> TimeSweep<'a> {
         assert!(threads > 0, "threads must be positive");
         self.threads = threads;
         self
-    }
-
-    /// The service the sweep runs against.
-    pub fn service(&self) -> &'a InOrbitService {
-        self.service
-    }
-
-    /// The sampling times, in sweep order.
-    pub fn times(&self) -> &[f64] {
-        &self.times
     }
 
     /// Propagates and indexes every instant of the schedule, in parallel,
@@ -315,8 +295,6 @@ mod tests {
         let order: Vec<Vec<f64>> = sweep.run(vec![()], |_, views| {
             assert_eq!(views.len(), 3);
             assert!(!views.is_empty());
-            let (t1, _) = views.at(1);
-            assert_eq!(t1, 30.0);
             views.iter().map(|(t, _)| t).collect()
         });
         assert_eq!(order, vec![vec![0.0, 30.0, 60.0]]);
