@@ -6,19 +6,24 @@
 //!   byte-identical across `LEO_THREADS` 1/4 and `LEO_OBS`
 //!   metrics/trace;
 //! * the Chrome trace-event export is valid JSON and its span tree
-//!   nests correctly (begin/end balanced per thread ordinal).
+//!   nests correctly (begin/end balanced per thread ordinal);
+//! * a snapshot view refreshes its ISL weights once, on its first route
+//!   query, so the `engine.refresh_s` span and the masked-edge counter
+//!   count only views that routed.
 //!
 //! The obs level is process-global, so every test here serializes on
 //! one mutex and resets the registries around itself.
 
 use leo_bench::cli::{Run, RunConfig};
-use leo_constellation::presets;
-use leo_core::InOrbitService;
+use leo_constellation::{presets, SatId};
+use leo_core::{GroupDelays, InOrbitService};
+use leo_geo::Geodetic;
+use leo_net::routing::GroundEndpoint;
+use leo_net::{FailureSchedule, FaultConfig, FaultPlan};
 use leo_obs::Level;
 use leo_serve::{synthesize_users, ServeConfig, ServeEngine, SweepReport, USER_SEED};
-use leo_sim::TimeSweep;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
@@ -90,35 +95,81 @@ fn counters_and_timeseries_identical_across_threads_and_levels() {
     let _ = leo_obs::take_trace();
 }
 
+/// Samples recorded so far in one span's histogram.
+fn span_samples(name: &str) -> u64 {
+    leo_obs::snapshot()
+        .histograms
+        .iter()
+        .find(|h| h.name == name)
+        .map_or(0, |h| h.count)
+}
+
+/// A counter's total so far.
+fn counter(name: &str) -> u64 {
+    leo_obs::snapshot()
+        .counters
+        .iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |(_, v)| *v)
+}
+
 #[test]
-fn timesweep_edge_gauge_is_thread_invariant() {
+fn views_refresh_isl_weights_once_on_the_first_route_query() {
     let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let sample = |threads: usize| {
-        leo_obs::set_level(Level::Metrics);
-        leo_obs::reset();
-        let service = InOrbitService::new(presets::starlink_550_only());
-        let sweep = TimeSweep::new(&service, times()).with_threads(threads);
-        let views = sweep.prepare();
-        assert_eq!(views.len(), 3);
-        let snap = leo_obs::snapshot();
-        let series = snap
-            .series
-            .iter()
-            .find(|s| s.name == "engine.isl_active_edges")
-            .expect("prepare samples the engine gauge")
-            .clone();
-        leo_obs::set_level(Level::Off);
-        series
+    // Spans record from `Full` on.
+    leo_obs::set_level(Level::Full);
+    leo_obs::reset();
+    // Every fourth of the first 300 satellites dead from the start, so
+    // every view carries a non-empty plan that masks ISL edges.
+    let mut deaths = vec![f64::INFINITY; 300];
+    for d in deaths.iter_mut().step_by(4) {
+        *d = 0.0;
+    }
+    let faults = FaultConfig {
+        schedule: Some(FailureSchedule::from_death_times(deaths)),
+        ..FaultConfig::none()
     };
-    let one = sample(1);
-    assert_eq!(one.points.len(), 3, "one point per instant");
-    assert!(one.points.iter().all(|&(_, v)| v > 0.0));
-    assert_eq!(
-        one.points.iter().map(|p| p.0).collect::<Vec<_>>(),
-        times(),
-        "x-axis must be the schedule, in order"
-    );
-    assert_eq!(sample(4), one, "thread count changed the gauge series");
+    let service = InOrbitService::with_faults(presets::starlink_550_only(), faults);
+    let users = [
+        GroundEndpoint::new(0, Geodetic::ground(9.06, 7.49)),
+        GroundEndpoint::new(1, Geodetic::ground(6.52, 3.38)),
+    ];
+
+    // Direct-visibility selection builds views and never routes.
+    for t in times() {
+        GroupDelays::direct(&service, &users, t);
+    }
+    assert_eq!(span_samples("engine.refresh_s"), 0, "a view refreshed");
+    assert_eq!(counter("fault.masked_isl_edges"), 0);
+
+    // Two threads route on one fresh view at once: one refresh between
+    // them, and one tally of its masked edges.
+    let view = service.view(times()[1]);
+    let barrier = Barrier::new(2);
+    let delays: Vec<Option<f64>> = std::thread::scope(|s| {
+        let route = || {
+            barrier.wait();
+            view.sat_to_sat_delay(None, SatId(1), SatId(701))
+        };
+        let workers = [s.spawn(route), s.spawn(route)];
+        workers.map(|w| w.join().expect("routing thread")).to_vec()
+    });
+    assert!(delays[0].is_some());
+    assert_eq!(delays[0], delays[1]);
+    assert_eq!(span_samples("engine.refresh_s"), 1, "one refresh per view");
+    let masked = counter("fault.masked_isl_edges");
+    assert!(masked > 0, "the plan masks no edge");
+
+    // The lazily built weights are the full refresh under the view's
+    // plan, bit for bit, and the plan did mask them.
+    assert!(!view.fault_plan().is_empty());
+    let engine = service.routing_engine();
+    let eager = engine.refresh(view.snapshot(), view.fault_plan());
+    assert!(view.isl_weights().bits_eq(&eager));
+    assert_eq!(counter("fault.masked_isl_edges"), 2 * masked);
+    let unmasked = engine.refresh(view.snapshot(), &FaultPlan::empty());
+    assert!(!view.isl_weights().bits_eq(&unmasked));
+    leo_obs::set_level(Level::Off);
 }
 
 /// The trace-event JSON shape, for the vendored serde facade: fields

@@ -161,22 +161,20 @@ impl Constellation {
         SatId(self.shell_offsets[shell as usize] + plane * spec.sats_per_plane + slot)
     }
 
-    /// ECEF positions of every satellite at `t` seconds after the epoch.
+    /// ECEF positions of every satellite at `t` seconds after the epoch,
+    /// through the position-only kernel
+    /// ([`leo_orbit::propagate::positions_ecef`]): satellites are stored
+    /// shell- and plane-major, so each shell's inclination and each
+    /// plane's RAAN rotation is taken once.
     pub fn snapshot(&self, t: f64) -> Snapshot {
-        let gmst = leo_geo::gmst(self.epoch, t);
         Snapshot {
             time_s: t,
-            positions: self
-                .satellites
-                .iter()
-                .map(|s| s.propagator.position_eci(t).to_ecef(gmst))
-                .collect(),
+            positions: leo_orbit::propagate::positions_ecef(
+                self.satellites.iter().map(|s| &s.propagator),
+                t,
+                leo_geo::gmst(self.epoch, t),
+            ),
         }
-    }
-
-    /// ECEF position of one satellite at `t`.
-    pub fn position_ecef(&self, id: SatId, t: f64) -> Ecef {
-        self.satellite(id).propagator.position_ecef(t)
     }
 
     /// Exports every satellite as a synthesized TLE (catalog numbers are
@@ -269,12 +267,44 @@ mod tests {
 
     #[test]
     fn snapshot_agrees_with_per_satellite_query() {
-        let c = small();
-        let t = 1234.5;
-        let snap = c.snapshot(t);
-        for s in c.satellites() {
-            let d = snap.position(s.id).0.distance(c.position_ecef(s.id, t).0);
-            assert!(d < 1e-6);
+        // Bit for bit, on every preset, at instants before the epoch,
+        // past a day, and non-finite. A non-finite instant gives NaN
+        // positions, compared as NaN: Rust leaves a NaN's sign and
+        // payload unspecified.
+        let times = [
+            0.0,
+            -5_400.25,
+            1_234.5,
+            1.5 * 86_400.0 + 17.0,
+            7.0 * 86_400.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let bits = |p: Ecef| {
+            [p.0.x, p.0.y, p.0.z].map(|x| if x.is_nan() { f64::NAN } else { x }.to_bits())
+        };
+        for c in [
+            crate::presets::starlink_550_only(),
+            crate::presets::starlink_phase1(),
+            crate::presets::starlink_phase1_conservative(),
+            crate::presets::kuiper(),
+            crate::presets::telesat(),
+        ] {
+            for t in times {
+                let snap = c.snapshot(t);
+                let gmst = leo_geo::gmst(c.epoch, t);
+                for s in c.satellites() {
+                    let want = s.propagator.position_eci(t).to_ecef(gmst);
+                    assert_eq!(
+                        bits(snap.position(s.id)),
+                        bits(want),
+                        "{} {} at t={t}",
+                        c.name(),
+                        s.id
+                    );
+                }
+            }
         }
     }
 

@@ -10,31 +10,35 @@ use leo_net::routing::{self, GroundEndpoint};
 use leo_net::visibility::VisibleSat;
 use leo_net::{IslTopology, NetworkGraph, VisibilityIndex};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Propagated positions at one instant, paired with the spatial
-/// visibility index over them and the refreshed ISL routing weights of
-/// the service's compiled [`RoutingEngine`]. This is the unit the
-/// snapshot cache holds and what the sweep engine in `leo-sim` hands to
-/// its workers: one propagation + one index build + one weight refresh,
-/// shared by every query at that instant.
+/// visibility index over them and the ISL routing weights of the
+/// service's compiled [`RoutingEngine`]. This is the unit the snapshot
+/// cache holds and what the sweep engine in `leo-sim` hands to its
+/// workers: one propagation + one index build, shared by every query at
+/// that instant, plus one weight refresh paid by the first query that
+/// routes. Most views never route (direct-visibility selection, the edge
+/// fleet, a session tick without a hand-off), so they never refresh.
 #[derive(Debug, Clone)]
 pub struct SnapshotView {
     snapshot: Snapshot,
     index: VisibilityIndex,
     engine: Arc<RoutingEngine>,
-    isl: IslWeights,
+    /// Refreshed on the first [`SnapshotView::isl_weights`] read; every
+    /// route query reads through it.
+    isl: OnceLock<IslWeights>,
     /// The outage mask at this instant: the owning service's fault
     /// scenario at `t`. Every query on the view passes it down.
     fault: FaultPlan,
 }
 
 impl SnapshotView {
-    /// Builds a view by propagating `constellation` to `t` and refreshing
-    /// `engine`'s edge weights at that instant under `faults`' plan at
-    /// `t` ([`FaultConfig::none`] yields the empty plan). The plan masks
-    /// the refreshed ISL weights and rides along for the view's
-    /// visibility and attachment queries.
+    /// Builds a view by propagating `constellation` to `t`, indexing the
+    /// positions, and taking `faults`' plan at `t` ([`FaultConfig::none`]
+    /// yields the empty plan). The plan rides along for the view's
+    /// visibility and attachment queries, and masks `engine`'s edge
+    /// weights when the first route query refreshes them.
     ///
     /// # Panics
     /// Panics when `t` is not finite: such an instant propagates to NaN
@@ -48,14 +52,12 @@ impl SnapshotView {
         assert!(t.is_finite(), "snapshot instant must be finite, got {t}");
         let snapshot = constellation.snapshot(t);
         let index = VisibilityIndex::build(constellation, &snapshot);
-        let fault = faults.plan_at(t);
-        let isl = engine.refresh(&snapshot, &fault);
         SnapshotView {
             snapshot,
             index,
             engine: Arc::clone(engine),
-            isl,
-            fault,
+            isl: OnceLock::new(),
+            fault: faults.plan_at(t),
         }
     }
 
@@ -75,9 +77,12 @@ impl SnapshotView {
         &self.index
     }
 
-    /// The ISL edge weights refreshed for this instant.
+    /// The ISL edge weights at this instant under the view's fault plan,
+    /// refreshed on the first call. Threads that ask at once wait for one
+    /// refresh and share it.
     pub fn isl_weights(&self) -> &IslWeights {
-        &self.isl
+        self.isl
+            .get_or_init(|| self.engine.refresh(&self.snapshot, &self.fault))
     }
 
     /// Wires ground endpoints into the routing node space through this
@@ -93,7 +98,8 @@ impl SnapshotView {
     /// `links` is given. Early-exits at the target; `None` when
     /// disconnected.
     pub fn sat_to_sat_delay(&self, links: Option<&GroundLinks>, a: SatId, b: SatId) -> Option<f64> {
-        with_thread_arena(|arena| self.engine.sat_to_sat_delay(&self.isl, links, a, b, arena))
+        let isl = self.isl_weights();
+        with_thread_arena(|arena| self.engine.sat_to_sat_delay(isl, links, a, b, arena))
     }
 
     /// The minimum-delay ISL route between two satellites at this instant,
@@ -101,24 +107,24 @@ impl SnapshotView {
     /// view's own weights, so under a fault scenario it never crosses a
     /// dead satellite.
     pub fn sat_to_sat_path(&self, a: SatId, b: SatId) -> Option<SatPath> {
-        with_thread_arena(|arena| self.engine.sat_to_sat_path(&self.isl, a, b, arena))
+        let isl = self.isl_weights();
+        with_thread_arena(|arena| self.engine.sat_to_sat_path(isl, a, b, arena))
     }
 
     /// One-way delay between two attached ground endpoints (by slot in
     /// the group passed to [`SnapshotView::attach`]), or `None` when
     /// disconnected.
     pub fn ground_to_ground_delay(&self, links: &GroundLinks, a: usize, b: usize) -> Option<f64> {
-        with_thread_arena(|arena| {
-            self.engine
-                .ground_to_ground_delay(&self.isl, links, a, b, arena)
-        })
+        let isl = self.isl_weights();
+        with_thread_arena(|arena| self.engine.ground_to_ground_delay(isl, links, a, b, arena))
     }
 
     /// One-way delays from every attached ground endpoint to every
     /// satellite (`result[ground][sat]`, `INFINITY` when unreachable),
     /// all rows sharing this worker's arena.
     pub fn delays_from_all(&self, links: &GroundLinks) -> Vec<Vec<f64>> {
-        with_thread_arena(|arena| self.engine.delays_from_all(&self.isl, links, arena))
+        let isl = self.isl_weights();
+        with_thread_arena(|arena| self.engine.delays_from_all(isl, links, arena))
     }
 
     /// One settled satellite-major frontier pass over `set`: the nearest

@@ -95,6 +95,12 @@ impl Vec3 {
     /// (counter-clockwise looking down +z).
     pub fn rotate_z(self, angle: f64) -> Vec3 {
         let (s, c) = angle.sin_cos();
+        self.rotate_z_sin_cos(s, c)
+    }
+
+    /// [`Vec3::rotate_z`] by an angle whose sine and cosine are given, so
+    /// a caller rotating many vectors by one angle takes them once.
+    pub fn rotate_z_sin_cos(self, s: f64, c: f64) -> Vec3 {
         Vec3 {
             x: c * self.x - s * self.y,
             y: s * self.x + c * self.y,
@@ -105,6 +111,11 @@ impl Vec3 {
     /// Rotates the vector about the +x axis by `angle` radians.
     pub fn rotate_x(self, angle: f64) -> Vec3 {
         let (s, c) = angle.sin_cos();
+        self.rotate_x_sin_cos(s, c)
+    }
+
+    /// [`Vec3::rotate_x`] by an angle whose sine and cosine are given.
+    pub fn rotate_x_sin_cos(self, s: f64, c: f64) -> Vec3 {
         Vec3 {
             x: self.x,
             y: c * self.y - s * self.z,

@@ -161,7 +161,8 @@ impl IslWeights {
     }
 
     /// Number of edges currently usable (finite weight).
-    pub fn active_edges(&self) -> usize {
+    #[cfg(test)]
+    fn active_edges(&self) -> usize {
         self.delays.iter().filter(|d| d.is_finite()).count()
     }
 
@@ -495,7 +496,10 @@ impl RoutingEngine {
     /// atmosphere or where the plan masks the edge (a dead endpoint), so
     /// no search can relax through it. Under a non-empty
     /// plan, masked edges that would otherwise be up are tallied in the
-    /// `fault.masked_isl_edges` counter.
+    /// `fault.masked_isl_edges` counter — per refresh, so a service's
+    /// snapshot views add to it only once a route query has read their
+    /// weights: the counter sums over the views that routed, not over
+    /// every instant a run touched.
     pub fn refresh_into(&self, snapshot: &Snapshot, plan: &FaultPlan, weights: &mut IslWeights) {
         let _span = leo_obs::span!("engine.refresh_s");
         let plan_empty = plan.is_empty();

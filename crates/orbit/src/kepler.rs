@@ -23,6 +23,7 @@ const TOLERANCE: f64 = 1e-12;
 ///
 /// # Panics
 /// Panics in debug builds when `eccentricity` is outside `[0, 1)`.
+#[inline]
 pub fn solve_kepler(mean_anomaly: Angle, eccentricity: f64) -> Angle {
     debug_assert!(
         (0.0..1.0).contains(&eccentricity),
@@ -47,6 +48,7 @@ pub fn solve_kepler(mean_anomaly: Angle, eccentricity: f64) -> Angle {
 }
 
 /// True anomaly from eccentric anomaly.
+#[inline]
 pub fn true_anomaly_from_eccentric(eccentric: Angle, eccentricity: f64) -> Angle {
     let e = eccentricity;
     let (s, c) = eccentric.sin_cos();
@@ -56,6 +58,7 @@ pub fn true_anomaly_from_eccentric(eccentric: Angle, eccentricity: f64) -> Angle
 
 /// Radius (distance from focus) at an eccentric anomaly for a given
 /// semi-major axis: `r = a (1 − e·cos E)`.
+#[inline]
 pub fn radius_at_eccentric(semi_major_axis_m: f64, eccentric: Angle, eccentricity: f64) -> f64 {
     semi_major_axis_m * (1.0 - eccentricity * eccentric.cos())
 }

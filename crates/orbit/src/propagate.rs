@@ -107,6 +107,9 @@ impl Propagator {
     }
 
     /// ECI state (position + velocity) at `t` seconds after the epoch.
+    /// Its position is the oracle the position-only kernel
+    /// ([`Propagator::position_eci`], [`positions_ecef`]) is tested
+    /// against bit for bit, so the two keep separate code.
     pub fn state_at(&self, t: f64) -> StateVector {
         let e = &self.elements;
         let ecc = e.eccentricity;
@@ -146,9 +149,36 @@ impl Propagator {
         }
     }
 
-    /// ECI position at `t` seconds after the epoch.
+    /// ECI position at `t` seconds after the epoch: the position-only
+    /// kernel of [`positions_ecef`] on this satellite alone. Bit-identical
+    /// to `state_at(t).position`, without the velocity.
     pub fn position_eci(&self, t: f64) -> Eci {
-        self.state_at(t).position
+        Eci(self.position_with(t, &mut PlaneRotation::default()))
+    }
+
+    /// The position-only kernel: [`Propagator::state_at`]'s position, in
+    /// the same float operations, with the three rotation angles' sines
+    /// and cosines taken through `rot`.
+    #[inline]
+    fn position_with(&self, t: f64, rot: &mut PlaneRotation) -> Vec3 {
+        let e = &self.elements;
+        let ecc = e.eccentricity;
+        let m = Angle::from_radians(
+            e.mean_anomaly.radians() + (self.mean_motion + self.rates.mean_anomaly_dot) * t,
+        );
+        let raan = e.raan.radians() + self.rates.raan_dot * t;
+        let argp = e.arg_perigee.radians() + self.rates.arg_perigee_dot * t;
+        let e_anom = kepler::solve_kepler(m, ecc);
+        let nu = kepler::true_anomaly_from_eccentric(e_anom, ecc);
+        let r = kepler::radius_at_eccentric(e.semi_major_axis_m, e_anom, ecc);
+        let (snu, cnu) = nu.sin_cos();
+        let (sw, cw) = rot.arg_perigee.sin_cos(argp);
+        let (si, ci) = rot.inclination.sin_cos(e.inclination.radians());
+        let (so, co) = rot.raan.sin_cos(raan);
+        Vec3::new(r * cnu, r * snu, 0.0)
+            .rotate_z_sin_cos(sw, cw)
+            .rotate_x_sin_cos(si, ci)
+            .rotate_z_sin_cos(so, co)
     }
 
     /// ECEF position at `t` seconds after the epoch (rotates by GMST).
@@ -161,6 +191,58 @@ impl Propagator {
     pub fn subpoint(&self, t: f64) -> leo_geo::Geodetic {
         self.position_ecef(t).to_geodetic_spherical()
     }
+}
+
+/// The sine and cosine of the last angle seen, reused while successive
+/// calls pass an angle with the same bits. Empty until the first call:
+/// a NaN sentinel would match the NaN a non-finite `t` gives every
+/// angle, and hand back the sentinel's stale values.
+#[derive(Debug, Default)]
+struct SinCosMemo(Option<(u64, f64, f64)>);
+
+impl SinCosMemo {
+    #[inline]
+    fn sin_cos(&mut self, angle: f64) -> (f64, f64) {
+        let bits = angle.to_bits();
+        match self.0 {
+            Some((b, s, c)) if b == bits => (s, c),
+            _ => {
+                let (s, c) = angle.sin_cos();
+                self.0 = Some((bits, s, c));
+                (s, c)
+            }
+        }
+    }
+}
+
+/// The perifocal-to-ECI rotation's angles, memoised across satellites:
+/// a Walker shell shares one inclination and argument of perigee, and a
+/// plane one RAAN, so each is taken once per shell or plane per instant.
+#[derive(Debug, Default)]
+struct PlaneRotation {
+    inclination: SinCosMemo,
+    raan: SinCosMemo,
+    arg_perigee: SinCosMemo,
+}
+
+/// ECEF positions of `propagators`, in order, at `t` seconds after their
+/// epoch, with the Earth rotated by `gmst` (its value at `t`): the
+/// snapshot kernel. It computes no velocity, takes GMST's sine and cosine
+/// once, and reuses each rotation angle's sine and cosine while
+/// consecutive satellites share its bits. Every position is bit-identical
+/// to `p.position_eci(t).to_ecef(gmst)`.
+pub fn positions_ecef<'a>(
+    propagators: impl IntoIterator<Item = &'a Propagator>,
+    t: f64,
+    gmst: Angle,
+) -> Vec<Ecef> {
+    // `Eci::to_ecef` rotates by −GMST.
+    let (sg, cg) = (-gmst.radians()).sin_cos();
+    let mut rot = PlaneRotation::default();
+    propagators
+        .into_iter()
+        .map(|p| Ecef(p.position_with(t, &mut rot).rotate_z_sin_cos(sg, cg)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -282,7 +364,115 @@ mod tests {
         assert!(d < 60_000.0, "2-hour J2 divergence {d} m");
     }
 
+    /// Bit patterns, with every NaN read as `f64::NAN`: Rust leaves a
+    /// NaN result's sign and payload unspecified, and an optimised build
+    /// does flip the sign between two compilations of one expression.
+    fn bits(v: Vec3) -> [u64; 3] {
+        [v.x, v.y, v.z].map(|x| if x.is_nan() { f64::NAN } else { x }.to_bits())
+    }
+
+    /// One propagator per draw of `(altitude, eccentricity, inclination,
+    /// RAAN, argument of perigee, mean anomaly, share)`. The bits of
+    /// `share` make a satellite take its predecessor's inclination, RAAN,
+    /// argument of perigee, and orbit size and shape (hence its J2
+    /// rates), so the kernel's memo meets runs that share an angle's bits
+    /// and runs that break them.
+    fn chain(draws: &[(f64, f64, f64, f64, f64, f64, u8)]) -> Vec<Propagator> {
+        let mut out: Vec<Propagator> = Vec::new();
+        for &(alt, ecc, incl, raan, argp, ma, share) in draws {
+            let mut e = KeplerianElements::circular(
+                alt,
+                Angle::from_radians(incl),
+                Angle::from_radians(raan),
+                Angle::from_radians(ma),
+            );
+            e.eccentricity = ecc;
+            e.arg_perigee = Angle::from_radians(argp);
+            if let Some(prev) = out.last().map(|p| *p.elements()) {
+                if share & 1 != 0 {
+                    e.inclination = prev.inclination;
+                }
+                if share & 2 != 0 {
+                    e.raan = prev.raan;
+                }
+                if share & 4 != 0 {
+                    e.arg_perigee = prev.arg_perigee;
+                }
+                if share & 8 != 0 {
+                    e.semi_major_axis_m = prev.semi_major_axis_m;
+                    e.eccentricity = prev.eccentricity;
+                }
+            }
+            out.push(Propagator::new(e, Epoch::J2000));
+        }
+        out
+    }
+
+    #[test]
+    fn angle_memo_has_no_nan_sentinel() {
+        // A non-finite `t` makes every drifted angle NaN, so a memo that
+        // started from a NaN key would hand back its placeholder values.
+        let mut memo = SinCosMemo::default();
+        let (s, c) = memo.sin_cos(f64::NAN);
+        assert!(s.is_nan() && c.is_nan());
+        assert_eq!(memo.sin_cos(0.5), 0.5f64.sin_cos());
+        assert_eq!(memo.sin_cos(0.5), 0.5f64.sin_cos());
+        let (s, c) = memo.sin_cos(f64::NAN);
+        assert!(s.is_nan() && c.is_nan());
+    }
+
+    #[test]
+    fn kernel_is_bit_identical_at_non_finite_and_distant_instants() {
+        let draws = [
+            (550e3, 0.0, 0.9, 0.1, 0.0, 0.2, 0),
+            (550e3, 0.0, 0.9, 0.1, 0.0, 1.2, 15),
+            (1_200e3, 0.1, 1.4, 2.0, 0.7, 3.0, 0),
+            (1_200e3, 0.1, 1.4, 2.0, 0.7, 4.0, 15),
+        ];
+        let props = chain(&draws);
+        for t in [
+            0.0,
+            -3_600.5,
+            2.5 * 86_400.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            let g = gmst(Epoch::J2000, t);
+            for (p, got) in props.iter().zip(positions_ecef(&props, t, g)) {
+                let want = p.state_at(t).position;
+                assert_eq!(bits(p.position_eci(t).0), bits(want.0), "t={t}");
+                assert_eq!(bits(got.0), bits(want.to_ecef(g).0), "t={t}");
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_kernel_is_bit_identical_to_the_state_oracle(
+            draws in collection::vec(
+                (
+                    300e3..2_000e3f64,
+                    0.0..0.6f64,
+                    0.0..3.2f64,
+                    -7.0..7.0f64,
+                    -7.0..7.0f64,
+                    -7.0..7.0f64,
+                    0u8..16,
+                ),
+                1..40,
+            ),
+            t in -1.0e6..1.0e6f64,
+        ) {
+            let props = chain(&draws);
+            let g = gmst(Epoch::J2000, t);
+            for (p, got) in props.iter().zip(positions_ecef(&props, t, g)) {
+                let want = p.state_at(t).position;
+                prop_assert_eq!(bits(p.position_eci(t).0), bits(want.0));
+                prop_assert_eq!(bits(got.0), bits(want.to_ecef(g).0));
+            }
+        }
+
         #[test]
         fn prop_radius_bounded_by_apsides(
             alt in 300e3..2000e3f64,

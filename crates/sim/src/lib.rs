@@ -9,9 +9,9 @@
 //! the work:
 //!
 //! 1. each instant is propagated **once**, into a shared
-//!    [`SnapshotView`] (positions + spatial visibility index + refreshed
-//!    ISL edge weights for the compiled routing engine), in parallel
-//!    across the pool;
+//!    [`SnapshotView`] (positions + spatial visibility index; the ISL
+//!    edge weights of the compiled routing engine are refreshed on the
+//!    view's first route query), in parallel across the pool;
 //! 2. ground points are fanned across the worker pool, each worker
 //!    folding sequentially over the prebuilt views;
 //! 3. results come back in input order, and — because each ground
@@ -189,19 +189,7 @@ impl<'a> TimeSweep<'a> {
     pub fn prepare(&self) -> Vec<Arc<SnapshotView>> {
         let _span = leo_obs::span!("sim.prepare_s");
         leo_obs::counter!("sim.sweep_instants").add(self.times.len() as u64);
-        let views = parallel_map(self.times.clone(), self.threads, |&t| self.service.view(t));
-        // Per-instant gauge of the CSR engine's usable ISL edges —
-        // sampled here on the main thread, in schedule order, after the
-        // parallel build (so the series is thread-count-invariant). A
-        // fault plan cutting links or killing satellites shows up as
-        // steps in this curve.
-        if leo_obs::metrics_enabled() {
-            for (t, view) in self.times.iter().zip(&views) {
-                leo_obs::timeseries!("engine.isl_active_edges")
-                    .sample(*t, view.isl_weights().active_edges() as f64);
-            }
-        }
-        views
+        parallel_map(self.times.clone(), self.threads, |&t| self.service.view(t))
     }
 
     /// Runs `f` once per ground item against the prebuilt views, fanning
