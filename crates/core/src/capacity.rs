@@ -5,60 +5,24 @@
 //! ground location at any time."* The paper's answer (Fig 2) is that
 //! 10–40+ servers are in view — comparable to a "cloudlet". This module
 //! closes the loop: given each satellite a finite number of tenant
-//! slots, admit workloads to reachable servers and report utilization
-//! and rejection, so the aggregate capacity over a location can be
-//! studied rather than just counted.
+//! slots, reserve workloads on reachable servers and report the slots in
+//! use and the free capacity over a location, so the aggregate capacity
+//! can be studied rather than just counted.
 
 use crate::service::InOrbitService;
 use leo_constellation::SatId;
 use leo_geo::Geodetic;
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
-/// A workload request from one ground location.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PlacementRequest {
-    /// Where the tenant is.
-    pub location: Geodetic,
-    /// Slots requested (a slot ≈ one vCPU-bundle of the onboard server).
-    pub slots: u32,
-    /// Maximum acceptable RTT to the hosting server, ms.
-    pub max_rtt_ms: f64,
-}
-
-/// Outcome of one placement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum PlacementOutcome {
-    /// Admitted on a server with the achieved RTT.
-    Placed {
-        /// The hosting satellite-server.
-        server: SatId,
-        /// RTT from the tenant to the server, ms.
-        rtt_ms: f64,
-    },
-    /// No reachable server met the RTT bound.
-    NoServerInRange,
-    /// Reachable servers exist but all are full.
-    CapacityExhausted,
-}
-
-impl PlacementOutcome {
-    /// True when the request was admitted.
-    pub fn is_placed(&self) -> bool {
-        matches!(self, PlacementOutcome::Placed { .. })
-    }
-}
-
-/// A capacity-aware placement pool over one constellation snapshot.
-///
-/// Placement policy: admit on the *nearest* reachable server with free
-/// slots (latency-first, as the paper's use cases are latency-driven).
+/// Per-server slot accounting over one constellation snapshot: every
+/// satellite-server offers the same number of tenant slots, and callers
+/// reserve on the server they choose.
 #[derive(Debug, Clone)]
 pub struct CapacityPool<'a> {
     service: &'a InOrbitService,
     time_s: f64,
     slots_per_server: u32,
-    used: HashMap<SatId, u32>,
+    /// Slots in use, indexed by `SatId`: one entry per server.
+    used: Vec<u32>,
 }
 
 impl<'a> CapacityPool<'a> {
@@ -73,53 +37,38 @@ impl<'a> CapacityPool<'a> {
             service,
             time_s,
             slots_per_server,
-            used: HashMap::new(),
+            used: vec![0; service.num_servers()],
         }
     }
 
     /// Free slots on one server.
     fn free_slots(&self, server: SatId) -> u32 {
-        self.slots_per_server - self.used.get(&server).copied().unwrap_or(0)
+        self.slots_per_server - self.used[server.0 as usize]
     }
 
     /// Total slots in use across the pool.
     pub fn used_slots(&self) -> u64 {
-        self.used.values().map(|&v| v as u64).sum()
-    }
-
-    /// Attempts one placement.
-    pub fn place(&mut self, request: &PlacementRequest) -> PlacementOutcome {
-        let mut reachable = self
-            .service
-            .reachable_servers(request.location, self.time_s)
-            .into_iter()
-            .filter(|v| v.rtt_ms() <= request.max_rtt_ms)
-            .collect::<Vec<_>>();
-        if reachable.is_empty() {
-            return PlacementOutcome::NoServerInRange;
-        }
-        reachable.sort_by(|a, b| a.range_m.total_cmp(&b.range_m));
-        for v in reachable {
-            if self.free_slots(v.id) >= request.slots {
-                *self.used.entry(v.id).or_insert(0) += request.slots;
-                return PlacementOutcome::Placed {
-                    server: v.id,
-                    rtt_ms: v.rtt_ms(),
-                };
-            }
-        }
-        PlacementOutcome::CapacityExhausted
+        self.used.iter().map(|&v| u64::from(v)).sum()
     }
 
     /// Attempts to reserve `slots` on one *specific* server, returning
-    /// whether the reservation was admitted. This is the sticky-placement
-    /// primitive: a workload that already runs on a server wants to stay
-    /// there (no migration cost) even when a nearer server has opened up,
-    /// so the caller names the server instead of letting
-    /// [`CapacityPool::place`] pick the latency optimum.
+    /// whether the reservation was admitted; a refused reservation holds
+    /// nothing. This is the sticky-placement primitive: a workload that
+    /// already runs on a server wants to stay there (no migration cost)
+    /// even when a nearer server has opened up, so the caller names the
+    /// server.
+    ///
+    /// # Panics
+    /// Panics when `server` is not a satellite of the service's
+    /// constellation.
     pub fn try_reserve(&mut self, server: SatId, slots: u32) -> bool {
+        let fleet = self.used.len();
+        assert!(
+            (server.0 as usize) < fleet,
+            "try_reserve: {server:?} is not one of the {fleet} servers"
+        );
         if self.free_slots(server) >= slots {
-            *self.used.entry(server).or_insert(0) += slots;
+            self.used[server.0 as usize] += slots;
             true
         } else {
             false
@@ -133,7 +82,7 @@ impl<'a> CapacityPool<'a> {
             .reachable_servers(location, self.time_s)
             .into_iter()
             .filter(|v| v.rtt_ms() <= max_rtt_ms)
-            .map(|v| self.free_slots(v.id) as u64)
+            .map(|v| u64::from(self.free_slots(v.id)))
             .sum()
     }
 }
@@ -147,69 +96,33 @@ mod tests {
         InOrbitService::new(presets::starlink_550_only())
     }
 
-    fn request(lat: f64, lon: f64, slots: u32) -> PlacementRequest {
-        PlacementRequest {
-            location: Geodetic::ground(lat, lon),
-            slots,
-            max_rtt_ms: 16.0,
-        }
-    }
-
-    #[test]
-    fn placement_prefers_the_nearest_server() {
-        let s = service();
-        let mut pool = CapacityPool::new(&s, 0.0, 8);
-        let req = request(10.0, 10.0, 1);
-        let PlacementOutcome::Placed { server, rtt_ms } = pool.place(&req) else {
-            panic!("expected placement");
-        };
-        let nearest = s
-            .reachable_servers(req.location, 0.0)
-            .into_iter()
-            .min_by(|a, b| a.range_m.total_cmp(&b.range_m))
-            .unwrap();
-        assert_eq!(server, nearest.id);
-        assert!((rtt_ms - nearest.rtt_ms()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn full_servers_spill_to_the_next_nearest() {
-        let s = service();
-        let mut pool = CapacityPool::new(&s, 0.0, 1);
-        let req = request(10.0, 10.0, 1);
-        let first = pool.place(&req);
-        let second = pool.place(&req);
-        let (
-            PlacementOutcome::Placed { server: s1, .. },
-            PlacementOutcome::Placed { server: s2, rtt_ms },
-        ) = (first, second)
-        else {
-            panic!("both should place");
-        };
-        assert_ne!(s1, s2);
-        assert!(rtt_ms <= req.max_rtt_ms);
-    }
-
     #[test]
     fn capacity_eventually_exhausts() {
         let s = service();
         let mut pool = CapacityPool::new(&s, 0.0, 1);
-        let req = request(10.0, 10.0, 1);
-        let visible = s.reachable_servers(req.location, 0.0).len();
-        for _ in 0..visible {
-            assert!(pool.place(&req).is_placed());
+        let loc = Geodetic::ground(10.0, 10.0);
+        let visible = s.reachable_servers(loc, 0.0);
+        assert_eq!(
+            pool.reachable_free_slots(loc, f64::INFINITY),
+            visible.len() as u64
+        );
+        for v in &visible {
+            assert!(pool.try_reserve(v.id, 1));
         }
-        assert_eq!(pool.place(&req), PlacementOutcome::CapacityExhausted);
-        assert_eq!(pool.used_slots(), visible as u64);
+        assert_eq!(pool.reachable_free_slots(loc, f64::INFINITY), 0);
+        assert!(visible.iter().all(|v| !pool.try_reserve(v.id, 1)));
+        assert_eq!(pool.used_slots(), visible.len() as u64);
     }
 
     #[test]
     fn unserved_latitude_reports_no_server() {
         // The 53°-only shell cannot serve the poles.
         let s = service();
-        let mut pool = CapacityPool::new(&s, 0.0, 8);
-        let req = request(89.0, 0.0, 1);
-        assert_eq!(pool.place(&req), PlacementOutcome::NoServerInRange);
+        let pool = CapacityPool::new(&s, 0.0, 8);
+        assert_eq!(
+            pool.reachable_free_slots(Geodetic::ground(89.0, 0.0), 16.0),
+            0
+        );
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! * [`stats`] — empirical CDFs and summaries used by the experiments.
 //! * [`replication`] — §5's closing idea: predict future servers and
 //!   replicate generic state ahead of the hand-off.
-//! * [`capacity`] — per-server slot budgets and latency-first admission
-//!   (§3.1's "one satellite may not offer a large amount of compute").
+//! * [`capacity`] — per-server slot budgets and reservations (§3.1's
+//!   "one satellite may not offer a large amount of compute").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,7 +5,7 @@ use leo_constellation::{Constellation, SatId, Snapshot};
 use leo_geo::{look, Geodetic};
 use leo_net::engine::{with_thread_arena, GroundLinks, IslWeights, RoutingEngine, SatPath};
 use leo_net::fault::{FaultConfig, FaultPlan};
-use leo_net::frontier::{self, BandSet, GroundSet};
+use leo_net::frontier::{self, BandSet, GroundSet, VisibleLists};
 use leo_net::routing::{self, GroundEndpoint};
 use leo_net::visibility::VisibleSat;
 use leo_net::{IslTopology, NetworkGraph, VisibilityIndex};
@@ -138,10 +138,10 @@ impl SnapshotView {
     }
 
     /// Full candidate lists for one latitude band of prepared points via
-    /// the settled frontier, as `(caller_point_index, candidates)` pairs
+    /// the settled frontier, one per entry of [`BandSet::points`], each
     /// sorted nearest-first with `SatId` tie-breaks — the edge fleet's
     /// per-cell query shape, without a per-cell visibility scan.
-    pub fn frontier_visible_lists(&self, band: &BandSet) -> Vec<(u32, Vec<VisibleSat>)> {
+    pub fn frontier_visible_lists(&self, band: &BandSet) -> VisibleLists {
         band.visible_lists(&self.index, &self.fault)
     }
 }
@@ -772,8 +772,10 @@ mod tests {
         let view = s.view(200.0);
         let mut got: Vec<Option<Vec<VisibleSat>>> = vec![None; users.len()];
         for band in banded.bands() {
-            for (g, list) in view.frontier_visible_lists(band) {
-                got[g as usize] = Some(list);
+            let lists = view.frontier_visible_lists(band);
+            assert_eq!(lists.iter().len(), band.points().len());
+            for (&g, list) in band.points().iter().zip(lists.iter()) {
+                got[g as usize] = Some(list.to_vec());
             }
         }
         for (u, g) in users.iter().zip(got) {

@@ -1,12 +1,14 @@
 //! Edge cases of [`leo_core::capacity`], the slot accounting the
 //! `leo-edge` workload layer builds on: zero-capacity servers, zero-slot
-//! and oversized requests, all-satellites-dead services, and the budget
-//! `try_reserve` and `place` share.
+//! and oversized requests, all-satellites-dead services, the budget
+//! `try_reserve` and `reachable_free_slots` share, and servers outside
+//! the constellation.
 
 use leo_constellation::{presets, SatId};
-use leo_core::capacity::{CapacityPool, PlacementOutcome, PlacementRequest};
+use leo_core::capacity::CapacityPool;
 use leo_core::InOrbitService;
 use leo_geo::Geodetic;
+use leo_net::visibility::VisibleSat;
 use leo_net::{FailureSchedule, FaultConfig};
 
 fn service() -> InOrbitService {
@@ -24,12 +26,17 @@ fn dead_service() -> InOrbitService {
     InOrbitService::with_faults(constellation, cfg)
 }
 
-fn request(slots: u32) -> PlacementRequest {
-    PlacementRequest {
-        location: Geodetic::ground(10.0, 10.0),
-        slots,
-        max_rtt_ms: 16.0,
-    }
+/// The tenant location every case uses.
+fn tenant() -> Geodetic {
+    Geodetic::ground(10.0, 10.0)
+}
+
+/// Servers reachable from the tenant within 16 ms, nearest first.
+fn in_range(s: &InOrbitService) -> Vec<VisibleSat> {
+    let mut v = s.reachable_servers(tenant(), 0.0);
+    v.retain(|v| v.rtt_ms() <= 16.0);
+    v.sort_by(|a, b| a.range_m.total_cmp(&b.range_m).then(a.id.cmp(&b.id)));
+    v
 }
 
 // ------------------------------------------------- zero-capacity servers
@@ -43,25 +50,30 @@ fn zero_capacity_pool_is_rejected_loudly() {
 
 #[test]
 fn zero_slot_requests_admit_without_consuming_capacity() {
-    // A request for zero slots is vacuous but legal: it places on the
+    // A request for zero slots is vacuous but legal: it books the
     // nearest server and holds nothing.
     let s = service();
     let mut pool = CapacityPool::new(&s, 0.0, 1);
-    let outcome = pool.place(&request(0));
-    assert!(outcome.is_placed());
+    let nearest = in_range(&s)[0].id;
+    assert!(pool.try_reserve(nearest, 0));
     assert_eq!(pool.used_slots(), 0);
-    let outcome = pool.place(&request(1));
-    assert!(outcome.is_placed(), "real capacity unaffected");
+    assert!(pool.try_reserve(nearest, 1), "real capacity unaffected");
 }
 
 #[test]
 fn oversized_single_request_exhausts_without_placing() {
     // One request bigger than any single server: every server is
-    // reachable yet none can host — CapacityExhausted, not NoServer.
+    // reachable yet none can host it, and nothing is held.
     let s = service();
     let mut pool = CapacityPool::new(&s, 0.0, 4);
-    assert_eq!(pool.place(&request(5)), PlacementOutcome::CapacityExhausted);
+    let servers = in_range(&s);
+    assert!(!servers.is_empty());
+    assert!(servers.iter().all(|v| !pool.try_reserve(v.id, 5)));
     assert_eq!(pool.used_slots(), 0, "failed placement holds nothing");
+    assert_eq!(
+        pool.reachable_free_slots(tenant(), 16.0),
+        4 * servers.len() as u64
+    );
 }
 
 // ------------------------------------------------- all satellites dead
@@ -69,41 +81,32 @@ fn oversized_single_request_exhausts_without_placing() {
 #[test]
 fn dead_fleet_reports_no_server_in_range() {
     let s = dead_service();
-    let mut pool = CapacityPool::new(&s, 0.0, 8);
-    assert_eq!(pool.place(&request(1)), PlacementOutcome::NoServerInRange);
-    assert_eq!(
-        pool.reachable_free_slots(Geodetic::ground(10.0, 10.0), 16.0),
-        0
-    );
+    assert!(in_range(&s).is_empty());
+    let pool = CapacityPool::new(&s, 0.0, 8);
+    assert_eq!(pool.reachable_free_slots(tenant(), 16.0), 0);
 }
 
 // ------------------------------------------------- sticky reservations
 
 #[test]
-fn try_reserve_and_place_share_one_budget() {
-    // The sticky path (try_reserve) and the nearest-first path (place)
-    // must deplete the same pool: a server pinned full via try_reserve
-    // is skipped by place.
+fn try_reserve_and_reachable_free_slots_share_one_budget() {
+    // A server pinned full via try_reserve leaves the reachable free
+    // capacity, and the next-nearest server still admits.
     let s = service();
     let mut pool = CapacityPool::new(&s, 0.0, 1);
-    let req = request(1);
-    let nearest = s
-        .reachable_servers(req.location, 0.0)
-        .into_iter()
-        .min_by(|a, b| a.range_m.total_cmp(&b.range_m))
-        .unwrap();
-    assert!(pool.try_reserve(nearest.id, 1));
-    let PlacementOutcome::Placed { server, .. } = pool.place(&req) else {
-        panic!("spill to the next server");
-    };
-    assert_ne!(
-        server, nearest.id,
-        "place must spill past the pinned server"
+    let servers = in_range(&s);
+    let before = pool.reachable_free_slots(tenant(), 16.0);
+    assert!(pool.try_reserve(servers[0].id, 1));
+    assert_eq!(pool.reachable_free_slots(tenant(), 16.0), before - 1);
+    assert!(!pool.try_reserve(servers[0].id, 1));
+    assert!(
+        pool.try_reserve(servers[1].id, 1),
+        "spill to the next server"
     );
 }
 
 #[test]
-fn try_reserve_on_an_unknown_server_is_bounded_by_capacity() {
+fn try_reserve_on_an_unseen_server_is_bounded_by_capacity() {
     // try_reserve names servers directly, so even a satellite no ground
     // user could see is bookable — but never beyond its slot budget.
     let s = service();
@@ -112,4 +115,12 @@ fn try_reserve_on_an_unknown_server_is_bounded_by_capacity() {
     assert!(pool.try_reserve(far, 2));
     assert!(!pool.try_reserve(far, 1));
     assert_eq!(pool.used_slots(), 2);
+}
+
+#[test]
+#[should_panic(expected = "SatId(1584) is not one of the 1584 servers")]
+fn try_reserve_outside_the_constellation_panics() {
+    let s = service();
+    let mut pool = CapacityPool::new(&s, 0.0, 2);
+    pool.try_reserve(SatId(s.num_servers() as u32), 1);
 }

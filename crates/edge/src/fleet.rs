@@ -25,8 +25,10 @@
 use crate::placement::{FunctionPlacement, FunctionSpec};
 use crate::replica::{QosSpec, ReplicaSets};
 use crate::scenario::Scenario;
+use leo_constellation::SatId;
 use leo_core::capacity::CapacityPool;
 use leo_core::InOrbitService;
+use leo_net::frontier::within_rtt;
 use leo_net::visibility::VisibleSat;
 use serde::{Deserialize, Serialize};
 
@@ -159,10 +161,10 @@ impl<'a> EdgeEngine<'a> {
 
     /// Runs the scenario tick by tick. The run records into the
     /// `edge.run_s` span, and each tick's parts into child spans:
-    /// `edge.view_s`, `edge.bands_s` (band fan-out and gather),
-    /// `edge.filter_s` (head cross-check and bound filters),
-    /// `edge.placement_s`, `edge.replicas_s` and `edge.fold_s` (demand
-    /// and checksum fold, with its gauges).
+    /// `edge.view_s`, `edge.bands_s` (band fan-out), `edge.filter_s`
+    /// (head cross-check and bound prefixes), `edge.placement_s`,
+    /// `edge.replicas_s` and `edge.fold_s` (demand and checksum fold,
+    /// with its gauges).
     pub fn run(&self) -> EdgeReport {
         let _span = leo_obs::span!("edge.run_s");
         let endpoints = self.scenario.endpoints();
@@ -172,31 +174,34 @@ impl<'a> EdgeEngine<'a> {
         let bound_ms = self.candidate_bound_ms();
         // Band the demand cells once: each tick then answers every
         // cell's candidate list with one settled satellite-major pass
-        // per band instead of one visibility scan per cell.
+        // per band instead of one visibility scan per cell. Each cell
+        // belongs to exactly one band, at one slot of its lists.
         let cells: Vec<_> = endpoints.iter().map(|e| e.ecef).collect();
         let banded = leo_net::BandedGroundSets::build(&cells, CELL_BAND_DEG);
+        let mut slot_of = vec![(0, 0); endpoints.len()];
+        for (b, band) in banded.bands().iter().enumerate() {
+            for (slot, &cell) in band.points().iter().enumerate() {
+                slot_of[cell as usize] = (b, slot);
+            }
+        }
         let mut ticks: Vec<TickStats> = Vec::new();
         for (tick_i, t) in self.scenario.ticks().into_iter().enumerate() {
             let view = leo_obs::histogram!("edge.view_s").time(|| self.service.view(t));
             // Parallel fan-out over latitude bands: per-cell
             // visible-server lists, sorted nearest-first with id
-            // tie-breaks. Order-preserving, and each cell belongs to
-            // exactly one band, so thread count never reorders the
-            // fold below.
-            let all = leo_obs::histogram!("edge.bands_s").time(|| {
+            // tie-breaks. Order-preserving, so thread count never
+            // reorders the fold below.
+            let per_band = leo_obs::histogram!("edge.bands_s").time(|| {
                 let band_ids: Vec<usize> = (0..banded.num_bands()).collect();
-                let per_band = leo_sim::parallel_map(band_ids, self.config.threads, |&b| {
+                leo_sim::parallel_map(band_ids, self.config.threads, |&b| {
                     view.frontier_visible_lists(&banded.bands()[b])
-                });
-                let mut all: Vec<Vec<VisibleSat>> = vec![Vec::new(); endpoints.len()];
-                for band in per_band {
-                    for (cell, list) in band {
-                        all[cell as usize] = list;
-                    }
-                }
-                all
+                })
             });
             let (qos_cands, place_cands) = leo_obs::histogram!("edge.filter_s").time(|| {
+                let all: Vec<&[VisibleSat]> = slot_of
+                    .iter()
+                    .map(|&(b, slot)| per_band[b].get(slot))
+                    .collect();
                 // One rotating cell per tick re-runs the demoted per-cell
                 // scan through the service's own nearest-server answer —
                 // the cross-check tying this crate to the serving layer
@@ -210,12 +215,13 @@ impl<'a> EdgeEngine<'a> {
                         "candidate head disagrees with nearest_server_view (cell {probe})"
                     );
                 }
-                let cands = (
-                    filter_bound(&all, self.config.qos.latency_bound_ms),
-                    filter_bound(&all, bound_ms),
-                );
-                drop(all);
-                cands
+                let prefixes = |bound_ms: f64| -> Vec<&[VisibleSat]> {
+                    all.iter().map(|&list| within_rtt(list, bound_ms)).collect()
+                };
+                (
+                    prefixes(self.config.qos.latency_bound_ms),
+                    prefixes(bound_ms),
+                )
             });
 
             // Sequential fold, deterministic in cell order. Placement
@@ -255,11 +261,7 @@ impl<'a> EdgeEngine<'a> {
             }
 
             let busy = placement.busy_hosts();
-            let standby = replicas
-                .hosts()
-                .iter()
-                .filter(|h| !busy.contains(h))
-                .count() as u64;
+            let standby = count_absent(&replicas.hosts(), &busy);
             leo_obs::counter!("edge.ticks").incr();
             // Per-tick gauges, sampled in this sequential cell-order
             // fold so point order is thread-count-invariant. A binary
@@ -338,15 +340,17 @@ impl<'a> EdgeEngine<'a> {
     }
 }
 
-fn filter_bound(all: &[Vec<VisibleSat>], bound_ms: f64) -> Vec<Vec<VisibleSat>> {
-    all.iter()
-        .map(|c| {
-            c.iter()
-                .filter(|v| v.rtt_ms() <= bound_ms)
-                .copied()
-                .collect()
+/// How many entries of `hosts` are absent from `busy`, both ascending
+/// and deduplicated: one merge pass.
+fn count_absent(hosts: &[SatId], busy: &[SatId]) -> u64 {
+    let mut busy = busy.iter().peekable();
+    hosts
+        .iter()
+        .filter(|&h| {
+            while busy.next_if(|&b| b < h).is_some() {}
+            busy.peek() != Some(&h)
         })
-        .collect()
+        .count() as u64
 }
 
 #[cfg(test)]
@@ -448,6 +452,18 @@ mod tests {
             report.idle_sat_seconds > 0.0,
             "a 100-sat fleet over 8 cells idles"
         );
+    }
+
+    #[test]
+    fn standby_count_merges_the_sorted_host_lists() {
+        let ids = |v: &[u32]| v.iter().map(|&i| SatId(i)).collect::<Vec<_>>();
+        assert_eq!(count_absent(&[], &ids(&[1, 2])), 0);
+        assert_eq!(count_absent(&ids(&[1, 2]), &[]), 2);
+        assert_eq!(
+            count_absent(&ids(&[1, 3, 5, 9]), &ids(&[0, 3, 4, 9, 12])),
+            2
+        );
+        assert_eq!(count_absent(&ids(&[2, 4]), &ids(&[1, 2, 3, 4])), 0);
     }
 
     #[test]

@@ -24,6 +24,7 @@
 use crate::replica::ReplicaSets;
 use leo_constellation::SatId;
 use leo_core::capacity::CapacityPool;
+use leo_net::frontier::within_rtt;
 use leo_net::visibility::VisibleSat;
 use serde::{Deserialize, Serialize};
 
@@ -118,15 +119,16 @@ impl FunctionPlacement {
 
     /// One placement tick. `candidates[cell]` must be bound-filtered by
     /// the *loosest* function bound, sorted nearest-first, and built on
-    /// the masked routing path; per-function RTT bounds are re-checked
-    /// here. `pool` carries this tick's capacity; `replicas` decides
-    /// warm vs cold on migration.
+    /// the masked routing path; each function's RTT bound is applied
+    /// here as a prefix of that list ([`leo_net::frontier::within_rtt`]).
+    /// `pool` carries this tick's capacity; `replicas` decides warm vs
+    /// cold on migration.
     ///
     /// Cells and functions are visited in index order, so placement is a
     /// pure function of its inputs — thread counts never reorder it.
     pub fn tick(
         &mut self,
-        candidates: &[Vec<VisibleSat>],
+        candidates: &[&[VisibleSat]],
         functions: &[FunctionSpec],
         pool: &mut CapacityPool<'_>,
         replicas: &ReplicaSets,
@@ -137,18 +139,13 @@ impl FunctionPlacement {
             "one candidate list per cell"
         );
         let mut stats = PlaceStats::default();
-        for (cell, cell_hosts) in self.hosts.iter_mut().enumerate() {
-            let cands = &candidates[cell];
+        for (cell, (cell_hosts, cands)) in self.hosts.iter_mut().zip(candidates).enumerate() {
             for (func, spec) in functions.iter().enumerate() {
-                let in_bound = |id: SatId| {
-                    cands
-                        .iter()
-                        .any(|c| c.id == id && c.rtt_ms() <= spec.max_rtt_ms)
-                };
+                let in_bound = within_rtt(cands, spec.max_rtt_ms);
                 // 1. Stay warm on the incumbent when it is still in
                 //    bound and still has room.
                 if let Some(prev) = cell_hosts[func] {
-                    if in_bound(prev) && pool.try_reserve(prev, spec.slots) {
+                    if in_bound.iter().any(|c| c.id == prev) && pool.try_reserve(prev, spec.slots) {
                         stats.stays += 1;
                         continue;
                     }
@@ -156,19 +153,14 @@ impl FunctionPlacement {
                 // 2. Migrate: warm replica hosts first (nearest-first),
                 //    then any in-bound candidate. A failed try_reserve
                 //    holds nothing, so the fallback pass is safe.
-                let next = cands
+                let next = in_bound
                     .iter()
-                    .filter(|c| {
-                        c.rtt_ms() <= spec.max_rtt_ms && replicas.is_replica(cell as u32, c.id)
-                    })
+                    .filter(|c| replicas.is_replica(cell as u32, c.id))
                     .find(|c| pool.try_reserve(c.id, spec.slots))
                     .or_else(|| {
-                        cands
+                        in_bound
                             .iter()
-                            .filter(|c| {
-                                c.rtt_ms() <= spec.max_rtt_ms
-                                    && !replicas.is_replica(cell as u32, c.id)
-                            })
+                            .filter(|c| !replicas.is_replica(cell as u32, c.id))
                             .find(|c| pool.try_reserve(c.id, spec.slots))
                     });
                 match next {
@@ -208,17 +200,18 @@ mod tests {
         InOrbitService::new(presets::starlink_550_only())
     }
 
-    fn candidates(s: &InOrbitService, t: f64, max_rtt_ms: f64) -> Vec<Vec<VisibleSat>> {
+    fn candidates(s: &InOrbitService, t: f64, max_rtt_ms: f64) -> Vec<VisibleSat> {
         let mut c = s.reachable_servers(Geodetic::ground(10.0, 10.0), t);
         c.retain(|v| v.rtt_ms() <= max_rtt_ms);
         c.sort_by(|a, b| a.range_m.total_cmp(&b.range_m).then(a.id.cmp(&b.id)));
-        vec![c]
+        c
     }
 
     #[test]
     fn first_placement_cold_starts_on_the_nearest_host() {
         let s = service();
-        let cands = candidates(&s, 0.0, 16.0);
+        let list = candidates(&s, 0.0, 16.0);
+        let cands = [&list[..]];
         let mut pool = CapacityPool::new(&s, 0.0, 8);
         let mut placement = FunctionPlacement::new(1, 1);
         let funcs = vec![FunctionSpec::interactive()];
@@ -233,7 +226,8 @@ mod tests {
     #[test]
     fn second_tick_stays_warm_on_the_same_snapshot() {
         let s = service();
-        let cands = candidates(&s, 0.0, 16.0);
+        let list = candidates(&s, 0.0, 16.0);
+        let cands = [&list[..]];
         let funcs = vec![FunctionSpec::interactive()];
         let mut placement = FunctionPlacement::new(1, 1);
         let replicas = ReplicaSets::new(1);
@@ -250,7 +244,8 @@ mod tests {
     #[test]
     fn migration_to_a_replica_host_is_a_warm_start() {
         let s = service();
-        let cands = candidates(&s, 0.0, 16.0);
+        let list = candidates(&s, 0.0, 16.0);
+        let cands = [&list[..]];
         let funcs = vec![FunctionSpec::interactive()];
         // Prime the replica set with the nearest candidates, then force a
         // migration by starting with no incumbent.
@@ -268,7 +263,8 @@ mod tests {
     #[test]
     fn exhausted_fleet_leaves_instances_unserved() {
         let s = service();
-        let cands = candidates(&s, 0.0, 16.0);
+        let list = candidates(&s, 0.0, 16.0);
+        let cands = [&list[..]];
         let n = cands[0].len();
         // One slot per server, and more single-slot functions than servers.
         let funcs: Vec<FunctionSpec> = (0..n + 3)
@@ -290,7 +286,8 @@ mod tests {
     fn tight_rtt_bound_restricts_hosts_even_within_candidates() {
         let s = service();
         // Candidate list cut at 16 ms, but the function demands 5 ms.
-        let cands = candidates(&s, 0.0, 16.0);
+        let list = candidates(&s, 0.0, 16.0);
+        let cands = [&list[..]];
         let tight = FunctionSpec {
             max_rtt_ms: 5.0,
             ..FunctionSpec::interactive()

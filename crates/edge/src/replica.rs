@@ -111,11 +111,6 @@ impl ReplicaSets {
         }
     }
 
-    /// The current replica set of a cell (nearest-first at fill time).
-    pub fn of(&self, cell: u32) -> &[SatId] {
-        &self.sets[cell as usize]
-    }
-
     /// True when `sat` holds a replica for `cell` — a warm-start host.
     pub fn is_replica(&self, cell: u32, sat: SatId) -> bool {
         self.sets[cell as usize].contains(&sat)
@@ -142,7 +137,7 @@ impl ReplicaSets {
     /// placement.
     pub fn maintain(
         &mut self,
-        candidates: &[Vec<VisibleSat>],
+        candidates: &[&[VisibleSat]],
         qos: &QosSpec,
     ) -> (Vec<CoverageReport>, MaintainStats) {
         assert_eq!(
@@ -232,18 +227,18 @@ mod tests {
             latency_bound_ms: 12.0,
         };
         let mut sets = ReplicaSets::new(1);
-        let round1 = vec![vec![vis(1, 100.0), vis(2, 200.0), vis(3, 300.0)]];
-        let (reports, stats) = sets.maintain(&round1, &qos);
+        let round1 = [vis(1, 100.0), vis(2, 200.0), vis(3, 300.0)];
+        let (reports, stats) = sets.maintain(&[&round1], &qos);
         assert!(matches!(reports[0], CoverageReport::Satisfied));
         assert_eq!(stats.initial_placements, 2);
         assert_eq!(stats.repairs, 0);
         // Satellite 1 sets; the repair draws the next-nearest newcomer.
-        let round2 = vec![vec![vis(2, 150.0), vis(3, 250.0)]];
-        let (reports, stats) = sets.maintain(&round2, &qos);
+        let round2 = [vis(2, 150.0), vis(3, 250.0)];
+        let (reports, stats) = sets.maintain(&[&round2], &qos);
         assert!(matches!(reports[0], CoverageReport::Satisfied));
         assert_eq!(stats.initial_placements, 0);
         assert_eq!(stats.repairs, 1);
-        assert_eq!(sets.of(0), &[SatId(2), SatId(3)]);
+        assert_eq!(sets.hosts(), vec![SatId(2), SatId(3)]);
     }
 
     #[test]
@@ -253,8 +248,7 @@ mod tests {
             latency_bound_ms: 12.0,
         };
         let mut sets = ReplicaSets::new(2);
-        let cands = vec![vec![vis(1, 100.0)], vec![]];
-        let (reports, stats) = sets.maintain(&cands, &qos);
+        let (reports, stats) = sets.maintain(&[&[vis(1, 100.0)], &[]], &qos);
         assert_eq!(reports[0], CoverageReport::Infeasible { held: 1, want: 3 });
         assert_eq!(reports[1], CoverageReport::Infeasible { held: 0, want: 3 });
         assert_eq!(stats.shortfall_cells, 2);
@@ -267,11 +261,11 @@ mod tests {
             latency_bound_ms: 12.0,
         };
         let mut sets = ReplicaSets::new(2);
-        let cands = vec![
-            vec![vis(9, 100.0), vis(2, 200.0)],
-            vec![vis(2, 120.0), vis(9, 130.0)],
+        let cands = [
+            [vis(9, 100.0), vis(2, 200.0)],
+            [vis(2, 120.0), vis(9, 130.0)],
         ];
-        sets.maintain(&cands, &qos);
+        sets.maintain(&[&cands[0], &cands[1]], &qos);
         assert_eq!(sets.hosts(), vec![SatId(2), SatId(9)]);
         assert!(sets.is_replica(0, SatId(9)));
         assert!(!sets.is_replica(0, SatId(5)));

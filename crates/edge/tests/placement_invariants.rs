@@ -116,20 +116,22 @@ proptest! {
         t in 0.0f64..5400.0,
     ) {
         let service = InOrbitService::new(small_constellation());
-        let cands = vec![candidates(&service, lat, 10.0, t)];
+        let cands = candidates(&service, lat, 10.0, t);
         let mut sets = ReplicaSets::new(1);
         let qos = QosSpec { replicas: k, latency_bound_ms: 16.0 };
-        let (reports, stats) = sets.maintain(&cands, &qos);
+        let (reports, stats) = sets.maintain(&[&cands], &qos);
+        // One cell, whose set holds no duplicates: its hosts are its set.
+        let held_now = sets.hosts().len();
         match reports[0] {
             CoverageReport::Satisfied => {
-                prop_assert_eq!(sets.of(0).len(), k);
+                prop_assert_eq!(held_now, k);
                 prop_assert_eq!(stats.shortfall_cells, 0);
             }
             CoverageReport::Infeasible { held, want } => {
                 prop_assert_eq!(want, k);
-                prop_assert_eq!(held, sets.of(0).len());
+                prop_assert_eq!(held, held_now);
                 prop_assert!(held < k);
-                prop_assert_eq!(held, cands[0].len().min(k));
+                prop_assert_eq!(held, cands.len().min(k));
                 prop_assert_eq!(stats.shortfall_cells, 1);
             }
         }

@@ -12,7 +12,8 @@
 //! points it could possibly cover). One private pass finds every
 //! visible `(point, satellite)` pair this way; [`settle_nearest`] folds
 //! the pairs into a running arg-min label per point, and
-//! [`settle_visible_lists`] into a sorted candidate list per point.
+//! [`settle_visible_lists`] into a sorted candidate list per point, all
+//! of a set's lists in one flat [`VisibleLists`] buffer.
 //!
 //! The result is *bit-identical* to the per-point scans, by
 //! construction rather than by luck:
@@ -236,25 +237,90 @@ pub fn settle_nearest(
     }
 }
 
+/// Every point's visible (non-faulted) satellites, sorted nearest-first
+/// with `SatId` tie-breaks, held flat: one offsets array and one entry
+/// buffer for a whole ground set instead of one `Vec` per point.
+#[derive(Debug, Clone, Default)]
+pub struct VisibleLists {
+    /// Point `i`'s list is `entries[offsets[i]..offsets[i + 1]]`; no
+    /// offsets at all before the first settle.
+    offsets: Vec<usize>,
+    entries: Vec<VisibleSat>,
+}
+
+impl VisibleLists {
+    /// Point `i`'s candidates, nearest first.
+    ///
+    /// # Panics
+    /// Panics when the lists hold no point `i`.
+    pub fn get(&self, i: usize) -> &[VisibleSat] {
+        &self.entries[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// Every point's candidates, in point order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[VisibleSat]> + '_ {
+        self.offsets.windows(2).map(|w| &self.entries[w[0]..w[1]])
+    }
+}
+
 /// The full candidate lists variant: every visible (non-faulted)
-/// satellite per point, sorted nearest-first with `SatId` tie-breaks —
-/// the edge fleet's per-cell candidate shape — in one satellite-major
-/// pass. `(range, id)` is a total order over a snapshot's visible set,
-/// so the output is identical however the pairs were discovered.
+/// satellite per point, in the caller's point order, sorted
+/// nearest-first with `SatId` tie-breaks — the edge fleet's per-cell
+/// candidate shape — in one satellite-major pass. `(range, id)` is a
+/// total order over a snapshot's visible set, so the output is
+/// identical however the pairs were discovered. The pass's pairs are
+/// bucketed by point with one counting pass, then each point's slice is
+/// sorted in place.
 pub fn settle_visible_lists(
     index: &VisibilityIndex,
     set: &GroundSet,
     plan: &FaultPlan,
-    out: &mut Vec<Vec<VisibleSat>>,
+    out: &mut VisibleLists,
 ) {
     let _span = leo_obs::span!("engine.frontier.list_settle_s");
     leo_obs::counter!("engine.frontier.list_settles").incr();
-    out.clear();
-    out.resize_with(set.len(), Vec::new);
-    for_each_visible_pair(index, set, plan, |j, v| out[set.orig[j] as usize].push(v));
-    for cands in out.iter_mut() {
-        cands.sort_by(|a, b| a.range_m.total_cmp(&b.range_m).then(a.id.cmp(&b.id)));
+    let mut pairs: Vec<(u32, VisibleSat)> = Vec::new();
+    for_each_visible_pair(index, set, plan, |j, v| pairs.push((set.orig[j], v)));
+    let offsets = &mut out.offsets;
+    offsets.clear();
+    offsets.resize(set.len() + 1, 0);
+    for &(p, _) in &pairs {
+        offsets[p as usize + 1] += 1;
     }
+    for p in 0..set.len() {
+        offsets[p + 1] += offsets[p];
+    }
+    // Scatter in discovery order: each point's next free entry.
+    let mut next = offsets[..set.len()].to_vec();
+    let unset = VisibleSat {
+        id: SatId(u32::MAX),
+        range_m: f64::NAN,
+    };
+    out.entries.clear();
+    out.entries.resize(pairs.len(), unset);
+    for (p, v) in pairs {
+        out.entries[next[p as usize]] = v;
+        next[p as usize] += 1;
+    }
+    for w in out.offsets.windows(2) {
+        out.entries[w[0]..w[1]]
+            .sort_unstable_by(|a, b| a.range_m.total_cmp(&b.range_m).then(a.id.cmp(&b.id)));
+    }
+}
+
+/// The prefix of a nearest-first list whose round trip is within
+/// `bound_ms` — exactly the entries `filter(|v| v.rtt_ms() <= bound_ms)`
+/// keeps: [`VisibleSat::rtt_ms`] scales the range by positive constants,
+/// and IEEE rounding keeps each step monotone, so on a range-sorted list
+/// the in-bound entries form a prefix.
+pub fn within_rtt(nearest_first: &[VisibleSat], bound_ms: f64) -> &[VisibleSat] {
+    debug_assert!(
+        nearest_first
+            .windows(2)
+            .all(|w| w[0].range_m <= w[1].range_m),
+        "candidate list is not sorted nearest-first"
+    );
+    &nearest_first[..nearest_first.partition_point(|v| v.rtt_ms() <= bound_ms)]
 }
 
 /// The satellite-major pass both settles share: every live candidate
@@ -408,16 +474,18 @@ impl BandedGroundSets {
 }
 
 impl BandSet {
-    /// [`settle_visible_lists`] over this band, returned as
-    /// `(caller_point_index, candidates)` pairs.
-    pub fn visible_lists(
-        &self,
-        index: &VisibilityIndex,
-        plan: &FaultPlan,
-    ) -> Vec<(u32, Vec<VisibleSat>)> {
-        let mut lists = Vec::new();
+    /// The caller-order indices of this band's points: list `s` of
+    /// [`BandSet::visible_lists`] belongs to point `points()[s]`.
+    pub fn points(&self) -> &[u32] {
+        &self.global
+    }
+
+    /// [`settle_visible_lists`] over this band, one list per entry of
+    /// [`BandSet::points`].
+    pub fn visible_lists(&self, index: &VisibilityIndex, plan: &FaultPlan) -> VisibleLists {
+        let mut lists = VisibleLists::default();
         settle_visible_lists(index, &self.set, plan, &mut lists);
-        self.global.iter().copied().zip(lists).collect()
+        lists
     }
 }
 
@@ -427,6 +495,7 @@ mod tests {
     use crate::fault::GroundFade;
     use leo_constellation::presets;
     use leo_geo::{Angle, Geodetic};
+    use proptest::prelude::*;
 
     fn grounds(n: usize) -> Vec<Ecef> {
         // Deterministic spread, biased toward a latitude band but with
@@ -541,9 +610,9 @@ mod tests {
         let mut out = vec![None; 3];
         settle_nearest(&index, &set, &FaultPlan::empty(), &mut out);
         assert!(out.is_empty());
-        let mut lists = Vec::new();
+        let mut lists = VisibleLists::default();
         settle_visible_lists(&index, &set, &FaultPlan::empty(), &mut lists);
-        assert!(lists.is_empty());
+        assert_eq!(lists.iter().len(), 0);
     }
 
     #[test]
@@ -553,12 +622,14 @@ mod tests {
         let index = VisibilityIndex::build(&c, &snap);
         let pts = grounds(250);
         let set = GroundSet::build(&pts);
-        let mut lists = Vec::new();
+        let mut lists = VisibleLists::default();
         settle_visible_lists(&index, &set, &FaultPlan::empty(), &mut lists);
-        for (j, (&ge, got)) in pts.iter().zip(&lists).enumerate() {
+        assert_eq!(lists.iter().len(), pts.len());
+        for (j, (&ge, got)) in pts.iter().zip(lists.iter()).enumerate() {
+            assert_eq!(got, lists.get(j));
             let mut want = index.query(ge, &FaultPlan::empty());
             want.sort_by(|a, b| a.range_m.total_cmp(&b.range_m).then(a.id.cmp(&b.id)));
-            assert_eq!(got, &want, "point {j}");
+            assert_eq!(got, want, "point {j}");
         }
     }
 
@@ -573,12 +644,13 @@ mod tests {
         for i in (0..snap.len() as u32).step_by(7) {
             plan.kill(SatId(i));
         }
-        let mut lists = Vec::new();
+        let mut lists = VisibleLists::default();
         settle_visible_lists(&index, &set, &plan, &mut lists);
-        for (j, (&ge, got)) in pts.iter().zip(&lists).enumerate() {
+        assert_eq!(lists.iter().len(), pts.len());
+        for (j, (&ge, got)) in pts.iter().zip(lists.iter()).enumerate() {
             let mut want = index.query(ge, &plan);
             want.sort_by(|a, b| a.range_m.total_cmp(&b.range_m).then(a.id.cmp(&b.id)));
-            assert_eq!(got, &want, "point {j}");
+            assert_eq!(got, want, "point {j}");
         }
     }
 
@@ -625,10 +697,12 @@ mod tests {
         let mut seen = vec![false; pts.len()];
         let mut assembled: Vec<Vec<VisibleSat>> = vec![Vec::new(); pts.len()];
         for band in banded.bands() {
-            for (g, list) in band.visible_lists(&index, &FaultPlan::empty()) {
+            let lists = band.visible_lists(&index, &FaultPlan::empty());
+            assert_eq!(lists.iter().len(), band.points().len());
+            for (&g, list) in band.points().iter().zip(lists.iter()) {
                 assert!(!seen[g as usize], "point {g} in two bands");
                 seen[g as usize] = true;
-                assembled[g as usize] = list;
+                assembled[g as usize] = list.to_vec();
             }
         }
         assert!(seen.iter().all(|&s| s), "bands must cover every point");
@@ -636,6 +710,92 @@ mod tests {
             let mut want = index.query(ge, &FaultPlan::empty());
             want.sort_by(|a, b| a.range_m.total_cmp(&b.range_m).then(a.id.cmp(&b.id)));
             assert_eq!(got, &want, "point {j}");
+        }
+    }
+
+    /// `(range, id)` order, the lists' sort key.
+    fn nearest_first(list: &mut [VisibleSat]) {
+        list.sort_by(|a, b| a.range_m.total_cmp(&b.range_m).then(a.id.cmp(&b.id)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The bound prefix keeps exactly what the per-entry filter
+        /// keeps, on range-sorted lists with equal ranges, ranges one ulp
+        /// apart (which round to equal round trips), and a bound equal to
+        /// an entry's own round trip or one ulp either side of it.
+        #[test]
+        fn bound_prefix_equals_the_rtt_filter(
+            steps in collection::vec((0u64..6, 0u32..2000), 0..40),
+            base_m in 300e3f64..3000e3,
+            ulp_close in 0u8..2,
+            bound_pick in (0usize..64, 0u8..4, 0.0f64..30.0),
+        ) {
+            // Ranges from a non-decreasing walk: coarse kilometre steps
+            // (zero steps make equal ranges) or single-ulp steps.
+            let mut range_m = base_m;
+            let mut list: Vec<VisibleSat> = steps
+                .iter()
+                .map(|&(step, id)| {
+                    range_m = if ulp_close == 1 {
+                        f64::from_bits(range_m.to_bits() + step)
+                    } else {
+                        range_m + 1e3 * step as f64
+                    };
+                    VisibleSat { id: SatId(id), range_m }
+                })
+                .collect();
+            nearest_first(&mut list);
+            let (pick, how, random_ms) = bound_pick;
+            let bound_ms = match (list.get(pick % list.len().max(1)), how) {
+                (Some(v), 0) => v.rtt_ms(),
+                (Some(v), 1) => f64::from_bits(v.rtt_ms().to_bits() + 1),
+                (Some(v), 2) => f64::from_bits(v.rtt_ms().to_bits() - 1),
+                _ => random_ms,
+            };
+            let filtered: Vec<VisibleSat> =
+                list.iter().filter(|v| v.rtt_ms() <= bound_ms).copied().collect();
+            prop_assert_eq!(within_rtt(&list, bound_ms), &filtered[..]);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The flat lists of a random ground set (duplicate points and
+        /// the empty set included) are the per-point index queries sorted
+        /// by `(range, id)`, point for point in the caller's order.
+        #[test]
+        fn flat_lists_equal_sorted_per_point_queries(
+            raw in collection::vec((-90.0f64..90.0, -180.0f64..180.0), 0..48),
+            repeats in collection::vec(0usize..48, 0..6),
+            t in 0.0f64..6000.0,
+            dead_every in 0u32..12,
+        ) {
+            let c = presets::starlink_550_only();
+            let snap = c.snapshot(t);
+            let index = VisibilityIndex::build(&c, &snap);
+            let mut plan = FaultPlan::empty();
+            if dead_every > 1 {
+                for i in (0..snap.len() as u32).step_by(dead_every as usize) {
+                    plan.kill(SatId(i));
+                }
+            }
+            let mut pts: Vec<Ecef> = raw
+                .iter()
+                .map(|&(lat, lon)| Geodetic::ground(lat, lon).to_ecef_spherical())
+                .collect();
+            let copies: Vec<Ecef> = repeats.iter().filter_map(|&i| pts.get(i).copied()).collect();
+            pts.extend(copies);
+            let mut lists = VisibleLists::default();
+            settle_visible_lists(&index, &GroundSet::build(&pts), &plan, &mut lists);
+            prop_assert_eq!(lists.iter().len(), pts.len());
+            for (j, (&ge, got)) in pts.iter().zip(lists.iter()).enumerate() {
+                let mut want = index.query(ge, &plan);
+                nearest_first(&mut want);
+                prop_assert_eq!(got, &want[..], "point {}", j);
+            }
         }
     }
 }

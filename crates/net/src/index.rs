@@ -725,7 +725,7 @@ mod tests {
                 let mut plan = FaultPlan::empty();
                 plan.set_ground_fade(fade);
                 let lists_of = |pts: &[Ecef]| {
-                    let mut lists = Vec::new();
+                    let mut lists = crate::frontier::VisibleLists::default();
                     crate::frontier::settle_visible_lists(
                         &index,
                         &crate::frontier::GroundSet::build(pts),
@@ -741,8 +741,8 @@ mod tests {
                     let mut nearest_first = want;
                     nearest_first
                         .sort_by(|a, b| a.range_m.total_cmp(&b.range_m).then(a.id.cmp(&b.id)));
-                    assert_eq!(lists_of(&[ge])[0], nearest_first, "{mask:?}, {fade:?}");
-                    assert_eq!(together[j], nearest_first, "{mask:?}, {fade:?}");
+                    assert_eq!(lists_of(&[ge]).get(0), nearest_first, "{mask:?}, {fade:?}");
+                    assert_eq!(together.get(j), nearest_first, "{mask:?}, {fade:?}");
                 }
             }
         }

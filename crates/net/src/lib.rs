@@ -68,7 +68,7 @@ pub mod weather;
 
 pub use engine::{DeltaStats, DijkstraArena, GroundLinks, IslWeights, RoutingEngine, SatPath};
 pub use fault::{FailureSchedule, FaultConfig, FaultPlan, GroundFade, RainFade};
-pub use frontier::{BandedGroundSets, GroundSet};
+pub use frontier::{BandedGroundSets, GroundSet, VisibleLists};
 pub use graph::{NetworkGraph, NodeId, Path};
 pub use index::VisibilityIndex;
 pub use isl::IslTopology;

@@ -7,7 +7,8 @@
 
 use in_orbit::core::capacity::CapacityPool;
 use in_orbit::edge::{FunctionPlacement, FunctionSpec, ReplicaSets};
-use in_orbit::net::BandedGroundSets;
+use in_orbit::net::frontier::within_rtt;
+use in_orbit::net::{BandedGroundSets, VisibleSat};
 use in_orbit::prelude::*;
 
 fn main() {
@@ -39,11 +40,15 @@ fn main() {
         let mut peak_slots = 0u64;
         for &t in &ticks {
             let view = service.view(t);
-            let mut candidates = vec![Vec::new(); cells.len()];
-            for band in bands.bands() {
-                for (cell, mut list) in view.frontier_visible_lists(band) {
-                    list.retain(|c| c.rtt_ms() <= functions[0].max_rtt_ms);
-                    candidates[cell as usize] = list;
+            let lists: Vec<_> = bands
+                .bands()
+                .iter()
+                .map(|band| view.frontier_visible_lists(band))
+                .collect();
+            let mut candidates: Vec<&[VisibleSat]> = vec![&[]; cells.len()];
+            for (band, lists) in bands.bands().iter().zip(&lists) {
+                for (&cell, list) in band.points().iter().zip(lists.iter()) {
+                    candidates[cell as usize] = within_rtt(list, functions[0].max_rtt_ms);
                 }
             }
             let before: Vec<_> = (0..cells.len() as u32)

@@ -7,15 +7,17 @@
 //! This is the in-process twin of the `fig_edge` entry of the CI
 //! `extension-smoke` matrix, which re-runs the binary under
 //! `LEO_THREADS={1,4}` and `LEO_OBS={off,trace}` and byte-diffs
-//! `results/edge.json`.
+//! `results/edge.json`. One run at preset scale (the 550 km Starlink
+//! shell, 300 cells) is also pinned to golden bytes.
 
+use in_orbit::constellation::presets::starlink_550_only;
 use in_orbit::constellation::{Constellation, ShellSpec, WalkerPattern};
 use in_orbit::core::{FailureModel, InOrbitService};
 use in_orbit::edge::{
     EdgeConfig, EdgeEngine, EdgeReport, FunctionSpec, QosSpec, Scenario, ScenarioConfig,
 };
 use in_orbit::geo::Angle;
-use in_orbit::net::FaultConfig;
+use in_orbit::net::{BandedGroundSets, FaultConfig};
 use in_orbit::obs::{set_level, Level};
 
 fn small_constellation() -> Constellation {
@@ -98,6 +100,52 @@ fn run_outage(threads: usize) -> EdgeReport {
 
 fn json(report: &EdgeReport) -> String {
     serde_json::to_string(report).expect("report serializes")
+}
+
+/// FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// FNV-1a of the serialized report of the preset-scale run below,
+/// recorded when each cell's candidate list was still its own sorted
+/// `Vec`: the flat per-band lists, their bound prefixes and the dense
+/// slot table must reproduce it byte for byte.
+const PRESET_SCALE_GOLDEN: u64 = 0x0b1a_9b6f_8e80_75f3;
+
+/// 300 of the largest cities on the 550 km Starlink shell over ten
+/// one-minute ticks, with `fig_edge`'s functions, slots and QoS: many
+/// latitude bands gathered into one fold, at several thread counts.
+#[test]
+fn preset_scale_run_matches_its_golden_bytes_at_every_thread_count() {
+    let service = InOrbitService::new(starlink_550_only());
+    let scenario = Scenario::generate(ScenarioConfig {
+        num_cells: 300,
+        duration_s: 540.0,
+        tick_s: 60.0,
+        ..ScenarioConfig::default()
+    });
+    // The engine bands its cells 4° tall.
+    let cells: Vec<_> = scenario.endpoints().iter().map(|e| e.ecef).collect();
+    let bands = BandedGroundSets::build(&cells, 4.0).num_bands();
+    assert!(bands >= 20, "only {bands} latitude bands");
+    for threads in [1, 2, 3] {
+        let config = EdgeConfig {
+            slots_per_server: 8,
+            qos: QosSpec::default(),
+            threads,
+        };
+        let functions = vec![FunctionSpec::interactive(), FunctionSpec::analytics()];
+        let report = EdgeEngine::new(&service, &scenario, functions, config).run();
+        assert_eq!(report.ticks.len(), 10);
+        assert_eq!(
+            fnv1a(json(&report).as_bytes()),
+            PRESET_SCALE_GOLDEN,
+            "report bytes moved at {threads} threads"
+        );
+    }
 }
 
 #[test]

@@ -4,7 +4,7 @@
 use in_orbit::apps::geo_baseline::GeoSatellite;
 use in_orbit::apps::interactive::AppClass;
 use in_orbit::apps::matchmaking::{classify_group, Feasibility, Player};
-use in_orbit::core::capacity::{CapacityPool, PlacementOutcome, PlacementRequest};
+use in_orbit::core::capacity::CapacityPool;
 use in_orbit::core::replication::{predict_servers, ReplicationPlan, StateSizes};
 use in_orbit::net::congestion::Link;
 use in_orbit::net::handover::{handover_schedule, predict_passes};
@@ -68,16 +68,23 @@ fn capacity_pool_admits_a_metro_worth_of_edge_tenants() {
     // can place hundreds of small tenants within the 16 ms envelope.
     let service = InOrbitService::new(starlink_phase1());
     let mut pool = CapacityPool::new(&service, 0.0, 32);
-    let req = PlacementRequest {
-        location: Geodetic::ground(6.52, 3.38),
-        slots: 4,
-        max_rtt_ms: 16.0,
-    };
-    let mut placed = 0;
-    while let PlacementOutcome::Placed { rtt_ms, .. } = pool.place(&req) {
-        assert!(rtt_ms <= 16.0);
-        placed += 1;
+    let metro = Geodetic::ground(6.52, 3.38);
+    let free = pool.reachable_free_slots(metro, 16.0);
+    let mut placed = 0u64;
+    for server in service.reachable_servers(metro, 0.0) {
+        if server.rtt_ms() > 16.0 {
+            continue;
+        }
+        while pool.try_reserve(server.id, 4) {
+            placed += 1;
+        }
     }
+    assert_eq!(
+        pool.reachable_free_slots(metro, 16.0),
+        0,
+        "every in-range slot filled"
+    );
+    assert_eq!(placed * 4, free);
     assert!(placed >= 100, "only {placed} tenants placed");
 }
 

@@ -112,13 +112,14 @@ proptest! {
         let mut bands_per_point = vec![0u32; pts.len()];
         for band in BandedGroundSets::build(&pts, band_deg).bands() {
             let lists = band.visible_lists(&index, &plan);
-            let band_pts: Vec<Ecef> = lists.iter().map(|&(g, _)| pts[g as usize]).collect();
+            prop_assert_eq!(lists.iter().len(), band.points().len());
+            let band_pts: Vec<Ecef> = band.points().iter().map(|&g| pts[g as usize]).collect();
             let mut nearest = Vec::new();
             settle_nearest(&index, &GroundSet::build(&band_pts), &plan, &mut nearest);
-            for ((g, list), best) in lists.iter().zip(&nearest) {
-                let g = *g as usize;
+            for ((&g, list), best) in band.points().iter().zip(lists.iter()).zip(&nearest) {
+                let g = g as usize;
                 bands_per_point[g] += 1;
-                prop_assert_eq!(list, &want[g], "candidate list of point {}", g);
+                prop_assert_eq!(list, &want[g][..], "candidate list of point {}", g);
                 prop_assert_eq!(best.as_ref(), want[g].first(), "nearest server of point {}", g);
             }
         }
