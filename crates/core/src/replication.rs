@@ -605,7 +605,7 @@ mod tests {
     #[should_panic(expected = "migration start must be finite")]
     fn nan_start_migrations_are_rejected() {
         // A NaN start would corrupt the deterministic tie-break order of
-        // the event heap.
+        // the event queue.
         let s = service();
         migrate_via_packets(&s, SatId(0), SatId(3), f64::NAN, 1e6, &mig_cfg());
     }
@@ -744,6 +744,52 @@ mod tests {
         assert!(
             out.transmissions >= out.packets + out.dropped + out.boundary_loss,
             "{out:?}"
+        );
+    }
+
+    /// Pins a transfer shaped like the benchmark's hand-offs: 3 MB over a
+    /// 43-hop route that crosses the plane-wrap seam, every hop at 90 %
+    /// CBR cross-load. Every CBR flow starts at t = 0 with one interval,
+    /// so dozens of emissions and transmit completions on different links
+    /// share each timestamp; any change to the engine's pop order moves
+    /// the duration's bits.
+    #[test]
+    fn seam_crossing_handoff_output_bits_are_pinned() {
+        let s = InOrbitService::new(presets::starlink_550_only());
+        let (from, to) = (SatId(5), SatId(700));
+        let path = s.view(0.0).sat_to_sat_path(from, to).expect("routed");
+        let plane = |id: SatId| id.0 / 22;
+        assert!(
+            path.sats
+                .windows(2)
+                .any(|w| plane(w[0]).abs_diff(plane(w[1])) == 71),
+            "the route must cross between planes 71 and 0"
+        );
+        let cfg = MigrationNetConfig {
+            cross_load_frac: 0.9,
+            ..MigrationNetConfig::default()
+        };
+        let out = migrate_via_packets(&s, from, to, 0.0, 3e6, &cfg);
+        assert_eq!(
+            (
+                out.hops,
+                out.packets,
+                out.segments,
+                out.route_changes,
+                out.transmissions,
+                out.retransmissions,
+                out.dropped,
+                out.boundary_loss,
+                out.ecn_marked
+            ),
+            (43, 63, 1, 0, 63, 0, 0, 0, 0)
+        );
+        assert_eq!(
+            (
+                out.duration_s.map(f64::to_bits),
+                out.analytic_packet_s.to_bits()
+            ),
+            (Some(0x3fc1_8abd_621d_b8d3), 0x3fbd_850d_e678_714a)
         );
     }
 

@@ -43,14 +43,18 @@
 //! then by insertion order. The scheduler packs that order into a 24-byte
 //! integer key — the timestamp's bits mapped so that unsigned order is
 //! [`f64::total_cmp`], then `rank << 61 | seq` — and keeps the events
-//! themselves in a pool the key indexes. `(time, rank, seq)` is a strict
-//! total order, so the pop sequence does not depend on how the heap is
-//! laid out. Two runs of the same configuration produce identical results,
-//! independent of thread count or observability level.
+//! themselves in a pool the key indexes. Every event is scheduled at or
+//! after the last one popped, so the queue is monotone: a later event waits
+//! in one of 64 buckets, picked by the highest bit where its time key
+//! differs from the last popped time, and the events at exactly that time
+//! form one batch sorted by rank and sequence. `(time, rank, seq)` is a
+//! strict total order and the queue pops exactly that order, so the pop
+//! sequence does not depend on how the keys are bucketed. Two runs of the
+//! same configuration produce identical results, independent of thread
+//! count or observability level.
 
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Identifier of a link in a [`CongestionNetwork`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -444,45 +448,61 @@ struct Key {
     slot: u32,
 }
 
-impl Key {
-    /// `(time, order)` as one integer, so that a comparison is a single
-    /// branch-free 128-bit compare.
-    fn packed(&self) -> u128 {
-        u128::from(self.time) << 64 | u128::from(self.order)
-    }
+/// The bucket of a time key above `floor`: the highest bit where the two
+/// differ.
+fn bucket_of(time: u64, floor: u64) -> usize {
+    63 - (time ^ floor).leading_zeros() as usize
 }
 
-impl PartialEq for Key {
-    fn eq(&self, other: &Self) -> bool {
-        self.packed() == other.packed()
-    }
-}
-impl Eq for Key {}
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-    // The only comparison `BinaryHeap` makes.
-    fn le(&self, other: &Self) -> bool {
-        other.packed() <= self.packed()
-    }
-}
-impl Ord for Key {
-    // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.packed().cmp(&self.packed())
-    }
-}
-
-/// The pending events: a heap of [`Key`]s over a pool of [`Ev`]s whose
-/// freed slots are reused, so heap operations move 24-byte keys instead
-/// of whole events.
-#[derive(Default)]
+/// The pending events: a monotone radix queue of [`Key`]s over a pool of
+/// [`Ev`]s whose freed slots are reused, so the queue moves 24-byte keys
+/// instead of whole events.
+///
+/// `floor` is the time key of the last pop (0, below every key, before
+/// the first). The events at exactly `floor` form the batch `head`, sorted
+/// by descending `order` so that the next one pops off its end; a push at
+/// `floor` goes in at its sorted place. A later event waits in bucket `i`
+/// when its time key first differs from `floor` at bit `i`; `occupied`
+/// marks the non-empty buckets and `mins` holds each one's earliest time.
+/// Once `head` runs dry, the lowest occupied bucket holds the earliest
+/// events: its minimum becomes the new `floor`, its events at that time
+/// the new `head`, and the rest drop into lower buckets, since each now
+/// differs from `floor` only below the old bit. The higher buckets keep
+/// their keys, because the new floor agrees with the old one on every bit
+/// above. Each key thus moves down at most 64 times, and a batch of exact
+/// ties is sorted once, not sifted event by event.
+///
+/// The engine schedules every event at `now` plus a non-negative delay or
+/// at a flow start not before `now`, so it pushes below `floor` only for a
+/// flow that starts at −0.0 after events at +0.0 (equal as floats, not as
+/// keys). Such a push still pops in order: it lowers the floor and
+/// re-buckets every pending key.
 struct EventQueue {
-    heap: BinaryHeap<Key>,
+    floor: u64,
+    head: Vec<Key>,
+    buckets: [Vec<Key>; 64],
+    mins: [u64; 64],
+    occupied: u64,
+    pending: usize,
     pool: Vec<Ev>,
     free: Vec<u32>,
     next_seq: u64,
+}
+
+impl Default for EventQueue {
+    fn default() -> Self {
+        Self {
+            floor: 0,
+            head: Vec::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            mins: [0; 64],
+            occupied: 0,
+            pending: 0,
+            pool: Vec::new(),
+            free: Vec::new(),
+            next_seq: 0,
+        }
+    }
 }
 
 impl EventQueue {
@@ -505,26 +525,102 @@ impl EventQueue {
                 slot
             }
         };
-        self.heap.push(Key {
+        let key = Key {
             time: time_key(time_s),
             order: u64::from(ev.rank()) << SEQ_BITS | seq,
             slot,
-        });
+        };
+        if key.time < self.floor {
+            self.lower_floor(key.time);
+        }
+        if key.time == self.floor {
+            let at = self.head.partition_point(|k| k.order > key.order);
+            self.head.insert(at, key);
+        } else {
+            self.file(key);
+        }
+        self.pending += 1;
     }
 
-    /// Pops the earliest event if its time key is at most `limit`.
-    fn pop_until(&mut self, limit: u64) -> Option<(f64, Ev)> {
-        if self.heap.peek()?.time > limit {
-            return None;
+    /// Puts a key later than `floor` in its bucket.
+    fn file(&mut self, key: Key) {
+        let b = bucket_of(key.time, self.floor);
+        if self.occupied & 1 << b == 0 || key.time < self.mins[b] {
+            self.mins[b] = key.time;
         }
-        let key = self.heap.pop().expect("peeked event");
+        self.buckets[b].push(key);
+        self.occupied |= 1 << b;
+    }
+
+    /// Re-buckets every pending key around a floor below all of them.
+    fn lower_floor(&mut self, floor: u64) {
+        let mut keys = std::mem::take(&mut self.head);
+        while self.occupied != 0 {
+            let b = self.occupied.trailing_zeros() as usize;
+            keys.append(&mut self.buckets[b]);
+            self.occupied &= self.occupied - 1;
+        }
+        self.floor = floor;
+        for key in keys.drain(..) {
+            self.file(key);
+        }
+        self.head = keys;
+    }
+
+    /// Pops the earliest event if its time key is at most `limit`. A
+    /// refused event leaves the queue as it was, floor included, so a
+    /// later push before it still lands at or above the floor.
+    fn pop_until(&mut self, limit: u64) -> Option<(f64, Ev)> {
+        let key = if let Some(&next) = self.head.last() {
+            if next.time > limit {
+                return None;
+            }
+            self.head.pop()?
+        } else {
+            if self.occupied == 0 {
+                return None;
+            }
+            let b = self.occupied.trailing_zeros() as usize;
+            let earliest = self.mins[b];
+            if earliest > limit {
+                return None;
+            }
+            self.floor = earliest;
+            self.occupied &= !(1 << b);
+            if self.buckets[b].len() == 1 {
+                // A lone event needs no batch.
+                self.buckets[b].pop()?
+            } else {
+                self.split(b);
+                self.head.pop()?
+            }
+        };
+        self.pending -= 1;
         self.free.push(key.slot);
         Some((key_time(key.time), self.pool[key.slot as usize]))
     }
 
+    /// Empties bucket `b`, whose minimum is the new `floor`: the events at
+    /// `floor` become the `head` batch, the rest drop into lower buckets.
+    fn split(&mut self, b: usize) {
+        let mut keys = std::mem::take(&mut self.buckets[b]);
+        for key in keys.drain(..) {
+            if key.time == self.floor {
+                self.head.push(key);
+            } else {
+                self.file(key);
+            }
+        }
+        self.buckets[b] = keys;
+        // Keys reach a bucket mostly in push order, which an ascending sort
+        // checks in one pass.
+        self.head.sort_unstable_by_key(|k| k.order);
+        self.head.reverse();
+    }
+
     /// Events popped so far: every one scheduled and no longer pending.
     fn popped(&self) -> u64 {
-        self.next_seq - self.heap.len() as u64
+        self.next_seq - self.pending as u64
     }
 }
 
@@ -1839,6 +1935,35 @@ mod tests {
         assert_eq!(net.cbr_stats(id).emitted, 1);
     }
 
+    /// `run_until(h)` refuses the next event, at `m > h`, without moving
+    /// the queue's floor past `h`, so a flow added afterwards that starts
+    /// in `[h, m)` runs before that event.
+    #[test]
+    fn a_flow_added_after_run_until_runs_before_the_refused_event() {
+        // A 1 Mbit packet holds the 1 Mbps link for 1 s; there is no queue.
+        let (mut net, l) = one_link_net(1e6, 0.0, 0);
+        let one = |start_s| CbrFlow {
+            start_s,
+            ..cbr(vec![l], 1e6, 1.0, 1)
+        };
+        let early = net.add_cbr(one(0.0));
+        let refused = net.add_cbr(one(3.0));
+        net.run_until(2.0);
+        assert!(
+            net.queue.floor <= time_key(2.0),
+            "the refused event moved the floor"
+        );
+        let added = net.add_cbr(one(2.5));
+        net.run();
+        // The added packet holds the link from 2.5 s to 3.5 s, so the one
+        // emitted at 3 s finds it busy and is dropped.
+        for (id, counts) in [(early, (1, 0)), (added, (1, 0)), (refused, (0, 1))] {
+            let s = net.cbr_stats(id);
+            assert_eq!((s.delivered, s.dropped), counts);
+        }
+        assert_latency(&net.cbr_stats(added), 1.0);
+    }
+
     /// Timestamps that stress the time key: both zeros, subnormals, the
     /// normal extremes, neighbours one ulp apart, and negatives the engine
     /// never schedules but the key must still order.
@@ -1908,6 +2033,11 @@ mod tests {
             Ev::Emit { cbr, .. } => cbr,
         }
     }
+
+    /// Delays after the last popped time in the engine's regime: zero (a
+    /// push into the batch being popped), a 48 kB packet's 10 Gbps transmit
+    /// time, a 90 %-load CBR interval, a propagation delay and a long one.
+    const DELAYS: [f64; 6] = [0.0, 0.0, 3.84e-5, 4.266_666_666_666_667e-5, 3e-3, 0.25];
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
@@ -2167,6 +2297,49 @@ mod tests {
             prop_assert!(queue.pop_until(u64::MAX).is_none());
             prop_assert_eq!(queue.pool.len(), most_pending);
             prop_assert_eq!(queue.popped(), queue.next_seq);
+        }
+
+        /// The engine's own regime: each step pushes up to 64 exact ties of
+        /// mixed rank at one instant at or after the last popped time (on it
+        /// when the delay is zero, into a batch that may be half popped),
+        /// then pops part of the way. Pops come out in the order of a sort
+        /// by `(time, rank, seq)`.
+        #[test]
+        fn prop_monotone_pushes_pop_in_time_rank_seq_order(
+            steps in proptest::collection::vec(
+                (
+                    0_usize..DELAYS.len(),
+                    proptest::collection::vec(0_u8..6, 1..=64),
+                    0_usize..=96,
+                ),
+                1..48,
+            ),
+        ) {
+            let mut queue = EventQueue::default();
+            // (time bits, rank, seq) of the pending events: every time is
+            // non-negative, so its bits sort like the time.
+            let mut pending = std::collections::BTreeSet::new();
+            let pop = |queue: &mut EventQueue| {
+                queue.pop_until(u64::MAX).map(|(t, ev)| (t.to_bits(), ev.rank(), tag(ev)))
+            };
+            let (mut now, mut seq) = (0.0_f64, 0);
+            for (delay, ranks, pops) in steps {
+                let at = now + DELAYS[delay];
+                for rank in ranks {
+                    queue.push(at, tagged(rank, seq));
+                    pending.insert((at.to_bits(), rank, seq));
+                    seq += 1;
+                }
+                for _ in 0..pops.min(pending.len()) {
+                    let got = pop(&mut queue);
+                    prop_assert_eq!(got, pending.pop_first());
+                    now = f64::from_bits(got.expect("pending event").0);
+                }
+            }
+            while let Some(want) = pending.pop_first() {
+                prop_assert_eq!(pop(&mut queue), Some(want));
+            }
+            prop_assert!(queue.pop_until(u64::MAX).is_none());
         }
 
         /// The time key is monotone in `f64::total_cmp` and exactly

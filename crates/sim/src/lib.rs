@@ -28,7 +28,9 @@ use leo_core::{InOrbitService, SnapshotView};
 use std::sync::Arc;
 
 /// Splits `items` across `threads` chunks and maps them in parallel with
-/// scoped threads, preserving input order in the output.
+/// scoped threads, preserving input order in the output. At one thread, or
+/// for one item, the items run on the caller's thread and nothing is
+/// spawned.
 ///
 /// # Panics
 /// Panics when `threads` is zero. A panic in `f` is re-raised on the
@@ -49,6 +51,10 @@ where
     }
     leo_obs::counter!("sim.parallel_map_calls").incr();
     leo_obs::counter!("sim.items_processed").add(n as u64);
+    if threads == 1 || n == 1 {
+        let _busy = leo_obs::histogram!("sim.worker_busy_s").span();
+        return items.iter().map(f).collect();
+    }
     let chunk = n.div_ceil(threads);
     let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let first_panic = std::thread::scope(|s| {
@@ -231,6 +237,19 @@ mod tests {
             Vec::<i32>::new()
         );
         assert_eq!(parallel_map(vec![42], 4, |&x| x + 1), vec![43]);
+    }
+
+    #[test]
+    fn one_thread_or_one_item_runs_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let on_caller = |items: Vec<i32>, threads| {
+            parallel_map(items, threads, |_| std::thread::current().id())
+                .into_iter()
+                .all(|id| id == caller)
+        };
+        assert!(on_caller(vec![1, 2, 3], 1));
+        assert!(on_caller(vec![1], 4));
+        assert!(!on_caller(vec![1, 2], 2), "two threads spawn workers");
     }
 
     #[test]
