@@ -24,7 +24,11 @@
 //! `net.pkt.*` counters and time series are accumulated on the
 //! sequential fold over the cell grid, and `net.pkt.events` is a sum over
 //! the workers, so the manifest's work-done metrics are thread-invariant
-//! too. CI greps the `#`-prefixed identity markers printed below.
+//! too. `net.pkt.events` counts the events the engine pops: one per
+//! emission instant for a route's cross-traffic, none for a completion
+//! that settles in place, so it moves when the engine's bookkeeping does
+//! even where the results do not. CI greps the `#`-prefixed identity
+//! markers printed below.
 
 use leo_bench::cli::Run;
 use leo_constellation::{presets, SatId};

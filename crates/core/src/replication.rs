@@ -277,8 +277,11 @@ pub struct MigrationOutcome {
 ///
 /// Deterministic: identical inputs produce identical outcomes, independent
 /// of thread count or observability level. Each segment's event loop is
-/// timed by the `net.pkt.segment_s` span, and its events add to the
-/// `net.pkt.events` counter.
+/// timed by the `net.pkt.segment_s` span, and the events it pops add to
+/// the `net.pkt.events` counter. The per-hop cross-traffic flows are
+/// identical, so they share one emission clock: one event per emission
+/// instant for the whole route, and none for a completion that settles
+/// in place ([`CongestionNetwork::events_processed`]).
 ///
 /// # Panics
 /// Panics on a non-positive or non-finite size, a non-finite start, a

@@ -49,9 +49,23 @@
 //! differs from the last popped time, and the events at exactly that time
 //! form one batch sorted by rank and sequence. `(time, rank, seq)` is a
 //! strict total order and the queue pops exactly that order, so the pop
-//! sequence does not depend on how the keys are bucketed. Two runs of the
-//! same configuration produce identical results, independent of thread
-//! count or observability level.
+//! sequence does not depend on how the keys are bucketed.
+//!
+//! Cross-traffic pays for a queue event only where its timing can interact
+//! with other traffic. CBR flows added back to back with bit-equal start
+//! times and intervals emit at the same instants, one after another in add
+//! order, so they share one emission clock: one event per instant enqueues
+//! every member's packet. A CBR packet that starts transmitting on its last
+//! hop with nothing queued behind it takes its transmit completion's
+//! sequence number but pushes no event. The completion (the delivery and
+//! the freed link) settles in place when the next packet reaches that link
+//! at or after its time, is pushed under its reserved `(time, rank 0, seq)`
+//! key the moment a packet queues behind it, and otherwise settles when a
+//! run call returns past it. Either way it takes effect at the place in
+//! the `(time, rank, seq)` order where a pushed completion would have
+//! popped, so the outputs are the same bits as with an event per emission
+//! and per completion. Two runs of the same configuration produce
+//! identical results, independent of thread count or observability level.
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -396,8 +410,8 @@ enum Ev {
     Timeout { flow: usize, seq: u64, txn: u32 },
     /// The pacer releases the sender's next packet.
     Pace { flow: usize },
-    /// A CBR source emits packet `k`.
-    Emit { cbr: usize, k: u64 },
+    /// A CBR clock emits packet `k` of each of its flows.
+    Emit { clock: usize, k: u64 },
     /// A packet arrives at a link's queue (inter-hop forwarding).
     Enqueue { link: usize, pkt: Pkt },
 }
@@ -477,13 +491,19 @@ fn bucket_of(time: u64, floor: u64) -> usize {
 /// flow that starts at −0.0 after events at +0.0 (equal as floats, not as
 /// keys). Such a push still pops in order: it lowers the floor and
 /// re-buckets every pending key.
+///
+/// [`reserve`](Self::reserve) takes a sequence number without pushing, and
+/// [`push_reserved`](Self::push_reserved) later pushes an event under it:
+/// the event pops where it would have had it been pushed when its number
+/// was taken. `last` is the `(time, order)` of the last pop.
 struct EventQueue {
     floor: u64,
     head: Vec<Key>,
     buckets: [Vec<Key>; 64],
     mins: [u64; 64],
     occupied: u64,
-    pending: usize,
+    pops: u64,
+    last: (u64, u64),
     pool: Vec<Ev>,
     free: Vec<u32>,
     next_seq: u64,
@@ -497,7 +517,8 @@ impl Default for EventQueue {
             buckets: std::array::from_fn(|_| Vec::new()),
             mins: [0; 64],
             occupied: 0,
-            pending: 0,
+            pops: 0,
+            last: (0, 0),
             pool: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
@@ -507,12 +528,23 @@ impl Default for EventQueue {
 
 impl EventQueue {
     fn push(&mut self, time_s: f64, ev: Ev) {
+        let seq = self.reserve();
+        self.push_reserved(time_s, ev, seq);
+    }
+
+    /// Takes the next sequence number without pushing an event.
+    fn reserve(&mut self) -> u64 {
         let seq = self.next_seq;
         assert!(
             seq < 1 << SEQ_BITS,
             "event sequence {seq} overflows the scheduler key's {SEQ_BITS} bits"
         );
         self.next_seq += 1;
+        seq
+    }
+
+    /// Pushes `ev` under a sequence number taken by [`reserve`](Self::reserve).
+    fn push_reserved(&mut self, time_s: f64, ev: Ev, seq: u64) {
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.pool[slot as usize] = ev;
@@ -539,7 +571,6 @@ impl EventQueue {
         } else {
             self.file(key);
         }
-        self.pending += 1;
     }
 
     /// Puts a key later than `floor` in its bucket.
@@ -595,7 +626,8 @@ impl EventQueue {
                 self.head.pop()?
             }
         };
-        self.pending -= 1;
+        self.pops += 1;
+        self.last = (key.time, key.order);
         self.free.push(key.slot);
         Some((key_time(key.time), self.pool[key.slot as usize]))
     }
@@ -618,9 +650,9 @@ impl EventQueue {
         self.head.reverse();
     }
 
-    /// Events popped so far: every one scheduled and no longer pending.
+    /// Events popped so far.
     fn popped(&self) -> u64 {
-        self.next_seq - self.pending as u64
+        self.pops
     }
 }
 
@@ -628,6 +660,9 @@ struct LinkState {
     cfg: CongestionLink,
     busy: Option<Pkt>,
     queue: VecDeque<Pkt>,
+    /// The `(time key, reserved seq)` of the in-service packet's transmit
+    /// completion while it is deferred instead of queued.
+    deferred: Option<(u64, u64)>,
 }
 
 struct WinState {
@@ -684,6 +719,17 @@ impl WinState {
     }
 }
 
+/// CBR flows that emit at the same instants: added back to back with
+/// bit-equal start times and intervals.
+struct CbrClock {
+    start_s: f64,
+    interval_s: f64,
+    /// The member flows, in add order.
+    members: Vec<usize>,
+    /// The longest member's packet count.
+    packets: u64,
+}
+
 struct CbrState {
     cfg: CbrFlow,
     emitted: u64,
@@ -702,9 +748,17 @@ pub struct CongestionNetwork {
     links: Vec<LinkState>,
     wins: Vec<WinState>,
     cbrs: Vec<CbrState>,
+    clocks: Vec<CbrClock>,
+    /// Events popped when the last CBR flow was added: the last clock
+    /// takes new members only while no event has popped since.
+    cbr_added_at: u64,
     queue: EventQueue,
     now_s: f64,
     incomplete_wins: usize,
+    /// Test switch: every CBR flow gets its own clock and every transmit
+    /// completion is pushed, the reference the default engine must match.
+    #[cfg(test)]
+    eager: bool,
 }
 
 impl CongestionNetwork {
@@ -726,6 +780,7 @@ impl CongestionNetwork {
             cfg: validated,
             busy: None,
             queue: VecDeque::new(),
+            deferred: None,
         });
         CLinkId(self.links.len() - 1)
     }
@@ -841,6 +896,11 @@ impl CongestionNetwork {
     }
 
     /// Adds an open-loop CBR cross-traffic flow.
+    ///
+    /// A flow added right after another CBR flow, with a bit-equal
+    /// `start_s` and `interval_s` and no event processed in between, joins
+    /// that flow's emission clock: one event per instant emits both flows'
+    /// packets, in add order, as their separate events would have.
     pub fn add_cbr(&mut self, flow: CbrFlow) -> CbrId {
         self.validate_route(&flow.route, flow.packet_bits, flow.start_s);
         assert!(flow.packets > 0, "CBR flow must emit at least one packet");
@@ -850,7 +910,29 @@ impl CongestionNetwork {
             flow.interval_s
         );
         let id = self.cbrs.len();
-        let start_s = flow.start_s;
+        let (start_s, interval_s, packets) = (flow.start_s, flow.interval_s, flow.packets);
+        let joins = !self.eager() && self.cbr_added_at == self.queue.popped();
+        match self.clocks.last_mut().filter(|c| {
+            joins
+                && c.start_s.to_bits() == start_s.to_bits()
+                && c.interval_s.to_bits() == interval_s.to_bits()
+        }) {
+            Some(clock) => {
+                clock.members.push(id);
+                clock.packets = clock.packets.max(packets);
+            }
+            None => {
+                let clock = self.clocks.len();
+                self.clocks.push(CbrClock {
+                    start_s,
+                    interval_s,
+                    members: vec![id],
+                    packets,
+                });
+                self.schedule(start_s, Ev::Emit { clock, k: 0 });
+            }
+        }
+        self.cbr_added_at = self.queue.popped();
         self.cbrs.push(CbrState {
             cfg: flow,
             emitted: 0,
@@ -861,7 +943,6 @@ impl CongestionNetwork {
             latency_min_s: f64::INFINITY,
             latency_max_s: f64::NEG_INFINITY,
         });
-        self.schedule(start_s, Ev::Emit { cbr: id, k: 0 });
         CbrId(id)
     }
 
@@ -894,6 +975,9 @@ impl CongestionNetwork {
         let limit = time_key(horizon_s + 0.0);
         loop {
             if stop_on_complete && self.incomplete_wins == 0 {
+                // The loop passed every deferred completion keyed below
+                // the last pop.
+                self.settle_before(self.queue.last);
                 return true;
             }
             let Some((time_s, ev)) = self.queue.pop_until(limit) else {
@@ -910,10 +994,13 @@ impl CongestionNetwork {
                 } => self.on_ack(flow, seq, cum, marked),
                 Ev::Timeout { flow, seq, txn } => self.on_timeout(flow, seq, txn),
                 Ev::Pace { flow } => self.on_pace(flow),
-                Ev::Emit { cbr, k } => self.on_emit(cbr, k),
+                Ev::Emit { clock, k } => self.on_emit(clock, k),
                 Ev::Enqueue { link, pkt } => self.enqueue(link, pkt),
             }
         }
+        // Every event up to `limit` has popped; so has every deferred
+        // completion there.
+        self.settle_before((limit, u64::MAX));
         if horizon_s.is_finite() && horizon_s > self.now_s {
             self.now_s = horizon_s;
         }
@@ -951,9 +1038,21 @@ impl CongestionNetwork {
         }
     }
 
-    /// Events processed so far, across every run call.
+    /// Events popped from the queue so far, across every run call. A
+    /// clock's emission counts once for all its flows, and a deferred
+    /// transmit completion that settles in place counts not at all.
     pub fn events_processed(&self) -> u64 {
         self.queue.popped()
+    }
+
+    #[cfg(test)]
+    fn eager(&self) -> bool {
+        self.eager
+    }
+
+    #[cfg(not(test))]
+    fn eager(&self) -> bool {
+        false
     }
 
     fn schedule(&mut self, time_s: f64, kind: Ev) {
@@ -975,14 +1074,63 @@ impl CongestionNetwork {
         }
     }
 
-    fn enqueue(&mut self, link: usize, mut pkt: Pkt) {
-        let now = self.now_s;
+    /// Puts `pkt` in service on `link` and schedules its transmit
+    /// completion, or defers it: a CBR packet on its last hop with nothing
+    /// queued behind it only reserves the completion's sequence number.
+    fn start_tx(&mut self, link: usize, pkt: Pkt) {
         let bits = self.packet_bits(pkt.src);
+        let defer = !self.eager()
+            && matches!(pkt.src, Src::Cbr(_))
+            && pkt.hop + 1 == self.route_len(pkt.src);
+        let l = &mut self.links[link];
+        l.busy = Some(pkt);
+        let done_s = self.now_s + bits / l.cfg.rate_bps;
+        if defer && l.queue.is_empty() {
+            l.deferred = Some((time_key(done_s), self.queue.reserve()));
+        } else {
+            self.schedule(done_s, Ev::TxDone { link });
+        }
+    }
+
+    /// Applies `link`'s deferred transmit completion, as its `TxDone`
+    /// would: frees the link and delivers the packet. Returns the
+    /// completion's time key.
+    fn settle(&mut self, link: usize) -> u64 {
+        let l = &mut self.links[link];
+        let (time, _) = l
+            .deferred
+            .take()
+            .expect("settle without a deferred completion");
+        let pkt = l.busy.take().expect("deferred completion on an idle link");
+        let arrival = key_time(time) + l.cfg.prop_delay_s;
+        self.deliver(pkt, arrival);
+        time
+    }
+
+    /// Settles every deferred completion keyed below `bound`, a
+    /// `(time key, order)` pair, and moves the clock to the latest one.
+    fn settle_before(&mut self, bound: (u64, u64)) {
+        for link in 0..self.links.len() {
+            if self.links[link].deferred.is_some_and(|d| d < bound) {
+                let time = self.settle(link);
+                if time > time_key(self.now_s) {
+                    self.now_s = key_time(time);
+                }
+            }
+        }
+    }
+
+    fn enqueue(&mut self, link: usize, mut pkt: Pkt) {
+        // Only a rank-0 completion pops before this event at the same time,
+        // so a deferred one at or before `now` has already happened.
+        if let Some((time, _)) = self.links[link].deferred {
+            if time <= time_key(self.now_s) {
+                self.settle(link);
+            }
+        }
         let l = &mut self.links[link];
         if l.busy.is_none() {
-            l.busy = Some(pkt);
-            let tx = bits / l.cfg.rate_bps;
-            self.schedule(now + tx, Ev::TxDone { link });
+            self.start_tx(link, pkt);
         } else if l.queue.len() < l.cfg.queue_packets {
             if let Some(th) = l.cfg.ecn_threshold {
                 if l.queue.len() >= th {
@@ -990,6 +1138,11 @@ impl CongestionNetwork {
                 }
             }
             l.queue.push_back(pkt);
+            // A packet behind the deferred completion needs it to pop.
+            if let Some((time, seq)) = l.deferred.take() {
+                self.queue
+                    .push_reserved(key_time(time), Ev::TxDone { link }, seq);
+            }
         } else {
             match pkt.src {
                 Src::Win(i) => self.wins[i].dropped += 1,
@@ -1003,12 +1156,7 @@ impl CongestionNetwork {
         let pkt = l.busy.take().expect("TxDone on idle link");
         let prop = l.cfg.prop_delay_s;
         if let Some(next) = l.queue.pop_front() {
-            let bits = self.packet_bits(next.src);
-            let l = &mut self.links[link];
-            l.busy = Some(next);
-            let tx = bits / l.cfg.rate_bps;
-            let now = self.now_s;
-            self.schedule(now + tx, Ev::TxDone { link });
+            self.start_tx(link, next);
         }
         let arrival = self.now_s + prop;
         if pkt.hop + 1 < self.route_len(pkt.src) {
@@ -1276,22 +1424,28 @@ impl CongestionNetwork {
         self.arm_pacer(flow);
     }
 
-    fn on_emit(&mut self, cbr: usize, k: u64) {
-        let now = self.now_s;
-        let c = &mut self.cbrs[cbr];
-        c.emitted += 1;
-        let first_link = c.cfg.route[0].0;
-        let interval = c.cfg.interval_s;
-        let more = k + 1 < c.cfg.packets;
-        let pkt = Pkt {
-            src: Src::Cbr(cbr),
-            seq: k,
-            hop: 0,
-            marked: false,
-        };
-        self.enqueue(first_link, pkt);
-        if more {
-            self.schedule(now + interval, Ev::Emit { cbr, k: k + 1 });
+    fn on_emit(&mut self, clock: usize, k: u64) {
+        let members = std::mem::take(&mut self.clocks[clock].members);
+        for &cbr in &members {
+            let c = &mut self.cbrs[cbr];
+            if k >= c.cfg.packets {
+                continue;
+            }
+            c.emitted += 1;
+            let first_link = c.cfg.route[0].0;
+            let pkt = Pkt {
+                src: Src::Cbr(cbr),
+                seq: k,
+                hop: 0,
+                marked: false,
+            };
+            self.enqueue(first_link, pkt);
+        }
+        let c = &mut self.clocks[clock];
+        c.members = members;
+        if k + 1 < c.packets {
+            let at = self.now_s + c.interval_s;
+            self.schedule(at, Ev::Emit { clock, k: k + 1 });
         }
     }
 }
@@ -1560,6 +1714,144 @@ mod tests {
         for (c, (counts, bits)) in cross.into_iter().zip(expect) {
             let s = net.cbr_stats(c);
             assert_eq!((s.emitted, s.delivered, s.dropped, s.ecn_marked), counts);
+            let latency = |v: Option<f64>| v.expect("delivered").to_bits();
+            assert_eq!(
+                (
+                    s.latency_sum_s.to_bits(),
+                    latency(s.min_latency_s),
+                    latency(s.max_latency_s)
+                ),
+                bits
+            );
+        }
+    }
+
+    /// Pins the engine's output bit for bit on the benchmark probe's shape:
+    /// an 8-hop chain of 10 Gbps ISLs, each carrying 90 % CBR cross-traffic,
+    /// and a 10 MB transfer by the sender `migrate_via_packets` sets up,
+    /// stopped by `run_while_incomplete` while the cross-traffic still has
+    /// completions in flight. The values were captured before CBR flows
+    /// shared clocks and last-hop completions settled in place.
+    #[test]
+    fn cross_loaded_chain_stopped_on_completion_output_bits_are_pinned() {
+        let (bits, rate, hops) = (384_000.0, 10e9, 8);
+        let link = CongestionLink::new(rate, 1.5e-3, 256).with_ecn(64);
+        let mut net = CongestionNetwork::new();
+        let route: Vec<_> = (0..hops).map(|_| net.add_link(link)).collect();
+        let cross: Vec<_> = route
+            .iter()
+            .map(|&id| net.add_cbr(CbrFlow::with_load(vec![id], bits, 0.9 * rate, 0.0, 15.0)))
+            .collect();
+        let base_rtt_s = f64::from(hops) * (bits / rate + 2.0 * link.prop_delay_s);
+        let bdp = (rate * base_rtt_s / bits).max(10.0);
+        let id = net.add_windowed(WindowedFlow {
+            init_cwnd: bdp,
+            max_cwnd: 2.0 * bdp,
+            base_rtt_s: Some(base_rtt_s),
+            init_ssthresh: Some(bdp),
+            ..WindowedFlow::new(route, bits, 209, 0.0, CcAlgorithm::Dctcp { gain: 0.0625 })
+        });
+        assert!(net.run_while_incomplete(15.0));
+        let w = net.windowed_stats(id);
+        assert_eq!(
+            (
+                w.transmissions,
+                w.retransmissions,
+                w.arrivals,
+                w.delivered,
+                w.dropped,
+                w.ecn_marked
+            ),
+            (209, 0, 209, 209, 0, 137)
+        );
+        assert_eq!(
+            (
+                w.completion_s.map(f64::to_bits),
+                w.srtt_s.to_bits(),
+                w.final_cwnd.to_bits(),
+                net.now_s.to_bits()
+            ),
+            (
+                Some(0x3faf_6cfd_595c_9332),
+                0x3faa_ef09_aa06_a632,
+                0x4083_c9e8_73b8_7be5,
+                0x3fae_a861_b379_3f3a
+            )
+        );
+        // Per hop: (delivered, ECN-marked) and the latency sum, min and
+        // max bits. Every flow emitted 1,404 packets and dropped none.
+        let expect = [
+            (
+                (1350, 1241),
+                (
+                    0x4020_8ab0_277a_9940,
+                    0x3f59_d594_1bab_5731,
+                    0x3f81_f1bd_d648_2ea9,
+                ),
+            ),
+            (
+                (1346, 1170),
+                (
+                    0x401d_f64e_ca20_db38,
+                    0x3f59_3484_6c0a_eb14,
+                    0x3f80_77b1_e844_f86c,
+                ),
+            ),
+            (
+                (1342, 1056),
+                (
+                    0x401b_1901_8e75_7b09,
+                    0x3f59_3484_6c0a_eb10,
+                    0x3f7e_49de_b7f8_71fc,
+                ),
+            ),
+            (
+                (1338, 928),
+                (
+                    0x4018_71bc_ff88_9be9,
+                    0x3f59_3484_6c0a_eafc,
+                    0x3f7b_e6e6_5386_9178,
+                ),
+            ),
+            (
+                (1334, 791),
+                (
+                    0x4015_fc70_93e6_d3e7,
+                    0x3f59_3484_6c0a_eae8,
+                    0x3f79_c31f_a4e0_f7c8,
+                ),
+            ),
+            (
+                (1330, 642),
+                (
+                    0x4013_b125_cb24_101e,
+                    0x3f59_3484_6c0a_ead0,
+                    0x3f77_d479_b10d_9e20,
+                ),
+            ),
+            (
+                (1326, 484),
+                (
+                    0x4011_8d66_4fc0_335a,
+                    0x3f59_3484_6c0a_eac0,
+                    0x3f76_1799_79b9_2d20,
+                ),
+            ),
+            (
+                (1322, 308),
+                (
+                    0x400f_144b_5834_bf88,
+                    0x3f59_3484_6c0a_eaa8,
+                    0x3f74_7502_0a9c_3f78,
+                ),
+            ),
+        ];
+        for (c, ((delivered, marked), bits)) in cross.into_iter().zip(expect) {
+            let s = net.cbr_stats(c);
+            assert_eq!(
+                (s.emitted, s.delivered, s.dropped, s.ecn_marked),
+                (1404, delivered, 0, marked)
+            );
             let latency = |v: Option<f64>| v.expect("delivered").to_bits();
             assert_eq!(
                 (
@@ -1926,6 +2218,44 @@ mod tests {
         assert_eq!(net.events_processed(), 4, "then the ACK and the timeout");
     }
 
+    /// A network whose CBR flows each get their own clock and whose
+    /// transmit completions are all pushed.
+    fn eager_net() -> CongestionNetwork {
+        CongestionNetwork {
+            eager: true,
+            ..CongestionNetwork::default()
+        }
+    }
+
+    #[test]
+    fn a_shared_clock_costs_one_event_per_instant_and_no_completions() {
+        // Two flows of 10 packets, one per link, each packet done before
+        // the next emission: every completion settles in place.
+        let events = |mut net: CongestionNetwork| {
+            let link = CongestionLink::new(1e6, 1e-3, 4);
+            let flows: Vec<_> = (0..2)
+                .map(|_| {
+                    let l = net.add_link(link);
+                    net.add_cbr(cbr(vec![l], 1e3, 2e-3, 10))
+                })
+                .collect();
+            net.run();
+            let stats = flows
+                .iter()
+                .map(|&id| net.cbr_stats(id))
+                .collect::<Vec<_>>();
+            (net.events_processed(), stats)
+        };
+        let (lazy, lazy_stats) = events(CongestionNetwork::new());
+        let (eager, eager_stats) = events(eager_net());
+        assert_eq!((lazy, eager), (10, 40), "emissions, then completions");
+        assert_eq!(lazy_stats, eager_stats);
+        for s in lazy_stats {
+            assert_eq!((s.emitted, s.delivered), (10, 10));
+            assert_latency(&s, 2e-3);
+        }
+    }
+
     #[test]
     fn a_negative_zero_horizon_admits_an_event_at_positive_zero() {
         // `0.0 <= -0.0` on floats, so the key order must agree.
@@ -2012,7 +2342,7 @@ mod tests {
                 txn: 0,
             },
             3 => Ev::Pace { flow: id },
-            4 => Ev::Emit { cbr: id, k: 0 },
+            4 => Ev::Emit { clock: id, k: 0 },
             _ => Ev::Enqueue {
                 link: id,
                 pkt: Pkt {
@@ -2030,7 +2360,7 @@ mod tests {
         match ev {
             Ev::TxDone { link } | Ev::Enqueue { link, .. } => link,
             Ev::Ack { flow, .. } | Ev::Timeout { flow, .. } | Ev::Pace { flow } => flow,
-            Ev::Emit { cbr, .. } => cbr,
+            Ev::Emit { clock, .. } => clock,
         }
     }
 
@@ -2038,6 +2368,177 @@ mod tests {
     /// push into the batch being popped), a 48 kB packet's 10 Gbps transmit
     /// time, a 90 %-load CBR interval, a propagation delay and a long one.
     const DELAYS: [f64; 6] = [0.0, 0.0, 3.84e-5, 4.266_666_666_666_667e-5, 3e-3, 0.25];
+
+    /// A completion pushed because a packet queued behind it pops under
+    /// the sequence number it reserved when its packet started, so it
+    /// still precedes a completion at the same time on another link that
+    /// started later. The order shows two hops on, where the packets
+    /// started by the two completions meet on one link.
+    #[test]
+    fn a_completion_pushed_behind_a_queued_packet_keeps_its_reserved_key() {
+        let latencies = |mut net: CongestionNetwork| {
+            // 1 kbit at 1 Mbps: every transmission takes 1 ms.
+            let link = CongestionLink::new(1e6, 0.0, 4);
+            let [l1, l2, l3] = [(); 3].map(|_| net.add_link(link));
+            let one = |route, start_s| CbrFlow {
+                start_s,
+                ..cbr(route, 1e3, 1.0, 1)
+            };
+            // At t = 0 the last-hop packet on l1 defers its completion,
+            // then the packet on l2 pushes its own, both due at 1 ms.
+            net.add_cbr(one(vec![l1], 0.0));
+            net.add_cbr(one(vec![l2, l3], 0.0));
+            // At 0.5 ms a packet queues behind each: l1's completion is
+            // pushed now, and must still pop first at 1 ms.
+            let via_l1 = net.add_cbr(one(vec![l1, l3], 5e-4));
+            let via_l2 = net.add_cbr(one(vec![l2, l3], 5e-4));
+            net.run();
+            [via_l1, via_l2].map(|id| net.cbr_stats(id).max_latency_s)
+        };
+        let lazy = latencies(CongestionNetwork::new());
+        assert_eq!(lazy, latencies(eager_net()));
+        // Both leave their first hop at 2 ms; the one from l1 takes l3
+        // first and arrives at 3 ms, the other waits for it.
+        let [via_l1, via_l2] = lazy.map(|v| v.expect("delivered"));
+        assert!((via_l1 - 2.5e-3).abs() < 1e-12, "{via_l1}");
+        assert!((via_l2 - 3.5e-3).abs() < 1e-12, "{via_l2}");
+    }
+
+    /// Every stat of every flow, `now_s` included, as bits.
+    fn output_bits(
+        net: &CongestionNetwork,
+        cbrs: &[CbrId],
+        wins: &[SenderId],
+    ) -> (Vec<[u64; 7]>, Vec<[u64; 9]>, u64) {
+        let opt = |v: Option<f64>| v.map_or(u64::MAX, f64::to_bits);
+        let cbr = cbrs.iter().map(|&id| {
+            let s = net.cbr_stats(id);
+            [
+                s.emitted,
+                s.delivered,
+                s.dropped,
+                s.ecn_marked,
+                s.latency_sum_s.to_bits(),
+                opt(s.min_latency_s),
+                opt(s.max_latency_s),
+            ]
+        });
+        let win = wins.iter().map(|&id| {
+            let s = net.windowed_stats(id);
+            [
+                s.transmissions,
+                s.retransmissions,
+                s.arrivals,
+                s.delivered,
+                s.dropped,
+                s.ecn_marked,
+                opt(s.completion_s),
+                s.final_cwnd.to_bits(),
+                s.srtt_s.to_bits(),
+            ]
+        });
+        (cbr.collect(), win.collect(), net.now_s.to_bits())
+    }
+
+    /// Link rates and packet sizes whose transmit times (0.2–5 ms) meet
+    /// the CBR intervals and start offsets exactly, so that completions,
+    /// emissions and arrivals tie.
+    const RATES: [f64; 3] = [1e6, 2e6, 5e6];
+    const PROPS: [f64; 3] = [0.0, 1e-3, 2.5e-3];
+    const BITS: [f64; 3] = [1e3, 2e3, 5e3];
+    const INTERVALS: [f64; 3] = [1e-3, 1e-3, 2e-3];
+    const STARTS: [f64; 3] = [0.0, 0.0, 1e-3];
+    const STEPS: [f64; 4] = [0.0, 1e-3, 7e-3, 0.5];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        /// Shared clocks and deferred completions move no output bit: after
+        /// every operation on a random network (CBR flows on 1–3-link
+        /// routes, added back to back from a few shared starts and
+        /// intervals so that clocks form; AIMD and DCTCP flows; stops by
+        /// `run_until`, a zero step included, and by
+        /// `run_while_incomplete`; flows added after a stop) and after a
+        /// final `run()`, every stat, `now_s` and the completion flag equal
+        /// those of the eager engine.
+        #[test]
+        fn clocks_and_deferred_completions_change_no_bit(
+            links in proptest::collection::vec(
+                (0_usize..3, 0_usize..3, 0_usize..=9, 0_usize..=19),
+                1..=4,
+            ),
+            ops in proptest::collection::vec(
+                (
+                    0_u8..6,
+                    proptest::collection::vec(0_usize..4, 1..=3),
+                    0_usize..3,
+                    0_usize..3,
+                    0_usize..3,
+                    1_u64..=40,
+                    0_usize..4,
+                ),
+                1..=13,
+            ),
+        ) {
+            let (mut lazy, mut eager) = (CongestionNetwork::new(), eager_net());
+            for net in [&mut lazy, &mut eager] {
+                for &(rate, prop, queue, ecn) in &links {
+                    let link = CongestionLink::new(RATES[rate], PROPS[prop], queue);
+                    // A threshold above the queue disables marking.
+                    net.add_link(if ecn <= queue { link.with_ecn(ecn) } else { link });
+                }
+            }
+            let (mut cbrs, mut wins) = (Vec::new(), Vec::new());
+            for (op, route, bits, interval, start, packets, step) in ops {
+                let route: Vec<_> = route.iter().map(|&l| CLinkId(l % links.len())).collect();
+                // The flow added, or the flag a run call returned.
+                let apply = |net: &mut CongestionNetwork| {
+                    let start_s = net.now_s + STARTS[start];
+                    let horizon = net.now_s + STEPS[step];
+                    match op {
+                        0..=2 => {
+                            let flow = CbrFlow {
+                                route: route.clone(),
+                                packet_bits: BITS[bits],
+                                interval_s: INTERVALS[interval],
+                                start_s,
+                                packets,
+                            };
+                            (Some(net.add_cbr(flow)), None, false)
+                        }
+                        3 => {
+                            let algorithm = if step % 2 == 0 {
+                                CcAlgorithm::Aimd
+                            } else {
+                                CcAlgorithm::Dctcp { gain: 0.0625 }
+                            };
+                            // Short transfers, so that runs stop on their
+                            // completion with cross-traffic in flight.
+                            let packets = 1 + packets % 12;
+                            let flow = WindowedFlow::new(
+                                route.clone(), BITS[bits], packets, start_s, algorithm,
+                            );
+                            (None, Some(net.add_windowed(flow)), false)
+                        }
+                        4 => (None, None, net.run_until(horizon)),
+                        _ => (None, None, net.run_while_incomplete(horizon)),
+                    }
+                };
+                let got = apply(&mut lazy);
+                prop_assert_eq!(got, apply(&mut eager));
+                cbrs.extend(got.0);
+                wins.extend(got.1);
+                prop_assert_eq!(
+                    output_bits(&lazy, &cbrs, &wins), output_bits(&eager, &cbrs, &wins)
+                );
+            }
+            lazy.run();
+            eager.run();
+            prop_assert_eq!(
+                output_bits(&lazy, &cbrs, &wins), output_bits(&eager, &cbrs, &wins)
+            );
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
