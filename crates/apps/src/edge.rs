@@ -74,12 +74,6 @@ pub fn compare_edge(
     }
 }
 
-/// The paper's CDN-scale comparison: how many times smaller a
-/// one-server-per-satellite constellation is than Akamai.
-pub fn cdn_scale_ratio(constellation_servers: f64) -> f64 {
-    AKAMAI_SERVERS_2020 / constellation_servers
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,12 +84,6 @@ mod tests {
             .iter()
             .map(|r| r.geodetic())
             .collect()
-    }
-
-    #[test]
-    fn full_scale_starlink_is_about_7x_smaller_than_akamai() {
-        let ratio = cdn_scale_ratio(STARLINK_FULL_SCALE);
-        assert!((7.0..9.0).contains(&ratio), "{ratio}");
     }
 
     #[test]

@@ -19,17 +19,6 @@ pub struct City {
 }
 
 impl City {
-    /// Creates a city record.
-    pub fn new(name: &str, country: &str, lat_deg: f64, lon_deg: f64, population: u64) -> Self {
-        City {
-            name: name.to_string(),
-            country: country.to_string(),
-            lat_deg,
-            lon_deg,
-            population,
-        }
-    }
-
     /// The city's ground position (sea level).
     pub fn geodetic(&self) -> Geodetic {
         Geodetic::ground(self.lat_deg, self.lon_deg)
@@ -48,7 +37,13 @@ mod tests {
 
     #[test]
     fn geodetic_conversion_preserves_coordinates() {
-        let c = City::new("Abuja", "Nigeria", 9.06, 7.49, 3_278_000);
+        let c = City {
+            name: "Abuja".into(),
+            country: "Nigeria".into(),
+            lat_deg: 9.06,
+            lon_deg: 7.49,
+            population: 3_278_000,
+        };
         let g = c.geodetic();
         assert!((g.lat.degrees() - 9.06).abs() < 1e-12);
         assert!((g.lon.degrees() - 7.49).abs() < 1e-12);
@@ -57,7 +52,13 @@ mod tests {
 
     #[test]
     fn display_is_name_comma_country() {
-        let c = City::new("Yaoundé", "Cameroon", 3.87, 11.52, 2_765_000);
+        let c = City {
+            name: "Yaoundé".into(),
+            country: "Cameroon".into(),
+            lat_deg: 3.87,
+            lon_deg: 11.52,
+            population: 2_765_000,
+        };
         assert_eq!(c.to_string(), "Yaoundé, Cameroon");
     }
 }

@@ -229,7 +229,6 @@ mod tests {
             let e = s.elements(p, slot);
             assert!((e.perigee_altitude_m() - 550e3).abs() < 1e-6);
             assert!((e.inclination.degrees() - 53.0).abs() < 1e-12);
-            assert!(e.validate().is_ok());
         }
     }
 

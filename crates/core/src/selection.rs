@@ -82,16 +82,6 @@ impl GroupDelays {
         2.0 * self.delay_s(sat) * 1e3
     }
 
-    /// Number of satellites covered.
-    pub fn len(&self) -> usize {
-        self.delays.len()
-    }
-
-    /// True when no satellites are covered.
-    pub fn is_empty(&self) -> bool {
-        self.delays.is_empty()
-    }
-
     /// The latency-optimal satellite and its group delay, or `None` when
     /// no satellite is reachable by all users.
     pub fn minmax(&self) -> Option<(SatId, f64)> {

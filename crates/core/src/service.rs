@@ -277,11 +277,6 @@ impl InOrbitService {
         &self.constellation
     }
 
-    /// The ISL topology.
-    pub fn topology(&self) -> &IslTopology {
-        &self.topology
-    }
-
     /// Number of satellite-servers (one per satellite — the paper's
     /// "if just one server were added to each of its satellites").
     pub fn num_servers(&self) -> usize {

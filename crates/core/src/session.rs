@@ -330,7 +330,7 @@ mod tests {
         let service = InOrbitService::new(presets::starlink_550_only());
         let r = run_session(&service, &users(), Policy::MinMax, &short_config());
         assert_eq!(r.times_between_handoffs().len() + 1, r.events.len().max(1));
-        assert_eq!(r.transfer_latency_cdf().len(), r.handoff_count());
+        assert_eq!(r.transfer_latency_cdf().samples().len(), r.handoff_count());
     }
 
     #[test]

@@ -27,16 +27,6 @@ impl Cdf {
         Cdf { sorted: samples }
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True when there are no samples.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
     /// The sorted samples.
     pub fn samples(&self) -> &[f64] {
         &self.sorted
@@ -60,15 +50,6 @@ impl Cdf {
     /// Median (0.5 quantile).
     pub fn median(&self) -> Option<f64> {
         self.quantile(0.5)
-    }
-
-    /// Arithmetic mean.
-    pub fn mean(&self) -> Option<f64> {
-        if self.sorted.is_empty() {
-            None
-        } else {
-            Some(self.sorted.iter().sum::<f64>() / self.sorted.len() as f64)
-        }
     }
 
     /// Minimum sample.
@@ -97,15 +78,13 @@ mod tests {
         assert_eq!(cdf.quantile(0.8), Some(4.0));
         assert_eq!(cdf.min(), Some(1.0));
         assert_eq!(cdf.max(), Some(5.0));
-        assert_eq!(cdf.mean(), Some(3.0));
     }
 
     #[test]
     fn empty_cdf_behaves() {
         let cdf = Cdf::new(vec![]);
-        assert!(cdf.is_empty());
+        assert!(cdf.samples().is_empty());
         assert_eq!(cdf.median(), None);
-        assert_eq!(cdf.mean(), None);
     }
 
     #[test]
@@ -117,7 +96,6 @@ mod tests {
     #[test]
     fn empty_cdf_quantiles_and_extremes_are_none() {
         let cdf = Cdf::new(vec![]);
-        assert_eq!(cdf.len(), 0);
         assert_eq!(cdf.quantile(0.0), None);
         assert_eq!(cdf.quantile(1.0), None);
         assert_eq!(cdf.min(), None);
@@ -132,7 +110,6 @@ mod tests {
             assert_eq!(cdf.quantile(q), Some(42.0), "q = {q}");
         }
         assert_eq!(cdf.median(), Some(42.0));
-        assert_eq!(cdf.mean(), Some(42.0));
         assert_eq!(cdf.min(), cdf.max());
     }
 

@@ -221,13 +221,6 @@ impl Scenario {
         let shaped = base * self.diurnal_factor(cell, t) * self.flash_factor(cell_index, t);
         shaped.round().max(0.0) as u64
     }
-
-    /// Total fleet demand in the tick at time `t`.
-    pub fn total_demand_at(&self, t: f64) -> u64 {
-        (0..self.cells.len() as u32)
-            .map(|i| self.demand_at(i, t))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -318,7 +311,6 @@ mod tests {
         let tokyo: u64 = day.iter().map(|&t| s.demand_at(0, t)).sum();
         let small_cell: u64 = day.iter().map(|&t| s.demand_at(11, t)).sum();
         assert!(tokyo > small_cell);
-        assert!(s.total_demand_at(0.0) > 0);
     }
 
     #[test]

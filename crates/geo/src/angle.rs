@@ -65,11 +65,6 @@ impl Angle {
     pub fn sin_cos(self) -> (f64, f64) {
         self.0.sin_cos()
     }
-
-    /// Absolute value.
-    pub fn abs(self) -> Angle {
-        Angle(self.0.abs())
-    }
 }
 
 impl Add for Angle {

@@ -106,11 +106,6 @@ impl Ecef {
 pub struct Eci(pub Vec3);
 
 impl Eci {
-    /// Creates an ECI position from meters.
-    pub const fn new(x: f64, y: f64, z: f64) -> Self {
-        Eci(Vec3::new(x, y, z))
-    }
-
     /// Rotates into the Earth-fixed frame given the current GMST.
     pub fn to_ecef(self, gmst: Angle) -> Ecef {
         Ecef(self.0.rotate_z(-gmst.radians()))
@@ -174,7 +169,7 @@ mod tests {
     #[test]
     fn eci_to_ecef_rotates_against_earth_spin() {
         // A point fixed in ECI appears to move westward in ECEF as GMST grows.
-        let p = Eci::new(7.0e6, 0.0, 0.0);
+        let p = Eci(Vec3::new(7.0e6, 0.0, 0.0));
         let lon0 = p.to_ecef(Angle::ZERO).to_geodetic_spherical().lon;
         let lon1 = p
             .to_ecef(Angle::from_degrees(10.0))

@@ -7,7 +7,7 @@
 //! angle, and the propagation latency is `slant_range / c`.
 
 use crate::angle::Angle;
-use crate::consts::{EARTH_RADIUS_MEAN_M, SPEED_OF_LIGHT_M_S};
+use crate::consts::EARTH_RADIUS_MEAN_M;
 use crate::coords::{Ecef, Enu, Geodetic};
 use serde::{Deserialize, Serialize};
 
@@ -37,16 +37,6 @@ impl LookAngles {
             azimuth: Angle::from_radians(enu.east.atan2(enu.north)).normalized(),
             range_m: enu.range_m(),
         }
-    }
-
-    /// One-way propagation delay over the slant range, seconds.
-    fn propagation_delay_s(&self) -> f64 {
-        self.range_m / SPEED_OF_LIGHT_M_S
-    }
-
-    /// Round-trip propagation time over the slant range, milliseconds.
-    pub fn rtt_ms(&self) -> f64 {
-        2.0 * self.propagation_delay_s() * 1e3
     }
 }
 
@@ -97,6 +87,7 @@ pub fn is_visible_spherical(ground_ecef: Ecef, sat: Ecef, min_elevation: Angle) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::consts::SPEED_OF_LIGHT_M_S;
     use proptest::prelude::*;
 
     fn ground_at(lat: f64, lon: f64) -> (Geodetic, Ecef) {
@@ -120,7 +111,8 @@ mod tests {
         let (g, ge) = ground_at(0.0, 0.0);
         let sat = Geodetic::from_degrees(0.0, 0.0, 550e3).to_ecef_spherical();
         let look = LookAngles::compute(g, ge, sat);
-        assert!((look.rtt_ms() - 3.669).abs() < 0.01);
+        let rtt_ms = 2.0 * look.range_m / SPEED_OF_LIGHT_M_S * 1e3;
+        assert!((rtt_ms - 3.669).abs() < 0.01);
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl AsciiMap {
         }
     }
 
-    /// Number of cells currently showing `glyph`.
-    pub fn count(&self, glyph: char) -> usize {
-        self.cells.iter().filter(|&&c| c == glyph).count()
-    }
-
     /// Renders the map with a one-character border.
     pub fn render(&self) -> String {
         let mut out = String::with_capacity((self.width + 3) * (self.height + 2));
@@ -122,8 +117,8 @@ mod tests {
         let p = Geodetic::ground(0.0, 0.0);
         map.plot([&p], '.');
         map.plot([&p], 'o');
-        assert_eq!(map.count('o'), 1);
-        assert_eq!(map.count('.'), 0);
+        assert_eq!(map.cells.iter().filter(|&&c| c == 'o').count(), 1);
+        assert!(!map.cells.contains(&'.'));
     }
 
     #[test]

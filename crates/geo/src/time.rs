@@ -122,7 +122,7 @@ mod tests {
         let g1 = gmst(Epoch::J2000, crate::consts::SIDEREAL_DAY_S);
         let delta = (g1 - g0).normalized_signed();
         assert!(
-            delta.abs().degrees() < 1e-3,
+            delta.degrees().abs() < 1e-3,
             "GMST should return to start after one sidereal day, drifted {delta}"
         );
     }

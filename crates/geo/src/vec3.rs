@@ -54,15 +54,6 @@ impl Vec3 {
         self.x * other.x + self.y * other.y + self.z * other.z
     }
 
-    /// Cross product.
-    pub fn cross(self, other: Vec3) -> Vec3 {
-        Vec3 {
-            x: self.y * other.z - self.z * other.y,
-            y: self.z * other.x - self.x * other.z,
-            z: self.x * other.y - self.y * other.x,
-        }
-    }
-
     /// Euclidean norm.
     pub fn norm(self) -> f64 {
         self.dot(self).sqrt()
@@ -185,14 +176,6 @@ mod tests {
     use std::f64::consts::FRAC_PI_2;
 
     #[test]
-    fn dot_and_cross_of_basis_vectors() {
-        assert_eq!(Vec3::X.dot(Vec3::Y), 0.0);
-        assert_eq!(Vec3::X.cross(Vec3::Y), Vec3::Z);
-        assert_eq!(Vec3::Y.cross(Vec3::Z), Vec3::X);
-        assert_eq!(Vec3::Z.cross(Vec3::X), Vec3::Y);
-    }
-
-    #[test]
     fn norm_of_pythagorean_triple() {
         assert_eq!(Vec3::new(3.0, 4.0, 0.0).norm(), 5.0);
     }
@@ -220,13 +203,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn cross_is_orthogonal_to_operands(a in arb_vec3(), b in arb_vec3()) {
-            let c = a.cross(b);
-            let scale = (a.norm() * b.norm()).max(1.0);
-            prop_assert!(c.dot(a).abs() / (scale * scale.max(c.norm())) < 1e-9);
-        }
-
         #[test]
         fn normalization_yields_unit_norm(a in arb_vec3()) {
             prop_assume!(a.norm() > 1e-3);

@@ -144,12 +144,6 @@ impl DeltaStats {
 }
 
 impl IslWeights {
-    /// Weight (seconds) of one undirected edge id; `INFINITY` when the
-    /// link is occluded at the refreshed instant.
-    pub fn delay_s(&self, edge: usize) -> f64 {
-        self.delays[edge]
-    }
-
     /// Number of compiled edges.
     pub fn len(&self) -> usize {
         self.delays.len()
@@ -1260,8 +1254,8 @@ mod tests {
             .collect();
         for (id, &(a, b)) in engine.edge_ends.iter().enumerate() {
             match by_pair.get(&(a, b)) {
-                Some(&d) => assert_eq!(weights.delay_s(id), d),
-                None => assert!(weights.delay_s(id).is_infinite()),
+                Some(&d) => assert_eq!(weights.delays[id], d),
+                None => assert!(weights.delays[id].is_infinite()),
             }
         }
     }
@@ -1427,7 +1421,7 @@ mod tests {
         engine.refresh_into(&snap, &plan, &mut w);
         for (e, &(a, b)) in engine.edge_ends.iter().enumerate() {
             if a == 100 || b == 100 {
-                assert!(w.delay_s(e).is_infinite(), "edge {a}-{b} must be masked");
+                assert!(w.delays[e].is_infinite(), "edge {a}-{b} must be masked");
             }
         }
         let plain = engine.refresh(&snap, &FaultPlan::empty());

@@ -49,11 +49,6 @@ impl Path {
     pub fn rtt_ms(&self) -> f64 {
         2.0 * self.delay_s * 1e3
     }
-
-    /// Number of hops (edges) on the path.
-    pub fn hops(&self) -> usize {
-        self.nodes.len().saturating_sub(1)
-    }
 }
 
 /// A weighted undirected graph over [`NodeId`]s.
@@ -205,7 +200,6 @@ mod tests {
         let p = net.shortest_path(g(0), g(1)).unwrap();
         assert_eq!(p.nodes, vec![g(0), g(1)]);
         assert_eq!(p.delay_s, 5.0);
-        assert_eq!(p.hops(), 1);
     }
 
     #[test]
@@ -240,7 +234,7 @@ mod tests {
         net.add_node(g(0));
         let p = net.shortest_path(g(0), g(0)).unwrap();
         assert_eq!(p.delay_s, 0.0);
-        assert_eq!(p.hops(), 0);
+        assert_eq!(p.nodes, vec![g(0)]);
     }
 
     #[test]

@@ -27,13 +27,6 @@ pub struct Pass {
     pub min_range_m: f64,
 }
 
-impl Pass {
-    /// Pass duration, seconds.
-    pub fn duration_s(&self) -> f64 {
-        self.set_s - self.rise_s
-    }
-}
-
 /// Predicts every visibility pass of every satellite over `ground`
 /// within `[start_s, end_s]`, sampling each `step_s` seconds through a
 /// [`VisibilityIndex`] built per sample. The plain network service has
@@ -187,14 +180,13 @@ mod tests {
         let passes = passes_for(30.0, 10.0);
         assert!(passes.len() > 20, "only {} passes", passes.len());
         for p in passes.iter().filter(|p| p.rise_s > 0.0 && p.set_s < 3600.0) {
-            assert!(
-                p.duration_s() <= 720.0,
-                "pass {} lasts {} s",
-                p.sat,
-                p.duration_s()
-            );
+            let duration_s = p.set_s - p.rise_s;
+            assert!(duration_s <= 720.0, "pass {} lasts {duration_s} s", p.sat);
         }
-        let longest = passes.iter().map(|p| p.duration_s()).fold(0.0, f64::max);
+        let longest = passes
+            .iter()
+            .map(|p| p.set_s - p.rise_s)
+            .fold(0.0, f64::max);
         assert!(longest > 200.0, "longest pass only {longest} s");
     }
 
@@ -354,7 +346,7 @@ mod tests {
         }
         let spanned: usize = passes
             .iter()
-            .map(|p| (p.duration_s() / 10.0).round() as usize + 1)
+            .map(|p| ((p.set_s - p.rise_s) / 10.0).round() as usize + 1)
             .sum();
         assert_eq!(spanned, samples);
     }

@@ -549,14 +549,21 @@ mod tests {
     /// A satellite `range_m` from `ge` at elevation `el_rad` (any real
     /// value: past 90° it leans over the zenith to the other side).
     fn plant(ge: Ecef, el_rad: f64, range_m: f64) -> Ecef {
+        let cross = |a: Vec3, b: Vec3| {
+            Vec3::new(
+                a.y * b.z - a.z * b.y,
+                a.z * b.x - a.x * b.z,
+                a.x * b.y - a.y * b.x,
+            )
+        };
         let up = ge.0.normalized();
-        let east = Vec3::Z.cross(up);
+        let east = cross(Vec3::Z, up);
         let east = if east.norm() < 1e-9 {
             Vec3::X
         } else {
             east.normalized()
         };
-        let north = up.cross(east);
+        let north = cross(up, east);
         let horizontal = (north + east).normalized();
         Ecef(ge.0 + (horizontal * el_rad.cos() + up * el_rad.sin()) * range_m)
     }

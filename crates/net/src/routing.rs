@@ -130,7 +130,7 @@ mod tests {
         // Zurich-Paris is ~490 km; via one or two satellites the RTT stays
         // below ~25 ms.
         assert!(p.rtt_ms() < 25.0, "rtt {}", p.rtt_ms());
-        assert!(p.hops() >= 2, "must go up and down");
+        assert!(p.nodes.len() >= 3, "must go up and down");
     }
 
     #[test]
@@ -189,7 +189,7 @@ mod tests {
         let a = SatId(0);
         let b = SatId((c.num_satellites() / 2) as u32);
         let p = sat_to_sat(&graph, a, b).expect("isl path");
-        assert!(p.hops() >= 1);
+        assert!(p.nodes.len() >= 2);
         for n in &p.nodes {
             assert!(matches!(n, NodeId::Sat(_)));
         }

@@ -851,11 +851,6 @@ impl HistogramDump {
         (self.count > 0).then(|| self.sum / self.count as f64)
     }
 
-    /// Exact smallest sample, `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
     /// Exact largest sample, `None` when empty.
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
@@ -1141,7 +1136,7 @@ mod tests {
             assert!((400.0..700.0).contains(&p50), "p50 {p50}");
             let p99 = d.quantile(0.99).unwrap();
             assert!((800.0..1400.0).contains(&p99), "p99 {p99}");
-            assert_eq!((d.min(), d.max()), (Some(1.0), Some(1000.0)));
+            assert_eq!((Some(d.min), d.max()), (Some(1.0), Some(1000.0)));
             assert!((d.mean().unwrap() - 500.5).abs() < 1e-6);
         });
     }
@@ -1244,7 +1239,7 @@ mod tests {
             h.reset();
             h.record(86.24);
             let d = h.dump();
-            assert_eq!((d.min(), d.max()), (Some(86.24), Some(86.24)));
+            assert_eq!((Some(d.min), d.max()), (Some(86.24), Some(86.24)));
             for q in [0.0, 0.5, 0.99, 1.0] {
                 assert_eq!(d.quantile(q), Some(86.24), "q = {q}");
             }
@@ -1501,7 +1496,7 @@ mod tests {
             assert_eq!(h.dump().count, 0);
             // Reset clears the extremes too: the next sample sets both.
             h.record(1.5);
-            assert_eq!((h.dump().min(), h.dump().max()), (Some(1.5), Some(1.5)));
+            assert_eq!((Some(h.dump().min), h.dump().max()), (Some(1.5), Some(1.5)));
         });
     }
 

@@ -58,13 +58,6 @@ impl KeplerianElements {
         self.mean_motion_rad_s() * 86_400.0 / TAU
     }
 
-    /// Circular orbital speed at the semi-major axis, m/s.
-    ///
-    /// For the paper's 550 km example this is 7,585 m/s ≈ 27,306 km/h.
-    pub fn circular_speed_m_s(&self) -> f64 {
-        (EARTH_MU_M3_S2 / self.semi_major_axis_m).sqrt()
-    }
-
     /// Altitude of perigee above the mean-radius sphere, meters.
     pub fn perigee_altitude_m(&self) -> f64 {
         self.semi_major_axis_m * (1.0 - self.eccentricity) - EARTH_RADIUS_MEAN_M
@@ -74,51 +67,7 @@ impl KeplerianElements {
     pub fn semi_latus_rectum_m(&self) -> f64 {
         self.semi_major_axis_m * (1.0 - self.eccentricity * self.eccentricity)
     }
-
-    /// Validates physical plausibility for a LEO simulation: bound orbit,
-    /// perigee above the surface, eccentricity in `[0, 1)`.
-    pub fn validate(&self) -> Result<(), ElementsError> {
-        if !(0.0..1.0).contains(&self.eccentricity) {
-            return Err(ElementsError::Eccentricity(self.eccentricity));
-        }
-        if self.semi_major_axis_m <= EARTH_RADIUS_MEAN_M {
-            return Err(ElementsError::SemiMajorAxis(self.semi_major_axis_m));
-        }
-        if self.perigee_altitude_m() < 0.0 {
-            return Err(ElementsError::PerigeeBelowSurface(
-                self.perigee_altitude_m(),
-            ));
-        }
-        Ok(())
-    }
 }
-
-/// Validation failures for [`KeplerianElements::validate`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ElementsError {
-    /// Eccentricity outside `[0, 1)`.
-    Eccentricity(f64),
-    /// Semi-major axis at or below the Earth's surface.
-    SemiMajorAxis(f64),
-    /// Perigee altitude below the surface (meters, negative).
-    PerigeeBelowSurface(f64),
-}
-
-impl std::fmt::Display for ElementsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ElementsError::Eccentricity(e) => write!(f, "eccentricity {e} outside [0, 1)"),
-            ElementsError::SemiMajorAxis(a) => {
-                write!(f, "semi-major axis {a} m is inside the Earth")
-            }
-            ElementsError::PerigeeBelowSurface(p) => {
-                write!(f, "perigee altitude {p} m is below the surface")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ElementsError {}
 
 #[cfg(test)]
 mod tests {
@@ -144,7 +93,8 @@ mod tests {
     #[test]
     fn starlink_550_speed_matches_paper() {
         // §2: "the satellites travel at 27,306 km/h".
-        let v_kmh = starlink_550().circular_speed_m_s() * 3.6;
+        let e = starlink_550();
+        let v_kmh = std::f64::consts::TAU * e.semi_major_axis_m / e.period_s() * 3.6;
         assert!((v_kmh - 27_306.0).abs() < 100.0, "{v_kmh} km/h");
     }
 
@@ -163,37 +113,6 @@ mod tests {
     fn circular_orbit_has_equal_apsides() {
         let e = starlink_550();
         assert!((e.perigee_altitude_m() - 550e3).abs() < 1e-6);
-    }
-
-    #[test]
-    fn validation_rejects_hyperbolic_and_subsurface_orbits() {
-        let mut e = starlink_550();
-        e.eccentricity = 1.5;
-        assert!(matches!(e.validate(), Err(ElementsError::Eccentricity(_))));
-
-        let mut e = starlink_550();
-        e.semi_major_axis_m = 1000.0;
-        assert!(matches!(e.validate(), Err(ElementsError::SemiMajorAxis(_))));
-
-        let mut e = starlink_550();
-        e.eccentricity = 0.2; // perigee dips below the surface at 550 km
-        assert!(matches!(
-            e.validate(),
-            Err(ElementsError::PerigeeBelowSurface(_))
-        ));
-    }
-
-    #[test]
-    fn validation_accepts_all_paper_shells() {
-        for alt in [550e3, 1110e3, 1130e3, 1275e3, 1325e3, 630e3, 610e3, 590e3] {
-            let e = KeplerianElements::circular(
-                alt,
-                Angle::from_degrees(53.0),
-                Angle::ZERO,
-                Angle::ZERO,
-            );
-            assert!(e.validate().is_ok(), "altitude {alt}");
-        }
     }
 
     proptest! {

@@ -185,12 +185,6 @@ impl Propagator {
     pub fn position_ecef(&self, t: f64) -> Ecef {
         self.position_eci(t).to_ecef(gmst(self.epoch, t))
     }
-
-    /// Geodetic sub-satellite point (spherical Earth) at `t` seconds after
-    /// the epoch — latitude/longitude of the ground track plus altitude.
-    pub fn subpoint(&self, t: f64) -> leo_geo::Geodetic {
-        self.position_ecef(t).to_geodetic_spherical()
-    }
 }
 
 /// The sine and cosine of the last angle seen, reused while successive
@@ -342,8 +336,8 @@ mod tests {
         // equator crossings move west.
         let p = starlink();
         let period = p.elements().period_s();
-        let lon0 = p.subpoint(0.0).lon;
-        let lon1 = p.subpoint(period).lon;
+        let lon0 = p.position_ecef(0.0).to_geodetic_spherical().lon;
+        let lon1 = p.position_ecef(period).to_geodetic_spherical().lon;
         let drift = (lon1 - lon0).normalized_signed().degrees();
         assert!(drift < -20.0 && drift > -30.0, "drift {drift}° per orbit");
     }

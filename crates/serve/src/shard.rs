@@ -77,11 +77,6 @@ impl ShardedUsers {
     pub fn shard(&self, i: usize) -> &[GroundEndpoint] {
         &self.users[self.shards[i].clone()]
     }
-
-    /// All users in shard order (`users()[i].index == i`).
-    pub fn users(&self) -> &[GroundEndpoint] {
-        &self.users
-    }
 }
 
 #[cfg(test)]
@@ -113,7 +108,7 @@ mod tests {
     #[test]
     fn indices_are_rewritten_to_shard_order() {
         let s = sharded(1000, 4.0, 100);
-        for (i, u) in s.users().iter().enumerate() {
+        for (i, u) in s.users.iter().enumerate() {
             assert_eq!(u.index, i as u32);
         }
     }
@@ -122,7 +117,7 @@ mod tests {
     fn bands_are_monotone_south_to_north() {
         let s = sharded(2000, 6.0, 10_000);
         let band = |u: &GroundEndpoint| ((u.geodetic.lat.degrees() + 90.0) / 6.0) as i32;
-        for w in s.users().windows(2) {
+        for w in s.users.windows(2) {
             assert!(band(&w[0]) <= band(&w[1]));
         }
     }
@@ -139,7 +134,7 @@ mod tests {
     fn sharding_is_deterministic() {
         let a = sharded(1500, 4.0, 200);
         let b = sharded(1500, 4.0, 200);
-        assert_eq!(a.users(), b.users());
+        assert_eq!(a.users, b.users);
         assert_eq!(a.num_shards(), b.num_shards());
         for i in 0..a.num_shards() {
             assert_eq!(a.shards[i], b.shards[i]);

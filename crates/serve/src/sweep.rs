@@ -485,7 +485,9 @@ mod tests {
             population(800),
             quick_config(2),
         );
-        let n_edges = engine.service().topology().edges().len() as u64;
+        let n_edges = leo_net::IslTopology::plus_grid(engine.service().constellation())
+            .edges()
+            .len() as u64;
         let report = engine.sweep(&[120.0, 120.0]);
         assert_eq!(report.snapshots[0].handoffs, 0);
         assert_eq!(

@@ -120,16 +120,6 @@ pub struct SweepViews<'a> {
 }
 
 impl<'a> SweepViews<'a> {
-    /// Number of instants in the sweep.
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
-    /// True when the sweep has no instants.
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
-    }
-
     /// Iterates `(time, view)` pairs in sweep order.
     pub fn iter(&self) -> impl Iterator<Item = (f64, &'a SnapshotView)> + '_ {
         self.times
@@ -299,11 +289,8 @@ mod tests {
     fn sweep_views_expose_schedule_order() {
         let service = InOrbitService::new(presets::starlink_550_only());
         let sweep = TimeSweep::new(&service, [0.0, 30.0, 60.0]).with_threads(2);
-        let order: Vec<Vec<f64>> = sweep.run(vec![()], |_, views| {
-            assert_eq!(views.len(), 3);
-            assert!(!views.is_empty());
-            views.iter().map(|(t, _)| t).collect()
-        });
+        let order: Vec<Vec<f64>> =
+            sweep.run(vec![()], |_, views| views.iter().map(|(t, _)| t).collect());
         assert_eq!(order, vec![vec![0.0, 30.0, 60.0]]);
     }
 

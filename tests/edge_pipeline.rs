@@ -216,6 +216,12 @@ fn flash_crowds_show_up_in_the_demand_trace() {
     );
     // And the engine-level demand totals reflect the whole trace.
     let report = run_plain(1);
-    let expected: u64 = s.ticks().iter().map(|&t| s.total_demand_at(t)).sum();
+    let cells = s.cells().len() as u32;
+    let expected: u64 = s
+        .ticks()
+        .iter()
+        .flat_map(|&t| (0..cells).map(move |i| (i, t)))
+        .map(|(i, t)| s.demand_at(i, t))
+        .sum();
     assert_eq!(report.total_demand, expected);
 }

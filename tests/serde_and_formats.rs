@@ -110,7 +110,7 @@ fn whole_constellation_survives_tle_text_export() {
         // name + two element lines per record
         let chunk = lines[i..(i + 3).min(lines.len())].join("\n");
         let tle = Tle::parse(&chunk).expect("exported TLE parses");
-        assert!(tle.elements.validate().is_ok());
+        assert!(tle.elements.perigee_altitude_m() > 0.0);
         parsed += 1;
         i += 3;
     }
@@ -127,5 +127,5 @@ fn fig5_map_renders_to_fixed_dimensions() {
     let lines: Vec<&str> = rendered.lines().collect();
     assert_eq!(lines.len(), 42); // 40 rows + border
     assert!(lines.iter().all(|l| l.chars().count() == 146));
-    assert!(map.count('.') > 100, "city layer missing");
+    assert!(rendered.matches('.').count() > 100, "city layer missing");
 }
