@@ -395,19 +395,18 @@ mod tests {
     #[test]
     fn sweep_is_identical_across_thread_counts() {
         let times: Vec<f64> = (0..3).map(|i| i as f64 * 60.0).collect();
-        let one = ServeEngine::new(
-            InOrbitService::new(presets::starlink_550_only()),
-            population(2000),
-            quick_config(1),
-        )
-        .sweep(&times);
-        let many = ServeEngine::new(
-            InOrbitService::new(presets::starlink_550_only()),
-            population(2000),
-            quick_config(8),
-        )
-        .sweep(&times);
-        assert_eq!(one, many);
+        let sweep = |threads| {
+            ServeEngine::new(
+                InOrbitService::new(presets::starlink_550_only()),
+                population(2000),
+                quick_config(threads),
+            )
+            .sweep(&times)
+        };
+        let one = sweep(1);
+        for threads in [2, 3, 8] {
+            assert_eq!(one, sweep(threads), "{threads} threads");
+        }
         assert_eq!(one.total_queries, 6000);
         assert_eq!(one.delta_full_rebuilds, 1, "only the cold start rebuilds");
     }
