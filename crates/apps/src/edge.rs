@@ -21,13 +21,6 @@ pub const FIBER_SPEED_M_S: f64 = leo_geo::consts::SPEED_OF_LIGHT_M_S / 1.47;
 /// "Why is the Internet so slow?!" citation measures worse).
 pub const TERRESTRIAL_PATH_STRETCH: f64 = 2.0;
 
-/// Akamai's deployed server count circa 2020 (≈ 325,000 per its public
-/// facts page, cited by the paper).
-pub const AKAMAI_SERVERS_2020: f64 = 325_000.0;
-
-/// Starlink's full planned scale (§3.1: "40,000 planned satellites").
-pub const STARLINK_FULL_SCALE: f64 = 40_000.0;
-
 /// Latency to the nearest terrestrial edge site over fiber, milliseconds
 /// (RTT): great-circle distance × stretch at fiber speed.
 fn terrestrial_edge_rtt_ms(user: Geodetic, sites: &[Geodetic]) -> Option<f64> {

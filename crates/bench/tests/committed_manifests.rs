@@ -24,11 +24,6 @@ const UNDRIVEN: &[(&str, &str)] = &[
         "fig_migration's hand-offs finish within one route segment; only \
          the benchmark's 5→795 transfer changes route",
     ),
-    (
-        "engine.multi_source_queries",
-        "bumped only by `RoutingEngine::multi_source_ground_delays_into`, \
-         the test-only oracle for the serving layer's frontier pass",
-    ),
 ];
 
 fn repo_root() -> PathBuf {
@@ -155,13 +150,20 @@ fn every_library_counter_is_driven_by_a_committed_run_or_listed() {
          them in UNDRIVEN with a reason:\n{}",
         unlisted.join("\n")
     );
-    let stale: Vec<&str> = listed
+    let stale: Vec<String> = listed
         .iter()
-        .copied()
-        .filter(|name| !undriven.contains_key(name))
+        .filter(|name| !undriven.contains_key(*name))
+        .map(|name| {
+            if largest.contains_key(*name) {
+                format!("{name}: a committed run drives it")
+            } else {
+                format!("{name}: no library source bumps it")
+            }
+        })
         .collect();
     assert!(
         stale.is_empty(),
-        "listed in UNDRIVEN, but a committed run drives them: {stale:?}"
+        "listed in UNDRIVEN, but stale; take them off the list:\n{}",
+        stale.join("\n")
     );
 }

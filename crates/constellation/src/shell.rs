@@ -227,7 +227,9 @@ mod tests {
         let s = shell(6, 4, 2);
         for (p, slot) in s.positions() {
             let e = s.elements(p, slot);
-            assert!((e.perigee_altitude_m() - 550e3).abs() < 1e-6);
+            assert_eq!(e.eccentricity, 0.0);
+            let altitude_m = e.semi_major_axis_m - leo_geo::consts::EARTH_RADIUS_MEAN_M;
+            assert!((altitude_m - 550e3).abs() < 1e-6);
             assert!((e.inclination.degrees() - 53.0).abs() < 1e-12);
         }
     }

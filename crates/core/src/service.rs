@@ -9,7 +9,7 @@ use leo_net::frontier::{self, BandSet, GroundSet, VisibleLists};
 use leo_net::routing::{self, GroundEndpoint};
 use leo_net::visibility::VisibleSat;
 use leo_net::{IslTopology, NetworkGraph, VisibilityIndex};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Propagated positions at one instant, paired with the spatial
@@ -179,7 +179,9 @@ pub struct InOrbitService {
     topology: IslTopology,
     engine: Arc<RoutingEngine>,
     faults: Arc<FaultConfig>,
-    cache: Mutex<HashMap<u64, Arc<SnapshotView>>>,
+    /// Ordered so a dropped service frees its views in the same order in
+    /// every process; a per-process hash seed made peak memory bimodal.
+    cache: Mutex<BTreeMap<u64, Arc<SnapshotView>>>,
 }
 
 impl Clone for InOrbitService {
@@ -217,7 +219,7 @@ impl InOrbitService {
             topology,
             engine,
             faults: Arc::new(faults),
-            cache: Mutex::new(HashMap::new()),
+            cache: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -261,11 +263,11 @@ impl InOrbitService {
         // hits for k calls — do not depend on thread interleaving. The
         // CI determinism check relies on this.
         match cache.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
+            std::collections::btree_map::Entry::Occupied(e) => {
                 leo_obs::counter!("service.snapshot_hits").incr();
                 Arc::clone(e.get())
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
+            std::collections::btree_map::Entry::Vacant(e) => {
                 leo_obs::counter!("service.snapshot_misses").incr();
                 Arc::clone(e.insert(built))
             }

@@ -14,9 +14,10 @@
 //! * **compile once** — the ISL adjacency is flattened into a compressed
 //!   sparse row (CSR) array over dense satellite indices at construction;
 //! * **refresh per snapshot** — [`RoutingEngine::refresh_into`] rewrites
-//!   only the per-edge weights in place (`INFINITY` marks an occluded
-//!   link; an infinite weight can never relax a vertex, so inactive edges
-//!   need no flag of their own);
+//!   only the weights in place, each edge's one-way delay into both of
+//!   its directed CSR slots (`INFINITY` marks an occluded link; an
+//!   infinite weight can never relax a vertex, so inactive edges need no
+//!   flag of their own);
 //! * **attach per query group** — ground endpoints occupy indices after
 //!   the satellites; [`RoutingEngine::attach`] wires their up/down links
 //!   from a visibility query into a small two-sided CSR
@@ -50,6 +51,7 @@ use crate::routing::GroundEndpoint;
 use crate::visibility::visible_sats;
 use leo_constellation::{Constellation, SatId, Snapshot};
 use leo_geo::consts::SPEED_OF_LIGHT_M_S;
+use leo_geo::Ecef;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -63,60 +65,48 @@ pub struct RoutingEngine {
     offsets: Vec<u32>,
     /// Neighbor satellite index per slot.
     targets: Vec<u32>,
-    /// Undirected edge id per slot — both directions of an edge share one
-    /// weight cell in [`IslWeights`].
-    edge_of_slot: Vec<u32>,
     /// Endpoint indices per undirected edge id.
     edge_ends: Vec<(u32, u32)>,
-    /// The two directed slots of each undirected edge — the inverse of
-    /// `edge_of_slot`, so a delta refresh can scatter one changed weight
-    /// without re-walking the whole slot array.
+    /// The two directed slots of each undirected edge, which both hold
+    /// its weight in [`IslWeights`].
     slots_of_edge: Vec<[u32; 2]>,
 }
 
-/// Per-snapshot edge weights (one-way delay, seconds) for a compiled
-/// engine; `INFINITY` where the line of sight is Earth-occluded. This is
-/// the only routing state that changes between instants — refresh it in
-/// place and share it across every query at that instant.
+/// Per-snapshot ISL weights (one-way delay, seconds) for a compiled
+/// engine, one per directed CSR slot so the Dijkstra inner loop streams
+/// one contiguous array; both slots of an edge hold its weight, and
+/// `INFINITY` marks an Earth-occluded or masked link. This is the only
+/// routing state that changes between instants — refresh it in place
+/// and share it across every query at that instant.
 #[derive(Debug, Clone, Default)]
 pub struct IslWeights {
-    delays: Vec<f64>,
-    /// The same weights laid out per directed CSR slot, so the Dijkstra
-    /// inner loop streams one contiguous array instead of bouncing
-    /// through the slot→edge indirection.
     slots: Vec<f64>,
     /// Smallest finite weight, or `INFINITY` when every link is occluded
     /// — the bucket width of the monotone queue.
     min_finite: f64,
-    /// Fingerprint of the inputs the weights were refreshed from, for
-    /// [`RoutingEngine::refresh_delta`]. `None` until the first refresh
-    /// records one.
+    /// Fingerprint of the inputs of the last
+    /// [`RoutingEngine::refresh_delta`], which alone writes and reads it.
+    /// A full refresh resets it to `None`, so weights it wrote are cold
+    /// to the next delta.
     inputs: Option<RefreshInputs>,
 }
 
-/// The exact inputs of the last refresh: per-satellite position bits and
-/// per-edge mask status. An edge whose fingerprint entries are unchanged
-/// would get bit-for-bit the same weight from a full refresh — the same
-/// positions through the same expressions — so the delta path can skip it
-/// *provably*, not approximately.
+/// The exact inputs of the last delta refresh: per-satellite position
+/// bits and per-edge mask status. An edge whose fingerprint entries are
+/// unchanged would get bit-for-bit the same weight from a full refresh —
+/// the same positions through the same expressions — so the delta path
+/// can skip it *provably*, not approximately.
 #[derive(Debug, Clone, Default)]
 struct RefreshInputs {
-    /// `(x, y, z)` bit patterns per satellite at the last refresh.
+    /// `(x, y, z)` bit patterns per satellite at the last delta.
     sat_bits: Vec<[u64; 3]>,
-    /// Whether the fault plan masked each edge at the last refresh.
+    /// Whether the fault plan masked each edge at the last delta.
     masked: Vec<bool>,
 }
 
-impl RefreshInputs {
-    fn record_positions(&mut self, snapshot: &Snapshot) {
-        self.sat_bits.clear();
-        self.sat_bits.extend(
-            snapshot
-                .positions
-                .iter()
-                .map(|p| [p.0.x.to_bits(), p.0.y.to_bits(), p.0.z.to_bits()]),
-        );
-    }
+/// The exact bit patterns of a position, the fingerprint's unit.
+fn position_bits(p: &Ecef) -> [u64; 3] {
+    [p.0.x.to_bits(), p.0.y.to_bits(), p.0.z.to_bits()]
 }
 
 /// What one [`RoutingEngine::refresh_delta`] call did — the change-rate
@@ -131,8 +121,9 @@ pub struct DeltaStats {
     /// Recomputed edges whose weight actually differs from the stored
     /// value (and therefore got written back).
     pub changed: usize,
-    /// True when no usable fingerprint existed (cold buffer, size
-    /// mismatch) and the call degenerated to a full refresh.
+    /// True when no usable fingerprint existed and the call degenerated
+    /// to a full refresh: a cold buffer, weights a full refresh wrote,
+    /// or a size mismatch.
     pub full_rebuild: bool,
 }
 
@@ -146,35 +137,29 @@ impl DeltaStats {
 impl IslWeights {
     /// Number of compiled edges.
     pub fn len(&self) -> usize {
-        self.delays.len()
+        self.slots.len() / 2
     }
 
     /// True when the engine compiled no ISL edges.
     pub fn is_empty(&self) -> bool {
-        self.delays.is_empty()
+        self.slots.is_empty()
     }
 
     /// Number of edges currently usable (finite weight).
     #[cfg(test)]
     fn active_edges(&self) -> usize {
-        self.delays.iter().filter(|d| d.is_finite()).count()
+        self.slots.iter().filter(|d| d.is_finite()).count() / 2
     }
 
-    /// True when `other` holds bit-for-bit the same weights: every edge
-    /// delay, every directed slot, and `min_finite` compare equal as bit
-    /// patterns (so `INFINITY == INFINITY`, unlike `f64` equality on
-    /// whole-slice compares with NaN semantics in mind). The delta-refresh
-    /// identity guarantee is stated — and CI-gated — in terms of this
-    /// predicate.
+    /// True when `other` holds bit-for-bit the same weights: every
+    /// directed slot and `min_finite` compare equal as bit patterns (so
+    /// `INFINITY == INFINITY`, unlike `f64` equality on whole-slice
+    /// compares with NaN semantics in mind). The delta fingerprint is not
+    /// compared. The delta-refresh identity guarantee is stated — and
+    /// CI-gated — in terms of this predicate.
     pub fn bits_eq(&self, other: &IslWeights) -> bool {
-        self.delays.len() == other.delays.len()
-            && self.slots.len() == other.slots.len()
+        self.slots.len() == other.slots.len()
             && self.min_finite.to_bits() == other.min_finite.to_bits()
-            && self
-                .delays
-                .iter()
-                .zip(&other.delays)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
             && self
                 .slots
                 .iter()
@@ -447,7 +432,6 @@ impl RoutingEngine {
         }
         let total = *offsets.last().unwrap() as usize;
         let mut targets = vec![0u32; total];
-        let mut edge_of_slot = vec![0u32; total];
         let mut cursor = offsets[..num_sats].to_vec();
         let mut edge_ends = Vec::with_capacity(edges.len());
         let mut slots_of_edge = vec![[0u32; 2]; edges.len()];
@@ -456,7 +440,6 @@ impl RoutingEngine {
             for (dir, (from, to)) in [(a, b), (b, a)].into_iter().enumerate() {
                 let slot = cursor[from as usize] as usize;
                 targets[slot] = to;
-                edge_of_slot[slot] = id as u32;
                 slots_of_edge[id][dir] = slot as u32;
                 cursor[from as usize] += 1;
             }
@@ -466,7 +449,6 @@ impl RoutingEngine {
             num_sats,
             offsets,
             targets,
-            edge_of_slot,
             edge_ends,
             slots_of_edge,
         }
@@ -486,9 +468,10 @@ impl RoutingEngine {
     }
 
     /// Rewrites `weights` in place for `snapshot` under `plan`: one-way
-    /// delay per edge, `INFINITY` where the straight line dips into the
-    /// atmosphere or where the plan masks the edge (a dead endpoint), so
-    /// no search can relax through it. Under a non-empty
+    /// delay per edge, written into both of its directed slots,
+    /// `INFINITY` where the straight line dips into the atmosphere or
+    /// where the plan masks the edge (a dead endpoint), so no search can
+    /// relax through it. Records no delta fingerprint. Under a non-empty
     /// plan, masked edges that would otherwise be up are tallied in the
     /// `fault.masked_isl_edges` counter — per refresh, so a service's
     /// snapshot views add to it only once a route query has read their
@@ -497,33 +480,24 @@ impl RoutingEngine {
     pub fn refresh_into(&self, snapshot: &Snapshot, plan: &FaultPlan, weights: &mut IslWeights) {
         let _span = leo_obs::span!("engine.refresh_s");
         let plan_empty = plan.is_empty();
-        let n_edges = self.edge_ends.len();
-        // Fingerprint the inputs so a later refresh_delta can skip edges
-        // whose endpoints provably didn't move and whose mask held.
-        let inputs = weights.inputs.get_or_insert_with(RefreshInputs::default);
-        inputs.record_positions(snapshot);
-        inputs.masked.clear();
-        inputs.masked.resize(n_edges, false);
-        weights.delays.resize(n_edges, f64::INFINITY);
+        // A fingerprint left from an earlier delta no longer describes
+        // these weights; a delta that trusted it would skip edges that
+        // moved.
+        weights.inputs = None;
+        weights.slots.resize(self.targets.len(), f64::INFINITY);
         let mut min_finite = f64::INFINITY;
         let mut masked = 0u64;
-        for (e, &(a, b)) in self.edge_ends.iter().enumerate() {
+        for (&(a, b), &[s1, s2]) in self.edge_ends.iter().zip(&self.slots_of_edge) {
             let mut w = self.edge_weight(snapshot, a, b);
             if !plan_empty && plan.isl_edge_masked(SatId(a), SatId(b)) {
-                inputs.masked[e] = true;
                 masked += u64::from(w.is_finite());
                 w = f64::INFINITY;
             }
-            weights.delays[e] = w;
+            weights.slots[s1 as usize] = w;
+            weights.slots[s2 as usize] = w;
             min_finite = min_finite.min(w);
         }
         weights.min_finite = min_finite;
-        // Scatter into the per-directed-slot layout the Dijkstra inner
-        // loop streams.
-        weights.slots.resize(self.edge_of_slot.len(), f64::INFINITY);
-        for (slot, &e) in self.edge_of_slot.iter().enumerate() {
-            weights.slots[slot] = weights.delays[e as usize];
-        }
         if !plan_empty {
             leo_obs::counter!("fault.masked_isl_edges").add(masked);
         }
@@ -546,15 +520,17 @@ impl RoutingEngine {
 
     /// Incremental [`RoutingEngine::refresh_into`]: recomputes only the
     /// edges whose endpoint positions changed, or whose mask status under
-    /// `plan` flipped, since the weights were last refreshed. The output
+    /// `plan` flipped, since the previous delta on `weights`. The output
     /// is **bit-for-bit** what a full refresh would produce
     /// (`IslWeights::bits_eq` — property-tested in
     /// `tests/delta_refresh.rs`), from any starting state. "Changed" is
     /// decided on exact position bit patterns recorded by the previous
-    /// refresh, so a skipped edge is provably identical, never
+    /// delta, so a skipped edge is provably identical, never
     /// approximately so; plan-only transitions (the same instant, a new
-    /// outage) touch exactly the affected edges. A cold or mismatched
-    /// buffer falls back to a full refresh and reports `full_rebuild`.
+    /// outage) touch exactly the affected edges. Weights with no
+    /// fingerprint (a cold buffer, or weights a full refresh wrote) or of
+    /// the wrong size fall back to a full refresh, which records the
+    /// fingerprint, and report `full_rebuild`.
     pub fn refresh_delta(
         &self,
         snapshot: &Snapshot,
@@ -563,15 +539,23 @@ impl RoutingEngine {
     ) -> DeltaStats {
         let _span = leo_obs::span!("engine.refresh_delta_s");
         let n_edges = self.edge_ends.len();
+        let plan_empty = plan.is_empty();
         let usable = snapshot.len() == self.num_sats
-            && weights.delays.len() == n_edges
-            && weights.slots.len() == self.edge_of_slot.len()
+            && weights.slots.len() == self.targets.len()
             && weights
                 .inputs
                 .as_ref()
                 .is_some_and(|c| c.sat_bits.len() == self.num_sats && c.masked.len() == n_edges);
         if !usable {
             self.refresh_into(snapshot, plan, weights);
+            weights.inputs = Some(RefreshInputs {
+                sat_bits: snapshot.positions.iter().map(position_bits).collect(),
+                masked: self
+                    .edge_ends
+                    .iter()
+                    .map(|&(a, b)| !plan_empty && plan.isl_edge_masked(SatId(a), SatId(b)))
+                    .collect(),
+            });
             let stats = DeltaStats {
                 edges: n_edges,
                 recomputed: n_edges,
@@ -586,13 +570,12 @@ impl RoutingEngine {
         // the fingerprint in the same pass.
         let mut moved = vec![false; self.num_sats];
         for (i, p) in snapshot.positions.iter().enumerate() {
-            let bits = [p.0.x.to_bits(), p.0.y.to_bits(), p.0.z.to_bits()];
+            let bits = position_bits(p);
             if inputs.sat_bits[i] != bits {
                 inputs.sat_bits[i] = bits;
                 moved[i] = true;
             }
         }
-        let plan_empty = plan.is_empty();
         let mut recomputed = 0usize;
         let mut changed = 0usize;
         for (e, &(a, b)) in self.edge_ends.iter().enumerate() {
@@ -607,10 +590,9 @@ impl RoutingEngine {
             } else {
                 self.edge_weight(snapshot, a, b)
             };
-            if w.to_bits() != weights.delays[e].to_bits() {
+            let [s1, s2] = self.slots_of_edge[e];
+            if w.to_bits() != weights.slots[s1 as usize].to_bits() {
                 changed += 1;
-                weights.delays[e] = w;
-                let [s1, s2] = self.slots_of_edge[e];
                 weights.slots[s1 as usize] = w;
                 weights.slots[s2 as usize] = w;
             }
@@ -618,10 +600,12 @@ impl RoutingEngine {
         weights.inputs = Some(inputs);
         if changed > 0 {
             // Re-fold the minimum in edge order, exactly as the full
-            // refresh accumulates it. Masked and occluded edges are
-            // `INFINITY` — the identity of `min` — so folding over all
-            // delays equals the full path's fold over the unmasked ones.
-            weights.min_finite = weights.delays.iter().copied().fold(f64::INFINITY, f64::min);
+            // refresh accumulates it.
+            weights.min_finite = self
+                .slots_of_edge
+                .iter()
+                .map(|&[s, _]| weights.slots[s as usize])
+                .fold(f64::INFINITY, f64::min);
         }
         let stats = DeltaStats {
             edges: n_edges,
@@ -1117,7 +1101,6 @@ impl RoutingEngine {
         arena: &mut DijkstraArena,
     ) {
         debug_assert_eq!(links.num_sats, self.num_sats);
-        leo_obs::counter!("engine.multi_source_queries").incr();
         let n = self.num_sats + links.num_grounds();
         out.clear();
         out.resize(n, f64::INFINITY);
@@ -1252,10 +1235,12 @@ mod tests {
             .iter()
             .map(|(e, len)| ((e.a.0, e.b.0), len / SPEED_OF_LIGHT_M_S))
             .collect();
-        for (id, &(a, b)) in engine.edge_ends.iter().enumerate() {
-            match by_pair.get(&(a, b)) {
-                Some(&d) => assert_eq!(weights.delays[id], d),
-                None => assert!(weights.delays[id].is_infinite()),
+        for (&(a, b), slots) in engine.edge_ends.iter().zip(&engine.slots_of_edge) {
+            for &s in slots {
+                match by_pair.get(&(a, b)) {
+                    Some(&d) => assert_eq!(weights.slots[s as usize], d),
+                    None => assert!(weights.slots[s as usize].is_infinite()),
+                }
             }
         }
     }
@@ -1419,9 +1404,10 @@ mod tests {
         plan.kill(SatId(100));
         let mut w = IslWeights::default();
         engine.refresh_into(&snap, &plan, &mut w);
-        for (e, &(a, b)) in engine.edge_ends.iter().enumerate() {
+        for (&(a, b), slots) in engine.edge_ends.iter().zip(&engine.slots_of_edge) {
             if a == 100 || b == 100 {
-                assert!(w.delays[e].is_infinite(), "edge {a}-{b} must be masked");
+                let masked = slots.iter().all(|&s| w.slots[s as usize].is_infinite());
+                assert!(masked, "edge {a}-{b} must be masked");
             }
         }
         let plain = engine.refresh(&snap, &FaultPlan::empty());
@@ -1495,7 +1481,8 @@ mod tests {
     #[test]
     fn delta_refresh_matches_full_refresh_across_instants() {
         let (c, _, engine) = setup();
-        let mut delta = engine.refresh(&c.snapshot(0.0), &FaultPlan::empty());
+        let mut delta = IslWeights::default();
+        engine.refresh_delta(&c.snapshot(0.0), &FaultPlan::empty(), &mut delta);
         for t in [60.0, 120.0, 180.0] {
             let stats = engine.refresh_delta(&c.snapshot(t), &FaultPlan::empty(), &mut delta);
             assert!(!stats.full_rebuild, "warm buffer must stay incremental");
@@ -1508,7 +1495,8 @@ mod tests {
     fn delta_refresh_skips_everything_on_a_repeated_snapshot() {
         let (c, _, engine) = setup();
         let snap = c.snapshot(300.0);
-        let mut w = engine.refresh(&snap, &FaultPlan::empty());
+        let mut w = IslWeights::default();
+        engine.refresh_delta(&snap, &FaultPlan::empty(), &mut w);
         let stats = engine.refresh_delta(&snap, &FaultPlan::empty(), &mut w);
         assert_eq!(stats.recomputed, 0, "no position bit changed");
         assert_eq!(stats.changed, 0);
@@ -1530,7 +1518,8 @@ mod tests {
     fn plan_only_delta_touches_exactly_the_masked_edges() {
         let (c, _, engine) = setup();
         let snap = c.snapshot(0.0);
-        let mut w = engine.refresh(&snap, &FaultPlan::empty());
+        let mut w = IslWeights::default();
+        engine.refresh_delta(&snap, &FaultPlan::empty(), &mut w);
         let mut plan = FaultPlan::empty();
         plan.kill(SatId(100));
         // Same instant, new outage: only the dead satellite's +Grid edges
@@ -1554,7 +1543,7 @@ mod tests {
         plan.kill(SatId(7));
         plan.kill(SatId(200));
         let mut w = IslWeights::default();
-        engine.refresh_into(&c.snapshot(0.0), &plan, &mut w);
+        engine.refresh_delta(&c.snapshot(0.0), &plan, &mut w);
         // Advance under the same plan, then drop it — both transitions
         // must land bit-for-bit on the full-refresh result.
         engine.refresh_delta(&c.snapshot(60.0), &plan, &mut w);
@@ -1563,6 +1552,28 @@ mod tests {
         assert!(w.bits_eq(&full));
         engine.refresh_delta(&c.snapshot(60.0), &FaultPlan::empty(), &mut w);
         assert!(w.bits_eq(&engine.refresh(&c.snapshot(60.0), &FaultPlan::empty())));
+    }
+
+    #[test]
+    fn delta_on_fully_refreshed_weights_is_a_full_rebuild() {
+        let (c, _, engine) = setup();
+        let mut w = engine.refresh(&c.snapshot(0.0), &FaultPlan::empty());
+        let stats = engine.refresh_delta(&c.snapshot(60.0), &FaultPlan::empty(), &mut w);
+        assert!(stats.full_rebuild, "a full refresh records no fingerprint");
+        assert!(w.bits_eq(&engine.refresh(&c.snapshot(60.0), &FaultPlan::empty())));
+    }
+
+    #[test]
+    fn full_refresh_inside_a_delta_chain_drops_the_fingerprint() {
+        // The delta buffer's fingerprint describes instant 0; once a full
+        // refresh has rewritten the weights for 60 s, a delta back to 0 s
+        // must not skip edges on the strength of that stale fingerprint.
+        let (c, _, engine) = setup();
+        let mut w = IslWeights::default();
+        engine.refresh_delta(&c.snapshot(0.0), &FaultPlan::empty(), &mut w);
+        engine.refresh_into(&c.snapshot(60.0), &FaultPlan::empty(), &mut w);
+        engine.refresh_delta(&c.snapshot(0.0), &FaultPlan::empty(), &mut w);
+        assert!(w.bits_eq(&engine.refresh(&c.snapshot(0.0), &FaultPlan::empty())));
     }
 
     #[test]

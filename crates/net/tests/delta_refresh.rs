@@ -65,7 +65,8 @@ proptest! {
         dt in (0u8..4, 1e-3f64..600.0).prop_map(|(z, v)| if z == 0 { 0.0 } else { v }),
     ) {
         let (c, engine) = compiled();
-        let mut w = engine.refresh(&c.snapshot(t0), &FaultPlan::empty());
+        let mut w = IslWeights::default();
+        engine.refresh_delta(&c.snapshot(t0), &FaultPlan::empty(), &mut w);
         let stats = engine.refresh_delta(&c.snapshot(t0 + dt), &FaultPlan::empty(), &mut w);
         prop_assert!(!stats.full_rebuild);
         assert_bits_eq(&w, &engine.refresh(&c.snapshot(t0 + dt), &FaultPlan::empty()), "unmasked pair");
@@ -88,7 +89,7 @@ proptest! {
         let plan0 = plan_from(&dead0, &engine);
         let plan1 = plan_from(&dead1, &engine);
         let mut w = IslWeights::default();
-        engine.refresh_into(&c.snapshot(t0), &plan0, &mut w);
+        engine.refresh_delta(&c.snapshot(t0), &plan0, &mut w);
         // Transition 1: new instant, new plan.
         engine.refresh_delta(&c.snapshot(t0 + dt), &plan1, &mut w);
         let mut full = IslWeights::default();
@@ -107,7 +108,8 @@ proptest! {
         steps in proptest::collection::vec(0.0f64..240.0, 1..6),
     ) {
         let (c, engine) = compiled();
-        let mut w = engine.refresh(&c.snapshot(t0), &FaultPlan::empty());
+        let mut w = IslWeights::default();
+        engine.refresh_delta(&c.snapshot(t0), &FaultPlan::empty(), &mut w);
         let mut t = t0;
         for (i, dt) in steps.iter().enumerate() {
             t += dt;
@@ -130,7 +132,7 @@ proptest! {
         let (c, engine) = compiled();
         let plan = plan_from(&dead, &engine);
         let mut w = IslWeights::default();
-        engine.refresh_into(&c.snapshot(t0), &plan, &mut w);
+        engine.refresh_delta(&c.snapshot(t0), &plan, &mut w);
         let snap = c.snapshot(t0 + dt);
         engine.refresh_delta(&snap, &plan, &mut w);
         let mut full = IslWeights::default();

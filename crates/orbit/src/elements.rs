@@ -58,11 +58,6 @@ impl KeplerianElements {
         self.mean_motion_rad_s() * 86_400.0 / TAU
     }
 
-    /// Altitude of perigee above the mean-radius sphere, meters.
-    pub fn perigee_altitude_m(&self) -> f64 {
-        self.semi_major_axis_m * (1.0 - self.eccentricity) - EARTH_RADIUS_MEAN_M
-    }
-
     /// Semi-latus rectum `p = a(1−e²)`, meters.
     pub fn semi_latus_rectum_m(&self) -> f64 {
         self.semi_major_axis_m * (1.0 - self.eccentricity * self.eccentricity)
@@ -112,7 +107,8 @@ mod tests {
     #[test]
     fn circular_orbit_has_equal_apsides() {
         let e = starlink_550();
-        assert!((e.perigee_altitude_m() - 550e3).abs() < 1e-6);
+        assert_eq!(e.eccentricity, 0.0);
+        assert!((e.semi_major_axis_m - EARTH_RADIUS_MEAN_M - 550e3).abs() < 1e-6);
     }
 
     proptest! {

@@ -387,8 +387,11 @@ mod tests {
         assert!((tle.elements.raan.degrees() - 111.3004).abs() < 1e-9);
         assert!((tle.elements.eccentricity - 0.0001372).abs() < 1e-12);
         assert!((tle.elements.mean_motion_rev_day() - 15.493_263_16).abs() < 1e-6);
-        // ISS altitude ≈ 420 km.
-        let alt = tle.elements.perigee_altitude_m() / 1e3;
+        // ISS perigee altitude ≈ 420 km.
+        let el = &tle.elements;
+        let alt = (el.semi_major_axis_m * (1.0 - el.eccentricity)
+            - leo_geo::consts::EARTH_RADIUS_MEAN_M)
+            / 1e3;
         assert!((alt - 420.0).abs() < 20.0, "ISS altitude {alt} km");
         assert!((tle.bstar - 0.36371e-4).abs() < 1e-12);
         assert_eq!(tle.rev_number, 25411);

@@ -240,9 +240,15 @@ fn section4_feasibility_numbers() {
     assert!((cost.cost_ratio - 3.0).abs() < 0.5); // ~3×
 }
 
+/// Akamai's deployed server count circa 2020 (≈ 325,000 per its public
+/// facts page, cited by the paper).
+const AKAMAI_SERVERS_2020: f64 = 325_000.0;
+
+/// Starlink's full planned scale (§3.1: "40,000 planned satellites").
+const STARLINK_FULL_SCALE: f64 = 40_000.0;
+
 #[test]
 fn section31_starlink_is_7x_smaller_than_akamai_at_full_scale() {
-    use in_orbit::apps::edge::{AKAMAI_SERVERS_2020, STARLINK_FULL_SCALE};
     let ratio = AKAMAI_SERVERS_2020 / STARLINK_FULL_SCALE;
     assert!((7.0..9.0).contains(&ratio), "{ratio}");
 }
