@@ -31,13 +31,12 @@
 //! markers printed below.
 
 use leo_bench::cli::Run;
+use leo_bench::user_trios;
 use leo_constellation::{presets, SatId};
 use leo_core::replication::{
     migrate_via_packets, predict_servers, MigrationNetConfig, MigrationOutcome,
 };
 use leo_core::{InOrbitService, Policy};
-use leo_geo::Geodetic;
-use leo_net::routing::GroundEndpoint;
 use leo_sim::parallel_map;
 use serde::Serialize;
 
@@ -82,15 +81,6 @@ struct MigrationResults {
     cells: Vec<MigrationCell>,
 }
 
-/// The Fig 6 West-Africa user trio.
-fn users() -> Vec<GroundEndpoint> {
-    vec![
-        GroundEndpoint::new(0, Geodetic::ground(9.06, 7.49)),
-        GroundEndpoint::new(1, Geodetic::ground(3.87, 11.52)),
-        GroundEndpoint::new(2, Geodetic::ground(6.52, 3.38)),
-    ]
-}
-
 fn sizes(quick: bool) -> Vec<f64> {
     if quick {
         vec![10e6, 100e6]
@@ -121,7 +111,8 @@ fn main() {
     let policies = [Policy::sticky_default(), Policy::MinMax];
 
     let service = InOrbitService::new(presets::starlink_550_only());
-    let users = users();
+    // The Fig 6 West-Africa user trio.
+    let users = user_trios().remove(0);
 
     // Each policy's hand-off sequence over the horizon: (from, to, when).
     let handoffs: Vec<Vec<(SatId, SatId, f64)>> = run.phase("predict", || {

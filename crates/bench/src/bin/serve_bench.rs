@@ -20,12 +20,9 @@
 //! `results/serve.json` holds only thread-count-invariant rows. The
 //! printed queries/sec headline is the sweep report's `total_queries`
 //! over the `sweep` phase's wall time in `results/serve.meta.json`, at
-//! every `LEO_OBS` level. The manifest records that same count as
-//! counter `serve.sweep_queries` (at `LEO_OBS=metrics` and above), which
-//! the CI perf gate divides by the same phase, alongside the
-//! `engine.frontier.*` / `serve.frontier_*` work counters. The
-//! validation cadence is recorded as counter
-//! `serve.frontier_validate_every`.
+//! every `LEO_OBS` level. At `LEO_OBS=metrics` and above the manifest
+//! carries the `engine.frontier.*` / `serve.frontier_*` work counters,
+//! and the validation cadence as counter `serve.frontier_validate_every`.
 //! Run: `cargo run -p leo-bench --release --bin serve_bench`
 //! (add `--quick`).
 
@@ -90,9 +87,6 @@ fn main() {
         )
     });
     let report = run.phase("sweep", || engine.sweep(&times));
-    // The throughput gate's numerator: the main sweep's queries alone,
-    // not the fault sweep's.
-    leo_obs::counter!("serve.sweep_queries").add(report.total_queries);
     println!(
         "# delta-refresh weights bit-identical to full refresh across {} snapshots",
         report.snapshots.len()
@@ -128,13 +122,13 @@ fn main() {
     println!("# masked delta-refresh bit-identical to full masked refresh");
 
     print_summary(&report, &fault_report);
-    let sweep_queries = report.total_queries;
+    let total_queries = report.total_queries;
     run.write_results(&ServeResults {
         sweep: report,
         fault_sweep: fault_report,
     });
     let manifest = run.finish();
-    if let Some(qps) = manifest.phase_rate(sweep_queries, "sweep") {
+    if let Some(qps) = manifest.phase_rate(total_queries, "sweep") {
         println!("# throughput: {qps:.0} queries/sec over the sweep phase");
     }
     if !manifest.timeseries.is_empty() {

@@ -426,15 +426,6 @@ impl RunManifest {
         let wall = self.phase_wall(phase)?;
         (wall > 0.0).then(|| count as f64 / wall)
     }
-
-    /// Throughput of `counter` over phase `phase`: the counter's
-    /// whole-run value divided by the phase's wall-clock. `None` when
-    /// either is missing or the phase took no measurable time. The serve
-    /// perf gate compares `serve.sweep_queries` over the `sweep` phase
-    /// this way.
-    pub fn rate_per_sec(&self, counter: &str, phase: &str) -> Option<f64> {
-        self.phase_rate(self.counter(counter)?, phase)
-    }
 }
 
 #[cfg(test)]
@@ -612,12 +603,8 @@ mod tests {
         assert_eq!(back.counter("engine.dijkstra.pops"), Some(123_456));
         assert_eq!(back.phase_wall("sweep"), Some(1.0));
         assert_eq!(back.counter("missing"), None);
-        assert_eq!(
-            back.rate_per_sec("engine.dijkstra.pops", "sweep"),
-            Some(123_456.0)
-        );
-        assert_eq!(back.rate_per_sec("missing", "sweep"), None);
-        assert_eq!(back.rate_per_sec("engine.dijkstra.pops", "missing"), None);
+        assert_eq!(back.phase_rate(123_456, "sweep"), Some(123_456.0));
+        assert_eq!(back.phase_rate(123_456, "missing"), None);
         let s = &back.timeseries[0];
         assert_eq!(s.points.len(), 3);
         assert_eq!(s.max_value(), Some(17.0));
@@ -628,7 +615,7 @@ mod tests {
     /// work, or a clock that didn't advance). The rate must then be
     /// `None`, never a division artifact like `inf` or `NaN`.
     #[test]
-    fn rate_per_sec_of_zero_duration_phase_is_none() {
+    fn phase_rate_of_zero_duration_phase_is_none() {
         let m = RunManifest {
             name: "edge".into(),
             quick: true,
@@ -646,19 +633,15 @@ mod tests {
                     wall_s: -1.0, // a corrupted manifest must not yield a rate either
                 },
             ],
-            counters: vec![CounterRecord {
-                name: "edge.ticks".into(),
-                value: 42,
-            }],
+            counters: vec![],
             histograms: vec![],
             timeseries: vec![],
         };
-        assert_eq!(m.rate_per_sec("edge.ticks", "instant"), None);
-        assert_eq!(m.rate_per_sec("edge.ticks", "negative"), None);
+        assert_eq!(m.phase_rate(42, "instant"), None);
+        assert_eq!(m.phase_rate(42, "negative"), None);
         // A zero *count* over real time is a legitimate rate of zero.
         let mut m2 = m;
         m2.phases[0].wall_s = 2.0;
-        m2.counters[0].value = 0;
-        assert_eq!(m2.rate_per_sec("edge.ticks", "instant"), Some(0.0));
+        assert_eq!(m2.phase_rate(0, "instant"), Some(0.0));
     }
 }

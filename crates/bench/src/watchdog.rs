@@ -1,205 +1,17 @@
-//! Run-vs-run checks on two manifests.
+//! The determinism check on two run manifests.
 //!
-//! * [`compare`] is the quantile-aware regression watchdog. The CI
-//!   throughput gate (`perf_report --min-qps-ratio`) watches one number;
-//!   latency *distributions* can drift a long way underneath it (a
-//!   fatter tail at the same mean, a bimodal split). So candidate p50
-//!   and p99 of each histogram may each grow by at most a configured
-//!   factor over baseline (one-sided: these are latencies and work
-//!   sizes, getting smaller is fine). [`WatchdogReport::markdown`]
-//!   renders the verdict for a CI job summary.
-//! * [`same_work`] is the determinism check: two runs of one binary at
-//!   different thread counts must report the same counters and the same
-//!   work time series, point for point.
-//!
-//! The `perf_report` binary wires the watchdog behind
-//! `--p50-tol`/`--p99-tol`/`--quantile-metric`/`--md-report` and the
-//! determinism check behind `--same-work`/`--require`.
+//! [`same_work`] checks that two runs did the same work: every counter
+//! equal, and every work time series equal point for point. [`SameWork`]
+//! is its verdict. Two runs of one binary in one mode must pass it at
+//! any thread count and at any `LEO_OBS` level that records metrics
+//! (full-mode `fig6` only at one thread: when its snapshot cache clears
+//! depends on scheduling), and a fresh full-mode run at one thread must
+//! pass it against the manifest committed in `results/`. The
+//! `perf_report` binary wires it behind `--same-work`/`--require`.
 
 use crate::cli::{RunManifest, TimeSeriesRecord};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-
-/// Tolerances for [`compare`]. Each is a ratio ceiling relative to
-/// baseline; `f64::INFINITY` disables that check.
-#[derive(Debug, Clone)]
-pub struct WatchdogConfig {
-    /// Candidate p50 may be at most `p50_tol` × baseline p50.
-    pub p50_tol: f64,
-    /// Candidate p99 may be at most `p99_tol` × baseline p99.
-    pub p99_tol: f64,
-    /// When non-empty, only the histograms named here are checked, and
-    /// each must be present in both manifests. CI uses this to restrict
-    /// a mixed-scale diff (full-run committed baseline vs quick-mode
-    /// candidate) to the scale-invariant per-query latency histogram.
-    pub metrics: Vec<String>,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            // Log-bucketed quantiles are accurate to one bucket (≲ 19 %),
-            // so anything under ~1.2 would flake on bucket boundaries;
-            // the defaults leave room for machine noise on top.
-            p50_tol: 2.0,
-            p99_tol: 2.0,
-            metrics: Vec::new(),
-        }
-    }
-}
-
-/// The [`Finding::stat`] of a [`WatchdogConfig::metrics`] name that one
-/// manifest or both lack.
-pub const MISSING: &str = "missing";
-
-/// One watchdog finding: `metric`'s `stat` moved from `baseline` to
-/// `candidate`, a ratio of `ratio` against a tolerance of `tolerance`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Finding {
-    /// Histogram name.
-    pub metric: String,
-    /// Which statistic regressed: `p50` or `p99`; or [`MISSING`].
-    pub stat: &'static str,
-    /// Baseline value; for [`MISSING`], the baseline's sample count (0
-    /// when the histogram is absent).
-    pub baseline: f64,
-    /// Candidate value; for [`MISSING`], the candidate's sample count.
-    pub candidate: f64,
-    /// `candidate / baseline` (`INFINITY` when baseline is zero; NaN for
-    /// [`MISSING`]).
-    pub ratio: f64,
-    /// The tolerance the ratio violated (NaN for [`MISSING`]).
-    pub tolerance: f64,
-}
-
-impl fmt::Display for Finding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.stat == MISSING {
-            write!(
-                f,
-                "{} is missing — baseline has {} sample(s), candidate {}",
-                self.metric, self.baseline, self.candidate
-            )
-        } else {
-            write!(
-                f,
-                "{} {} regressed — baseline {:.6}, candidate {:.6}, ratio {:.3} breaks tolerance {:.3}",
-                self.metric, self.stat, self.baseline, self.candidate, self.ratio, self.tolerance
-            )
-        }
-    }
-}
-
-/// The outcome of one [`compare`]: findings plus how much was checked
-/// (so an empty findings list from an empty comparison is visibly
-/// vacuous, not silently green).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WatchdogReport {
-    /// Missing named metrics first, then tolerance violations in
-    /// manifest order.
-    pub findings: Vec<Finding>,
-    /// Histograms present in both manifests and quantile-checked.
-    pub histograms_checked: usize,
-}
-
-impl WatchdogReport {
-    /// True when nothing was missing or violated its tolerance.
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty()
-    }
-
-    /// Renders the report as markdown (a table of findings, or a green
-    /// one-liner), for CI job summaries.
-    pub fn markdown(&self, baseline: &str, candidate: &str) -> String {
-        let mut out = String::new();
-        out.push_str("## Quantile watchdog\n\n");
-        out.push_str(&format!(
-            "Compared `{candidate}` against `{baseline}`: {} histogram(s) on p50/p99.\n\n",
-            self.histograms_checked
-        ));
-        if self.is_clean() {
-            out.push_str("No regressions: every quantile within tolerance.\n");
-            return out;
-        }
-        out.push_str(&format!("**{} violation(s):**\n\n", self.findings.len()));
-        out.push_str("| metric | stat | baseline | candidate | ratio | tolerance |\n");
-        out.push_str("|---|---|---:|---:|---:|---:|\n");
-        for f in &self.findings {
-            out.push_str(&format!(
-                "| `{}` | {} | {:.6} | {:.6} | {:.3} | {:.3} |\n",
-                f.metric, f.stat, f.baseline, f.candidate, f.ratio, f.tolerance
-            ));
-        }
-        out
-    }
-}
-
-/// `candidate / baseline` with the zero-baseline convention: both zero is
-/// a clean 1.0, baseline-only-zero is `INFINITY` (flagged by any finite
-/// tolerance).
-fn ratio(baseline: f64, candidate: f64) -> f64 {
-    if baseline > 0.0 {
-        candidate / baseline
-    } else if candidate == 0.0 {
-        1.0
-    } else {
-        f64::INFINITY
-    }
-}
-
-/// Diffs `cand` against `base` under `cfg`. A name in `cfg.metrics` that
-/// either manifest lacks is a [`MISSING`] finding. Without that filter,
-/// histograms present in only one manifest are skipped — the watchdog
-/// judges drift, not coverage (the counter diff in `perf_report` already
-/// shows appearing/disappearing metrics).
-pub fn compare(base: &RunManifest, cand: &RunManifest, cfg: &WatchdogConfig) -> WatchdogReport {
-    let mut report = WatchdogReport::default();
-    let samples = |m: &RunManifest, name: &str| {
-        m.histograms
-            .iter()
-            .find(|h| h.name == name)
-            .map_or(0, |h| h.count)
-    };
-    for name in &cfg.metrics {
-        let (b, c) = (samples(base, name), samples(cand, name));
-        if b == 0 || c == 0 {
-            report.findings.push(Finding {
-                metric: name.clone(),
-                stat: MISSING,
-                baseline: b as f64,
-                candidate: c as f64,
-                ratio: f64::NAN,
-                tolerance: f64::NAN,
-            });
-        }
-    }
-    for b in &base.histograms {
-        if !cfg.metrics.is_empty() && !cfg.metrics.contains(&b.name) {
-            continue;
-        }
-        let Some(c) = cand.histograms.iter().find(|c| c.name == b.name) else {
-            continue;
-        };
-        report.histograms_checked += 1;
-        for (stat, bv, cv, tol) in [
-            ("p50", b.p50, c.p50, cfg.p50_tol),
-            ("p99", b.p99, c.p99, cfg.p99_tol),
-        ] {
-            let r = ratio(bv, cv);
-            if r > tol {
-                report.findings.push(Finding {
-                    metric: b.name.clone(),
-                    stat,
-                    baseline: bv,
-                    candidate: cv,
-                    ratio: r,
-                    tolerance: tol,
-                });
-            }
-        }
-    }
-    report
-}
 
 /// The outcome of one [`same_work`]: how much matched, and every
 /// difference.
@@ -312,24 +124,6 @@ mod tests {
     use super::*;
     use crate::cli::{CounterRecord, HistogramRecord, PhaseRecord};
 
-    fn manifest(
-        histograms: Vec<HistogramRecord>,
-        timeseries: Vec<TimeSeriesRecord>,
-    ) -> RunManifest {
-        RunManifest {
-            name: "t".into(),
-            quick: false,
-            threads: 1,
-            config_warnings: vec![],
-            obs_level: "metrics".into(),
-            total_s: 1.0,
-            phases: vec![],
-            counters: vec![],
-            histograms,
-            timeseries,
-        }
-    }
-
     fn hist(name: &str, p50: f64, p99: f64) -> HistogramRecord {
         HistogramRecord {
             name: name.into(),
@@ -354,144 +148,37 @@ mod tests {
         }
     }
 
-    /// The acceptance fixture: a synthetic p99 regression (fat tail at a
-    /// steady median) must be flagged, and the markdown must name it.
-    #[test]
-    fn flags_a_synthetic_p99_regression() {
-        let base = manifest(vec![hist("serve.query_latency_s", 1e-3, 2e-3)], vec![]);
-        let cand = manifest(vec![hist("serve.query_latency_s", 1e-3, 9e-3)], vec![]);
-        let report = compare(&base, &cand, &WatchdogConfig::default());
-        assert_eq!(report.histograms_checked, 1);
-        assert_eq!(report.findings.len(), 1);
-        let f = &report.findings[0];
-        assert_eq!(
-            (f.metric.as_str(), f.stat),
-            ("serve.query_latency_s", "p99")
-        );
-        assert!((f.ratio - 4.5).abs() < 1e-9);
-        assert!(!report.is_clean());
-        let md = report.markdown("base.meta.json", "cand.meta.json");
-        assert!(md.contains("serve.query_latency_s") && md.contains("p99"));
-        assert!(md.contains("1 violation"));
-    }
-
-    #[test]
-    fn within_tolerance_is_clean_and_improvements_never_flag() {
-        let base = manifest(vec![hist("h", 1.0, 2.0)], vec![]);
-        // 1.5x p50 and p99: inside the default 2.0 tolerance.
-        let close = manifest(vec![hist("h", 1.5, 3.0)], vec![]);
-        assert!(compare(&base, &close, &WatchdogConfig::default()).is_clean());
-        // 10x *better* is one-sided fine.
-        let faster = manifest(vec![hist("h", 0.1, 0.2)], vec![]);
-        assert!(compare(&base, &faster, &WatchdogConfig::default()).is_clean());
-    }
-
-    #[test]
-    fn metric_filter_restricts_quantile_and_envelope_checks() {
-        let base = manifest(
-            vec![hist("noisy", 1.0, 1.0), hist("gated", 1.0, 1.0)],
-            vec![],
-        );
-        let cand = manifest(
-            vec![hist("noisy", 50.0, 50.0), hist("gated", 1.0, 1.0)],
-            vec![],
-        );
-        let cfg = WatchdogConfig {
-            metrics: vec!["gated".into()],
-            ..WatchdogConfig::default()
-        };
-        let report = compare(&base, &cand, &cfg);
-        assert_eq!(report.histograms_checked, 1);
-        assert!(report.is_clean(), "filtered-out metric still flagged");
-        // Without the filter the noisy histogram trips both quantile
-        // checks.
-        let unfiltered = compare(&base, &cand, &WatchdogConfig::default());
-        assert_eq!(unfiltered.histograms_checked, 2);
-        assert_eq!(unfiltered.findings.len(), 2);
-        assert!(unfiltered.findings.iter().all(|f| f.metric == "noisy"));
-    }
-
-    #[test]
-    fn zero_baselines_follow_the_ratio_convention() {
-        // Both zero: clean. Baseline zero, candidate not: flagged.
-        let base = manifest(vec![hist("h", 0.0, 0.0)], vec![]);
-        let same = manifest(vec![hist("h", 0.0, 0.0)], vec![]);
-        assert!(compare(&base, &same, &WatchdogConfig::default()).is_clean());
-        let grew = manifest(vec![hist("h", 0.0, 5.0)], vec![]);
-        let report = compare(&base, &grew, &WatchdogConfig::default());
-        assert_eq!(report.findings.len(), 1);
-        assert_eq!(report.findings[0].stat, "p99");
-        assert!(report.findings[0].ratio.is_infinite());
-    }
-
-    #[test]
-    fn disjoint_manifests_are_vacuously_clean_but_visibly_so() {
-        let base = manifest(vec![hist("only.base", 1.0, 1.0)], vec![]);
-        let cand = manifest(vec![hist("only.cand", 1.0, 1.0)], vec![]);
-        let report = compare(&base, &cand, &WatchdogConfig::default());
-        assert!(report.is_clean());
-        assert_eq!(report.histograms_checked, 0);
-        let md = report.markdown("b", "c");
-        assert!(md.contains("0 histogram(s)"));
-    }
-
-    /// A named metric must be there to be judged: absent from either
-    /// manifest (or both), it is a finding, not a vacuous pass.
-    #[test]
-    fn a_named_metric_missing_from_either_manifest_is_a_finding() {
-        let both = manifest(vec![hist("h", 1.0, 1.0)], vec![]);
-        let none = manifest(vec![], vec![]);
-        for name in ["h", "no.such.histogram"] {
-            let cfg = WatchdogConfig {
-                metrics: vec![name.into()],
-                ..WatchdogConfig::default()
-            };
-            for (base, cand) in [(&both, &none), (&none, &both), (&none, &none)] {
-                let report = compare(base, cand, &cfg);
-                assert_eq!(report.histograms_checked, 0);
-                assert_eq!(report.findings.len(), 1, "{name}");
-                let f = &report.findings[0];
-                assert_eq!((f.metric.as_str(), f.stat), (name, MISSING));
-                assert!(f.to_string().contains(name) && f.to_string().contains("missing"));
-            }
-        }
-        let cfg = WatchdogConfig {
-            metrics: vec!["h".into()],
-            ..WatchdogConfig::default()
-        };
-        let f = &compare(&both, &none, &cfg).findings[0];
-        assert_eq!((f.baseline, f.candidate), (100.0, 0.0));
-        assert!(compare(&both, &both, &cfg).is_clean());
-    }
-
-    // ------------------------------------------------------ same_work
-
     /// A run with two counters, one work series, one timing series, one
     /// histogram and one phase — every kind of record [`same_work`]
     /// judges or ignores.
     fn run() -> RunManifest {
-        let mut m = manifest(
-            vec![hist("sim.worker_busy_s", 1.0, 2.0)],
-            vec![
+        RunManifest {
+            name: "t".into(),
+            quick: false,
+            threads: 1,
+            config_warnings: vec![],
+            obs_level: "metrics".into(),
+            total_s: 1.0,
+            phases: vec![PhaseRecord {
+                name: "sweep".into(),
+                wall_s: 1.0,
+            }],
+            counters: vec![
+                CounterRecord {
+                    name: "engine.dijkstra.pops".into(),
+                    value: 1234,
+                },
+                CounterRecord {
+                    name: "serve.queries".into(),
+                    value: 99,
+                },
+            ],
+            histograms: vec![hist("sim.worker_busy_s", 1.0, 2.0)],
+            timeseries: vec![
                 series("serve.served", false, &[10.0, 12.0, 11.0]),
                 series("serve.snapshot_wall_s", true, &[0.1, 0.2, 0.3]),
             ],
-        );
-        m.counters = vec![
-            CounterRecord {
-                name: "engine.dijkstra.pops".into(),
-                value: 1234,
-            },
-            CounterRecord {
-                name: "serve.queries".into(),
-                value: 99,
-            },
-        ];
-        m.phases = vec![PhaseRecord {
-            name: "sweep".into(),
-            wall_s: 1.0,
-        }];
-        m
+        }
     }
 
     fn offenders(a: &RunManifest, b: &RunManifest) -> Vec<String> {

@@ -1,9 +1,9 @@
 //! Experiment binaries driven as processes: a run that cannot write its
 //! results fails, `feasibility` writes the committed §4 result and
-//! counts the same work at any thread count, the throughput lines count
-//! the work the sweep timed, and `explore` rejects coordinates that
-//! cannot be a place on Earth. Only the exit code and the output reach
-//! CI.
+//! counts its committed manifest's work at any thread count, the
+//! throughput lines count the work the sweep timed, and `explore`
+//! rejects coordinates that cannot be a place on Earth. Only the exit
+//! code and the output reach CI.
 
 use leo_bench::cli::RunManifest;
 use leo_bench::watchdog;
@@ -125,8 +125,14 @@ fn feasibility_counts_the_same_work_at_any_thread_count() {
         assert!(out.status.success(), "{}", text(&out.stderr));
         RunManifest::load(&dir.join("feasibility.meta.json")).unwrap_or_else(|e| panic!("{e}"))
     };
-    let report = watchdog::same_work(&manifest("1"), &manifest("2"), &[]);
-    assert!(report.offenders.is_empty(), "{:?}", report.offenders);
+    let committed =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/feasibility.meta.json");
+    let committed = RunManifest::load(&committed).unwrap_or_else(|e| panic!("{e}"));
+    let (t1, t2) = (manifest("1"), manifest("2"));
+    for (a, b) in [(&t1, &t2), (&committed, &t1), (&committed, &t2)] {
+        let report = watchdog::same_work(a, b, &[]);
+        assert!(report.offenders.is_empty(), "{:?}", report.offenders);
+    }
 }
 
 #[test]

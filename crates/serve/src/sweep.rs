@@ -250,20 +250,10 @@ impl ServeEngine {
         report
     }
 
-    /// Answers one shard against a view via its settled frontier,
-    /// timing the batch.
+    /// Answers one shard against a view via its settled frontier.
     fn answer_shard(&self, view: &SnapshotView, i: usize) -> ShardOut {
-        let users = self.users.shard(i);
-        let start = Instant::now();
         let mut assignments = Vec::new();
         view.settle_nearest_servers(&self.sets[i], &mut assignments);
-        let elapsed = start.elapsed().as_secs_f64();
-        if !users.is_empty() {
-            // Per-query latency, batch-averaged: one sample per shard
-            // (the histogram's count is the shard count, not the user
-            // count — documented in EXPERIMENTS.md).
-            leo_obs::histogram!("serve.query_latency_s").record(elapsed / users.len() as f64);
-        }
         let mut served = 0;
         let mut rtt_sum_ms = 0.0;
         for a in assignments.iter().flatten() {
