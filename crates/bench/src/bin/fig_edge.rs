@@ -119,10 +119,8 @@ fn main() {
     }
     if !manifest.timeseries.is_empty() {
         println!(
-            "# timeseries: {} series in the manifest ({} work, {} timing)",
-            manifest.timeseries.len(),
-            manifest.timeseries.iter().filter(|s| !s.timing).count(),
-            manifest.timeseries.iter().filter(|s| s.timing).count(),
+            "# timeseries: {} series in the manifest",
+            manifest.timeseries.len()
         );
     }
 }

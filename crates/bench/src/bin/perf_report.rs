@@ -8,16 +8,16 @@
 //!     --require serve.queries --require serve.served
 //! ```
 //!
-//! With one manifest: configuration, phase wall-clocks, counters,
-//! histogram summaries, and time series. With two: per-phase speedup
-//! (baseline over candidate) and counter deltas — the quick answer to
-//! "did my change make the sweep faster, and did it change how much work
-//! was done?".
+//! With one manifest: configuration, phase wall-clocks, counters, each
+//! span's count, mean, sum and longest run, and time series. With two:
+//! per-phase speedup (baseline over candidate) and counter deltas — the
+//! quick answer to "did my change make the sweep faster, and did it
+//! change how much work was done?".
 //!
 //! `--same-work` (two manifests) adds the determinism check
 //! (`leo_bench::watchdog::same_work`): the two runs must report equal
-//! counters and bitwise-equal work time series, or the exit code is
-//! nonzero. `--require NAME` (repeatable) names a counter or work series
+//! counters and bitwise-equal time series, or the exit code is
+//! nonzero. `--require NAME` (repeatable) names a counter or time series
 //! the first manifest must carry. CI runs it on a run's manifests at two
 //! thread counts, and on a fresh full-mode run against the committed
 //! manifest in `results/`.
@@ -153,17 +153,16 @@ fn print_single(m: &RunManifest) {
     if !m.histograms.is_empty() {
         println!("\nhistograms:");
         println!(
-            "  {:<28} {:>10} {:>12} {:>12} {:>12} {:>12}",
-            "name", "count", "mean", "p50", "p99", "max"
+            "  {:<28} {:>10} {:>12} {:>12} {:>12}",
+            "name", "count", "mean", "sum", "max"
         );
         for h in &m.histograms {
             println!(
-                "  {:<28} {:>10} {:>12} {:>12} {:>12} {:>12}",
+                "  {:<28} {:>10} {:>12} {:>12} {:>12}",
                 h.name,
                 commas(h.count),
                 secs(h.mean),
-                secs(h.p50),
-                secs(h.p99),
+                secs(h.sum),
                 secs(h.max),
             );
         }
@@ -171,17 +170,16 @@ fn print_single(m: &RunManifest) {
     if !m.timeseries.is_empty() {
         println!("\ntime series:");
         println!(
-            "  {:<28} {:>8} {:>12} {:>12} {:>7}",
-            "name", "points", "mean", "max", "kind"
+            "  {:<28} {:>8} {:>12} {:>12}",
+            "name", "points", "mean", "max"
         );
         for s in &m.timeseries {
             println!(
-                "  {:<28} {:>8} {:>12.3} {:>12.3} {:>7}",
+                "  {:<28} {:>8} {:>12.3} {:>12.3}",
                 s.name,
                 s.points.len(),
                 s.mean_value().unwrap_or(0.0),
                 s.max_value().unwrap_or(0.0),
-                if s.timing { "timing" } else { "work" },
             );
         }
     }

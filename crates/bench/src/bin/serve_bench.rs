@@ -133,16 +133,14 @@ fn main() {
     }
     if !manifest.timeseries.is_empty() {
         println!(
-            "# timeseries: {} series in the manifest ({} work, {} timing)",
-            manifest.timeseries.len(),
-            manifest.timeseries.iter().filter(|s| !s.timing).count(),
-            manifest.timeseries.iter().filter(|s| s.timing).count(),
+            "# timeseries: {} series in the manifest",
+            manifest.timeseries.len()
         );
     }
 }
 
 /// The serve result file: thread-count-invariant rows only (stats and
-/// checksums); throughput and latency histograms live in the manifest.
+/// checksums); throughput and span timings live in the manifest.
 #[derive(serde::Serialize)]
 struct ServeResults {
     sweep: SweepReport,

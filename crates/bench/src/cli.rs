@@ -14,9 +14,9 @@
 //! ```
 //!
 //! The manifest (`<name>.meta.json`) records the run configuration,
-//! per-phase wall-clock times, and a dump of every `leo-obs` counter and
-//! histogram — see EXPERIMENTS.md for the schema and the `perf_report`
-//! binary for pretty-printing and run-vs-run diffing.
+//! per-phase wall-clock times, and a dump of every `leo-obs` counter,
+//! span summary and time series — see EXPERIMENTS.md for the schema and
+//! the `perf_report` binary for pretty-printing and run-vs-run diffing.
 
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -41,16 +41,23 @@ pub struct RunConfig {
 
 impl RunConfig {
     /// Reads the process arguments and environment, reporting any
-    /// mis-set variables on stderr.
+    /// mis-set variables on stderr. An argument other than `--quick` or
+    /// `--out-dir DIR` ends the process with status 2, naming it.
     fn from_env() -> RunConfig {
-        let args: Vec<String> = std::env::args().skip(1).collect();
+        let mut args = std::env::args();
+        let program = args.next().unwrap_or_default();
+        let args: Vec<String> = args.collect();
         let config = RunConfig::from_parts(
             &args,
             std::env::var("LEO_QUICK").ok().as_deref(),
             std::env::var("LEO_THREADS").ok().as_deref(),
             std::env::var("LEO_OUT_DIR").ok().as_deref(),
             std::env::var("LEO_OBS").ok().as_deref(),
-        );
+        )
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}\nusage: {program} [--quick] [--out-dir DIR]");
+            std::process::exit(2);
+        });
         for w in &config.warnings {
             eprintln!("warning: {w}");
         }
@@ -59,16 +66,32 @@ impl RunConfig {
 
     /// The same decision as a pure function of the inputs (`None` =
     /// variable unset), so tests never mutate the process environment.
-    /// Flags win over environment variables.
+    /// Flags win over environment variables. The error names the first
+    /// argument that is neither `--quick` nor `--out-dir DIR`, or an
+    /// `--out-dir` with no directory after it (a value starting with
+    /// `--` is taken for a forgotten one).
     fn from_parts(
         args: &[String],
         quick_env: Option<&str>,
         threads_env: Option<&str>,
         out_env: Option<&str>,
         obs_env: Option<&str>,
-    ) -> RunConfig {
+    ) -> Result<RunConfig, String> {
+        let (mut quick_flag, mut out_flag) = (false, None);
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            match arg.as_str() {
+                "--quick" => quick_flag = true,
+                "--out-dir" => match it.next() {
+                    Some(dir) if !dir.starts_with("--") => out_flag = Some(dir.as_str()),
+                    Some(flag) => return Err(format!("--out-dir needs a directory, not {flag:?}")),
+                    None => return Err("--out-dir needs a directory".into()),
+                },
+                other => return Err(format!("unknown argument {other:?}")),
+            }
+        }
         let mut warnings = Vec::new();
-        let quick = args.iter().any(|a| a == "--quick") || crate::quick_mode_from(quick_env);
+        let quick = quick_flag || crate::quick_mode_from(quick_env);
         if let Some(v) = quick_env {
             // Anything but "0"/"" enables quick mode (historical
             // contract); flag values outside the documented {"", "0",
@@ -99,20 +122,12 @@ impl RunConfig {
                 ));
             }
         }
-        let out_dir = args
-            .iter()
-            .position(|a| a == "--out-dir")
-            .and_then(|i| args.get(i + 1))
-            .map(String::as_str)
-            .or(out_env)
-            .unwrap_or("results")
-            .into();
-        RunConfig {
+        Ok(RunConfig {
             quick,
             threads,
-            out_dir,
+            out_dir: out_flag.or(out_env).unwrap_or("results").into(),
             warnings,
-        }
+        })
     }
 }
 
@@ -294,23 +309,18 @@ pub struct CounterRecord {
     pub value: u64,
 }
 
-/// One histogram's summary at the end of a run.
+/// One span's summary at the end of a run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistogramRecord {
-    /// Registered metric name.
+    /// Registered span name.
     pub name: String,
-    /// Number of samples.
+    /// Number of spans that closed.
     pub count: u64,
-    /// Exact sum of all samples (seconds for span histograms).
+    /// Exact sum of their seconds.
     pub sum: f64,
     /// Arithmetic mean.
     pub mean: f64,
-    /// Median, accurate to one log-bucket (≲ 19 %) and clamped to the
-    /// exact extremes.
-    pub p50: f64,
-    /// 99th percentile, same accuracy and clamp.
-    pub p99: f64,
-    /// Exact largest sample.
+    /// Exact longest span.
     pub max: f64,
 }
 
@@ -321,9 +331,7 @@ impl HistogramRecord {
             count: d.count,
             sum: d.sum,
             mean: d.mean().unwrap_or(0.0),
-            p50: d.quantile(0.5).unwrap_or(0.0),
-            p99: d.quantile(0.99).unwrap_or(0.0),
-            max: d.max().unwrap_or(0.0),
+            max: d.max,
         }
     }
 }
@@ -334,10 +342,6 @@ impl HistogramRecord {
 pub struct TimeSeriesRecord {
     /// Registered series name.
     pub name: String,
-    /// True for wall-clock series: gated like spans, *not* deterministic
-    /// across thread counts, and excluded from the determinism check
-    /// ([`crate::watchdog::same_work`]).
-    pub timing: bool,
     /// `[x, value]` points in sample order.
     pub points: Vec<(f64, f64)>,
 }
@@ -346,7 +350,6 @@ impl TimeSeriesRecord {
     fn from_dump(d: &leo_obs::TimeSeriesDump) -> TimeSeriesRecord {
         TimeSeriesRecord {
             name: d.name.clone(),
-            timing: d.timing,
             points: d.points.clone(),
         }
     }
@@ -434,7 +437,7 @@ mod tests {
 
     fn cfg(args: &[&str], quick: Option<&str>, out: Option<&str>) -> RunConfig {
         let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        RunConfig::from_parts(&args, quick, Some("3"), out, None)
+        RunConfig::from_parts(&args, quick, Some("3"), out, None).unwrap()
     }
 
     #[test]
@@ -459,6 +462,27 @@ mod tests {
     }
 
     #[test]
+    fn unknown_or_incomplete_arguments_are_rejected() {
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            RunConfig::from_parts(&args, None, Some("3"), Some("/tmp/y"), None)
+        };
+        for (args, named) in [
+            (&["--qiuck"][..], "unknown argument \"--qiuck\""),
+            (&["--quick", "extra"], "unknown argument \"extra\""),
+            (&["--out-dir=x"], "unknown argument \"--out-dir=x\""),
+            (&["--quick", "--out-dir"], "--out-dir needs a directory"),
+            (&["--out-dir", "--quick"], "not \"--quick\""),
+        ] {
+            let err = parse(args).expect_err(&format!("{args:?} accepted"));
+            assert!(err.contains(named), "{args:?}: {err}");
+        }
+        let c = parse(&["--out-dir", "x", "--quick"]).unwrap();
+        assert!(c.quick);
+        assert_eq!(c.out_dir, PathBuf::from("x"));
+    }
+
+    #[test]
     fn threads_env_flows_through() {
         let c = cfg(&[], None, None);
         assert_eq!(c.threads, 3);
@@ -469,7 +493,7 @@ mod tests {
     fn garbage_threads_env_warns_and_falls_back() {
         for bad in ["eight", "0", "-2", "3.5", ""] {
             let args: Vec<String> = Vec::new();
-            let c = RunConfig::from_parts(&args, None, Some(bad), None, None);
+            let c = RunConfig::from_parts(&args, None, Some(bad), None, None).unwrap();
             assert_eq!(c.threads, leo_sim::threads_from(None), "value {bad:?}");
             assert_eq!(c.warnings.len(), 1, "value {bad:?}");
             assert!(
@@ -479,20 +503,20 @@ mod tests {
             );
         }
         // Whitespace-padded integers parse; no warning.
-        let c = RunConfig::from_parts(&[], None, Some(" 5 "), None, None);
+        let c = RunConfig::from_parts(&[], None, Some(" 5 "), None, None).unwrap();
         assert_eq!((c.threads, c.warnings.len()), (5, 0));
     }
 
     #[test]
     fn odd_quick_env_warns_but_still_enables_quick_mode() {
         for (v, expect_quick) in [("yes", true), ("o", true), ("TRUE", true)] {
-            let c = RunConfig::from_parts(&[], Some(v), Some("3"), None, None);
+            let c = RunConfig::from_parts(&[], Some(v), Some("3"), None, None).unwrap();
             assert_eq!(c.quick, expect_quick, "value {v:?}");
             assert_eq!(c.warnings.len(), 1, "value {v:?}");
             assert!(c.warnings[0].contains("LEO_QUICK"));
         }
         for v in ["", "0", "1"] {
-            let c = RunConfig::from_parts(&[], Some(v), Some("3"), None, None);
+            let c = RunConfig::from_parts(&[], Some(v), Some("3"), None, None).unwrap();
             assert!(c.warnings.is_empty(), "documented value {v:?} warned");
         }
     }
@@ -501,12 +525,12 @@ mod tests {
     fn malformed_obs_env_warns_and_lands_in_the_manifest() {
         // Documented spellings are quiet.
         for ok in ["", "0", "off", "1", "metrics", "2", "full", "3", "trace"] {
-            let c = RunConfig::from_parts(&[], None, Some("3"), None, Some(ok));
+            let c = RunConfig::from_parts(&[], None, Some("3"), None, Some(ok)).unwrap();
             assert!(c.warnings.is_empty(), "documented value {ok:?} warned");
         }
         // A typo is surfaced — and rides into the manifest like a bad
         // LEO_THREADS does.
-        let config = RunConfig::from_parts(&[], None, Some("3"), None, Some("ful"));
+        let config = RunConfig::from_parts(&[], None, Some("3"), None, Some("ful")).unwrap();
         assert_eq!(config.warnings.len(), 1);
         assert!(
             config.warnings[0].contains("LEO_OBS") && config.warnings[0].contains("trace"),
@@ -521,7 +545,7 @@ mod tests {
     #[test]
     fn warnings_land_in_the_manifest() {
         let args: Vec<String> = Vec::new();
-        let config = RunConfig::from_parts(&args, Some("maybe"), Some("many"), None, None);
+        let config = RunConfig::from_parts(&args, Some("maybe"), Some("many"), None, None).unwrap();
         assert_eq!(config.warnings.len(), 2);
         let run = Run::with_config("t", config.clone());
         let m = run.manifest();
@@ -534,7 +558,7 @@ mod tests {
         // LEO_THREADS, manifest named "serve" — the warning must ride
         // all the way into serve.meta.json.
         let args: Vec<String> = Vec::new();
-        let config = RunConfig::from_parts(&args, None, Some("eight"), None, None);
+        let config = RunConfig::from_parts(&args, None, Some("eight"), None, None).unwrap();
         let m = Run::with_config("serve", config).manifest();
         assert_eq!(m.name, "serve");
         assert_eq!(m.config_warnings.len(), 1);
@@ -587,13 +611,10 @@ mod tests {
                 count: 4,
                 sum: 2.0,
                 mean: 0.5,
-                p50: 0.5,
-                p99: 0.7,
                 max: 0.8,
             }],
             timeseries: vec![TimeSeriesRecord {
                 name: "serve.handoffs".into(),
-                timing: false,
                 points: vec![(0.0, 0.0), (60.0, 17.0), (120.0, 9.0)],
             }],
         };

@@ -1,7 +1,7 @@
 //! The determinism check on two run manifests.
 //!
 //! [`same_work`] checks that two runs did the same work: every counter
-//! equal, and every work time series equal point for point. [`SameWork`]
+//! equal, and every time series equal point for point. [`SameWork`]
 //! is its verdict. Two runs of one binary in one mode must pass it at
 //! any thread count and at any `LEO_OBS` level that records metrics
 //! (full-mode `fig6` only at one thread: when its snapshot cache clears
@@ -19,7 +19,7 @@ use std::fmt;
 pub struct SameWork {
     /// Counters equal by name and value in both manifests.
     pub counters_equal: usize,
-    /// Work time series equal point for point, bitwise, in both.
+    /// Time series equal point for point, bitwise, in both.
     pub series_equal: usize,
     /// One line per difference, each naming its metric. Empty means the
     /// two runs did the same work.
@@ -27,13 +27,12 @@ pub struct SameWork {
 }
 
 /// Checks that manifests `a` and `b` record the same work: every counter
-/// equal by name and value, and every work time series (`timing: false`)
-/// equal point for point, compared bitwise. Each name in `require` must
-/// be a counter or a work series of `a`, and `a` must count some work (a
-/// counter above zero), so a run made without metrics — no counters, or
-/// all of them zero at `LEO_OBS=off` — cannot pass vacuously.
-/// Histograms, phases and timing series measure wall-clock time, so they
-/// are ignored.
+/// equal by name and value, and every time series equal point for
+/// point, compared bitwise. Each name in `require` must be a counter or a
+/// series of `a`, and `a` must count some work (a counter above zero),
+/// so a run made without metrics — no counters, or all of them zero at
+/// `LEO_OBS=off` — cannot pass vacuously. Histograms and phases measure
+/// wall-clock time, so they are ignored.
 pub fn same_work(a: &RunManifest, b: &RunManifest, require: &[String]) -> SameWork {
     let mut report = SameWork::default();
     if a.counters.iter().all(|c| c.value == 0) {
@@ -51,7 +50,7 @@ pub fn same_work(a: &RunManifest, b: &RunManifest, require: &[String]) -> SameWo
                 .push(format!("counter {name}: {} vs {}", show(x), show(y))),
         }
     }
-    let (wa, wb) = (work_series(a), work_series(b));
+    let (wa, wb) = (named_series(a), named_series(b));
     for name in wa.keys().chain(wb.keys()).collect::<BTreeSet<_>>() {
         match (wa.get(name), wb.get(name)) {
             (Some(x), Some(y)) => match first_difference(x, y) {
@@ -86,12 +85,8 @@ fn counters(m: &RunManifest) -> BTreeMap<&str, u64> {
         .collect()
 }
 
-fn work_series(m: &RunManifest) -> BTreeMap<&str, &TimeSeriesRecord> {
-    m.timeseries
-        .iter()
-        .filter(|s| !s.timing)
-        .map(|s| (s.name.as_str(), s))
-        .collect()
+fn named_series(m: &RunManifest) -> BTreeMap<&str, &TimeSeriesRecord> {
+    m.timeseries.iter().map(|s| (s.name.as_str(), s)).collect()
 }
 
 /// A value, or `absent` when one side lacks the metric.
@@ -124,22 +119,19 @@ mod tests {
     use super::*;
     use crate::cli::{CounterRecord, HistogramRecord, PhaseRecord};
 
-    fn hist(name: &str, p50: f64, p99: f64) -> HistogramRecord {
+    fn hist(name: &str, mean: f64) -> HistogramRecord {
         HistogramRecord {
             name: name.into(),
             count: 100,
-            sum: 100.0 * p50,
-            mean: p50,
-            p50,
-            p99,
-            max: p99 * 2.0,
+            sum: 100.0 * mean,
+            mean,
+            max: mean * 2.0,
         }
     }
 
-    fn series(name: &str, timing: bool, values: &[f64]) -> TimeSeriesRecord {
+    fn series(name: &str, values: &[f64]) -> TimeSeriesRecord {
         TimeSeriesRecord {
             name: name.into(),
-            timing,
             points: values
                 .iter()
                 .enumerate()
@@ -148,9 +140,8 @@ mod tests {
         }
     }
 
-    /// A run with two counters, one work series, one timing series, one
-    /// histogram and one phase — every kind of record [`same_work`]
-    /// judges or ignores.
+    /// A run with two counters, one series, one histogram and one phase
+    /// — every kind of record [`same_work`] judges or ignores.
     fn run() -> RunManifest {
         RunManifest {
             name: "t".into(),
@@ -173,11 +164,8 @@ mod tests {
                     value: 99,
                 },
             ],
-            histograms: vec![hist("sim.worker_busy_s", 1.0, 2.0)],
-            timeseries: vec![
-                series("serve.served", false, &[10.0, 12.0, 11.0]),
-                series("serve.snapshot_wall_s", true, &[0.1, 0.2, 0.3]),
-            ],
+            histograms: vec![hist("sim.worker_busy_s", 1.0)],
+            timeseries: vec![series("serve.served", &[10.0, 12.0, 11.0])],
         }
     }
 
@@ -247,17 +235,12 @@ mod tests {
             offenders(&run(), &b),
             ["work series serve.served: 3 points vs absent"]
         );
-        // Flipping the kind moves it out of the work set as well.
-        let mut timing = run();
-        timing.timeseries[0].timing = true;
-        assert_eq!(offenders(&timing, &run()).len(), 1);
     }
 
     #[test]
-    fn timing_series_histograms_and_phases_are_ignored() {
+    fn histograms_and_phases_are_ignored() {
         let mut b = run();
-        b.timeseries[1].points[0].1 = 99.0;
-        b.histograms[0] = hist("sim.worker_busy_s", 50.0, 80.0);
+        b.histograms[0] = hist("sim.worker_busy_s", 50.0);
         b.phases[0].wall_s = 7.5;
         b.total_s = 9.0;
         b.threads = 4;
@@ -271,8 +254,8 @@ mod tests {
             same_work(&run(), &run(), &names).offenders
         };
         assert!(require(&["serve.queries", "serve.served"]).is_empty());
-        // A timing series or a histogram does not satisfy the list.
-        for name in ["serve.snapshot_wall_s", "sim.worker_busy_s", "no.such"] {
+        // A histogram does not satisfy the list.
+        for name in ["sim.worker_busy_s", "no.such"] {
             let found = require(&[name]);
             assert_eq!(found.len(), 1, "{name}");
             assert!(found[0].contains(name), "{found:?}");

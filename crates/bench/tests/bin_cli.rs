@@ -1,5 +1,6 @@
 //! Experiment binaries driven as processes: a run that cannot write its
-//! results fails, `feasibility` writes the committed §4 result and
+//! results fails, an argument a binary does not understand ends it
+//! before it writes anything, `feasibility` writes the committed §4 result and
 //! counts its committed manifest's work at any thread count, the
 //! throughput lines count the work the sweep timed, and `explore`
 //! rejects coordinates that cannot be a place on Earth. Only the exit
@@ -107,6 +108,37 @@ fn a_run_into_a_writable_dir_exits_zero_with_its_results() {
         results == committed,
         "results/feasibility.json differs from a fresh run:\n{results}"
     );
+}
+
+/// A typo'd flag, an `--out-dir` with nothing after it, and one followed
+/// by a flag each end the run with status 2 before it writes anything,
+/// into `LEO_OUT_DIR` or the working directory.
+#[test]
+fn a_figure_binary_rejects_arguments_it_does_not_understand() {
+    let tmp = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("feasibility_bad_args");
+    let (cwd, out_dir) = (tmp.join("cwd"), tmp.join("out"));
+    for (args, named) in [
+        (&["--qiuck"][..], "unknown argument \"--qiuck\""),
+        (&["--quick", "--out-dir"], "--out-dir needs a directory"),
+        (&["--out-dir", "--quick"], "not \"--quick\""),
+    ] {
+        let _ = std::fs::remove_dir_all(&tmp);
+        std::fs::create_dir_all(&cwd).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_feasibility"))
+            .args(args)
+            .current_dir(&cwd)
+            .env_remove("LEO_QUICK")
+            .env("LEO_OUT_DIR", &out_dir)
+            .output()
+            .expect("feasibility runs");
+        let stderr = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+        assert!(text(&out.stdout).is_empty(), "{args:?} ran");
+        assert!(!out_dir.exists(), "{args:?} wrote into LEO_OUT_DIR");
+        let written: Vec<_> = std::fs::read_dir(&cwd).unwrap().collect();
+        assert!(written.is_empty(), "{args:?} wrote {written:?}");
+    }
 }
 
 #[test]

@@ -41,8 +41,7 @@ fn times() -> Vec<f64> {
 }
 
 /// One small serve sweep at the given level and thread count, returning
-/// the result, the counter totals, and the *work* time series (the
-/// deterministic subset — timing series are wall-clock by definition).
+/// the result, the counter totals, and the time series.
 fn run_sweep(level: Level, threads: usize) -> (SweepReport, String, String) {
     leo_obs::set_level(level);
     leo_obs::reset();
@@ -54,8 +53,7 @@ fn run_sweep(level: Level, threads: usize) -> (SweepReport, String, String) {
     .sweep(&times());
     let snap = leo_obs::snapshot();
     let counters = format!("{:?}", snap.counters);
-    let work_series: Vec<_> = snap.series.iter().filter(|s| !s.timing).collect();
-    let series = format!("{work_series:?}");
+    let series = format!("{:?}", snap.series);
     leo_obs::set_level(Level::Off);
     (report, counters, series)
 }
@@ -226,10 +224,6 @@ fn trace_export_is_valid_and_nests_per_thread() {
     assert!(
         manifest.timeseries.iter().any(|s| s.name == "serve.served"),
         "manifest lost the work series"
-    );
-    assert!(
-        manifest.timeseries.iter().any(|s| s.timing),
-        "trace level should include the wall-clock series"
     );
 
     // ...and finish() wrote a loadable Chrome trace next to it.

@@ -1,10 +1,11 @@
-//! `perf_report` driven as a process: argument arity and exit codes.
+//! `perf_report` driven as a process: argument arity, exit codes and
+//! the one-manifest table.
 //!
 //! `--same-work` judges a pair of manifests, so given one manifest it
 //! must fail with the usage message instead of silently skipping the
 //! check, and a difference must fail by exit code, which is all CI sees.
 
-use leo_bench::cli::{CounterRecord, RunManifest, TimeSeriesRecord};
+use leo_bench::cli::{CounterRecord, HistogramRecord, RunManifest, TimeSeriesRecord};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -19,8 +20,8 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// Writes a small manifest with one counter and one work series under
-/// the test's scratch directory and returns its path.
+/// Writes a small manifest with one counter, one span and one work
+/// series under the test's scratch directory and returns its path.
 fn write_manifest(file: &str, queries: u64) -> String {
     let m = RunManifest {
         name: "serve".into(),
@@ -34,10 +35,15 @@ fn write_manifest(file: &str, queries: u64) -> String {
             name: "serve.queries".into(),
             value: queries,
         }],
-        histograms: vec![],
+        histograms: vec![HistogramRecord {
+            name: "serve.sweep_s".into(),
+            count: 3,
+            sum: 3.75,
+            mean: 1.25,
+            max: 2.0,
+        }],
         timeseries: vec![TimeSeriesRecord {
             name: "serve.served".into(),
-            timing: false,
             points: vec![(0.0, 5.0), (60.0, 6.0)],
         }],
     };
@@ -104,4 +110,28 @@ fn same_work_exit_code_follows_the_comparison() {
     let out = args(&a, &b, "no.such.metric");
     assert!(!out.status.success());
     assert!(stderr(&out).contains("no.such.metric"), "{}", stderr(&out));
+}
+
+#[test]
+fn one_manifest_prints_each_spans_sum() {
+    let one = write_manifest("table.meta.json", 10);
+    let out = perf_report(&[&one]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let header = stdout
+        .lines()
+        .find(|l| l.trim_start().starts_with("name") && l.contains("count"))
+        .unwrap_or_else(|| panic!("no histogram header in:\n{stdout}"));
+    let columns: Vec<&str> = header.split_whitespace().collect();
+    assert_eq!(columns, ["name", "count", "mean", "sum", "max"]);
+    let row = stdout
+        .lines()
+        .find(|l| l.trim_start().starts_with("serve.sweep_s"))
+        .unwrap_or_else(|| panic!("no serve.sweep_s row in:\n{stdout}"));
+    let cells: Vec<&str> = row
+        .split("  ")
+        .map(str::trim)
+        .filter(|c| !c.is_empty())
+        .collect();
+    assert_eq!(cells, ["serve.sweep_s", "3", "1.25 s", "3.75 s", "2.00 s"]);
 }

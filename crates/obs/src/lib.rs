@@ -1,8 +1,9 @@
 //! # leo-obs
 //!
 //! Zero-dependency observability for the in-orbit computing stack:
-//! process-wide registries of named [`Counter`]s, log-bucketed
-//! [`Histogram`]s, and scoped [`Span`] timers.
+//! process-wide registries of named [`Counter`]s, [`TimeSeries`]
+//! gauges, and scoped [`Span`] timers, each summed into its
+//! [`Histogram`] (count, sum and exact extremes).
 //!
 //! The design target is *hot-path safe* instrumentation. The routing
 //! engine settles ~1,600 nodes per Dijkstra query and the sweeps run
@@ -17,8 +18,8 @@
 //!   round-robin), so a record is a couple of *relaxed* atomic ops with
 //!   no cross-core contention on the sweep pool.
 //! * **span timers** read the clock, so they sit behind a second level:
-//!   `LEO_OBS=1` enables counters and histograms, `LEO_OBS=2` (or
-//!   `full`) additionally enables spans.
+//!   `LEO_OBS=1` enables counters and time series, `LEO_OBS=2` (or
+//!   `full`) additionally enables spans, the only writers of histograms.
 //! * **structured trace events** sit behind a third level (`LEO_OBS=3`
 //!   or `trace`): span begin/end and instant events with thread
 //!   attribution, buffered in per-thread-shard ring buffers and drained
@@ -35,11 +36,10 @@
 //!
 //! Counters must be deterministic functions of the work performed — not
 //! of scheduling — so that run manifests can be diffed across thread
-//! counts; anything timing-derived belongs in a histogram or span.
-//! [`TimeSeries`] gauges carry the same contract over orbital time: work
-//! series are sampled from sequential fold loops only (one point per
-//! snapshot/tick, deterministic order), while wall-clock series are
-//! registered as timing series and gated like spans.
+//! counts; anything timing-derived belongs in a span.
+//! [`TimeSeries`] gauges carry the same contract over orbital time: they
+//! are sampled from sequential fold loops only (one point per
+//! snapshot/tick, deterministic order).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,8 +57,8 @@ use std::time::Instant;
 pub enum Level {
     /// No recording: every record path is one load + branch.
     Off = 0,
-    /// Counters and histograms record; span timers stay off (no clock
-    /// reads on hot paths).
+    /// Counters and time series record; span timers stay off (no clock
+    /// reads on hot paths), so histograms stay empty.
     Metrics = 1,
     /// Metrics plus span timers.
     Full = 2,
@@ -128,7 +128,7 @@ pub fn set_level(l: Level) {
     LEVEL.store(l as u8, Ordering::Relaxed);
 }
 
-/// True when counters and histograms record.
+/// True when counters and time series record.
 #[inline]
 pub fn metrics_enabled() -> bool {
     level() >= Level::Metrics
@@ -236,76 +236,14 @@ impl Counter {
 
 // ------------------------------------------------------------ histograms
 
-/// Sub-buckets per power of two: the top [`SUB_BITS`] mantissa bits join
-/// the exponent in the bucket key, giving buckets a geometric width of
-/// `2^(1/4)` (≈ 19 % relative error worst case — plenty for latency and
-/// work-size distributions).
-const SUB_BITS: u32 = 2;
-
-/// Smallest bucketed magnitude, `2^-64`. Everything smaller (zero
-/// included) lands in the underflow bucket.
-const MIN_EXP: i32 = -64;
-
-/// Largest bucketed magnitude, `2^64`. Everything larger (infinity
-/// included) lands in the overflow bucket.
-const MAX_EXP: i32 = 64;
-
-/// Bucket key of the smallest regular bucket: biased exponent of
-/// `2^MIN_EXP` shifted left by the sub-bucket bits.
-const MIN_KEY: u64 = ((1023 + MIN_EXP) as u64) << SUB_BITS;
-
-/// Number of regular (non-under/overflow) buckets.
-const NUM_BUCKETS: usize = ((MAX_EXP - MIN_EXP) as usize) << SUB_BITS;
-
-/// Index of the underflow slot in the storage array.
-const UNDERFLOW: usize = 0;
-
-/// Index of the overflow slot.
-const OVERFLOW: usize = NUM_BUCKETS + 1;
-
-/// Slots per shard: regular buckets plus the two tails.
-const SLOTS: usize = NUM_BUCKETS + 2;
-
-/// Storage slot of a non-negative sample: the `f64` bit pattern shifted
-/// so the biased exponent and the top [`SUB_BITS`] mantissa bits remain —
-/// monotone in the sample, so slots are ordered.
-#[inline]
-fn slot_of(v: f64) -> usize {
-    if !(v.is_finite() && v >= 0.0) {
-        // NaN and negatives are clamped into the tails; samples here are
-        // all physical non-negative quantities, so this is a guard, not a
-        // code path that real instrumentation exercises.
-        return if v.is_nan() || v < 0.0 {
-            UNDERFLOW
-        } else {
-            OVERFLOW
-        };
-    }
-    let key = v.to_bits() >> (52 - SUB_BITS);
-    if key < MIN_KEY {
-        UNDERFLOW
-    } else {
-        let idx = (key - MIN_KEY) as usize + 1;
-        idx.min(OVERFLOW)
-    }
-}
-
-/// Lower edge of a regular bucket index (1-based, `1..=NUM_BUCKETS`).
-fn bucket_lo(idx: usize) -> f64 {
-    f64::from_bits((MIN_KEY + (idx as u64 - 1)) << (52 - SUB_BITS))
-}
-
-/// Upper edge of a regular bucket index.
-fn bucket_hi(idx: usize) -> f64 {
-    f64::from_bits((MIN_KEY + idx as u64) << (52 - SUB_BITS))
-}
-
-/// One shard of histogram state: per-bucket counts, a bit-CAS `f64` sum,
-/// and the exact extremes (relaxed; only folded at snapshot time). The
-/// extremes are `f64` bits of non-negative samples, whose unsigned order
-/// is their numeric order, so `fetch_min`/`fetch_max` track them.
+/// One shard of a span's summary, in one cache line: the sample count,
+/// a bit-CAS `f64` sum and the exact extremes (relaxed; only folded at
+/// snapshot time). The extremes are `f64` bits of non-negative samples,
+/// whose unsigned order is their numeric order, so `fetch_min`/
+/// `fetch_max` track them.
+#[repr(align(64))]
 struct HistShard {
-    buckets: Vec<AtomicU64>,
+    count: AtomicU64,
     sum_bits: AtomicU64,
     min_bits: AtomicU64,
     max_bits: AtomicU64,
@@ -314,7 +252,7 @@ struct HistShard {
 impl HistShard {
     fn new() -> Self {
         let shard = HistShard {
-            buckets: (0..SLOTS).map(|_| AtomicU64::new(0)).collect(),
+            count: AtomicU64::new(0),
             sum_bits: AtomicU64::new(0),
             min_bits: AtomicU64::new(0),
             max_bits: AtomicU64::new(0),
@@ -324,9 +262,7 @@ impl HistShard {
     }
 
     fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
+        self.count.store(0, Ordering::Relaxed);
         self.sum_bits.store(0f64.to_bits(), Ordering::Relaxed);
         // The identities of min and max over non-negative samples.
         self.min_bits
@@ -335,8 +271,8 @@ impl HistShard {
     }
 
     /// Folds `v` into the extremes. NaN, negatives and `-0.0` count as
-    /// `+0.0`, the floor of the underflow bucket they land in. The loads
-    /// skip the read-modify-write when the extreme does not move.
+    /// `+0.0`; an elapsed time is never any of them. The loads skip the
+    /// read-modify-write when the extreme does not move.
     fn add_extremes(&self, v: f64) {
         let bits = if v > 0.0 { v } else { 0.0 }.to_bits();
         if bits < self.min_bits.load(Ordering::Relaxed) {
@@ -364,16 +300,12 @@ impl HistShard {
     }
 }
 
-/// A named log-bucketed histogram over non-negative `f64` samples,
-/// sharded per thread. Geometric buckets (4 per power of two) cover
-/// `2^-64 ..= 2^64` with under/overflow tails; quantiles are answered to
-/// within one bucket (≲ 19 % relative error) and clamped to the exact
-/// extremes, which each shard tracks alongside the sum.
+/// A named span's summary, sharded per thread: the exact count, sum and
+/// extremes of the seconds its [`Span`]s measured. Spans are its only
+/// writers, so it holds samples only from [`Level::Full`] on.
 pub struct Histogram {
     name: &'static str,
-    /// Allocated by the first recorded sample, so a call site that never
-    /// records (spans off, metrics off) holds no bucket storage.
-    shards: OnceLock<Vec<HistShard>>,
+    shards: [HistShard; NUM_SHARDS],
 }
 
 impl Histogram {
@@ -385,26 +317,20 @@ impl Histogram {
         }
         let h: &'static Histogram = Box::leak(Box::new(Histogram {
             name,
-            shards: OnceLock::new(),
+            shards: std::array::from_fn(|_| HistShard::new()),
         }));
         list.push(h);
         h
     }
 
-    /// Records one sample when metrics are enabled: one relaxed
-    /// `fetch_add` on the bucket, a relaxed CAS on the shard sum, and a
-    /// relaxed update of the shard extremes when the sample moves them.
-    #[inline]
-    pub fn record(&self, v: f64) {
-        if metrics_enabled() {
-            let shards = self
-                .shards
-                .get_or_init(|| (0..NUM_SHARDS).map(|_| HistShard::new()).collect());
-            let shard = &shards[shard_index()];
-            shard.buckets[slot_of(v)].fetch_add(1, Ordering::Relaxed);
-            shard.add_sum(v);
-            shard.add_extremes(v);
-        }
+    /// Records one sample: one relaxed `fetch_add` on the count, a
+    /// relaxed CAS on the sum, and a relaxed update of the extremes when
+    /// the sample moves them.
+    fn record(&self, v: f64) {
+        let shard = &self.shards[shard_index()];
+        shard.count.fetch_add(1, Ordering::Relaxed);
+        shard.add_sum(v);
+        shard.add_extremes(v);
     }
 
     /// Starts a scoped timer recording seconds into this histogram on
@@ -426,44 +352,30 @@ impl Histogram {
         f()
     }
 
-    /// Folds the shards into an immutable dump (the empty dump before the
-    /// first recorded sample).
+    /// Folds the shards into an immutable dump.
     pub fn dump(&self) -> HistogramDump {
-        let mut folded = vec![0u64; SLOTS];
-        let (mut sum, mut min, mut max) = (0.0, f64::INFINITY, 0.0f64);
-        for shard in self.shards.get().into_iter().flatten() {
-            for (acc, b) in folded.iter_mut().zip(&shard.buckets) {
-                *acc += b.load(Ordering::Relaxed);
-            }
-            sum += f64::from_bits(shard.sum_bits.load(Ordering::Relaxed));
-            min = min.min(f64::from_bits(shard.min_bits.load(Ordering::Relaxed)));
-            max = max.max(f64::from_bits(shard.max_bits.load(Ordering::Relaxed)));
-        }
-        let buckets: Vec<Bucket> = folded
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(idx, &count)| {
-                let (lo, hi) = match idx {
-                    UNDERFLOW => (0.0, bucket_lo(1)),
-                    i if i == OVERFLOW => (bucket_hi(NUM_BUCKETS), f64::INFINITY),
-                    i => (bucket_lo(i), bucket_hi(i)),
-                };
-                Bucket { lo, hi, count }
-            })
-            .collect();
-        HistogramDump {
+        let mut dump = HistogramDump {
             name: self.name.to_string(),
-            count: buckets.iter().map(|b| b.count).sum(),
-            sum,
-            min,
-            max,
-            buckets,
+            count: 0,
+            sum: 0.0,
+            min: f64::INFINITY,
+            max: 0.0,
+        };
+        for shard in &self.shards {
+            dump.count += shard.count.load(Ordering::Relaxed);
+            dump.sum += f64::from_bits(shard.sum_bits.load(Ordering::Relaxed));
+            dump.min = dump
+                .min
+                .min(f64::from_bits(shard.min_bits.load(Ordering::Relaxed)));
+            dump.max = dump
+                .max
+                .max(f64::from_bits(shard.max_bits.load(Ordering::Relaxed)));
         }
+        dump
     }
 
     fn reset(&self) {
-        for shard in self.shards.get().into_iter().flatten() {
+        for shard in &self.shards {
             shard.reset();
         }
     }
@@ -472,7 +384,9 @@ impl Histogram {
 /// A scoped span timer: measures from construction to drop and records
 /// the elapsed seconds into its histogram. Inert (no clock read at all)
 /// below [`Level::Full`]; at [`Level::Trace`] it also carries a
-/// [`TraceScope`] so the interval shows up in the exported trace.
+/// [`TraceScope`] so the interval shows up in the exported trace. Like
+/// the trace scope, it latches the level at creation: a span that read
+/// the clock records on drop.
 pub struct Span {
     start: Option<Instant>,
     trace: Option<TraceScope>,
@@ -718,56 +632,35 @@ pub fn chrome_trace_json(dump: &TraceDump) -> String {
 
 /// A named gauge sampled over an experiment's own x-axis (orbital time,
 /// snapshot index): each [`TimeSeries::sample`] appends one `(x, value)`
-/// point.
-///
-/// Two kinds, fixed at registration:
-///
-/// * **work** series (`timing == false`) record deterministic functions
-///   of the work done — gated like counters ([`metrics_enabled`]) and
-///   sampled only from sequential fold loops (one point per
-///   snapshot/tick on the main thread), so dumps are byte-identical
-///   across thread counts;
-/// * **timing** series (`timing == true`) record wall-clock readings —
-///   gated like spans ([`spans_enabled`]) and excluded from determinism
-///   comparisons.
+/// point. A series records a deterministic function of the work done:
+/// it is gated like counters ([`metrics_enabled`]) and sampled only from
+/// sequential fold loops (one point per snapshot/tick on the main
+/// thread), so dumps are byte-identical across thread counts.
 pub struct TimeSeries {
     name: &'static str,
-    timing: bool,
     points: Mutex<Vec<(f64, f64)>>,
 }
 
 impl TimeSeries {
     /// The series registered under `name`, creating it on first use.
-    /// The `timing` kind is fixed by whichever registration ran first.
-    pub fn register(name: &'static str, timing: bool) -> &'static TimeSeries {
+    pub fn register(name: &'static str) -> &'static TimeSeries {
         let mut list = registry().series.lock().expect("series registry");
         if let Some(s) = list.iter().find(|s| s.name == name) {
-            debug_assert_eq!(
-                s.timing, timing,
-                "time series {name:?} re-registered with a different kind"
-            );
             return s;
         }
         let s: &'static TimeSeries = Box::leak(Box::new(TimeSeries {
             name,
-            timing,
             points: Mutex::new(Vec::new()),
         }));
         list.push(s);
         s
     }
 
-    /// Appends one `(x, value)` point when the series' gate is open
-    /// ([`metrics_enabled`] for work series, [`spans_enabled`] for
-    /// timing series); a load + branch otherwise.
+    /// Appends one `(x, value)` point when [`metrics_enabled`]; a load +
+    /// branch otherwise.
     #[inline]
     pub fn sample(&self, x: f64, value: f64) {
-        let on = if self.timing {
-            spans_enabled()
-        } else {
-            metrics_enabled()
-        };
-        if on {
+        if metrics_enabled() {
             self.points.lock().expect("time series").push((x, value));
         }
     }
@@ -776,7 +669,6 @@ impl TimeSeries {
     pub fn dump(&self) -> TimeSeriesDump {
         TimeSeriesDump {
             name: self.name.to_string(),
-            timing: self.timing,
             points: self.points.lock().expect("time series").clone(),
         }
     }
@@ -791,44 +683,14 @@ impl TimeSeries {
 pub struct TimeSeriesDump {
     /// Registered series name.
     pub name: String,
-    /// True for wall-clock series (gated like spans, excluded from
-    /// determinism checks).
-    pub timing: bool,
     /// `(x, value)` points in the order sampled.
     pub points: Vec<(f64, f64)>,
 }
 
 // ----------------------------------------------------------------- dumps
 
-/// One non-empty histogram bucket: `lo <= sample < hi`, `count` samples.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Bucket {
-    /// Inclusive lower edge.
-    pub lo: f64,
-    /// Exclusive upper edge (`INFINITY` for the overflow tail).
-    pub hi: f64,
-    /// Samples that landed in the bucket.
-    pub count: u64,
-}
-
-impl Bucket {
-    /// The bucket's representative value: the geometric midpoint for
-    /// regular buckets, the finite edge for the tails.
-    pub fn mid(&self) -> f64 {
-        if self.lo == 0.0 {
-            self.hi
-        } else if self.hi.is_infinite() {
-            self.lo
-        } else {
-            (self.lo * self.hi).sqrt()
-        }
-    }
-}
-
-/// An immutable fold of one histogram: sparse non-empty buckets in
-/// ascending order, total count, exact sum and exact extremes. Mergeable
-/// — dumps of the same metric from different runs or processes can be
-/// added.
+/// An immutable fold of one histogram: its sample count, exact sum and
+/// exact extremes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramDump {
     /// Registered metric name.
@@ -841,48 +703,12 @@ pub struct HistogramDump {
     pub min: f64,
     /// Exact largest sample (`0.0` when empty).
     pub max: f64,
-    /// Non-empty buckets, ascending by `lo`.
-    pub buckets: Vec<Bucket>,
 }
 
 impl HistogramDump {
     /// Arithmetic mean, `None` when empty.
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Exact largest sample, `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// The `q`-quantile over the bucket representatives, clamped to the
-    /// exact extremes; `None` when the dump is empty or `q` is NaN.
-    /// Accurate to one bucket width (≲ 19 %).
-    ///
-    /// The rule is **nearest rank**: with `q` clamped to `[0, 1]` and
-    /// `n = count`, the answer is the [`Bucket::mid`] of the bucket
-    /// holding sample number `max(1, ceil(q·n))` in ascending order,
-    /// clamped to `[min, max]`. So `q = 0` and `q = 1` answer the lowest
-    /// and highest non-empty buckets' representatives clamped to the
-    /// extremes, a one-sample dump answers the sample itself for every
-    /// `q`, and the result is monotone non-decreasing in `q` (the rank is
-    /// monotone, buckets ascend, and clamping preserves order).
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 || q.is_nan() {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        let bucket = self
-            .buckets
-            .iter()
-            .find(|b| {
-                seen += b.count;
-                seen >= rank
-            })
-            .or(self.buckets.last())?;
-        Some(bucket.mid().max(self.min).min(self.max))
     }
 }
 
@@ -980,25 +806,14 @@ macro_rules! span {
     };
 }
 
-/// The `&'static TimeSeries` (work kind) named by the literal, interned
-/// per call site.
+/// The `&'static TimeSeries` named by the literal, interned per call
+/// site.
 #[macro_export]
 macro_rules! timeseries {
     ($name:expr) => {{
         static HANDLE: ::std::sync::OnceLock<&'static $crate::TimeSeries> =
             ::std::sync::OnceLock::new();
-        *HANDLE.get_or_init(|| $crate::TimeSeries::register($name, false))
-    }};
-}
-
-/// The `&'static TimeSeries` (wall-clock timing kind) named by the
-/// literal, interned per call site.
-#[macro_export]
-macro_rules! timeseries_wall {
-    ($name:expr) => {{
-        static HANDLE: ::std::sync::OnceLock<&'static $crate::TimeSeries> =
-            ::std::sync::OnceLock::new();
-        *HANDLE.get_or_init(|| $crate::TimeSeries::register($name, true))
+        *HANDLE.get_or_init(|| $crate::TimeSeries::register($name))
     }};
 }
 
@@ -1105,50 +920,39 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_are_log_spaced_and_ordered() {
-        // Slot mapping is monotone and brackets every positive sample.
-        let mut prev = 0;
-        for &v in &[1e-30, 1e-3, 0.5, 1.0, 1.5, 2.0, 100.0, 1e12] {
-            let s = slot_of(v);
-            assert!(s >= prev, "slot({v}) = {s} not monotone");
-            prev = s;
-            if s != UNDERFLOW && s != OVERFLOW {
-                assert!(bucket_lo(s) <= v && v < bucket_hi(s), "{v} outside bucket");
-            }
-        }
-        assert_eq!(slot_of(0.0), UNDERFLOW);
-        assert_eq!(slot_of(f64::INFINITY), OVERFLOW);
-        assert_eq!(slot_of(1e300), OVERFLOW);
-    }
-
-    #[test]
-    fn histogram_quantiles_are_bucket_accurate() {
-        with_level(Level::Metrics, || {
-            let h = Histogram::register("test.quantiles");
+    fn histogram_sums_and_extremes_are_exact() {
+        with_level(Level::Full, || {
+            let h = Histogram::register("test.exact");
             h.reset();
             for i in 1..=1000 {
                 h.record(i as f64);
             }
             let d = h.dump();
             assert_eq!(d.count, 1000);
-            assert!((d.sum - 500_500.0).abs() < 1e-6);
-            let p50 = d.quantile(0.5).unwrap();
-            assert!((400.0..700.0).contains(&p50), "p50 {p50}");
-            let p99 = d.quantile(0.99).unwrap();
-            assert!((800.0..1400.0).contains(&p99), "p99 {p99}");
-            assert_eq!((Some(d.min), d.max()), (Some(1.0), Some(1000.0)));
-            assert!((d.mean().unwrap() - 500.5).abs() < 1e-6);
+            assert_eq!(d.sum, 500_500.0);
+            assert_eq!((d.min, d.max), (1.0, 1000.0));
+            assert_eq!(d.mean(), Some(500.5));
         });
     }
 
     #[test]
     fn span_records_only_at_full_level() {
         let h = Histogram::register("test.span");
-        with_level(Level::Metrics, || {
-            h.reset();
-            h.time(|| std::hint::black_box(1 + 1));
-            assert_eq!(h.dump().count, 0, "spans must stay off at Metrics");
-        });
+        let empty = HistogramDump {
+            name: "test.span".to_string(),
+            count: 0,
+            sum: 0.0,
+            min: f64::INFINITY,
+            max: 0.0,
+        };
+        for below in [Level::Off, Level::Metrics] {
+            with_level(below, || {
+                h.reset();
+                h.time(|| std::hint::black_box(1 + 1));
+                assert_eq!(h.dump(), empty, "spans must stay off at {below:?}");
+                assert_eq!(h.dump().sum.to_bits(), 0.0f64.to_bits());
+            });
+        }
         with_level(Level::Full, || {
             h.reset();
             h.time(|| std::hint::black_box(1 + 1));
@@ -1163,127 +967,43 @@ mod tests {
         });
     }
 
-    #[test]
-    fn a_histogram_that_never_records_holds_no_buckets() {
-        let h = Histogram::register("test.lazy.off");
-        with_level(Level::Off, || {
-            h.record(1.0);
-            h.time(|| std::hint::black_box(1 + 1));
-            h.reset();
-        });
-        assert!(
-            h.shards.get().is_none(),
-            "buckets allocated without a sample"
-        );
-        let empty = HistogramDump {
-            name: "test.lazy.off".to_string(),
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: 0.0,
-            buckets: Vec::new(),
-        };
-        assert_eq!(h.dump(), empty);
-        assert_eq!(h.dump().sum.to_bits(), 0.0f64.to_bits());
-    }
-
-    #[test]
-    fn quantile_edges_are_pinned() {
-        with_level(Level::Metrics, || {
-            let h = Histogram::register("test.quantile.edges");
-            h.reset();
-            for i in 1..=100 {
-                h.record(i as f64);
-            }
-            let d = h.dump();
-            // q = 0 is the lowest bucket's representative, q = 1 the
-            // highest, each clamped to the exact extremes [1, 100]. The
-            // lowest bucket's midpoint (1.118) lies inside them; the top
-            // bucket is [96, 112), so q = 1 answers 100, not its midpoint
-            // 103.7. Out-of-range q clamps to the same answers.
-            assert_eq!(d.quantile(0.0), Some(d.buckets[0].mid()));
-            assert_eq!(d.quantile(1.0), Some(100.0));
-            assert_eq!(d.quantile(-3.0), d.quantile(0.0));
-            assert_eq!(d.quantile(7.0), d.quantile(1.0));
-            assert_eq!(d.quantile(f64::NAN), None);
-
-            // Single-bucket dump of one value: the bucket [3, 3.5) has
-            // midpoint 3.24, which clamps to the exact extremes, so every
-            // q answers 3.
-            let h1 = Histogram::register("test.quantile.single");
-            h1.reset();
-            for _ in 0..5 {
-                h1.record(3.0);
-            }
-            let d1 = h1.dump();
-            assert_eq!(d1.buckets.len(), 1);
-            assert_ne!(d1.buckets[0].mid(), 3.0);
-            for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
-                assert_eq!(d1.quantile(q), Some(3.0), "q = {q}");
-            }
-
-            // Empty dump: always None.
-            let h0 = Histogram::register("test.quantile.empty");
-            h0.reset();
-            assert_eq!(h0.dump().quantile(0.5), None);
-        });
-    }
-
-    /// One sample of 86.24 s lands in the [80, 96) bucket, whose
-    /// midpoint is 87.64 and upper edge 96: the dump must report the
-    /// sample itself as its extremes and every quantile.
+    /// One sample of 86.24 s: the dump reports the sample itself as its
+    /// sum, mean and both extremes.
     #[test]
     fn one_sample_reports_the_sample_as_every_statistic() {
-        with_level(Level::Metrics, || {
-            let h = Histogram::register("test.quantile.one");
+        with_level(Level::Full, || {
+            let h = Histogram::register("test.one");
             h.reset();
             h.record(86.24);
             let d = h.dump();
-            assert_eq!((Some(d.min), d.max()), (Some(86.24), Some(86.24)));
-            for q in [0.0, 0.5, 0.99, 1.0] {
-                assert_eq!(d.quantile(q), Some(86.24), "q = {q}");
-            }
+            assert_eq!(d.count, 1);
+            assert_eq!((d.sum, d.min, d.max), (86.24, 86.24, 86.24));
+            assert_eq!(d.mean(), Some(86.24));
         });
     }
 
     #[test]
     fn timeseries_gating_follows_the_level() {
-        let work = TimeSeries::register("test.series.work", false);
-        let wall = TimeSeries::register("test.series.wall", true);
+        let series = TimeSeries::register("test.series.gated");
         with_level(Level::Off, || {
-            work.reset();
-            wall.reset();
-            work.sample(0.0, 1.0);
-            wall.sample(0.0, 1.0);
-            assert!(work.dump().points.is_empty());
-            assert!(wall.dump().points.is_empty());
+            series.reset();
+            series.sample(0.0, 1.0);
+            assert!(series.dump().points.is_empty());
         });
-        with_level(Level::Metrics, || {
-            work.reset();
-            wall.reset();
-            work.sample(1.0, 2.0);
-            wall.sample(1.0, 2.0);
-            assert_eq!(work.dump().points, vec![(1.0, 2.0)]);
-            assert!(
-                wall.dump().points.is_empty(),
-                "timing series must stay off at Metrics"
-            );
-        });
-        with_level(Level::Full, || {
-            work.reset();
-            wall.reset();
-            work.sample(2.0, 3.0);
-            wall.sample(2.0, 3.0);
-            assert_eq!(work.dump().points, vec![(2.0, 3.0)]);
-            assert_eq!(wall.dump().points, vec![(2.0, 3.0)]);
-        });
+        for on in [Level::Metrics, Level::Full] {
+            with_level(on, || {
+                series.reset();
+                series.sample(1.0, 2.0);
+                assert_eq!(series.dump().points, vec![(1.0, 2.0)], "{on:?}");
+            });
+        }
     }
 
     #[test]
     fn timeseries_register_deduplicates_and_snapshots() {
         with_level(Level::Metrics, || {
             let a = timeseries!("test.series.dedupe");
-            let b = TimeSeries::register("test.series.dedupe", false);
+            let b = TimeSeries::register("test.series.dedupe");
             assert!(std::ptr::eq(a, b));
             a.reset();
             a.sample(0.0, 10.0);
@@ -1294,7 +1014,6 @@ mod tests {
                 .iter()
                 .find(|s| s.name == "test.series.dedupe")
                 .expect("series registered");
-            assert!(!d.timing);
             assert_eq!(d.points, vec![(0.0, 10.0), (60.0, 12.0)]);
             let names: Vec<&String> = snap.series.iter().map(|s| &s.name).collect();
             let mut sorted = names.clone();
@@ -1397,57 +1116,6 @@ mod tests {
         assert_eq!(json.matches('"').count() % 2, 0);
     }
 
-    proptest::proptest! {
-        /// The nearest-rank rule makes quantiles monotone non-decreasing
-        /// in q, over an arbitrary positive sample set.
-        #[test]
-        fn prop_quantiles_are_monotone_in_q(
-            samples in proptest::collection::vec(1e-6..1e6f64, 1..64),
-            qa in 0.0..1.0f64,
-            qb in 0.0..1.0f64,
-        ) {
-            let mut folded = vec![0u64; SLOTS];
-            let (mut sum, mut min, mut max) = (0.0, f64::INFINITY, 0.0f64);
-            for &v in &samples {
-                folded[slot_of(v)] += 1;
-                sum += v;
-                min = min.min(v);
-                max = max.max(v);
-            }
-            // Build the dump directly from the shared bucketing scheme,
-            // sidestepping the process-global level and registry.
-            let buckets: Vec<Bucket> = folded
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(idx, &count)| Bucket {
-                    lo: bucket_lo(idx),
-                    hi: bucket_hi(idx),
-                    count,
-                })
-                .collect();
-            let d = HistogramDump {
-                name: "prop".into(),
-                count: samples.len() as u64,
-                sum,
-                min,
-                max,
-                buckets,
-            };
-            let (lo, hi) = if qa <= qb { (qa, qb) } else { (qb, qa) };
-            let vlo = d.quantile(lo).unwrap();
-            let vhi = d.quantile(hi).unwrap();
-            proptest::prop_assert!(
-                vlo <= vhi,
-                "quantile({lo}) = {vlo} > quantile({hi}) = {vhi}"
-            );
-            proptest::prop_assert!(min <= vlo && vhi <= max, "[{vlo}, {vhi}] outside [{min}, {max}]");
-            let clamped = |b: &Bucket| b.mid().clamp(min, max);
-            proptest::prop_assert_eq!(d.quantile(0.0).unwrap(), clamped(&d.buckets[0]));
-            proptest::prop_assert_eq!(d.quantile(1.0).unwrap(), clamped(d.buckets.last().unwrap()));
-        }
-    }
-
     #[test]
     fn trace_capacity_drops_begins_but_never_ends() {
         with_level(Level::Trace, || {
@@ -1496,7 +1164,7 @@ mod tests {
             assert_eq!(h.dump().count, 0);
             // Reset clears the extremes too: the next sample sets both.
             h.record(1.5);
-            assert_eq!((Some(h.dump().min), h.dump().max()), (Some(1.5), Some(1.5)));
+            assert_eq!((h.dump().min, h.dump().max), (1.5, 1.5));
         });
     }
 

@@ -37,7 +37,6 @@ use leo_net::engine::with_thread_arena;
 use leo_net::{GroundSet, IslWeights, VisibleSat};
 use leo_sim::parallel_map;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Knobs of a serve sweep. Sharding and validation cadence are part of
 /// the result-determinism contract; threads are not.
@@ -169,7 +168,6 @@ impl ServeEngine {
             delta_full_rebuilds: 0,
         };
         for (step, &t) in times.iter().enumerate() {
-            let snap_t0 = leo_obs::spans_enabled().then(Instant::now);
             let view = self.service.view(t);
             // Incremental weight refresh, chained from the previous
             // instant and proven against the view's full refresh.
@@ -232,12 +230,6 @@ impl ServeEngine {
             leo_obs::timeseries!("serve.handoffs").sample(t, row.handoffs as f64);
             leo_obs::timeseries!("serve.delta_recomputed").sample(t, stats.recomputed as f64);
             leo_obs::trace_instant("serve.snapshot");
-            if let Some(t0) = snap_t0 {
-                // Wall-clock series: spans-gated, excluded from the
-                // determinism comparisons like every timing metric.
-                leo_obs::timeseries_wall!("serve.snapshot_wall_s")
-                    .sample(t, t0.elapsed().as_secs_f64());
-            }
 
             let every = self.config.validate_every;
             if every > 0 && step % every == 0 && self.users.num_shards() > 0 {
