@@ -935,6 +935,35 @@ mod tests {
         });
     }
 
+    /// Spans below [`Level::Full`] touch no shard: every shard keeps its
+    /// reset identities, and the dump is empty with a `+0.0` sum.
+    #[test]
+    fn a_histogram_that_never_records_holds_no_buckets() {
+        let h = Histogram::register("test.lazy.off");
+        with_level(Level::Off, || {
+            h.time(|| std::hint::black_box(1 + 1));
+            drop(h.span());
+        });
+        for shard in &h.shards {
+            assert_eq!(shard.count.load(Ordering::Relaxed), 0);
+            assert_eq!(shard.sum_bits.load(Ordering::Relaxed), 0f64.to_bits());
+            assert_eq!(
+                shard.min_bits.load(Ordering::Relaxed),
+                f64::INFINITY.to_bits()
+            );
+            assert_eq!(shard.max_bits.load(Ordering::Relaxed), 0f64.to_bits());
+        }
+        let empty = HistogramDump {
+            name: "test.lazy.off".to_string(),
+            count: 0,
+            sum: 0.0,
+            min: f64::INFINITY,
+            max: 0.0,
+        };
+        assert_eq!(h.dump(), empty);
+        assert_eq!(h.dump().sum.to_bits(), 0.0f64.to_bits());
+    }
+
     #[test]
     fn span_records_only_at_full_level() {
         let h = Histogram::register("test.span");
